@@ -13,7 +13,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .errors import EvDemandError, ParseError, UnknownTarget, ValidationError
+from .errors import EvDemandError, UnknownTarget, ValidationError
 from .report import (
     DEFAULT_SIG,
     FORMATS,
@@ -58,15 +58,39 @@ def _sig_from_args(args: argparse.Namespace) -> SigConfig:
     return SigConfig.uniform(args.sig_digits)
 
 
-def _load_scenario_arg(spec: str) -> Scenario:
-    """Resolve a scenario argument: a file path, or a packaged fixture name."""
+def _load_scenario_arg(spec: str) -> Scenario | int:
+    """Resolve a scenario argument, a file path or a packaged fixture name.
+
+    On failure, prints why and returns the exit code: 2 when the file cannot
+    be read, 1 when its content is not a valid scenario.
+    """
     path = Path(spec)
-    if path.exists():
-        return load_scenario(path)
-    name = spec[:-4] if spec.endswith(".scn") else spec
-    if name in BUILTIN_SCENARIOS:
+    try:
+        if path.exists():
+            return load_scenario(path)
+        name = spec[:-4] if spec.endswith(".scn") else spec
+        if name not in BUILTIN_SCENARIOS:
+            _err(f"file not found: {spec}")
+            return 2
         return parse_scenario(builtin_scenario_text(name), default_name=name)
-    raise FileNotFoundError(spec)
+    except (OSError, UnicodeDecodeError) as exc:
+        _err(f"cannot read {spec}: {exc}")
+        return 2
+    except ValidationError as exc:
+        for problem in exc.problems:
+            _err(problem)
+        return 1
+    except EvDemandError as exc:
+        _err(str(exc))
+        return 1
+
+
+def _sig_digits(text: str) -> int:
+    """argparse type of ``--sig-digits``: an integer >= 1."""
+    n = int(text)  # argparse reports a ValueError as an invalid value
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {n}")
+    return n
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
@@ -84,21 +108,9 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace, *, validate_only: bool = False) -> int:
-    try:
-        scenario = _load_scenario_arg(args.scenario)
-    except FileNotFoundError:
-        _err(f"file not found: {args.scenario}")
-        return 2
-    except OSError as exc:
-        _err(f"cannot read {args.scenario}: {exc}")
-        return 2
-    except (ParseError, ValidationError, EvDemandError) as exc:
-        if isinstance(exc, ValidationError):
-            for problem in exc.problems:
-                _err(problem)
-        else:
-            _err(str(exc))
-        return 1
+    scenario = _load_scenario_arg(args.scenario)
+    if isinstance(scenario, int):
+        return scenario
     if validate_only:
         print(f"scenario valid: {scenario.name}")
         return 0
@@ -141,14 +153,9 @@ def _sweep_spec_from_args(args: argparse.Namespace,
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    try:
-        scenario = _load_scenario_arg(args.scenario)
-    except FileNotFoundError:
-        _err(f"file not found: {args.scenario}")
-        return 2
-    except (ParseError, ValidationError, EvDemandError) as exc:
-        _err(str(exc))
-        return 1
+    scenario = _load_scenario_arg(args.scenario)
+    if isinstance(scenario, int):
+        return scenario
     spec = _sweep_spec_from_args(args, scenario)
     if spec is None:
         if args.path is None and scenario.sweep_spec is None:
@@ -188,7 +195,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=FORMATS, default="text",
                         help="output format (default: text)")
-    common.add_argument("--sig-digits", type=int, default=None, metavar="N",
+    common.add_argument("--sig-digits", type=_sig_digits, default=None, metavar="N",
                         help="override significant digits for all value families")
 
     parser = argparse.ArgumentParser(

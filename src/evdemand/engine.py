@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
+    BelowMinimum,
     DimensionMismatch,
     ZeroBaseline,
     ZeroCapacity,
@@ -52,6 +53,7 @@ __all__ = [
     "battery_demand_method_a",
     "battery_demand_method_b",
     "production_energy_table",
+    "printed_style_wh",
     "carbon_intensity",
     "additional_co2",
     "water_use",
@@ -187,8 +189,8 @@ def battery_demand_method_a(fleet: Quantity, per_ev: Quantity,
     per_ev_wh = _expect(per_ev, Dimension.ENERGY, "per-EV energy")
     if per_ev_wh == 0.0:
         raise ZeroPerEvEnergy("per-EV energy must be positive")
-    if batteries_per_ev < 1:
-        raise ValueError(f"batteries per EV must be >= 1, got {batteries_per_ev!r}")
+    if not batteries_per_ev >= 1:  # written this way round so NaN fails too
+        raise BelowMinimum(f"batteries per EV must be >= 1, got {batteries_per_ev!r}")
     ev_count = fleet_wh / per_ev_wh
     battery_count = ev_count * batteries_per_ev
     production = battery_count * chem.manufacture_energy.canonical
@@ -217,12 +219,17 @@ def battery_demand_method_b(fleet: Quantity, chem: BatteryChemistry) -> BatteryD
     )
 
 
+def printed_style_wh(production_energy: Quantity) -> float:
+    """The printed-table figure, in Wh, for a consistent production energy."""
+    return production_energy.canonical / PRODUCTION_TABLE_DIVISOR
+
+
 def production_energy_table(demands: list[BatteryDemand]) -> list[ProductionRow]:
     """Production energies with both the consistent and printed-style values."""
     rows = []
     for d in demands:
         consistent = d.production_energy
-        printed = Quantity(consistent.canonical / PRODUCTION_TABLE_DIVISOR, Dimension.ENERGY)
+        printed = Quantity(printed_style_wh(consistent), Dimension.ENERGY)
         rows.append(ProductionRow(
             method=d.method,
             chemistry=d.chemistry.display_name,

@@ -97,6 +97,10 @@ class ZeroBaseline(EvDemandError):
     """Capacity comparison requires a positive baseline generation."""
 
 
+class BelowMinimum(EvDemandError):
+    """A count below its domain floor (fewer than one pack per EV) or NaN."""
+
+
 # --- scenarios ----------------------------------------------------------
 
 class ValidationError(EvDemandError):

@@ -24,7 +24,6 @@ from . import engine
 from .errors import UnknownTarget
 from .quantities import Quantity, format_quantity
 from .quantities import _format_sig as _sig  # shared deterministic digit renderer
-from .engine import SharesBasis
 from .refdata import (
     builtin_chemistry,
     builtin_dataset,
@@ -32,7 +31,7 @@ from .refdata import (
     catalog_stats,
     source_group_energy,
 )
-from .scenario import Assessment, SweepPoint, assess, load_builtin_scenario
+from .scenario import Assessment, SweepPoint, assess, load_builtin_scenario, scenario_echo
 
 __all__ = [
     "SigConfig",
@@ -117,7 +116,7 @@ def _assessment_rows(a: Assessment, sig: SigConfig) -> list[_Row]:
         rows.append(_Row(f"battery_count_{tag}", f"{label} battery count",
                          _count_e9(demand.battery_count, sig),
                          demand.battery_count.canonical / 1e9, "1e9"))
-        printed = demand.production_energy.canonical / engine.PRODUCTION_TABLE_DIVISOR
+        printed = engine.printed_style_wh(demand.production_energy)
         rows.append(_Row(f"production_consistent_{tag}", f"{label} production energy",
                          _twh(demand.production_energy, sig),
                          demand.production_energy.in_unit("TWh"), "TWh"))
@@ -161,39 +160,6 @@ def _assessment_rows(a: Assessment, sig: SigConfig) -> list[_Row]:
     return rows
 
 
-def _scenario_echo(a: Assessment) -> dict:
-    s = a.scenario
-    basis = s.fleet_basis
-    if isinstance(basis, SharesBasis):
-        fleet = {
-            "basis": "shares",
-            "total_energy_twh": basis.total_energy.in_unit("TWh"),
-            "transport_share": basis.transport_share.canonical,
-            "fuel_share": basis.fuel_share.canonical,
-        }
-    else:
-        fleet = {
-            "basis": "gallons",
-            "gallons": basis.gallons.canonical,
-            "heat_content_btu_per_gal": basis.heat_content.canonical,
-            "btu_to_wh": basis.btu_to_wh.canonical,
-        }
-    return {
-        "name": s.name,
-        "dataset": s.dataset.id,
-        "year": s.dataset.year,
-        "fleet": fleet,
-        "ev_reference": type(s.ev_reference).__name__,
-        "chemistry": s.chemistry.name,
-        "batteries_per_ev": s.batteries_per_ev,
-        "method": s.method.value,
-        "convention": s.convention.value,
-        "renewable_share": s.renewable_share.canonical,
-        "baseline_generation_twh": s.baseline_generation.in_unit("TWh"),
-        "water_fuels": [fuel for fuel, _ in s.water],
-    }
-
-
 def render(a: Assessment, fmt: str = "text", sig: SigConfig = DEFAULT_SIG) -> str:
     """Render one assessment as text, csv, or json."""
     rows = _assessment_rows(a, sig)
@@ -219,7 +185,7 @@ def render(a: Assessment, fmt: str = "text", sig: SigConfig = DEFAULT_SIG) -> st
         return buf.getvalue()
     if fmt == "json":
         payload = {
-            "scenario": _scenario_echo(a),
+            "scenario": scenario_echo(a.scenario),
             "values": {row.key: {"value": row.value, "unit": row.unit,
                                  **({"note": row.note} if row.note else {})}
                        for row in rows},
@@ -273,11 +239,9 @@ def render_sweep(path: str, points: list[SweepPoint], fmt: str = "text",
         payload = [dict(zip(_SWEEP_COLUMNS, row)) for row in table]
         for entry in payload:
             for key, value in list(entry.items()):
-                if key in ("index",):
+                if key == "index":
                     entry[key] = int(value)
-                elif key not in ("error", "value") and value != "":
-                    entry[key] = float(value)
-                elif key == "value":
+                elif key == "value" or (key != "error" and value != ""):
                     entry[key] = float(value)
         return json.dumps({"path": path, "points": payload},
                           indent=2, sort_keys=True) + "\n"
@@ -401,7 +365,7 @@ def _table3_cells(a05: Assessment, a01: Assessment) -> list[_Cell]:
                         a.scenario.batteries_per_ev, chem)
                 else:
                     demand = engine.battery_demand_method_b(a.fleet_energy, chem)
-                printed = demand.production_energy.canonical / engine.PRODUCTION_TABLE_DIVISOR
+                printed = engine.printed_style_wh(demand.production_energy)
                 expected = _TABLE3_EXPECTED[(method, year, chem_name)]
                 cells.append(_Cell(
                     f"method {method}, {year}, {chem.display_name} [TWh]",

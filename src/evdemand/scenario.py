@@ -7,11 +7,21 @@ the renewable-strategy parameters. Every omitted field falls back to the
 referenced dataset so the resolved scenario is self-contained; the
 assessment echoes all resolved inputs.
 
+Each scalar input is declared once, in ``FIELDS``: its ``section.key`` path,
+dimension, owning object and attribute, default, accepted tokens, domain
+floor and JSON echo key. File parsing and its allowed-key checks, sweep
+overrides (``OVERRIDE_PATHS`` is the sweepable part of the table), the
+write-back to file syntax and the JSON ``scenario`` echo all read that
+table, so a sweep value passes the same checks as the same value in a file.
+Only what chooses between shapes is written by hand: the fleet basis, the
+EV reference, the chemistry, method and convention, ``[water]`` pairs and
+``[sweep]``.
+
 Sections and keys (unknown ones are errors):
 
 * ``[meta]``: ``name``, ``dataset``
 * ``[dataset]`` + ``[mix]``: an inline dataset (same shape ``export-dataset``
-  writes)
+  writes): ``id``, ``year``, ``mix_year`` and the dataset totals
 * ``[fleet]``: ``basis = shares | gallons`` plus the basis fields
 * ``[ev]``: ``per_ev_energy``, or ``power``/``range``/``speed``, or
   ``source = catalog-median``
@@ -27,26 +37,30 @@ from __future__ import annotations
 import dataclasses
 import enum
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
+from types import MappingProxyType
+from typing import Callable
 
 from . import engine
 from .engine import (
     BatteryDemand,
     CapacityDeficit,
     GallonsBasis,
-    ProductionRow,
     SharesBasis,
 )
 from .errors import (
+    BelowMinimum,
     EvDemandError,
     UnknownChemistry,
-    UnknownDataset,
     UnknownParameter,
     ValidationError,
 )
 from .quantities import (
     BTU_TO_WH_EXACT,
     BTU_TO_WH_PAPER,
+    CANONICAL_UNIT,
+    CATALOG,
     GASOLINE_HEAT_BTU_PER_GAL,
     Dimension,
     Quantity,
@@ -64,7 +78,7 @@ from .refdata import (
     dataset_ids,
     validate_mix,
 )
-from .scnformat import Document, RawValue, Section, parse_document, write_document
+from .scnformat import RawValue, Section, parse_document, text_literal, write_document
 
 __all__ = [
     "Method",
@@ -76,6 +90,9 @@ __all__ = [
     "Scenario",
     "Assessment",
     "SweepPoint",
+    "FieldSpec",
+    "FIELDS",
+    "OVERRIDE_PATHS",
     "load_scenario",
     "parse_scenario",
     "assess",
@@ -83,8 +100,7 @@ __all__ = [
     "apply_override",
     "render_scenario",
     "render_dataset",
-    "parse_dataset_document",
-    "OVERRIDE_PATHS",
+    "scenario_echo",
 ]
 
 
@@ -101,14 +117,15 @@ class Convention(enum.Enum):
     PUBLISHED = "published"   # printed-table style: consistent / 10^3
 
 
+# method tokens are read in any case
+_METHOD_TOKENS = {"a": Method.A, "b": Method.B, "both": Method.BOTH}
+
 # "paper-mantissa" is an accepted alias for the printed-style convention
 _CONVENTION_TOKENS = {
     "consistent": Convention.CONSISTENT,
     "published": Convention.PUBLISHED,
     "paper-mantissa": Convention.PUBLISHED,
 }
-
-_BTU_TOKENS = {"exact": BTU_TO_WH_EXACT, "paper": BTU_TO_WH_PAPER}
 
 
 @dataclass(frozen=True)
@@ -186,7 +203,6 @@ class Assessment:
     per_ev_energy: Quantity
     demand_a: BatteryDemand | None
     demand_b: BatteryDemand | None
-    production_rows: tuple[ProductionRow, ...]
     totals_method: str
     battery_energy_for_totals: Quantity
     total_additional_energy: Quantity
@@ -211,18 +227,7 @@ class SweepPoint:
     error: str | None = None
 
 
-# --- loading --------------------------------------------------------------
-
-_SCENARIO_SECTIONS = {"meta", "dataset", "mix", "fleet", "ev", "battery",
-                      "strategy", "water", "sweep"}
-
-_DATASET_KEYS = {
-    "id", "year", "mix_year", "total_generation", "total_energy_consumption",
-    "transport_share", "gasoline_share", "household_gasoline", "co2_total",
-}
-
-_CUSTOM_CHEM_KEYS = ("pack_capacity", "manufacture_energy", "energy_density", "pack_mass")
-
+# --- the field table -------------------------------------------------------
 
 class _Problems:
     def __init__(self):
@@ -256,6 +261,173 @@ def _want_quantity(value: RawValue, dim: Dimension, key: str,
     return None
 
 
+@dataclass(frozen=True)
+class FieldSpec:
+    """One scalar scenario input, at ``path`` = ``section.key``.
+
+    ``dim`` None means a bare count. ``owner.attr`` is where the resolved
+    value lives. ``default`` is a getter on the dataset, a constant, or None
+    when the key is required. ``tokens`` are identifiers accepted in
+    place of a literal. ``floor`` is the least bare count allowed; NaN fails
+    it too. ``echo`` is the JSON ``scenario`` key, in ``echo_unit`` (None:
+    the canonical unit). ``sweep`` marks the paths in ``OVERRIDE_PATHS``.
+    """
+
+    path: str
+    dim: Dimension | None
+    owner: type
+    attr: str
+    default: Callable[[ReferenceDataset], Quantity] | float | Quantity | None = None
+    tokens: dict[str, float] | None = None
+    floor: float | None = None
+    echo: str | None = None
+    echo_unit: str | None = None
+    sweep: bool = False
+    section: str = dataclasses.field(init=False)
+    key: str = dataclasses.field(init=False)
+
+    def __post_init__(self):
+        section, _, key = self.path.partition(".")
+        object.__setattr__(self, "section", section)
+        object.__setattr__(self, "key", key)
+
+    def default_for(self, ds: ReferenceDataset) -> float | Quantity:
+        return self.default(ds) if callable(self.default) else self.default
+
+    def coerce(self, value: float | Quantity) -> float | Quantity:
+        """The checked value from a quantity or a bare number; bare numbers
+        are canonical-unit magnitudes. File and sweep values both pass here."""
+        if isinstance(value, Quantity):
+            want = self.dim or Dimension.COUNT
+            if value.dimension is not want:
+                kind = "a bare count" if self.dim is None else self.dim.value
+                raise UnknownParameter(f"{self.path} takes {kind}, "
+                                       f"got {value.dimension.value}")
+            if self.dim is None:
+                value = value.canonical
+        elif self.dim is not None:
+            value = Quantity(float(value), self.dim)
+        else:
+            value = float(value)
+        if self.floor is not None and not value >= self.floor:
+            raise BelowMinimum(f"{self.path} must be >= {self.floor:g}, got {value!r}")
+        return value
+
+    def read(self, raw: RawValue, problems: _Problems) -> float | Quantity | None:
+        """The value a file gives, or None once the problem is recorded."""
+        if self.dim is None:
+            if raw.kind != "number":
+                problems.add(f"{self.key} must be a bare number, got {raw.text!r}", raw)
+                return None
+            value = float(raw.payload)
+        elif self.tokens and raw.kind == "ident":
+            if raw.payload not in self.tokens:
+                problems.add(f"{self.key} must be {', '.join(self.tokens)}, or a "
+                             f"{CANONICAL_UNIT[self.dim]} quantity, got {raw.text!r}", raw)
+                return None
+            value = self.tokens[raw.payload]
+        else:
+            value = _want_quantity(raw, self.dim, self.key, problems)
+            if value is None:
+                return None
+        try:
+            return self.coerce(value)
+        except EvDemandError as exc:
+            problems.add(str(exc), raw)
+            return None
+
+    def literal(self, value: float | Quantity) -> str:
+        """``value`` in file syntax; it reads back bit-identical."""
+        return repr(value) if self.dim is None else _render_quantity_literal(value)
+
+    def echo_value(self, value: float | Quantity) -> float:
+        if self.dim is None:
+            return value
+        return value.in_unit(self.echo_unit) if self.echo_unit else value.canonical
+
+
+_D = Dimension
+FIELDS: tuple[FieldSpec, ...] = (
+    # an inline dataset's totals
+    FieldSpec("dataset.total_generation", _D.ENERGY, GridMix, "total_generation"),
+    FieldSpec("dataset.total_energy_consumption", _D.ENERGY, ReferenceDataset,
+              "total_energy_consumption"),
+    FieldSpec("dataset.transport_share", _D.FRACTION, ReferenceDataset, "transport_share"),
+    FieldSpec("dataset.gasoline_share", _D.FRACTION, ReferenceDataset, "gasoline_share"),
+    FieldSpec("dataset.household_gasoline", _D.VOLUME, ReferenceDataset,
+              "household_gasoline"),
+    FieldSpec("dataset.co2_total", _D.MASS, ReferenceDataset, "co2_total"),
+    # fleet energy on the shares basis ...
+    FieldSpec("fleet.total_energy", _D.ENERGY, SharesBasis, "total_energy",
+              attrgetter("total_energy_consumption"),
+              echo="total_energy_twh", echo_unit="TWh", sweep=True),
+    FieldSpec("fleet.transport_share", _D.FRACTION, SharesBasis, "transport_share",
+              attrgetter("transport_share"), echo="transport_share", sweep=True),
+    FieldSpec("fleet.fuel_share", _D.FRACTION, SharesBasis, "fuel_share",
+              attrgetter("gasoline_share"), echo="fuel_share", sweep=True),
+    # ... or on the gallons basis
+    FieldSpec("fleet.gallons", _D.VOLUME, GallonsBasis, "gallons",
+              attrgetter("household_gasoline"), echo="gallons", sweep=True),
+    FieldSpec("fleet.heat_content", _D.HEAT_CONTENT, GallonsBasis, "heat_content",
+              quantity(GASOLINE_HEAT_BTU_PER_GAL, "Btu/gal"),
+              echo="heat_content_btu_per_gal", sweep=True),
+    FieldSpec("fleet.btu_to_wh", _D.BTU_CONVERSION, GallonsBasis, "btu_to_wh",
+              Quantity(BTU_TO_WH_EXACT, _D.BTU_CONVERSION),
+              tokens={"exact": BTU_TO_WH_EXACT, "paper": BTU_TO_WH_PAPER},
+              echo="btu_to_wh", sweep=True),
+    # per-EV energy, given outright or as power x range / speed
+    FieldSpec("ev.per_ev_energy", _D.ENERGY, ExplicitPerEv, "per_ev", sweep=True),
+    FieldSpec("ev.power", _D.POWER, PowerRangeSpeed, "power"),
+    FieldSpec("ev.range", _D.DISTANCE, PowerRangeSpeed, "travel_range"),
+    FieldSpec("ev.speed", _D.SPEED, PowerRangeSpeed, "speed"),
+    # the pack of a chemistry that is not built in
+    FieldSpec("battery.pack_capacity", _D.ENERGY, BatteryChemistry, "pack_capacity"),
+    FieldSpec("battery.manufacture_energy", _D.ENERGY, BatteryChemistry,
+              "manufacture_energy"),
+    FieldSpec("battery.energy_density", _D.ENERGY_DENSITY, BatteryChemistry,
+              "energy_density"),
+    FieldSpec("battery.pack_mass", _D.MASS, BatteryChemistry, "pack_mass"),
+    FieldSpec("battery.batteries_per_ev", None, Scenario, "batteries_per_ev", 4.0,
+              floor=1.0, echo="batteries_per_ev", sweep=True),
+    FieldSpec("strategy.renewable_share", _D.FRACTION, Scenario, "renewable_share",
+              Quantity(0.30, _D.FRACTION), echo="renewable_share", sweep=True),
+    FieldSpec("strategy.baseline_generation", _D.ENERGY, Scenario, "baseline_generation",
+              attrgetter("mix.total_generation"),
+              echo="baseline_generation_twh", echo_unit="TWh", sweep=True),
+)
+
+# views of the table, built once
+_OWNED: dict[type, tuple[FieldSpec, ...]] = {
+    owner: tuple(f for f in FIELDS if f.owner is owner)
+    for owner in dict.fromkeys(f.owner for f in FIELDS)}
+_KEYS: dict[type, frozenset[str]] = {
+    owner: frozenset(f.key for f in fields) for owner, fields in _OWNED.items()}
+
+#: sweepable parameter path -> its field spec
+OVERRIDE_PATHS = MappingProxyType({f.path: f for f in FIELDS if f.sweep})
+
+_BASES = {"shares": SharesBasis, "gallons": GallonsBasis}
+_BASIS_NAMES = {owner: name for name, owner in _BASES.items()}
+
+# keys each section allows beside the table's; [fleet] allows the keys of
+# its chosen basis only
+_HAND_KEYS = {
+    "meta": {"name", "dataset"},
+    "dataset": {"id", "year", "mix_year"},
+    "ev": {"source"},
+    "battery": {"chemistry", "method", "convention"},
+    "strategy": set(),
+    "sweep": {"path", "values", "from", "to", "step"},
+}
+_ALLOWED = {section: frozenset(keys | {f.key for f in FIELDS if f.section == section})
+            for section, keys in _HAND_KEYS.items()}
+_FLEET_ALLOWED = {owner: _KEYS[owner] | {"basis"} for owner in _BASES.values()}
+
+_SCENARIO_SECTIONS = {*_HAND_KEYS, "mix", "fleet", "water"}
+
+
+# --- loading --------------------------------------------------------------
+
 def _want_ident(value: RawValue, key: str, problems: _Problems) -> str | None:
     if value.kind == "ident":
         return value.payload
@@ -263,57 +435,86 @@ def _want_ident(value: RawValue, key: str, problems: _Problems) -> str | None:
     return None
 
 
-def _want_text(value: RawValue, key: str, problems: _Problems) -> str | None:
-    if value.kind in ("string", "ident"):
-        return str(value.payload)
-    problems.add(f"{key} must be a string, got {value.text!r}", value)
-    return None
+def _text_or(section: Section, key: str, default: str | None,
+             problems: _Problems) -> str | None:
+    """The string or identifier at ``key``; ``default`` when absent, bad or empty."""
+    v = section.get(key)
+    if v is None:
+        return default
+    if v.kind not in ("string", "ident"):
+        problems.add(f"{key} must be a string, got {v.text!r}", v)
+        return default
+    return str(v.payload) or default
 
 
-def _check_keys(section: Section, allowed: set[str], problems: _Problems):
+def _pick(section: Section | None, key: str, choices: dict, default, problems: _Problems,
+          *, fold: bool = False):
+    """The choice the identifier at ``key`` names (in any case, with ``fold``);
+    ``default`` when the key is absent or names no choice."""
+    v = section.get(key) if section is not None else None
+    if v is None or (token := _want_ident(v, key, problems)) is None:
+        return default
+    if (choice := choices.get(token.lower() if fold else token)) is None:
+        problems.add(f"{key} must be one of {', '.join(choices)}, got {token!r}", v)
+        return default
+    return choice
+
+
+def _check_keys(section: Section, allowed: frozenset[str], problems: _Problems):
     for entry in section.entries:
         if entry.key not in allowed:
             problems.add(f"line {entry.line}: unknown key {entry.key!r} "
                          f"in [{section.name}]")
 
 
-def parse_dataset_document(doc: Document, problems: _Problems) -> ReferenceDataset | None:
+def _read(sections: dict[str, Section], owner: type, ds: ReferenceDataset | None,
+          problems: _Problems) -> dict | None:
+    """``owner``'s field values by attribute, defaults filling omitted keys;
+    None once a value is bad or a required key is missing."""
+    values = {}
+    for f in _OWNED[owner]:
+        section = sections.get(f.section)
+        raw = section.get(f.key) if section is not None else None
+        if raw is not None:
+            values[f.attr] = f.read(raw, problems)
+        elif f.default is not None:
+            values[f.attr] = f.default_for(ds)
+        else:
+            problems.add(f"[{f.section}] missing required key {f.key!r}")
+            values[f.attr] = None
+    return None if None in values.values() else values
+
+
+def _water(section: Section | None, problems: _Problems) -> list[tuple[str, Quantity]]:
+    pairs = []
+    for entry in section.entries if section is not None else ():
+        wi = _want_quantity(entry.value, Dimension.WATER_INTENSITY, entry.key, problems)
+        if wi is not None:
+            pairs.append((entry.key, wi))
+    return pairs
+
+
+def _resolve_dataset(sections: dict[str, Section],
+                     problems: _Problems) -> ReferenceDataset | None:
     """Build a ReferenceDataset from inline [dataset], [mix] and [water]."""
-    ds_sec = doc.section("dataset")
-    mix_sec = doc.section("mix")
+    ds_sec = sections.get("dataset")
+    mix_sec = sections.get("mix")
     if ds_sec is None:
         problems.add("inline dataset requires a [dataset] section")
         return None
     if mix_sec is None:
         problems.add("inline dataset requires a [mix] section")
         return None
-    _check_keys(ds_sec, _DATASET_KEYS, problems)
+    _check_keys(ds_sec, _ALLOWED["dataset"], problems)
 
-    def field(key: str, dim: Dimension) -> Quantity | None:
-        v = ds_sec.get(key)
-        if v is None:
-            problems.add(f"[dataset] missing required key {key!r}")
-            return None
-        return _want_quantity(v, dim, key, problems)
-
-    ds_id = "custom"
-    if (v := ds_sec.get("id")) is not None:
-        ds_id = _want_text(v, "id", problems) or ds_id
-    year = ds_id
-    if (v := ds_sec.get("year")) is not None:
-        year = _want_text(v, "year", problems) or year
+    ds_id = _text_or(ds_sec, "id", "custom", problems)
+    year = _text_or(ds_sec, "year", ds_id, problems)
     # the mix may be older than the dataset's nominal year (2001 datasets
     # reuse the 2005 generation data)
-    mix_year = year
-    if (v := ds_sec.get("mix_year")) is not None:
-        mix_year = _want_text(v, "mix_year", problems) or mix_year
+    mix_year = _text_or(ds_sec, "mix_year", year, problems)
 
-    total_generation = field("total_generation", Dimension.ENERGY)
-    consumption = field("total_energy_consumption", Dimension.ENERGY)
-    transport = field("transport_share", Dimension.FRACTION)
-    gasoline = field("gasoline_share", Dimension.FRACTION)
-    household = field("household_gasoline", Dimension.VOLUME)
-    co2_total = field("co2_total", Dimension.MASS)
+    mix_totals = _read(sections, GridMix, None, problems)
+    totals = _read(sections, ReferenceDataset, None, problems)
 
     entries: list[tuple[str, float]] = []
     for entry in mix_sec.entries:
@@ -321,159 +522,81 @@ def parse_dataset_document(doc: Document, problems: _Problems) -> ReferenceDatas
         if share is not None:
             entries.append((entry.key, share.canonical))
 
-    water: dict[str, Quantity] = {}
-    water_sec = doc.section("water")
-    if water_sec is not None:
-        for entry in water_sec.entries:
-            wi = _want_quantity(entry.value, Dimension.WATER_INTENSITY,
-                                entry.key, problems)
-            if wi is not None:
-                water[entry.key] = wi
+    water = dict(_water(sections.get("water"), problems))
 
-    if total_generation is None or None in (consumption, transport, gasoline,
-                                            household, co2_total):
+    if mix_totals is None or totals is None:
         return None
-    mix = GridMix(year=mix_year, entries=tuple(entries),
-                  total_generation=total_generation)
+    mix = GridMix(year=mix_year, entries=tuple(entries), **mix_totals)
     for violation in validate_mix(mix):
         problems.add(f"[mix] {violation}")
-    return ReferenceDataset(
-        id=ds_id, year=year, mix=mix,
-        total_energy_consumption=consumption, transport_share=transport,
-        gasoline_share=gasoline, household_gasoline=household,
-        co2_total=co2_total, water_intensity=water,
-    )
+    return ReferenceDataset(id=ds_id, year=year, mix=mix, water_intensity=water, **totals)
 
 
-def _resolve_fleet(section: Section | None, ds: ReferenceDataset,
+def _resolve_fleet(sections: dict[str, Section], ds: ReferenceDataset,
                    problems: _Problems) -> SharesBasis | GallonsBasis | None:
-    basis_name = "shares"
-    if section is not None and (v := section.get("basis")) is not None:
-        token = _want_ident(v, "basis", problems)
-        if token is not None:
-            if token not in ("shares", "gallons"):
-                problems.add(f"basis must be shares or gallons, got {token!r}", v)
-            else:
-                basis_name = token
-
-    if basis_name == "shares":
-        allowed = {"basis", "total_energy", "transport_share", "fuel_share"}
-        total = ds.total_energy_consumption
-        transport = ds.transport_share
-        fuel = ds.gasoline_share
-        if section is not None:
-            _check_keys(section, allowed, problems)
-            if (v := section.get("total_energy")) is not None:
-                total = _want_quantity(v, Dimension.ENERGY, "total_energy", problems) or total
-            if (v := section.get("transport_share")) is not None:
-                transport = _want_quantity(v, Dimension.FRACTION, "transport_share",
-                                           problems) or transport
-            if (v := section.get("fuel_share")) is not None:
-                fuel = _want_quantity(v, Dimension.FRACTION, "fuel_share", problems) or fuel
-        return SharesBasis(total_energy=total, transport_share=transport, fuel_share=fuel)
-
-    allowed = {"basis", "gallons", "heat_content", "btu_to_wh"}
-    gallons = ds.household_gasoline
-    heat = quantity(GASOLINE_HEAT_BTU_PER_GAL, "Btu/gal")
-    btu = Quantity(BTU_TO_WH_EXACT, Dimension.BTU_CONVERSION)
+    section = sections.get("fleet")
+    owner = _pick(section, "basis", _BASES, SharesBasis, problems)
     if section is not None:
-        _check_keys(section, allowed, problems)
-        if (v := section.get("gallons")) is not None:
-            gallons = _want_quantity(v, Dimension.VOLUME, "gallons", problems) or gallons
-        if (v := section.get("heat_content")) is not None:
-            heat = _want_quantity(v, Dimension.HEAT_CONTENT, "heat_content", problems) or heat
-        if (v := section.get("btu_to_wh")) is not None:
-            if v.kind == "ident":
-                if v.payload in _BTU_TOKENS:
-                    btu = Quantity(_BTU_TOKENS[v.payload], Dimension.BTU_CONVERSION)
-                else:
-                    problems.add(f"btu_to_wh must be exact, paper, or a Wh/Btu "
-                                 f"quantity, got {v.text!r}", v)
-            else:
-                btu = _want_quantity(v, Dimension.BTU_CONVERSION, "btu_to_wh",
-                                     problems) or btu
-    return GallonsBasis(gallons=gallons, heat_content=heat, btu_to_wh=btu)
+        _check_keys(section, _FLEET_ALLOWED[owner], problems)
+    values = _read(sections, owner, ds, problems)
+    return owner(**values) if values is not None else None
 
 
-def _resolve_ev(section: Section | None, problems: _Problems) -> EvReference:
+def _resolve_ev(sections: dict[str, Section], problems: _Problems) -> EvReference | None:
+    section = sections.get("ev")
     if section is None:
         return CatalogMedian()
-    _check_keys(section, {"per_ev_energy", "power", "range", "speed", "source"}, problems)
-    has_explicit = section.get("per_ev_energy") is not None
-    prs_keys = [k for k in ("power", "range", "speed") if section.get(k) is not None]
-    has_source = section.get("source") is not None
-    chosen = sum([has_explicit, bool(prs_keys), has_source])
-    if chosen > 1:
+    _check_keys(section, _ALLOWED["ev"], problems)
+    keys = section.keys()
+    shapes = [owner for owner in (ExplicitPerEv, PowerRangeSpeed)
+              if not _KEYS[owner].isdisjoint(keys)]
+    source = section.get("source")
+    if len(shapes) + (source is not None) > 1:
         problems.add("[ev] mixes per_ev_energy, power/range/speed and source; pick one")
-        return CatalogMedian()
-    if has_explicit:
-        q = _want_quantity(section.get("per_ev_energy"), Dimension.ENERGY,
-                           "per_ev_energy", problems)
-        return ExplicitPerEv(per_ev=q) if q is not None else CatalogMedian()
-    if prs_keys:
-        if len(prs_keys) != 3:
-            problems.add(f"[ev] needs power, range and speed together; got {prs_keys}")
-            return CatalogMedian()
-        p = _want_quantity(section.get("power"), Dimension.POWER, "power", problems)
-        r = _want_quantity(section.get("range"), Dimension.DISTANCE, "range", problems)
-        s = _want_quantity(section.get("speed"), Dimension.SPEED, "speed", problems)
-        if None in (p, r, s):
-            return CatalogMedian()
-        return PowerRangeSpeed(power=p, travel_range=r, speed=s)
-    if has_source:
-        token = _want_ident(section.get("source"), "source", problems)
-        if token is not None and token != "catalog-median":
-            problems.add(f"unknown ev source {token!r}; expected catalog-median")
-    return CatalogMedian()
+        return None
+    if shapes:
+        values = _read(sections, shapes[0], None, problems)
+        return shapes[0](**values) if values is not None else None
+    return _pick(section, "source", {"catalog-median": CatalogMedian()}, CatalogMedian(),
+                 problems)
 
 
-def _resolve_chemistry(section: Section | None, problems: _Problems) -> BatteryChemistry:
-    default = builtin_chemistry("nimh")
-    if section is None:
-        return default
-    v = section.get("chemistry")
+def _resolve_chemistry(sections: dict[str, Section],
+                       problems: _Problems) -> BatteryChemistry | None:
+    section = sections.get("battery")
+    v = section.get("chemistry") if section is not None else None
     if v is None:
-        return default
+        return builtin_chemistry("nimh")
     name = _want_ident(v, "chemistry", problems)
     if name is None:
-        return default
-    custom_present = [k for k in _CUSTOM_CHEM_KEYS if section.get(k) is not None]
+        return None
+    pack_keys = [f.key for f in _OWNED[BatteryChemistry]]
+    present = [k for k in pack_keys if section.get(k) is not None]
     if name in chemistry_names():
-        if custom_present:
-            problems.add(f"pack fields {custom_present} are only for non-built-in "
+        if present:
+            problems.add(f"pack fields {present} are only for non-built-in "
                          f"chemistries; {name!r} is built-in")
         return builtin_chemistry(name)
-    if not custom_present:
+    if not present:
         raise UnknownChemistry(
             f"unknown chemistry {name!r}; built-ins: {', '.join(chemistry_names())} "
-            f"(or supply {', '.join(_CUSTOM_CHEM_KEYS)})")
-    missing = [k for k in _CUSTOM_CHEM_KEYS if section.get(k) is None]
-    if missing:
-        problems.add(f"custom chemistry {name!r} missing keys {missing}")
-        return default
-    capacity = _want_quantity(section.get("pack_capacity"), Dimension.ENERGY,
-                              "pack_capacity", problems)
-    manufacture = _want_quantity(section.get("manufacture_energy"), Dimension.ENERGY,
-                                 "manufacture_energy", problems)
-    density = _want_quantity(section.get("energy_density"), Dimension.ENERGY_DENSITY,
-                             "energy_density", problems)
-    mass = _want_quantity(section.get("pack_mass"), Dimension.MASS, "pack_mass", problems)
-    if None in (capacity, manufacture, density, mass):
-        return default
+            f"(or supply {', '.join(pack_keys)})")
+    values = _read(sections, BatteryChemistry, None, problems)
+    if values is None:
+        return None
     try:
-        return BatteryChemistry(
-            name=name, display_name=name, energy_density=density, pack_mass=mass,
-            pack_capacity=capacity, manufacture_energy=manufacture,
-            emissions_note="user supplied", recycling_note="user supplied")
+        return BatteryChemistry(name=name, display_name=name,
+                                emissions_note="user supplied",
+                                recycling_note="user supplied", **values)
     except ValueError as exc:
         problems.add(str(exc))
-        return default
+        return None
 
 
 def _resolve_sweep(section: Section | None, problems: _Problems) -> SweepSpec | None:
     if section is None:
         return None
-    _check_keys(section, {"path", "values", "from", "to", "step"}, problems)
+    _check_keys(section, _ALLOWED["sweep"], problems)
     path_v = section.get("path")
     if path_v is None:
         problems.add("[sweep] missing key 'path'")
@@ -526,28 +649,28 @@ def parse_scenario(text: str, *, default_name: str | None = None) -> Scenario:
     all other problems.
     """
     doc = parse_document(text)
+    sections = {section.name: section for section in doc.sections}
     problems = _Problems()
 
-    for name in doc.section_names():
+    for name in sections:
         if name not in _SCENARIO_SECTIONS:
             problems.add(f"unknown section [{name}]")
 
-    meta = doc.section("meta")
+    meta = sections.get("meta")
     dataset_ref: str | None = None
     scenario_name = default_name
     if meta is not None:
-        _check_keys(meta, {"name", "dataset"}, problems)
-        if (v := meta.get("name")) is not None:
-            scenario_name = _want_text(v, "name", problems) or scenario_name
+        _check_keys(meta, _ALLOWED["meta"], problems)
+        scenario_name = _text_or(meta, "name", scenario_name, problems)
         if (v := meta.get("dataset")) is not None:
             dataset_ref = _want_ident(v, "dataset", problems)
 
-    has_inline = doc.section("dataset") is not None or doc.section("mix") is not None
+    has_inline = "dataset" in sections or "mix" in sections
     ds: ReferenceDataset | None = None
     if dataset_ref is not None and has_inline:
         problems.add("scenario both references a dataset and defines one inline")
     if has_inline:
-        ds = parse_dataset_document(doc, problems)
+        ds = _resolve_dataset(sections, problems)
     elif dataset_ref is not None:
         ds = builtin_dataset(dataset_ref)   # raises UnknownDataset
     else:
@@ -560,74 +683,30 @@ def parse_scenario(text: str, *, default_name: str | None = None) -> Scenario:
     if scenario_name is None:
         scenario_name = ds.id
 
-    fleet_basis = _resolve_fleet(doc.section("fleet"), ds, problems)
-    ev_reference = _resolve_ev(doc.section("ev"), problems)
+    fleet_basis = _resolve_fleet(sections, ds, problems)
+    ev_reference = _resolve_ev(sections, problems)
 
-    battery = doc.section("battery")
-    batteries_per_ev = 4.0
-    method = Method.BOTH
-    convention = Convention.PUBLISHED
-    if battery is not None:
-        allowed = {"chemistry", "batteries_per_ev", "method", "convention",
-                   *_CUSTOM_CHEM_KEYS}
-        _check_keys(battery, allowed, problems)
-        if (v := battery.get("batteries_per_ev")) is not None:
-            if v.kind == "number":
-                batteries_per_ev = float(v.payload)
-            else:
-                problems.add(f"batteries_per_ev must be a bare number, got {v.text!r}", v)
-        if (v := battery.get("method")) is not None:
-            token = _want_ident(v, "method", problems)
-            if token is not None:
-                try:
-                    method = Method(token.upper()) if token.upper() in ("A", "B") \
-                        else Method(token.lower())
-                except ValueError:
-                    problems.add(f"method must be A, B, or both, got {token!r}", v)
-        if (v := battery.get("convention")) is not None:
-            token = _want_ident(v, "convention", problems)
-            if token is not None:
-                if token in _CONVENTION_TOKENS:
-                    convention = _CONVENTION_TOKENS[token]
-                else:
-                    problems.add(f"convention must be one of "
-                                 f"{sorted(_CONVENTION_TOKENS)}, got {token!r}", v)
-    chemistry = _resolve_chemistry(battery, problems)
-    if batteries_per_ev < 1:
-        problems.add(f"batteries_per_ev must be >= 1, got {batteries_per_ev!r}")
+    if (battery := sections.get("battery")) is not None:
+        _check_keys(battery, _ALLOWED["battery"], problems)
+    method = _pick(battery, "method", _METHOD_TOKENS, Method.BOTH, problems, fold=True)
+    convention = _pick(battery, "convention", _CONVENTION_TOKENS, Convention.PUBLISHED,
+                       problems)
+    chemistry = _resolve_chemistry(sections, problems)
 
-    strategy = doc.section("strategy")
-    renewable_share = Quantity(0.30, Dimension.FRACTION)
-    baseline = ds.mix.total_generation
-    if strategy is not None:
-        _check_keys(strategy, {"renewable_share", "baseline_generation"}, problems)
-        if (v := strategy.get("renewable_share")) is not None:
-            renewable_share = _want_quantity(v, Dimension.FRACTION, "renewable_share",
-                                             problems) or renewable_share
-        if (v := strategy.get("baseline_generation")) is not None:
-            baseline = _want_quantity(v, Dimension.ENERGY, "baseline_generation",
-                                      problems) or baseline
+    if (strategy := sections.get("strategy")) is not None:
+        _check_keys(strategy, _ALLOWED["strategy"], problems)
+    scalars = _read(sections, Scenario, ds, problems)
 
-    water_pairs: tuple[tuple[str, Quantity], ...]
-    water_sec = doc.section("water")
-    if has_inline:
-        # the inline [water] section already populated the dataset's map
+    if has_inline or "water" not in sections:
+        # an inline [water] section already populated the dataset's map
         water_pairs = tuple(ds.water_intensity.items())
-    elif water_sec is not None:
-        pairs = []
-        for entry in water_sec.entries:
-            wi = _want_quantity(entry.value, Dimension.WATER_INTENSITY,
-                                entry.key, problems)
-            if wi is not None:
-                pairs.append((entry.key, wi))
-        water_pairs = tuple(pairs)
     else:
-        water_pairs = tuple(ds.water_intensity.items())
+        water_pairs = tuple(_water(sections["water"], problems))
     for fuel, _ in water_pairs:
         if fuel not in ds.mix.sources():
             problems.add(f"water fuel {fuel!r} is not a source in the grid mix")
 
-    sweep_spec = _resolve_sweep(doc.section("sweep"), problems)
+    sweep_spec = _resolve_sweep(sections.get("sweep"), problems)
 
     problems.raise_if_any()
     return Scenario(
@@ -635,14 +714,12 @@ def parse_scenario(text: str, *, default_name: str | None = None) -> Scenario:
         dataset=ds,
         fleet_basis=fleet_basis,
         ev_reference=ev_reference,
-        batteries_per_ev=batteries_per_ev,
         chemistry=chemistry,
         method=method,
         convention=convention,
-        renewable_share=renewable_share,
-        baseline_generation=baseline,
         water=water_pairs,
         sweep_spec=sweep_spec,
+        **scalars,
     )
 
 
@@ -701,15 +778,12 @@ def assess(s: Scenario) -> Assessment:
                                                   s.chemistry)
     if s.method in (Method.B, Method.BOTH):
         demand_b = engine.battery_demand_method_b(fleet, s.chemistry)
-    demands = [d for d in (demand_a, demand_b) if d is not None]
-    production_rows = tuple(engine.production_energy_table(demands))
 
     selected = demand_b if demand_b is not None else demand_a
     totals_method = selected.method
     if s.convention is Convention.PUBLISHED:
-        battery_energy = Quantity(
-            selected.production_energy.canonical / engine.PRODUCTION_TABLE_DIVISOR,
-            Dimension.ENERGY)
+        battery_energy = Quantity(engine.printed_style_wh(selected.production_energy),
+                                  Dimension.ENERGY)
     else:
         battery_energy = selected.production_energy
 
@@ -753,7 +827,6 @@ def assess(s: Scenario) -> Assessment:
         per_ev_energy=per_ev,
         demand_a=demand_a,
         demand_b=demand_b,
-        production_rows=production_rows,
         totals_method=totals_method,
         battery_energy_for_totals=battery_energy,
         total_additional_energy=total,
@@ -770,61 +843,23 @@ def assess(s: Scenario) -> Assessment:
 
 # --- sweeps ----------------------------------------------------------------
 
-#: parameter path -> (expected dimension, None for a bare count)
-OVERRIDE_PATHS: dict[str, Dimension | None] = {
-    "fleet.total_energy": Dimension.ENERGY,
-    "fleet.transport_share": Dimension.FRACTION,
-    "fleet.fuel_share": Dimension.FRACTION,
-    "fleet.gallons": Dimension.VOLUME,
-    "fleet.heat_content": Dimension.HEAT_CONTENT,
-    "fleet.btu_to_wh": Dimension.BTU_CONVERSION,
-    "ev.per_ev_energy": Dimension.ENERGY,
-    "battery.batteries_per_ev": None,
-    "strategy.renewable_share": Dimension.FRACTION,
-    "strategy.baseline_generation": Dimension.ENERGY,
-}
-
-
-def _coerce_override(path: str, value: float | Quantity) -> float | Quantity:
-    dim = OVERRIDE_PATHS[path]
-    if dim is None:
-        if isinstance(value, Quantity):
-            if value.dimension is not Dimension.COUNT:
-                raise UnknownParameter(f"{path} takes a bare count, "
-                                       f"got {value.dimension.value}")
-            return value.canonical
-        return float(value)
-    if isinstance(value, Quantity):
-        if value.dimension is not dim:
-            raise UnknownParameter(f"{path} takes {dim.value}, got {value.dimension.value}")
-        return value
-    # bare numbers are canonical-unit magnitudes
-    return Quantity(float(value), dim)
-
-
 def apply_override(s: Scenario, path: str, value: float | Quantity) -> Scenario:
     """Return a copy of ``s`` with one parameter replaced."""
-    if path not in OVERRIDE_PATHS:
+    field = OVERRIDE_PATHS.get(path)
+    if field is None:
         raise UnknownParameter(
             f"unknown parameter path {path!r}; known: {', '.join(sorted(OVERRIDE_PATHS))}")
-    coerced = _coerce_override(path, value)
-    section, _, field = path.partition(".")
-    if section == "fleet":
-        basis = s.fleet_basis
-        shares_fields = {"total_energy", "transport_share", "fuel_share"}
-        if field in shares_fields and not isinstance(basis, SharesBasis):
-            raise UnknownParameter(f"{path} applies to the shares basis only")
-        if field not in shares_fields and not isinstance(basis, GallonsBasis):
-            raise UnknownParameter(f"{path} applies to the gallons basis only")
-        return dataclasses.replace(s, fleet_basis=dataclasses.replace(
-            basis, **{field: coerced}))
-    if section == "ev":
+    coerced = field.coerce(value)
+    if field.owner is Scenario:
+        return dataclasses.replace(s, **{field.attr: coerced})
+    if field.owner is ExplicitPerEv:
         return dataclasses.replace(s, ev_reference=ExplicitPerEv(per_ev=coerced))
-    if section == "battery":
-        return dataclasses.replace(s, batteries_per_ev=coerced)
-    if section == "strategy":
-        return dataclasses.replace(s, **{field: coerced})
-    raise UnknownParameter(f"unknown parameter path {path!r}")
+    # the fleet basis guard: a basis field applies to its own basis only
+    if not isinstance(s.fleet_basis, field.owner):
+        raise UnknownParameter(
+            f"{path} applies to the {_BASIS_NAMES[field.owner]} basis only")
+    return dataclasses.replace(s, fleet_basis=dataclasses.replace(
+        s.fleet_basis, **{field.attr: coerced}))
 
 
 def sweep(s: Scenario, spec: SweepSpec) -> list[SweepPoint]:
@@ -868,13 +903,11 @@ def _render_quantity_literal(q: Quantity) -> str:
         mantissa = canonical / 1e9
         if float(f"{mantissa!r}e9") == canonical:
             return f"{mantissa!r}e9 gal"
-    from .quantities import CATALOG
     for unit in _PRETTY_UNITS[q.dimension]:
         u = CATALOG.lookup(unit)
         value = u.from_canonical(canonical)
         if u.to_canonical(float(repr(value))) == canonical:
             return f"{value!r} {unit}"
-    from .quantities import CANONICAL_UNIT
     return f"{canonical!r} {CANONICAL_UNIT[q.dimension]}"
 
 
@@ -884,104 +917,83 @@ def _render_value(value: float | Quantity) -> str:
     return repr(float(value))
 
 
-def render_dataset(ds: ReferenceDataset, *, comments: list[str] | None = None) -> str:
-    """Dataset in file syntax; loads back to identical data."""
-    sections: list[tuple[str, list[tuple[str, str]]]] = [
+def _entries(obj, section: str | None = None) -> list[tuple[str, str]]:
+    """File entries for the table fields ``obj`` owns (in ``section`` only, if given)."""
+    return [(f.key, f.literal(getattr(obj, f.attr))) for f in _OWNED[type(obj)]
+            if section is None or f.section == section]
+
+
+def _dataset_sections(ds: ReferenceDataset) -> list[tuple[str, list[tuple[str, str]]]]:
+    return [
         ("dataset", [
-            ("id", ds.id),
+            ("id", text_literal(ds.id)),
             ("year", f'"{ds.year}"'),
             *([("mix_year", f'"{ds.mix.year}"')] if ds.mix.year != ds.year else []),
-            ("total_generation", _render_quantity_literal(ds.mix.total_generation)),
-            ("total_energy_consumption",
-             _render_quantity_literal(ds.total_energy_consumption)),
-            ("transport_share", _render_quantity_literal(ds.transport_share)),
-            ("gasoline_share", _render_quantity_literal(ds.gasoline_share)),
-            ("household_gasoline", _render_quantity_literal(ds.household_gasoline)),
-            ("co2_total", _render_quantity_literal(ds.co2_total)),
+            *_entries(ds.mix),
+            *_entries(ds),
         ]),
         ("mix", [(name, f"{share!r} frac") for name, share in ds.mix.entries]),
         ("water", [(fuel, _render_quantity_literal(wi))
                    for fuel, wi in ds.water_intensity.items()]),
     ]
-    return write_document(sections, header_comments=comments)
 
 
-def _is_builtin_dataset(ds: ReferenceDataset) -> bool:
-    return ds.id in dataset_ids() and builtin_dataset(ds.id) == ds
+def render_dataset(ds: ReferenceDataset, *, comments: list[str] | None = None) -> str:
+    """Dataset in file syntax; loads back to identical data."""
+    return write_document(_dataset_sections(ds), header_comments=comments)
 
 
 def render_scenario(s: Scenario) -> str:
     """Scenario in file syntax; loads back to an equal Scenario."""
-    sections: list[tuple[str, list[tuple[str, str]]]] = []
-    meta: list[tuple[str, str]] = [("name", f'"{s.name}"')]
-    if _is_builtin_dataset(s.dataset):
-        meta.append(("dataset", s.dataset.id))
-        sections.append(("meta", meta))
+    meta = [("name", f'"{s.name}"')]
+    builtin = s.dataset.id in dataset_ids() and builtin_dataset(s.dataset.id) == s.dataset
+    if builtin:
+        sections = [("meta", [*meta, ("dataset", s.dataset.id)])]
     else:
-        sections.append(("meta", meta))
-        inline = render_dataset(s.dataset)
-        sections.extend(
-            (sec.name, [(e.key, e.value.text) for e in sec.entries])
-            for sec in parse_document(inline).sections)
+        # the inline dataset brings its own [water] section
+        sections = [("meta", meta), *_dataset_sections(s.dataset)]
 
-    if isinstance(s.fleet_basis, SharesBasis):
-        sections.append(("fleet", [
-            ("basis", "shares"),
-            ("total_energy", _render_quantity_literal(s.fleet_basis.total_energy)),
-            ("transport_share", _render_quantity_literal(s.fleet_basis.transport_share)),
-            ("fuel_share", _render_quantity_literal(s.fleet_basis.fuel_share)),
-        ]))
+    sections.append(("fleet", [("basis", _BASIS_NAMES[type(s.fleet_basis)]),
+                               *_entries(s.fleet_basis)]))
+    if isinstance(s.ev_reference, CatalogMedian):
+        sections.append(("ev", [("source", "catalog-median")]))
     else:
-        sections.append(("fleet", [
-            ("basis", "gallons"),
-            ("gallons", _render_quantity_literal(s.fleet_basis.gallons)),
-            ("heat_content", _render_quantity_literal(s.fleet_basis.heat_content)),
-            ("btu_to_wh", _render_quantity_literal(s.fleet_basis.btu_to_wh)),
-        ]))
+        sections.append(("ev", _entries(s.ev_reference)))
 
-    if isinstance(s.ev_reference, ExplicitPerEv):
-        ev_entries = [("per_ev_energy", _render_quantity_literal(s.ev_reference.per_ev))]
-    elif isinstance(s.ev_reference, PowerRangeSpeed):
-        ev_entries = [
-            ("power", _render_quantity_literal(s.ev_reference.power)),
-            ("range", _render_quantity_literal(s.ev_reference.travel_range)),
-            ("speed", _render_quantity_literal(s.ev_reference.speed)),
-        ]
-    else:
-        ev_entries = [("source", "catalog-median")]
-    sections.append(("ev", ev_entries))
-
-    battery_entries = [("chemistry", s.chemistry.name)]
+    battery = [("chemistry", s.chemistry.name)]
     if s.chemistry.name not in chemistry_names():
-        battery_entries += [
-            ("pack_capacity", _render_quantity_literal(s.chemistry.pack_capacity)),
-            ("manufacture_energy",
-             _render_quantity_literal(s.chemistry.manufacture_energy)),
-            ("energy_density", _render_quantity_literal(s.chemistry.energy_density)),
-            ("pack_mass", _render_quantity_literal(s.chemistry.pack_mass)),
-        ]
-    battery_entries += [
-        ("batteries_per_ev", repr(s.batteries_per_ev)),
-        ("method", s.method.value),
-        ("convention", s.convention.value),
-    ]
-    sections.append(("battery", battery_entries))
+        battery += _entries(s.chemistry)
+    battery += [*_entries(s, "battery"), ("method", s.method.value),
+                ("convention", s.convention.value)]
+    sections += [("battery", battery), ("strategy", _entries(s, "strategy"))]
 
-    sections.append(("strategy", [
-        ("renewable_share", _render_quantity_literal(s.renewable_share)),
-        ("baseline_generation", _render_quantity_literal(s.baseline_generation)),
-    ]))
-
-    if not _is_builtin_dataset(s.dataset):
-        pass  # inline dataset already wrote its [water] section
-    else:
+    if builtin:
         sections.append(("water", [(fuel, _render_quantity_literal(wi))
                                    for fuel, wi in s.water]))
-
     if s.sweep_spec is not None:
         sections.append(("sweep", [
             ("path", s.sweep_spec.path),
             ("values", ", ".join(_render_value(v) for v in s.sweep_spec.points)),
         ]))
-
     return write_document(sections)
+
+
+def _echo(obj) -> dict:
+    return {f.echo: f.echo_value(getattr(obj, f.attr)) for f in _OWNED[type(obj)]
+            if f.echo}
+
+
+def scenario_echo(s: Scenario) -> dict:
+    """The resolved inputs, as the JSON report echoes them."""
+    return {
+        "name": s.name,
+        "dataset": s.dataset.id,
+        "year": s.dataset.year,
+        "fleet": {"basis": _BASIS_NAMES[type(s.fleet_basis)], **_echo(s.fleet_basis)},
+        "ev_reference": type(s.ev_reference).__name__,
+        "chemistry": s.chemistry.name,
+        "method": s.method.value,
+        "convention": s.convention.value,
+        "water_fuels": [fuel for fuel, _ in s.water],
+        **_echo(s),
+    }

@@ -22,7 +22,8 @@ from typing import Union
 from .errors import EvDemandError, ParseError
 from .quantities import Quantity, parse_quantity
 
-__all__ = ["RawValue", "Entry", "Section", "Document", "parse_document", "write_document"]
+__all__ = ["RawValue", "Entry", "Section", "Document", "parse_document", "text_literal",
+           "write_document"]
 
 _SECTION_RE = re.compile(r"^\[([A-Za-z_][A-Za-z0-9_-]*)\]$")
 _KEY_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_-]*$")
@@ -72,15 +73,6 @@ class Section:
 @dataclass(frozen=True)
 class Document:
     sections: tuple[Section, ...]
-
-    def section(self, name: str) -> Section | None:
-        for s in self.sections:
-            if s.name == name:
-                return s
-        return None
-
-    def section_names(self) -> tuple[str, ...]:
-        return tuple(s.name for s in self.sections)
 
 
 def _strip_comment(line: str) -> str:
@@ -170,6 +162,12 @@ def parse_document(text: str) -> Document:
         raise ParseError("no sections found", line=1, column=1)
     return Document(sections=tuple(
         Section(name=n, line=ln, entries=tuple(es)) for n, ln, es in sections))
+
+
+def text_literal(text: str) -> str:
+    """A string value in file syntax: bare when it reads back as an
+    identifier, double-quoted otherwise."""
+    return text if _IDENT_RE.match(text) else f'"{text}"'
 
 
 def write_document(sections: list[tuple[str, list[tuple[str, str]]]],

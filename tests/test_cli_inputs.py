@@ -1,0 +1,66 @@
+"""Unreadable or invalid CLI inputs end in exit 1 or 2 with diagnostics,
+never a traceback, and ``run`` and ``sweep`` report them alike."""
+
+import pytest
+
+from evdemand.cli import main
+
+SWEEP_FLAGS = ["--path", "strategy.renewable_share", "--values", "0.1,0.2"]
+
+TWO_PROBLEMS = """
+[meta]
+dataset = us2005
+[strategy]
+renewable_shard = 30 %
+[turbines]
+count = 5
+"""
+
+
+def _run(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_directory_is_a_file_error(capsys, tmp_path, command):
+    flags = SWEEP_FLAGS if command == "sweep" else []
+    code, out, err = _run(capsys, command, str(tmp_path), *flags)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("evdemand: cannot read")
+
+
+@pytest.mark.parametrize("command", ["run", "validate", "sweep"])
+def test_non_utf8_file_is_a_file_error(capsys, tmp_path, command):
+    path = tmp_path / "latin1.scn"
+    path.write_bytes('[meta]\nname = "Café"\ndataset = us2005\n'.encode("latin-1"))
+    flags = SWEEP_FLAGS if command == "sweep" else []
+    code, out, err = _run(capsys, command, str(path), *flags)
+    assert code == 2
+    assert out == ""
+    assert "cannot read" in err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_validation_problems_print_one_line_each(capsys, tmp_path, command):
+    path = tmp_path / "two.scn"
+    path.write_text(TWO_PROBLEMS, encoding="utf-8")
+    flags = SWEEP_FLAGS if command == "sweep" else []
+    code, out, err = _run(capsys, command, str(path), *flags)
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 2
+    assert "turbines" in lines[0] and "renewable_shard" in lines[1]
+
+
+@pytest.mark.parametrize("digits", ["0", "-1", "x"])
+@pytest.mark.parametrize("argv", [["run", "paper-2005"], ["reproduce", "--all"]])
+def test_sig_digits_below_one_is_a_usage_error(capsys, argv, digits):
+    code, out, err = _run(capsys, *argv, "--sig-digits", digits)
+    assert code == 2
+    assert out == ""
+    assert "--sig-digits" in err

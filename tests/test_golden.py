@@ -1,0 +1,41 @@
+"""Byte-pinned outputs beyond ``reproduce --all``: the JSON report with its
+scenario echo, the scenario write-back, and the dataset export."""
+
+from pathlib import Path
+
+import pytest
+
+from evdemand.cli import main
+from evdemand.scenario import load_builtin_scenario, load_scenario, render_scenario
+
+GOLDEN = Path(__file__).parent / "golden"
+INLINE = Path(__file__).parent / "data" / "inline-custom-gallons.scn"
+
+# packaged fixtures by name, plus an inline-dataset, custom-chemistry,
+# gallons-basis scenario by path
+SCENARIOS = {"paper-2005": "paper-2005", "paper-2001": "paper-2001",
+             "inline-custom-gallons": str(INLINE)}
+
+
+def _cli_stdout(capsys, *argv) -> bytes:
+    assert main(list(argv)) == 0
+    return capsys.readouterr().out.encode("utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_run_json(capsys, name):
+    out = _cli_stdout(capsys, "run", SCENARIOS[name], "--format", "json")
+    assert out == (GOLDEN / f"run_{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_render_scenario(name):
+    arg = SCENARIOS[name]
+    s = load_scenario(arg) if arg.endswith(".scn") else load_builtin_scenario(arg)
+    expected = (GOLDEN / f"render_scenario_{name}.scn").read_bytes()
+    assert render_scenario(s).encode("utf-8") == expected
+
+
+def test_export_dataset(capsys):
+    out = _cli_stdout(capsys, "export-dataset", "us2005", "-")
+    assert out == (GOLDEN / "export_dataset_us2005.scn").read_bytes()
