@@ -10,7 +10,6 @@ from .quantities import (
     GASOLINE_HEAT_BTU_PER_GAL,
     Dimension,
     Quantity,
-    convert,
     format_quantity,
     parse_quantity,
     quantity,
@@ -47,7 +46,6 @@ __all__ = [
     "Dimension",
     "Quantity",
     "quantity",
-    "convert",
     "parse_quantity",
     "format_quantity",
     "BTU_TO_WH_EXACT",

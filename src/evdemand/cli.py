@@ -86,10 +86,11 @@ def _load_scenario_arg(spec: str) -> Scenario | int:
 
 
 def _sig_digits(text: str) -> int:
-    """argparse type of ``--sig-digits``: an integer >= 1."""
+    """argparse type of ``--sig-digits``: an integer from 1 to 17, the most
+    digits that still tell two doubles apart."""
     n = int(text)  # argparse reports a ValueError as an invalid value
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {n}")
+    if not 1 <= n <= 17:
+        raise argparse.ArgumentTypeError(f"expected an integer from 1 to 17, got {n}")
     return n
 
 
@@ -147,7 +148,7 @@ def _sweep_spec_from_args(args: argparse.Namespace,
         return None
     try:
         return SweepSpec.from_progression(args.path, args.from_, args.to, args.step)
-    except ValueError as exc:
+    except EvDemandError as exc:
         _err(str(exc))
         return None
 

@@ -33,7 +33,7 @@ from .errors import (
     ZeroPerEvEnergy,
     ZeroSpeed,
 )
-from .quantities import Dimension, Quantity
+from .quantities import Dimension, Quantity, quantity
 from .refdata import BatteryChemistry
 
 __all__ = [
@@ -75,10 +75,6 @@ WATER_CONVENTION_NOTE = (
     "published water accounting treats 1 TWh as 10^9 MWh (strictly 10^6), "
     "so volumes exceed strict unit algebra by 10^3"
 )
-
-_WH_PER_TWH = 1e12
-_T_PER_MT = 1e6
-
 
 def _expect(q: Quantity, dim: Dimension, what: str) -> float:
     if q.dimension is not dim:
@@ -241,21 +237,18 @@ def production_energy_table(demands: list[BatteryDemand]) -> list[ProductionRow]
 
 def carbon_intensity(total_emissions: Quantity, total_generation: Quantity) -> Quantity:
     """CO2 intensity of generation, in Mt per TWh."""
-    emissions_t = _expect(total_emissions, Dimension.MASS, "emissions")
-    generation_wh = _expect(total_generation, Dimension.ENERGY, "generation")
-    if generation_wh == 0.0:
+    _expect(total_emissions, Dimension.MASS, "emissions")
+    if _expect(total_generation, Dimension.ENERGY, "generation") == 0.0:
         raise ZeroGeneration("total generation must be positive")
-    mt = emissions_t / _T_PER_MT
-    twh = generation_wh / _WH_PER_TWH
-    return Quantity(mt / twh, Dimension.CARBON_INTENSITY)
+    mt_per_twh = total_emissions.in_unit("Mt") / total_generation.in_unit("TWh")
+    return Quantity(mt_per_twh, Dimension.CARBON_INTENSITY)
 
 
 def additional_co2(additional_energy: Quantity, intensity: Quantity) -> Quantity:
     """CO2 mass from generating ``additional_energy`` at ``intensity``."""
-    energy_wh = _expect(additional_energy, Dimension.ENERGY, "additional energy")
+    _expect(additional_energy, Dimension.ENERGY, "additional energy")
     i = _expect(intensity, Dimension.CARBON_INTENSITY, "carbon intensity")
-    mt = (energy_wh / _WH_PER_TWH) * i
-    return Quantity(mt * _T_PER_MT, Dimension.MASS)
+    return quantity(additional_energy.in_unit("TWh") * i, "Mt")
 
 
 def water_use(additional_energy: Quantity, fuel_share: Quantity,
@@ -265,10 +258,10 @@ def water_use(additional_energy: Quantity, fuel_share: Quantity,
     Follows the published accounting convention (``PUBLISHED_MWH_PER_TWH``,
     see module docstring): volume = TWh x 10^9 x share x gal/MWh.
     """
-    energy_wh = _expect(additional_energy, Dimension.ENERGY, "additional energy")
+    _expect(additional_energy, Dimension.ENERGY, "additional energy")
     share = _expect(fuel_share, Dimension.FRACTION, "fuel share")
     gal_per_mwh = _expect(intensity, Dimension.WATER_INTENSITY, "water intensity")
-    twh = energy_wh / _WH_PER_TWH
+    twh = additional_energy.in_unit("TWh")
     return Quantity(twh * PUBLISHED_MWH_PER_TWH * share * gal_per_mwh, Dimension.VOLUME)
 
 

@@ -1,7 +1,8 @@
 """Exception types raised across the package.
 
 Every domain error derives from :class:`EvDemandError` so callers (the CLI
-in particular) can separate domain failures from genuine bugs.
+in particular) can separate domain failures from genuine bugs. The pack,
+catalog and sweep checks also derive from ``ValueError``.
 """
 
 from __future__ import annotations
@@ -71,6 +72,15 @@ class EmptyField(EvDemandError):
     """Catalog statistics requested for a field no model provides."""
 
 
+class UnknownCatalogField(EvDemandError, ValueError):
+    """Catalog statistics requested for a field the catalog does not have."""
+
+
+class InvalidReferenceData(EvDemandError, ValueError):
+    """A pack whose capacity disagrees with density x mass or that costs no
+    energy to make, or a catalog range that is not 0 < low <= high."""
+
+
 # --- engine -------------------------------------------------------------
 
 class ZeroSpeed(EvDemandError):
@@ -113,6 +123,11 @@ class ValidationError(EvDemandError):
 
 class UnknownParameter(EvDemandError):
     """Sweep parameter path does not name an overridable scenario field."""
+
+
+class InvalidSweep(EvDemandError, ValueError):
+    """Sweep with no points, or a progression that is non-finite, never
+    reaches its end, or has more points than the cap."""
 
 
 # --- reports ------------------------------------------------------------

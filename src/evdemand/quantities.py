@@ -1,17 +1,20 @@
-"""Typed physical quantities with exact unit conversion, parsing and formatting.
+"""Typed physical quantities: canonical magnitudes, literal parsing and formatting.
 
 Every value that flows through the engine is a :class:`Quantity`: a 64-bit
-float magnitude tagged with a :class:`Dimension`. Each dimension has one
-canonical unit (energy in Wh, power in W, speed in mi/h, distance in mi,
-volume in US gal, mass in metric tons, intensity ratios in their natural
-published units) and all constructors normalize to it, so engine arithmetic
-never mixes scales. Cross-dimension arithmetic is rejected with
-:class:`~evdemand.errors.DimensionMismatch`.
+float magnitude in the canonical unit of its :class:`Dimension` (energy in
+Wh, power in W, speed in mi/h, distance in mi, volume in US gal, mass in
+metric tons, intensity ratios in their natural published units), so engine
+arithmetic never mixes scales. The unit table names each unit once, with its
+factor to the canonical unit; :func:`quantity` and :func:`parse_quantity`
+scale into the canonical unit, and :meth:`Quantity.in_unit` and
+:func:`format_quantity` scale out of it. Asking for a unit of another
+dimension raises :class:`~evdemand.errors.DimensionMismatch`.
 
 Two Btu-to-Wh factors coexist on purpose. The published accounting quotes
 0.2929 Wh/Btu but its gasoline-fleet result is only reached with the exact
 0.293071 Wh/Btu, so the exact factor is the default and the rounded one is
-selectable per scenario.
+selectable per scenario. Either is a ``Wh/Btu`` quantity; there is no bare
+Btu unit.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ __all__ = [
     "BTU_TO_WH_EXACT",
     "GASOLINE_HEAT_BTU_PER_GAL",
     "quantity",
-    "convert",
     "parse_quantity",
     "format_quantity",
 ]
@@ -72,23 +74,6 @@ class Dimension(Enum):
     ENERGY_DENSITY = "energy_density"      # Wh per kg
 
 
-CANONICAL_UNIT: Mapping[Dimension, str] = MappingProxyType({
-    Dimension.ENERGY: "Wh",
-    Dimension.POWER: "W",
-    Dimension.SPEED: "mph",
-    Dimension.DISTANCE: "mi",
-    Dimension.VOLUME: "gal",
-    Dimension.MASS: "t",
-    Dimension.COUNT: "count",
-    Dimension.FRACTION: "frac",
-    Dimension.CARBON_INTENSITY: "Mt/TWh",
-    Dimension.WATER_INTENSITY: "gal/MWh",
-    Dimension.HEAT_CONTENT: "Btu/gal",
-    Dimension.BTU_CONVERSION: "Wh/Btu",
-    Dimension.ENERGY_DENSITY: "Wh/kg",
-})
-
-
 @dataclass(frozen=True)
 class UnitDef:
     """One named unit: dimension plus the factor to its canonical unit.
@@ -110,41 +95,11 @@ class UnitDef:
         return value * self.scale if self.inverse else value / self.scale
 
 
-def _unit_table() -> dict[str, UnitDef]:
-    d = Dimension
-    defs = [
-        UnitDef("Wh", d.ENERGY),
-        UnitDef("kWh", d.ENERGY, 1e3),
-        UnitDef("MWh", d.ENERGY, 1e6),
-        UnitDef("TWh", d.ENERGY, 1e12),
-        UnitDef("W", d.POWER),
-        UnitDef("kW", d.POWER, 1e3),
-        UnitDef("mph", d.SPEED),
-        UnitDef("mi", d.DISTANCE),
-        UnitDef("gal", d.VOLUME),
-        UnitDef("t", d.MASS),
-        UnitDef("Mt", d.MASS, 1e6),
-        UnitDef("kg", d.MASS, 1e3, inverse=True),
-        UnitDef("Btu/gal", d.HEAT_CONTENT),
-        UnitDef("gal/MWh", d.WATER_INTENSITY),
-        UnitDef("Mt/TWh", d.CARBON_INTENSITY),
-        UnitDef("Wh/Btu", d.BTU_CONVERSION),
-        UnitDef("Wh/kg", d.ENERGY_DENSITY),
-        UnitDef("%", d.FRACTION, 100.0, inverse=True),
-        UnitDef("frac", d.FRACTION),
-        UnitDef("count", d.COUNT),
-    ]
-    return {u.name: u for u in defs}
-
-
 @dataclass(frozen=True)
 class UnitCatalog:
-    """Immutable unit table plus the named conversion constants."""
+    """Immutable unit table."""
 
     units: Mapping[str, UnitDef]
-    btu_to_wh_paper: float = BTU_TO_WH_PAPER
-    btu_to_wh_exact: float = BTU_TO_WH_EXACT
-    gasoline_heat_btu_per_gal: float = GASOLINE_HEAT_BTU_PER_GAL
 
     def lookup(self, name: str) -> UnitDef:
         try:
@@ -153,32 +108,55 @@ class UnitCatalog:
             raise UnknownUnit(f"unknown unit {name!r}") from None
 
 
-CATALOG = UnitCatalog(units=MappingProxyType(_unit_table()))
+#: Every unit, named once with its dimension and its factor to the canonical unit.
+_D = Dimension
+CATALOG = UnitCatalog(units=MappingProxyType({u.name: u for u in (
+    UnitDef("Wh", _D.ENERGY),
+    UnitDef("kWh", _D.ENERGY, 1e3),
+    UnitDef("MWh", _D.ENERGY, 1e6),
+    UnitDef("TWh", _D.ENERGY, 1e12),
+    UnitDef("W", _D.POWER),
+    UnitDef("kW", _D.POWER, 1e3),
+    UnitDef("mph", _D.SPEED),
+    UnitDef("mi", _D.DISTANCE),
+    UnitDef("gal", _D.VOLUME),
+    UnitDef("t", _D.MASS),
+    UnitDef("Mt", _D.MASS, 1e6),
+    UnitDef("kg", _D.MASS, 1e3, inverse=True),
+    UnitDef("Btu/gal", _D.HEAT_CONTENT),
+    UnitDef("gal/MWh", _D.WATER_INTENSITY),
+    UnitDef("Mt/TWh", _D.CARBON_INTENSITY),
+    UnitDef("Wh/Btu", _D.BTU_CONVERSION),
+    UnitDef("Wh/kg", _D.ENERGY_DENSITY),
+    UnitDef("%", _D.FRACTION, 100.0, inverse=True),
+    UnitDef("frac", _D.FRACTION),
+    UnitDef("count", _D.COUNT),
+)}))
 
-# "Btu" is constructible/convertible but deliberately not part of the
-# literal grammar: its Wh factor is a per-scenario choice.
-_BTU_NAME = "Btu"
+#: Each dimension's canonical unit: its one unit of scale 1 that is not inverse.
+CANONICAL_UNIT: Mapping[Dimension, str] = MappingProxyType({
+    u.dimension: u.name for u in CATALOG.units.values() if u.scale == 1.0 and not u.inverse})
+
+#: Unit spellings accepted in quantity literals (scenario files and CLI).
+PARSE_UNITS = tuple(name for name in CATALOG.units if name != "count")
 
 
 @dataclass(frozen=True)
 class Quantity:
-    """A magnitude expressed in ``unit``, tagged with its dimension.
+    """A magnitude in the canonical unit of ``dimension``.
 
-    Constructors normalize to the canonical unit; only :func:`convert`
-    produces quantities expressed in another unit of the same dimension.
+    Build one from another unit with :func:`quantity` or
+    :func:`parse_quantity`, and read it in another unit with :meth:`in_unit`.
     Magnitudes must be finite and non-negative, and fractions must lie in
     [0, 1].
     """
 
     magnitude: float
     dimension: Dimension
-    unit: str = ""
 
     def __post_init__(self):
-        if not self.unit:
-            object.__setattr__(self, "unit", CANONICAL_UNIT[self.dimension])
         m = float(self.magnitude)
-        if math.isnan(m) or math.isinf(m):
+        if not math.isfinite(m):
             raise NonFiniteMagnitude(f"non-finite magnitude {m!r} for {self.dimension.value}")
         if m == 0.0:
             m = 0.0  # normalize -0.0
@@ -186,19 +164,13 @@ class Quantity:
             raise NegativeWherePhysical(
                 f"negative magnitude {m!r} for physical {self.dimension.value}")
         object.__setattr__(self, "magnitude", m)
-        if self.dimension is Dimension.FRACTION and self._canonical_magnitude() > 1.0:
-            raise FractionOutOfRange(f"fraction {self._canonical_magnitude()!r} exceeds 1")
-
-    def _unit_def(self) -> UnitDef:
-        return CATALOG.lookup(self.unit)
-
-    def _canonical_magnitude(self) -> float:
-        return self._unit_def().to_canonical(self.magnitude)
+        if self.dimension is Dimension.FRACTION and m > 1.0:
+            raise FractionOutOfRange(f"fraction {m!r} exceeds 1")
 
     @property
     def canonical(self) -> float:
-        """Magnitude in the dimension's canonical unit."""
-        return self._canonical_magnitude()
+        """The magnitude; it is always in the dimension's canonical unit."""
+        return self.magnitude
 
     def in_unit(self, unit: str) -> float:
         """Magnitude expressed in ``unit`` (must share the dimension)."""
@@ -206,47 +178,20 @@ class Quantity:
         if u.dimension is not self.dimension:
             raise DimensionMismatch(
                 f"unit {unit!r} is {u.dimension.value}, quantity is {self.dimension.value}")
-        return u.from_canonical(self.canonical)
+        return u.from_canonical(self.magnitude)
 
     def __str__(self) -> str:
-        return f"{self.magnitude!r} {self.unit}"
+        return f"{self.magnitude!r} {CANONICAL_UNIT[self.dimension]}"
 
 
-def quantity(value: float, unit: str, *, btu_to_wh: float = BTU_TO_WH_EXACT) -> Quantity:
-    """Build a canonical Quantity from a magnitude in ``unit``.
-
-    ``btu_to_wh`` selects the Wh factor when ``unit`` is ``"Btu"``.
-    """
-    if unit == _BTU_NAME:
-        return Quantity(value * btu_to_wh, Dimension.ENERGY)
+def quantity(value: float, unit: str) -> Quantity:
+    """Build a Quantity from a magnitude in ``unit``."""
     u = CATALOG.lookup(unit)
     return Quantity(u.to_canonical(value), u.dimension)
 
 
-def convert(q: Quantity, target_unit: str) -> Quantity:
-    """Re-express ``q`` in ``target_unit`` of the same dimension.
-
-    The returned magnitude is the single correctly rounded scaling of the
-    canonical magnitude, so power-of-ten conversions are exactly linear.
-    Btu is construction-only (its Wh factor is a scenario choice), so it is
-    not a valid target here.
-    """
-    canonical = q.canonical
-    u = CATALOG.lookup(target_unit)
-    if u.dimension is not q.dimension:
-        raise DimensionMismatch(
-            f"cannot convert {q.dimension.value} to {target_unit!r} ({u.dimension.value})")
-    return Quantity(u.from_canonical(canonical), q.dimension, target_unit)
-
-
 # Literal grammar: NUMBER WS? UNIT, decimal number with optional exponent.
 _NUMBER_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
-
-#: Unit spellings accepted in quantity literals (scenario files and CLI).
-PARSE_UNITS = (
-    "Wh", "kWh", "MWh", "TWh", "W", "kW", "mph", "mi", "gal", "t", "Mt",
-    "Btu/gal", "gal/MWh", "Mt/TWh", "Wh/Btu", "Wh/kg", "kg", "%", "frac",
-)
 
 
 def parse_quantity(text: str) -> Quantity:

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .errors import EmptyField, UnknownChemistry, UnknownDataset, UnknownSource
+from .errors import (EmptyField, InvalidReferenceData, UnknownCatalogField, UnknownChemistry,
+                     UnknownDataset, UnknownSource)
 from .quantities import Dimension, Quantity, quantity
 
 __all__ = [
@@ -79,11 +80,11 @@ class BatteryChemistry:
         implied_wh = self.energy_density.canonical * self.pack_mass.in_unit("kg")
         nominal_wh = self.pack_capacity.canonical
         if nominal_wh <= 0 or abs(implied_wh - nominal_wh) / nominal_wh > _CAPACITY_SLACK:
-            raise ValueError(
+            raise InvalidReferenceData(
                 f"{self.name}: pack capacity {nominal_wh} Wh disagrees with "
                 f"density x mass = {implied_wh} Wh beyond {_CAPACITY_SLACK:.0%}")
         if self.manufacture_energy.canonical <= 0:
-            raise ValueError(f"{self.name}: manufacture energy must be positive")
+            raise InvalidReferenceData(f"{self.name}: manufacture energy must be positive")
 
 
 @dataclass(frozen=True)
@@ -99,7 +100,7 @@ class EvModel:
         if self.range_mi is not None:
             lo, hi = self.range_mi
             if not (0 < lo <= hi):
-                raise ValueError(f"{self.name}: bad range interval {self.range_mi}")
+                raise InvalidReferenceData(f"{self.name}: bad range interval {self.range_mi}")
 
 
 @dataclass(frozen=True)
@@ -129,10 +130,6 @@ class FieldStats:
     count_used: int
 
 
-def _q(value: float, unit: str) -> Quantity:
-    return quantity(value, unit)
-
-
 def _mix_2005() -> GridMix:
     return GridMix(
         year="2005",
@@ -144,13 +141,13 @@ def _mix_2005() -> GridMix:
             ("hydro", 0.065),            # residual split
             ("other_renewables", 0.027),  # residual split
         ),
-        total_generation=_q(4055, "TWh"),
+        total_generation=quantity(4055, "TWh"),
     )
 
 
 _WATER_INTENSITY_2005: Mapping[str, Quantity] = MappingProxyType({
-    "coal": _q(480, "gal/MWh"),
-    "natural_gas": _q(180, "gal/MWh"),
+    "coal": quantity(480, "gal/MWh"),
+    "natural_gas": quantity(180, "gal/MWh"),
 })
 
 
@@ -158,12 +155,12 @@ def _build_datasets() -> dict[str, ReferenceDataset]:
     mix = _mix_2005()
     common = dict(
         mix=mix,
-        total_energy_consumption=_q(29000, "TWh"),
-        transport_share=_q(0.28, "frac"),
-        gasoline_share=_q(0.61, "frac"),
+        total_energy_consumption=quantity(29000, "TWh"),
+        transport_share=quantity(0.28, "frac"),
+        gasoline_share=quantity(0.61, "frac"),
         # 2001 household survey figure; the latest the study had for either year
-        household_gasoline=_q(113.1e9, "gal"),
-        co2_total=_q(2480, "Mt"),
+        household_gasoline=quantity(113.1e9, "gal"),
+        co2_total=quantity(2480, "Mt"),
         water_intensity=_WATER_INTENSITY_2005,
     )
     return {
@@ -178,20 +175,20 @@ def _build_chemistries() -> dict[str, BatteryChemistry]:
         "pb_acid": BatteryChemistry(
             name="pb_acid",
             display_name="Pb-acid",
-            energy_density=_q(50, "Wh/kg"),
-            pack_mass=_q(500, "kg"),
-            pack_capacity=_q(25, "kWh"),
-            manufacture_energy=_q(3430, "kWh"),
+            energy_density=quantity(50, "Wh/kg"),
+            pack_mass=quantity(500, "kg"),
+            pack_capacity=quantity(25, "kWh"),
+            manufacture_energy=quantity(3430, "kWh"),
             emissions_note="lead particulates",
             recycling_note="short pack life; established recycling infrastructure",
         ),
         "nimh": BatteryChemistry(
             name="nimh",
             display_name="NiMH",
-            energy_density=_q(75, "Wh/kg"),
-            pack_mass=_q(330, "kg"),
-            pack_capacity=_q(25, "kWh"),
-            manufacture_energy=_q(7176, "kWh"),
+            energy_density=quantity(75, "Wh/kg"),
+            pack_mass=quantity(330, "kg"),
+            pack_capacity=quantity(25, "kWh"),
+            manufacture_energy=quantity(7176, "kWh"),
             emissions_note="unknown",
             recycling_note="hydride recycling process unavailable",
         ),
@@ -202,8 +199,8 @@ def _build_ev_catalog() -> EvCatalog:
     def ev(name, power_kw, speed_mph, rng):
         return EvModel(
             name=name,
-            power=_q(power_kw, "kW") if power_kw is not None else None,
-            max_speed=_q(speed_mph, "mph") if speed_mph is not None else None,
+            power=quantity(power_kw, "kW") if power_kw is not None else None,
+            max_speed=quantity(speed_mph, "mph") if speed_mph is not None else None,
             range_mi=rng,
         )
 
@@ -264,7 +261,8 @@ def _field_values(catalog: EvCatalog, field: str) -> tuple[list[float], Dimensio
         vals = [(m.range_mi[0] + m.range_mi[1]) / 2.0
                 for m in catalog.models if m.range_mi is not None]
         return vals, Dimension.DISTANCE
-    raise ValueError(f"unknown catalog field {field!r}; expected one of {_STAT_FIELDS}")
+    raise UnknownCatalogField(
+        f"unknown catalog field {field!r}; expected one of {_STAT_FIELDS}")
 
 
 def catalog_stats(catalog: EvCatalog, field: str) -> FieldStats:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from . import engine
 from .errors import UnknownTarget
-from .quantities import Quantity, format_quantity
+from .quantities import Quantity
 from .quantities import _format_sig as _sig  # shared deterministic digit renderer
 from .refdata import (
     builtin_chemistry,
@@ -67,96 +67,72 @@ class SigConfig:
 DEFAULT_SIG = SigConfig()
 
 
-def _twh(q: Quantity, sig: SigConfig) -> str:
-    return format_quantity(q, "TWh", sig.energy)
-
-
-def _kwh(q: Quantity, sig: SigConfig) -> str:
-    return format_quantity(q, "kWh", sig.energy)
-
-
-def _count_e9(q: Quantity, sig: SigConfig) -> str:
-    return f"{_sig(q.canonical / 1e9, sig.count)}e9"
-
-
-def _gal_e12(q: Quantity, sig: SigConfig) -> str:
-    return f"{_sig(q.canonical / 1e12, sig.other)}e12 gal"
-
-
-def _frac(x: float, sig: SigConfig) -> str:
-    return _sig(x, sig.fraction)
+# display suffix of a row's unit; any other unit follows the digits after a space
+_SUFFIX = {"1e9": "e9", "1e12 gal": "e12 gal", "frac": "", "ratio": ""}
 
 
 @dataclass(frozen=True)
 class _Row:
     key: str
     label: str
-    display: str
     value: float
     unit: str
+    digits: int
     note: str = ""
+
+    @property
+    def display(self) -> str:
+        return _sig(self.value, self.digits) + _SUFFIX.get(self.unit, " " + self.unit)
 
 
 def _assessment_rows(a: Assessment, sig: SigConfig) -> list[_Row]:
     notes = dict(a.notes)
+    digits = {"TWh": sig.energy, "kWh": sig.energy, "1e9": sig.count, "frac": sig.fraction}
+
+    def row(key: str, label: str, value: float, unit: str, note: str = "") -> _Row:
+        return _Row(key, label, value, unit, digits.get(unit, sig.other), note)
+
+    def twh(key: str, label: str, q: Quantity, note: str = "") -> _Row:
+        return row(key, label, q.in_unit("TWh"), "TWh", note)
+
     rows = [
-        _Row("fleet_energy", "fleet energy", _twh(a.fleet_energy, sig),
-             a.fleet_energy.in_unit("TWh"), "TWh", notes.get("fleet_energy", "")),
-        _Row("per_ev_energy", "per-EV energy", _kwh(a.per_ev_energy, sig),
-             a.per_ev_energy.in_unit("kWh"), "kWh"),
+        twh("fleet_energy", "fleet energy", a.fleet_energy, notes.get("fleet_energy", "")),
+        row("per_ev_energy", "per-EV energy", a.per_ev_energy.in_unit("kWh"), "kWh"),
     ]
     for demand, tag in ((a.demand_a, "a"), (a.demand_b, "b")):
         if demand is None:
             continue
         label = f"method {demand.method}"
         if demand.ev_count is not None:
-            rows.append(_Row(f"ev_count_{tag}", f"{label} EV count",
-                             _count_e9(demand.ev_count, sig),
-                             demand.ev_count.canonical / 1e9, "1e9"))
-        rows.append(_Row(f"battery_count_{tag}", f"{label} battery count",
-                         _count_e9(demand.battery_count, sig),
-                         demand.battery_count.canonical / 1e9, "1e9"))
-        printed = engine.printed_style_wh(demand.production_energy)
-        rows.append(_Row(f"production_consistent_{tag}", f"{label} production energy",
-                         _twh(demand.production_energy, sig),
-                         demand.production_energy.in_unit("TWh"), "TWh"))
-        rows.append(_Row(f"production_published_{tag}", f"{label} published-style",
-                         f"{_sig(printed / 1e12, sig.energy)} TWh",
-                         printed / 1e12, "TWh", engine.PRODUCTION_TABLE_NOTE))
-    rows.append(_Row(
-        "battery_energy_for_totals", "battery energy for totals",
-        _twh(a.battery_energy_for_totals, sig),
-        a.battery_energy_for_totals.in_unit("TWh"), "TWh",
-        f"method {a.totals_method}, {a.scenario.convention.value} convention"))
-    rows.append(_Row("total_additional_energy", "total additional energy",
-                     _twh(a.total_additional_energy, sig),
-                     a.total_additional_energy.in_unit("TWh"), "TWh"))
-    rows.append(_Row("carbon_intensity", "carbon intensity",
-                     format_quantity(a.carbon_intensity, "Mt/TWh", sig.other),
-                     a.carbon_intensity.canonical, "Mt/TWh"))
-    rows.append(_Row("additional_co2", "additional CO2",
-                     format_quantity(a.additional_co2, "Mt", sig.other),
-                     a.additional_co2.in_unit("Mt"), "Mt"))
+            rows.append(row(f"ev_count_{tag}", f"{label} EV count",
+                            demand.ev_count.canonical / 1e9, "1e9"))
+        rows.append(row(f"battery_count_{tag}", f"{label} battery count",
+                        demand.battery_count.canonical / 1e9, "1e9"))
+        rows.append(twh(f"production_consistent_{tag}", f"{label} production energy",
+                        demand.production_energy))
+        rows.append(row(f"production_published_{tag}", f"{label} published-style",
+                        engine.printed_style_wh(demand.production_energy) / 1e12, "TWh",
+                        engine.PRODUCTION_TABLE_NOTE))
+    rows.append(twh("battery_energy_for_totals", "battery energy for totals",
+                    a.battery_energy_for_totals,
+                    f"method {a.totals_method}, {a.scenario.convention.value} convention"))
+    rows.append(twh("total_additional_energy", "total additional energy",
+                    a.total_additional_energy))
+    rows.append(row("carbon_intensity", "carbon intensity",
+                    a.carbon_intensity.canonical, "Mt/TWh"))
+    rows.append(row("additional_co2", "additional CO2", a.additional_co2.in_unit("Mt"), "Mt"))
     for fuel, volume in a.water:
-        rows.append(_Row(f"water_{fuel}", f"freshwater, {fuel}",
-                         _gal_e12(volume, sig), volume.canonical / 1e12,
-                         "1e12 gal", notes.get("water", "")))
-    rows.append(_Row("renewable_supply", "renewable supply",
-                     _twh(a.renewable_supply, sig),
-                     a.renewable_supply.in_unit("TWh"), "TWh"))
-    shown_fraction = min(a.conversion_fraction, 1.0)
-    rows.append(_Row("conversion_fraction", "sustainable conversion fraction",
-                     _frac(shown_fraction, sig), shown_fraction, "frac",
-                     notes.get("conversion_fraction", "")))
-    rows.append(_Row("baseline_generation", "baseline generation",
-                     _twh(a.scenario.baseline_generation, sig),
-                     a.scenario.baseline_generation.in_unit("TWh"), "TWh"))
-    rows.append(_Row("total_vs_baseline_ratio", "total vs baseline ratio",
-                     _sig(a.deficit.ratio_to_baseline, sig.other),
-                     a.deficit.ratio_to_baseline, "ratio"))
-    rows.append(_Row("capacity_deficit", "capacity deficit",
-                     _twh(a.deficit.deficit, sig),
-                     a.deficit.deficit.in_unit("TWh"), "TWh"))
+        rows.append(row(f"water_{fuel}", f"freshwater, {fuel}", volume.canonical / 1e12,
+                        "1e12 gal", notes.get("water", "")))
+    rows.append(twh("renewable_supply", "renewable supply", a.renewable_supply))
+    rows.append(row("conversion_fraction", "sustainable conversion fraction",
+                    min(a.conversion_fraction, 1.0), "frac",
+                    notes.get("conversion_fraction", "")))
+    rows.append(twh("baseline_generation", "baseline generation",
+                    a.scenario.baseline_generation))
+    rows.append(row("total_vs_baseline_ratio", "total vs baseline ratio",
+                    a.deficit.ratio_to_baseline, "ratio"))
+    rows.append(twh("capacity_deficit", "capacity deficit", a.deficit.deficit))
     return rows
 
 
@@ -327,16 +303,16 @@ def _table2_cells() -> list[_Cell]:
     catalog = builtin_ev_catalog()
     anchor = "study table 2, mean/median rows"
     cells = []
-    for field, unit, scale, mean_exp, median_exp in (
-            ("power", "kW", 1e3, 118.7, 112.0),
-            ("max_speed", "mph", 1.0, 90.0, 97.5),
-            ("range", "mi", 1.0, 91.0, 100.0)):
+    for field, unit, mean_exp, median_exp in (
+            ("power", "kW", 118.7, 112.0),
+            ("max_speed", "mph", 90.0, 97.5),
+            ("range", "mi", 91.0, 100.0)):
         stats = catalog_stats(catalog, field)
-        cells.append(_Cell(f"{field} mean [{unit}]", stats.mean.canonical / scale,
+        cells.append(_Cell(f"{field} mean [{unit}]", stats.mean.in_unit(unit),
                            mean_exp, unit, "abs", 1.0, anchor,
                            note="printed means carry unreconstructible rounding; "
                                 "tolerance is 1 printed unit"))
-        cells.append(_Cell(f"{field} median [{unit}]", stats.median.canonical / scale,
+        cells.append(_Cell(f"{field} median [{unit}]", stats.median.in_unit(unit),
                            median_exp, unit, "exact", 0.0, anchor))
     return cells
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import math
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
@@ -52,6 +53,8 @@ from .engine import (
 from .errors import (
     BelowMinimum,
     EvDemandError,
+    InvalidSweep,
+    NonFiniteMagnitude,
     UnknownChemistry,
     UnknownParameter,
     ValidationError,
@@ -93,6 +96,7 @@ __all__ = [
     "FieldSpec",
     "FIELDS",
     "OVERRIDE_PATHS",
+    "MAX_SWEEP_POINTS",
     "load_scenario",
     "parse_scenario",
     "assess",
@@ -148,6 +152,10 @@ class CatalogMedian:
 EvReference = ExplicitPerEv | PowerRangeSpeed | CatalogMedian
 
 
+#: Most points a progression sweep may have; more is an error.
+MAX_SWEEP_POINTS = 1_000_000
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One parameter path and the ordered values to evaluate it at."""
@@ -157,7 +165,7 @@ class SweepSpec:
 
     def __post_init__(self):
         if not self.points:
-            raise ValueError("sweep needs at least one value")
+            raise InvalidSweep("sweep needs at least one value")
 
     @classmethod
     def from_values(cls, path: str, values: list[float | Quantity]) -> "SweepSpec":
@@ -166,12 +174,19 @@ class SweepSpec:
     @classmethod
     def from_progression(cls, path: str, start: float, stop: float,
                          step: float) -> "SweepSpec":
-        """Arithmetic progression via an integer counter (no accumulation drift)."""
+        """Arithmetic progression via an integer counter (no accumulation drift),
+        of at most ``MAX_SWEEP_POINTS`` points."""
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise InvalidSweep(f"sweep from/to/step must be finite, "
+                               f"got {start!r}, {stop!r}, {step!r}")
         if step == 0:
-            raise ValueError("sweep step must be nonzero")
+            raise InvalidSweep("sweep step must be nonzero")
         span = (stop - start) / step
         if span < 0:
-            raise ValueError(f"step {step!r} never reaches {stop!r} from {start!r}")
+            raise InvalidSweep(f"step {step!r} never reaches {stop!r} from {start!r}")
+        if span + 1e-9 >= MAX_SWEEP_POINTS:  # then n + 1 points exceed the cap
+            raise InvalidSweep(f"sweep from {start!r} to {stop!r} by {step!r} has more "
+                               f"than {MAX_SWEEP_POINTS} points")
         n = int(span + 1e-9)
         return cls(path=path, points=tuple(start + k * step for k in range(n + 1)))
 
@@ -311,6 +326,8 @@ class FieldSpec:
             value = float(value)
         if self.floor is not None and not value >= self.floor:
             raise BelowMinimum(f"{self.path} must be >= {self.floor:g}, got {value!r}")
+        if self.dim is None and not math.isfinite(value):  # +inf passes the floor
+            raise NonFiniteMagnitude(f"{self.path} must be finite, got {value!r}")
         return value
 
     def read(self, raw: RawValue, problems: _Problems) -> float | Quantity | None:
@@ -588,7 +605,7 @@ def _resolve_chemistry(sections: dict[str, Section],
         return BatteryChemistry(name=name, display_name=name,
                                 emissions_note="user supplied",
                                 recycling_note="user supplied", **values)
-    except ValueError as exc:
+    except EvDemandError as exc:
         problems.add(str(exc))
         return None
 
@@ -634,7 +651,7 @@ def _resolve_sweep(section: Section | None, problems: _Problems) -> SweepSpec | 
             nums.append(float(v.payload))
         try:
             return SweepSpec.from_progression(path, *nums)
-        except ValueError as exc:
+        except EvDemandError as exc:
             problems.add(f"[sweep] {exc}")
             return None
     problems.add("[sweep] needs either values or all of from/to/step")

@@ -16,7 +16,6 @@ from evdemand.quantities import (
     BTU_TO_WH_PAPER,
     Dimension,
     Quantity,
-    convert,
     format_quantity,
     parse_quantity,
     quantity,
@@ -199,7 +198,7 @@ def test_c12_property_suites():
                         ("kW", 112.0), ("Mt", 2480.0), ("kg", 500.0),
                         ("gal", 113.1e9), ("%", 61.0)):
         q = quantity(value, unit)
-        back = convert(convert(q, unit), q.unit)
+        back = quantity(q.in_unit(unit), unit)
         assert back.magnitude == pytest.approx(q.canonical, rel=1e-12)
         reparsed = parse_quantity(format_quantity(q, unit, 17))
         assert reparsed.canonical == pytest.approx(q.canonical, rel=1e-12)

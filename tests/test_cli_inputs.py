@@ -57,10 +57,52 @@ def test_validation_problems_print_one_line_each(capsys, tmp_path, command):
     assert "turbines" in lines[0] and "renewable_shard" in lines[1]
 
 
-@pytest.mark.parametrize("digits", ["0", "-1", "x"])
+@pytest.mark.parametrize("digits", ["0", "-1", "x", "18", "2147483648", str(10**20)])
 @pytest.mark.parametrize("argv", [["run", "paper-2005"], ["reproduce", "--all"]])
 def test_sig_digits_below_one_is_a_usage_error(capsys, argv, digits):
     code, out, err = _run(capsys, *argv, "--sig-digits", digits)
     assert code == 2
     assert out == ""
     assert "--sig-digits" in err
+
+
+@pytest.mark.parametrize("argv", [["run", "paper-2005"], ["reproduce", "--all"]])
+def test_seventeen_sig_digits_is_the_upper_bound(capsys, argv):
+    code, out, err = _run(capsys, *argv, "--sig-digits", "17")
+    assert code in (0, 1) and err == ""
+    if argv[0] == "run":
+        assert "  fleet energy                    4953.2000000000007 TWh\n" in out
+
+
+@pytest.mark.parametrize("bounds", [["0", "inf", "1"], ["0", "1e308", "1e-308"],
+                                    ["0", "1", "nan"], ["-inf", "1", "0.5"]])
+def test_unbounded_progression_is_a_usage_error(capsys, bounds):
+    start, stop, step = bounds
+    code, out, err = _run(capsys, "sweep", "paper-2005", "--path", "strategy.renewable_share",
+                          f"--from={start}", f"--to={stop}", f"--step={step}")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["validate", "run", "sweep"])
+def test_overflowing_sweep_bound_in_a_file_is_one_problem(capsys, tmp_path, command):
+    path = tmp_path / "wide.scn"
+    path.write_text("[meta]\ndataset = us2005\n[sweep]\npath = strategy.renewable_share\n"
+                    "from = 0\nto = 1e400\nstep = 1\n", encoding="utf-8")
+    code, out, err = _run(capsys, command, str(path))
+    assert code == 1
+    assert out == ""
+    [line] = err.splitlines()
+    assert "[sweep]" in line and "finite" in line
+
+
+def test_infinite_bare_count_in_a_file_is_one_problem(capsys, tmp_path):
+    path = tmp_path / "packs.scn"
+    path.write_text("[meta]\ndataset = us2005\n[battery]\nbatteries_per_ev = 1e400\n",
+                    encoding="utf-8")
+    code, out, err = _run(capsys, "validate", str(path))
+    assert code == 1
+    assert out == ""
+    [line] = err.splitlines()
+    assert line == "evdemand: line 4: battery.batteries_per_ev must be finite, got inf"

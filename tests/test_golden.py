@@ -1,5 +1,6 @@
-"""Byte-pinned outputs beyond ``reproduce --all``: the JSON report with its
-scenario echo, the scenario write-back, and the dataset export."""
+"""Byte-pinned outputs beyond ``reproduce --all``: the reports in every
+format with the JSON scenario echo, sweeps on both fleet bases, the scenario
+write-back, and the dataset export."""
 
 from pathlib import Path
 
@@ -26,6 +27,29 @@ def _cli_stdout(capsys, *argv) -> bytes:
 def test_run_json(capsys, name):
     out = _cli_stdout(capsys, "run", SCENARIOS[name], "--format", "json")
     assert out == (GOLDEN / f"run_{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("fmt, ext", [("text", "txt"), ("csv", "csv")])
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_run_text_and_csv(capsys, name, fmt, ext):
+    out = _cli_stdout(capsys, "run", SCENARIOS[name], "--format", fmt)
+    assert out == (GOLDEN / f"run_{name}.{ext}").read_bytes()
+
+
+# one sweep per fleet basis; the third value of each fails inline
+SWEEPS = {
+    "paper-2005": ("paper-2005", "strategy.renewable_share", "0,0.3,1.5,0.75"),
+    "inline-custom-gallons": (str(INLINE), "fleet.btu_to_wh", "0.2929,0.293071,-0.5,0.31"),
+}
+
+
+@pytest.mark.parametrize("fmt, ext", [("text", "txt"), ("csv", "csv"), ("json", "json")])
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_sweep(capsys, name, fmt, ext):
+    scenario, path, values = SWEEPS[name]
+    out = _cli_stdout(capsys, "sweep", scenario, "--path", path, "--values", values,
+                      "--format", fmt)
+    assert out == (GOLDEN / f"sweep_{name}.{ext}").read_bytes()
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -14,46 +15,53 @@ from evdemand.errors import (
 )
 from evdemand.quantities import (
     BTU_TO_WH_EXACT,
-    BTU_TO_WH_PAPER,
     CANONICAL_UNIT,
     CATALOG,
     PARSE_UNITS,
     Dimension,
     Quantity,
-    convert,
     format_quantity,
     parse_quantity,
     quantity,
 )
+from evdemand.scenario import parse_scenario
+
+_GALLONS = "[meta]\ndataset = us2001\n[fleet]\nbasis = gallons\n"
 
 
 class TestConvert:
     def test_twh_to_wh(self):
         q = parse_quantity("4055 TWh")
-        assert convert(q, "Wh").magnitude == 4.055e15
+        assert q.in_unit("Wh") == 4.055e15
 
     def test_kwh_to_wh(self):
-        assert convert(quantity(25, "kWh"), "Wh").magnitude == 25000.0
+        assert quantity(25, "kWh").in_unit("Wh") == 25000.0
 
     def test_btu_under_paper_factor(self):
-        q = quantity(1, "Btu", btu_to_wh=BTU_TO_WH_PAPER)
-        assert convert(q, "Wh").magnitude == 0.2929
+        s = parse_scenario(_GALLONS + "btu_to_wh = paper\n")
+        assert s.fleet_basis.btu_to_wh.in_unit("Wh/Btu") == 0.2929
 
     def test_btu_defaults_to_exact_factor(self):
-        assert quantity(1, "Btu").magnitude == BTU_TO_WH_EXACT
+        s = parse_scenario(_GALLONS)
+        assert s.fleet_basis.btu_to_wh.magnitude == BTU_TO_WH_EXACT
+
+    def test_bare_btu_is_not_a_unit(self):
+        # the Wh factor is a scenario choice, so Btu exists only as Wh/Btu
+        with pytest.raises(UnknownUnit):
+            quantity(1, "Btu")
 
     def test_unknown_unit(self):
         with pytest.raises(UnknownUnit):
-            convert(quantity(1, "TWh"), "furlong")
+            quantity(1, "TWh").in_unit("furlong")
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            convert(quantity(1, "TWh"), "gal")
+            quantity(1, "TWh").in_unit("gal")
 
     def test_kg_round_trip_is_exact(self):
         q = quantity(500, "kg")
         assert q.magnitude == 0.5  # metric tons
-        assert convert(q, "kg").magnitude == 500.0
+        assert q.in_unit("kg") == 500.0
 
 
 class TestParse:
@@ -128,6 +136,24 @@ class TestQuantityInvariants:
         with pytest.raises(Exception):
             CATALOG.btu_to_wh_exact = 1.0  # type: ignore[misc]
 
+    def test_unit_tables_derived_from_catalog(self):
+        d = Dimension
+        assert dict(CANONICAL_UNIT) == {
+            d.ENERGY: "Wh", d.POWER: "W", d.SPEED: "mph", d.DISTANCE: "mi",
+            d.VOLUME: "gal", d.MASS: "t", d.COUNT: "count", d.FRACTION: "frac",
+            d.CARBON_INTENSITY: "Mt/TWh", d.WATER_INTENSITY: "gal/MWh",
+            d.HEAT_CONTENT: "Btu/gal", d.BTU_CONVERSION: "Wh/Btu",
+            d.ENERGY_DENSITY: "Wh/kg"}
+        assert sorted(PARSE_UNITS) == sorted([
+            "Wh", "kWh", "MWh", "TWh", "W", "kW", "mph", "mi", "gal", "t", "Mt",
+            "Btu/gal", "gal/MWh", "Mt/TWh", "Wh/Btu", "Wh/kg", "kg", "%", "frac"])
+
+    def test_two_fields_only(self):
+        q = quantity(25, "kWh")
+        assert [f.name for f in dataclasses.fields(q)] == ["magnitude", "dimension"]
+        assert q.canonical == q.magnitude == 25000.0
+        assert str(q) == "25000.0 Wh"
+
 
 class TestFormat:
     def test_fleet_energy_five_digits(self):
@@ -176,7 +202,7 @@ class TestProperties:
     def test_convert_round_trip(self, unit_value):
         unit, value = unit_value
         q = quantity(value, unit)
-        back = convert(convert(q, unit), CANONICAL_UNIT[q.dimension])
+        back = quantity(q.in_unit(unit), unit)
         assert back.magnitude == pytest.approx(q.canonical, rel=1e-12)
 
     @given(_unit_and_magnitude())
@@ -193,7 +219,7 @@ class TestProperties:
         scale = 2.0 ** k
         q = Quantity(value, Dimension.ENERGY)
         scaled = Quantity(scale * value, Dimension.ENERGY)
-        assert convert(scaled, unit).magnitude == scale * convert(q, unit).magnitude
+        assert scaled.in_unit(unit) == scale * q.in_unit(unit)
 
     @pytest.mark.parametrize("scale", [1.0, 10.0, 100.0, 1e3, 1e6])
     @pytest.mark.parametrize("value", [4055.0, 29000.0, 113.1, 2480.0, 0.2929])
@@ -202,8 +228,8 @@ class TestProperties:
         # identity is unattainable in binary floats; one ulp is the bound
         q = Quantity(value, Dimension.ENERGY)
         scaled = Quantity(scale * value, Dimension.ENERGY)
-        lhs = convert(scaled, "TWh").magnitude
-        rhs = scale * convert(q, "TWh").magnitude
+        lhs = scaled.in_unit("TWh")
+        rhs = scale * q.in_unit("TWh")
         assert lhs == rhs or abs(lhs - rhs) <= math.ulp(max(abs(lhs), abs(rhs)))
 
     @given(st.sampled_from(list(Dimension)), st.sampled_from(PARSE_UNITS))
@@ -212,4 +238,4 @@ class TestProperties:
         if u.dimension is dim:
             return
         with pytest.raises(DimensionMismatch):
-            convert(Quantity(0.5, dim), unit)
+            Quantity(0.5, dim).in_unit(unit)
