@@ -192,6 +192,14 @@ def _cmd_export_dataset(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one stderr line, without the usage text;
+    the subcommand parsers inherit it."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=FORMATS, default="text",
@@ -199,7 +207,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--sig-digits", type=_sig_digits, default=None, metavar="N",
                         help="override significant digits for all value families")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="evdemand",
         description="Deterministic energy accounting for EV fleet-conversion "
                     "scenarios, with reproduction checks against the published "

@@ -53,7 +53,7 @@ __all__ = [
     "battery_demand_method_a",
     "battery_demand_method_b",
     "production_energy_table",
-    "printed_style_wh",
+    "printed_style",
     "carbon_intensity",
     "additional_co2",
     "water_use",
@@ -215,9 +215,9 @@ def battery_demand_method_b(fleet: Quantity, chem: BatteryChemistry) -> BatteryD
     )
 
 
-def printed_style_wh(production_energy: Quantity) -> float:
-    """The printed-table figure, in Wh, for a consistent production energy."""
-    return production_energy.canonical / PRODUCTION_TABLE_DIVISOR
+def printed_style(production_energy: Quantity) -> Quantity:
+    """The printed-table figure for a consistent production energy."""
+    return Quantity(production_energy.canonical / PRODUCTION_TABLE_DIVISOR, Dimension.ENERGY)
 
 
 def production_energy_table(demands: list[BatteryDemand]) -> list[ProductionRow]:
@@ -225,7 +225,7 @@ def production_energy_table(demands: list[BatteryDemand]) -> list[ProductionRow]
     rows = []
     for d in demands:
         consistent = d.production_energy
-        printed = Quantity(printed_style_wh(consistent), Dimension.ENERGY)
+        printed = printed_style(consistent)
         rows.append(ProductionRow(
             method=d.method,
             chemistry=d.chemistry.display_name,

@@ -2,7 +2,7 @@
 
 Every domain error derives from :class:`EvDemandError` so callers (the CLI
 in particular) can separate domain failures from genuine bugs. The pack,
-catalog and sweep checks also derive from ``ValueError``.
+catalog, sweep and render-option checks also derive from ``ValueError``.
 """
 
 from __future__ import annotations
@@ -134,3 +134,7 @@ class InvalidSweep(EvDemandError, ValueError):
 
 class UnknownTarget(EvDemandError):
     """Reproduction target id is not registered."""
+
+
+class InvalidRenderOption(EvDemandError, ValueError):
+    """Unknown output format, or a significant-digit count outside 1..17."""

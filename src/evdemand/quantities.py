@@ -29,6 +29,7 @@ from typing import Mapping
 from .errors import (
     DimensionMismatch,
     FractionOutOfRange,
+    InvalidRenderOption,
     NegativeWherePhysical,
     NonFiniteMagnitude,
     ParseError,
@@ -251,7 +252,7 @@ def format_quantity(q: Quantity, unit: str, sig_digits: int) -> str:
     Deterministic across runs and platforms; round-trips through
     :func:`parse_quantity` at 17 significant digits.
     """
-    if sig_digits < 1:
-        raise ValueError(f"sig_digits must be >= 1, got {sig_digits}")
+    if not 1 <= sig_digits <= 17:
+        raise InvalidRenderOption(f"sig_digits must be from 1 to 17, got {sig_digits}")
     value = q.in_unit(unit)
     return f"{_format_sig(value, sig_digits)} {unit}"

@@ -6,9 +6,10 @@ shortest round-trip numbers. Rendering the same inputs twice yields
 identical bytes.
 
 The reproduction report compares the pipeline's computed values against the
-published study's printed figures, cell by cell, at fixed tolerances. One
-cell (natural-gas freshwater) is a documented expected mismatch: the
-printed figure cannot be derived from the study's own stated share and
+published study's printed figures, cell by cell, at fixed tolerances. Every
+target is declared once, in ``_TARGETS``: its title, its notes and its
+cells. One cell (natural-gas freshwater) is a documented expected mismatch:
+the printed figure cannot be derived from the study's own stated share and
 intensity, so the cell passes by carrying the erratum flag rather than by
 matching.
 """
@@ -19,18 +20,13 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from typing import Callable
 
 from . import engine
-from .errors import UnknownTarget
+from .errors import InvalidRenderOption, UnknownTarget
 from .quantities import Quantity
 from .quantities import _format_sig as _sig  # shared deterministic digit renderer
-from .refdata import (
-    builtin_chemistry,
-    builtin_dataset,
-    builtin_ev_catalog,
-    catalog_stats,
-    source_group_energy,
-)
+from .refdata import builtin_chemistry, builtin_ev_catalog, catalog_stats, source_group_energy
 from .scenario import Assessment, SweepPoint, assess, load_builtin_scenario, scenario_echo
 
 __all__ = [
@@ -67,8 +63,31 @@ class SigConfig:
 DEFAULT_SIG = SigConfig()
 
 
+def _unknown_format(fmt: str) -> InvalidRenderOption:
+    return InvalidRenderOption(f"unknown format {fmt!r}; expected one of {FORMATS}")
+
+
+def _csv(header, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 # display suffix of a row's unit; any other unit follows the digits after a space
 _SUFFIX = {"1e9": "e9", "1e12 gal": "e12 gal", "frac": "", "ratio": ""}
+# report pseudo-units outside the unit table: the canonical magnitude over a scale
+_PSEUDO_SCALE = {"1e9": 1e9, "1e12 gal": 1e12}
+
+
+def _scaled(value: Quantity | float, unit: str) -> float:
+    """``value`` in report unit ``unit``; a bare float is already in it."""
+    if not isinstance(value, Quantity):
+        return value
+    if unit in _PSEUDO_SCALE:
+        return value.canonical / _PSEUDO_SCALE[unit]
+    return value.in_unit(unit)
 
 
 @dataclass(frozen=True)
@@ -89,51 +108,49 @@ def _assessment_rows(a: Assessment, sig: SigConfig) -> list[_Row]:
     notes = dict(a.notes)
     digits = {"TWh": sig.energy, "kWh": sig.energy, "1e9": sig.count, "frac": sig.fraction}
 
-    def row(key: str, label: str, value: float, unit: str, note: str = "") -> _Row:
-        return _Row(key, label, value, unit, digits.get(unit, sig.other), note)
-
-    def twh(key: str, label: str, q: Quantity, note: str = "") -> _Row:
-        return row(key, label, q.in_unit("TWh"), "TWh", note)
+    def row(key: str, label: str, value: Quantity | float, unit: str,
+            note: str = "") -> _Row:
+        return _Row(key, label, _scaled(value, unit), unit, digits.get(unit, sig.other), note)
 
     rows = [
-        twh("fleet_energy", "fleet energy", a.fleet_energy, notes.get("fleet_energy", "")),
-        row("per_ev_energy", "per-EV energy", a.per_ev_energy.in_unit("kWh"), "kWh"),
+        row("fleet_energy", "fleet energy", a.fleet_energy, "TWh",
+            notes.get("fleet_energy", "")),
+        row("per_ev_energy", "per-EV energy", a.per_ev_energy, "kWh"),
     ]
     for demand, tag in ((a.demand_a, "a"), (a.demand_b, "b")):
         if demand is None:
             continue
         label = f"method {demand.method}"
         if demand.ev_count is not None:
-            rows.append(row(f"ev_count_{tag}", f"{label} EV count",
-                            demand.ev_count.canonical / 1e9, "1e9"))
-        rows.append(row(f"battery_count_{tag}", f"{label} battery count",
-                        demand.battery_count.canonical / 1e9, "1e9"))
-        rows.append(twh(f"production_consistent_{tag}", f"{label} production energy",
-                        demand.production_energy))
-        rows.append(row(f"production_published_{tag}", f"{label} published-style",
-                        engine.printed_style_wh(demand.production_energy) / 1e12, "TWh",
-                        engine.PRODUCTION_TABLE_NOTE))
-    rows.append(twh("battery_energy_for_totals", "battery energy for totals",
-                    a.battery_energy_for_totals,
-                    f"method {a.totals_method}, {a.scenario.convention.value} convention"))
-    rows.append(twh("total_additional_energy", "total additional energy",
-                    a.total_additional_energy))
-    rows.append(row("carbon_intensity", "carbon intensity",
-                    a.carbon_intensity.canonical, "Mt/TWh"))
-    rows.append(row("additional_co2", "additional CO2", a.additional_co2.in_unit("Mt"), "Mt"))
-    for fuel, volume in a.water:
-        rows.append(row(f"water_{fuel}", f"freshwater, {fuel}", volume.canonical / 1e12,
-                        "1e12 gal", notes.get("water", "")))
-    rows.append(twh("renewable_supply", "renewable supply", a.renewable_supply))
-    rows.append(row("conversion_fraction", "sustainable conversion fraction",
-                    min(a.conversion_fraction, 1.0), "frac",
-                    notes.get("conversion_fraction", "")))
-    rows.append(twh("baseline_generation", "baseline generation",
-                    a.scenario.baseline_generation))
-    rows.append(row("total_vs_baseline_ratio", "total vs baseline ratio",
-                    a.deficit.ratio_to_baseline, "ratio"))
-    rows.append(twh("capacity_deficit", "capacity deficit", a.deficit.deficit))
-    return rows
+            rows.append(row(f"ev_count_{tag}", f"{label} EV count", demand.ev_count, "1e9"))
+        rows += [
+            row(f"battery_count_{tag}", f"{label} battery count", demand.battery_count, "1e9"),
+            row(f"production_consistent_{tag}", f"{label} production energy",
+                demand.production_energy, "TWh"),
+            row(f"production_published_{tag}", f"{label} published-style",
+                engine.printed_style(demand.production_energy), "TWh",
+                engine.PRODUCTION_TABLE_NOTE),
+        ]
+    return [
+        *rows,
+        row("battery_energy_for_totals", "battery energy for totals",
+            a.battery_energy_for_totals, "TWh",
+            f"method {a.totals_method}, {a.scenario.convention.value} convention"),
+        row("total_additional_energy", "total additional energy",
+            a.total_additional_energy, "TWh"),
+        row("carbon_intensity", "carbon intensity", a.carbon_intensity, "Mt/TWh"),
+        row("additional_co2", "additional CO2", a.additional_co2, "Mt"),
+        *(row(f"water_{fuel}", f"freshwater, {fuel}", volume, "1e12 gal",
+              notes.get("water", "")) for fuel, volume in a.water),
+        row("renewable_supply", "renewable supply", a.renewable_supply, "TWh"),
+        row("conversion_fraction", "sustainable conversion fraction",
+            min(a.conversion_fraction, 1.0), "frac", notes.get("conversion_fraction", "")),
+        row("baseline_generation", "baseline generation", a.scenario.baseline_generation,
+            "TWh"),
+        row("total_vs_baseline_ratio", "total vs baseline ratio",
+            a.deficit.ratio_to_baseline, "ratio"),
+        row("capacity_deficit", "capacity deficit", a.deficit.deficit, "TWh"),
+    ]
 
 
 def render(a: Assessment, fmt: str = "text", sig: SigConfig = DEFAULT_SIG) -> str:
@@ -141,24 +158,16 @@ def render(a: Assessment, fmt: str = "text", sig: SigConfig = DEFAULT_SIG) -> st
     rows = _assessment_rows(a, sig)
     if fmt == "text":
         s = a.scenario
-        lines = [f"scenario {s.name}  (dataset {s.dataset.id}, year {s.dataset.year})", ""]
-        for row in rows:
-            lines.append(f"  {row.label:<32}{row.display}")
+        lines = [f"scenario {s.name}  (dataset {s.dataset.id}, year {s.dataset.year})", "",
+                 *(f"  {row.label:<32}{row.display}" for row in rows)]
         note_rows = [r for r in rows if r.note]
         if note_rows:
-            lines.append("")
-            lines.append("  notes:")
-            for row in note_rows:
-                lines.append(f"    {row.key}: {row.note}")
+            lines += ["", "  notes:", *(f"    {row.key}: {row.note}" for row in note_rows)]
         lines.append("")
         return "\n".join(lines)
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["key", "value", "unit", "note"])
-        for row in rows:
-            writer.writerow([row.key, repr(row.value), row.unit, row.note])
-        return buf.getvalue()
+        return _csv(["key", "value", "unit", "note"],
+                    ([row.key, row.value, row.unit, row.note] for row in rows))
     if fmt == "json":
         payload = {
             "scenario": scenario_echo(a.scenario),
@@ -167,100 +176,103 @@ def render(a: Assessment, fmt: str = "text", sig: SigConfig = DEFAULT_SIG) -> st
                        for row in rows},
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+    raise _unknown_format(fmt)
 
 
 # --- sweeps -----------------------------------------------------------------
 
-_SWEEP_COLUMNS = (
-    "index", "value", "fleet_energy_twh", "per_ev_energy_kwh",
-    "battery_count_e9", "battery_energy_twh", "total_additional_twh",
-    "additional_co2_mt", "conversion_fraction", "total_vs_baseline_ratio",
-    "capacity_deficit_twh", "error",
-)
+# sweep column -> (value on an assessment, report unit); the battery count is
+# the one that feeds the totals
+_SWEEP_COLUMNS: dict[str, tuple[Callable[[Assessment], Quantity | float], str]] = {
+    "fleet_energy_twh": (lambda a: a.fleet_energy, "TWh"),
+    "per_ev_energy_kwh": (lambda a: a.per_ev_energy, "kWh"),
+    "battery_count_e9": (lambda a: (a.demand_b or a.demand_a).battery_count, "1e9"),
+    "battery_energy_twh": (lambda a: a.battery_energy_for_totals, "TWh"),
+    "total_additional_twh": (lambda a: a.total_additional_energy, "TWh"),
+    "additional_co2_mt": (lambda a: a.additional_co2, "Mt"),
+    "conversion_fraction": (lambda a: a.conversion_fraction, "frac"),
+    "total_vs_baseline_ratio": (lambda a: a.deficit.ratio_to_baseline, "ratio"),
+    "capacity_deficit_twh": (lambda a: a.deficit.deficit, "TWh"),
+}
+_SWEEP_HEADER = ("index", "value", *_SWEEP_COLUMNS, "error")
 
 
-def _sweep_cells(i: int, p: SweepPoint) -> list[str]:
-    value = repr(p.value.canonical) if isinstance(p.value, Quantity) else repr(p.value)
-    if p.assessment is None:
-        return [str(i), value] + [""] * 9 + [p.error or ""]
+def _sweep_row(i: int, p: SweepPoint) -> list:
+    """Index, swept value, one number per column ("" for a failed point), error."""
     a = p.assessment
-    selected = a.demand_b if a.demand_b is not None else a.demand_a
-    return [
-        str(i), value,
-        repr(a.fleet_energy.in_unit("TWh")),
-        repr(a.per_ev_energy.in_unit("kWh")),
-        repr(selected.battery_count.canonical / 1e9),
-        repr(a.battery_energy_for_totals.in_unit("TWh")),
-        repr(a.total_additional_energy.in_unit("TWh")),
-        repr(a.additional_co2.in_unit("Mt")),
-        repr(a.conversion_fraction),
-        repr(a.deficit.ratio_to_baseline),
-        repr(a.deficit.deficit.in_unit("TWh")),
-        "",
-    ]
+    return [i, p.value.canonical if isinstance(p.value, Quantity) else p.value,
+            *("" if a is None else _scaled(get(a), unit)
+              for get, unit in _SWEEP_COLUMNS.values()),
+            p.error or ""]
 
 
 def render_sweep(path: str, points: list[SweepPoint], fmt: str = "text",
                  sig: SigConfig = DEFAULT_SIG) -> str:
     """Render sweep results; points keep their evaluation order."""
-    table = [_sweep_cells(i, p) for i, p in enumerate(points)]
+    table = [_sweep_row(i, p) for i, p in enumerate(points)]
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(_SWEEP_COLUMNS)
-        writer.writerows(table)
-        return buf.getvalue()
+        return _csv(_SWEEP_HEADER, table)
     if fmt == "json":
-        payload = [dict(zip(_SWEEP_COLUMNS, row)) for row in table]
-        for entry in payload:
-            for key, value in list(entry.items()):
-                if key == "index":
-                    entry[key] = int(value)
-                elif key == "value" or (key != "error" and value != ""):
-                    entry[key] = float(value)
+        # the swept value is a float in JSON even when it was given as an int
+        payload = [{**dict(zip(_SWEEP_HEADER, row)), "value": float(row[1])}
+                   for row in table]
         return json.dumps({"path": path, "points": payload},
                           indent=2, sort_keys=True) + "\n"
     if fmt == "text":
-        lines = [f"sweep over {path}", ""]
-        widths = [max(len(col), *(len(row[i]) for row in table)) if table else len(col)
-                  for i, col in enumerate(_SWEEP_COLUMNS)]
-        header = "  ".join(col.ljust(widths[i]) for i, col in enumerate(_SWEEP_COLUMNS))
-        lines.append(header.rstrip())
-        for row in table:
-            lines.append("  ".join(cell.ljust(widths[i])
-                                   for i, cell in enumerate(row)).rstrip())
-        lines.append("")
-        return "\n".join(lines)
-    raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+        cells = [[c if isinstance(c, str) else repr(c) for c in row] for row in table]
+        widths = [max(map(len, column)) for column in zip(_SWEEP_HEADER, *cells)]
+        lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
+                 for row in (_SWEEP_HEADER, *cells)]
+        return "\n".join([f"sweep over {path}", "", *lines, ""])
+    raise _unknown_format(fmt)
 
 
 # --- reproduction targets -----------------------------------------------------
 
-@dataclass(frozen=True)
-class _Cell:
-    label: str
-    computed: float
-    expected: float
-    unit: str
-    rule: str          # rel | exact | abs | round2sig | erratum
-    tolerance: float
-    anchor: str
-    note: str = ""
+def _rel_err(computed: float, expected: float) -> float:
+    return abs(computed - expected) / abs(expected) if expected != 0 else abs(computed)
+
+
+# rule -> whether the computed value matches the published one at the tolerance
+_RULES: dict[str, Callable[[float, float, float], bool]] = {
+    "rel": lambda c, e, tol: _rel_err(c, e) <= tol,
+    "abs": lambda c, e, tol: abs(c - e) <= tol,
+    "exact": lambda c, e, tol: c == e,
+    "round2sig": lambda c, e, tol: float(f"{c:.1e}") == e,
+    # documented expected mismatch: passes by carrying the flag
+    "erratum": lambda c, e, tol: True,
+}
 
 
 @dataclass(frozen=True)
 class CellResult:
+    """One published figure beside the computed one, and the rule that
+    compares them (a key of ``_RULES``)."""
+
     label: str
     computed: float
     expected: float
     unit: str
-    rel_err: float
-    passed: bool
-    flagged: bool
-    status: str
+    rule: str
+    tolerance: float
     anchor: str
     note: str = ""
+
+    @property
+    def rel_err(self) -> float:
+        return _rel_err(self.computed, self.expected)
+
+    @property
+    def passed(self) -> bool:
+        return _RULES[self.rule](self.computed, self.expected, self.tolerance)
+
+    @property
+    def flagged(self) -> bool:
+        return self.rule == "erratum"
+
+    @property
+    def status(self) -> str:
+        return "erratum" if self.flagged else ("ok" if self.passed else "FAIL")
 
 
 @dataclass(frozen=True)
@@ -275,31 +287,17 @@ class ComparisonResult:
         return all(c.passed for c in self.cells)
 
 
-def _evaluate(cell: _Cell) -> CellResult:
-    c, e = cell.computed, cell.expected
-    rel = abs(c - e) / abs(e) if e != 0 else abs(c)
-    flagged = False
-    if cell.rule == "rel":
-        ok = rel <= cell.tolerance
-    elif cell.rule == "abs":
-        ok = abs(c - e) <= cell.tolerance
-    elif cell.rule == "exact":
-        ok = c == e
-    elif cell.rule == "round2sig":
-        ok = float(f"{c:.1e}") == e
-    elif cell.rule == "erratum":
-        # documented expected mismatch: passes by carrying the flag
-        ok = True
-        flagged = True
-    else:
-        raise AssertionError(f"unknown rule {cell.rule}")
-    status = "erratum" if flagged else ("ok" if ok else "FAIL")
-    return CellResult(label=cell.label, computed=c, expected=e, unit=cell.unit,
-                      rel_err=rel, passed=ok, flagged=flagged, status=status,
-                      anchor=cell.anchor, note=cell.note)
+def _cell(label: str, value: Quantity | float, expected: float, unit: str, rule: str,
+          tolerance: float, anchor: str, note: str = "") -> CellResult:
+    """A cell of ``value`` in ``unit``; the label gains a ``[unit]`` suffix
+    unless the unit is a bare fraction or ratio."""
+    if unit not in ("frac", "ratio"):
+        label = f"{label} [{unit}]"
+    return CellResult(label, _scaled(value, unit), expected, unit, rule, tolerance,
+                      anchor, note)
 
 
-def _table2_cells() -> list[_Cell]:
+def _table2_cells() -> list[CellResult]:
     catalog = builtin_ev_catalog()
     anchor = "study table 2, mean/median rows"
     cells = []
@@ -308,156 +306,115 @@ def _table2_cells() -> list[_Cell]:
             ("max_speed", "mph", 90.0, 97.5),
             ("range", "mi", 91.0, 100.0)):
         stats = catalog_stats(catalog, field)
-        cells.append(_Cell(f"{field} mean [{unit}]", stats.mean.in_unit(unit),
-                           mean_exp, unit, "abs", 1.0, anchor,
-                           note="printed means carry unreconstructible rounding; "
-                                "tolerance is 1 printed unit"))
-        cells.append(_Cell(f"{field} median [{unit}]", stats.median.in_unit(unit),
-                           median_exp, unit, "exact", 0.0, anchor))
+        cells += [_cell(f"{field} mean", stats.mean, mean_exp, unit, "abs", 1.0, anchor,
+                        note="printed means carry unreconstructible rounding; "
+                             "tolerance is 1 printed unit"),
+                  _cell(f"{field} median", stats.median, median_exp, unit, "exact", 0.0,
+                        anchor)]
     return cells
 
 
+# (method, year, chemistry) -> printed production energy, TWh
 _TABLE3_EXPECTED = {
-    ("A", "2005", "pb_acid"): 591.0,
-    ("A", "2001", "pb_acid"): 451.0,
-    ("B", "2005", "pb_acid"): 679.55,
-    ("B", "2001", "pb_acid"): 518.34,
-    ("A", "2005", "nimh"): 1236.45,
-    ("A", "2001", "nimh"): 943.55,
-    ("B", "2005", "nimh"): 1421.71,
-    ("B", "2001", "nimh"): 1084.44,
+    ("A", "2005", "pb_acid"): 591.0, ("A", "2001", "pb_acid"): 451.0,
+    ("B", "2005", "pb_acid"): 679.55, ("B", "2001", "pb_acid"): 518.34,
+    ("A", "2005", "nimh"): 1236.45, ("A", "2001", "nimh"): 943.55,
+    ("B", "2005", "nimh"): 1421.71, ("B", "2001", "nimh"): 1084.44,
 }
 
 
-def _table3_cells(a05: Assessment, a01: Assessment) -> list[_Cell]:
+def _table3_cells(a05: Assessment, a01: Assessment) -> list[CellResult]:
     cells = []
-    for chem_name in ("pb_acid", "nimh"):
-        chem = builtin_chemistry(chem_name)
-        for method in ("A", "B"):
-            for year, a in (("2005", a05), ("2001", a01)):
-                if method == "A":
-                    demand = engine.battery_demand_method_a(
-                        a.fleet_energy, a.per_ev_energy,
-                        a.scenario.batteries_per_ev, chem)
-                else:
-                    demand = engine.battery_demand_method_b(a.fleet_energy, chem)
-                printed = engine.printed_style_wh(demand.production_energy)
-                expected = _TABLE3_EXPECTED[(method, year, chem_name)]
-                cells.append(_Cell(
-                    f"method {method}, {year}, {chem.display_name} [TWh]",
-                    printed / 1e12, expected, "TWh", "rel", 0.002,
-                    f"study table 3, method {method}, {year}, {chem.display_name}"))
+    for (method, year, chem_name), expected in _TABLE3_EXPECTED.items():
+        a, chem = {"2005": a05, "2001": a01}[year], builtin_chemistry(chem_name)
+        demand = (engine.battery_demand_method_a(a.fleet_energy, a.per_ev_energy,
+                                                 a.scenario.batteries_per_ev, chem)
+                  if method == "A" else engine.battery_demand_method_b(a.fleet_energy, chem))
+        where = f"method {method}, {year}, {chem.display_name}"
+        cells.append(_cell(where, engine.printed_style(demand.production_energy), expected,
+                           "TWh", "rel", 0.002, f"study table 3, {where}"))
     return cells
 
 
-def _build_target(target_id: str, a05: Assessment, a01: Assessment) -> ComparisonResult:
-    notes: tuple[str, ...] = ()
-    if target_id == "table2-stats":
-        title = "EV catalog statistics"
-        cells = _table2_cells()
-    elif target_id == "table3":
-        title = "battery production energy table"
-        cells = _table3_cells(a05, a01)
-        notes = (engine.PRODUCTION_TABLE_NOTE,)
-    elif target_id == "sec3-shares":
-        title = "generation shares"
-        mix = builtin_dataset("us2005").mix
-        fossil = source_group_energy(mix, ["coal", "natural_gas", "oil"])
-        nuclear = source_group_energy(mix, ["nuclear"])
-        cells = [
-            _Cell("fossil generation [TWh]", fossil.in_unit("TWh"), 2895.0,
-                  "TWh", "rel", 0.005, "study sec. III, fossil total"),
-            _Cell("nuclear generation [TWh]", nuclear.in_unit("TWh"), 783.0,
-                  "TWh", "rel", 0.001, "study sec. III, nuclear total"),
-        ]
-        notes = ("per-source shares are a documented reconstruction; only the "
-                 "fossil and nuclear totals are published",)
-    elif target_id == "sec4-energies":
-        title = "gasoline fleet energy"
-        cells = [
-            _Cell("fleet energy, shares basis [TWh]",
-                  a05.fleet_energy.in_unit("TWh"), 4953.0, "TWh", "rel", 0.0005,
-                  "study sec. IV, 2005 consumption-share product"),
-            _Cell("fleet energy, gallons basis [TWh]",
-                  a01.fleet_energy.in_unit("TWh"), 3778.0, "TWh", "rel", 0.001,
-                  "study sec. IV, 2001 gasoline-volume conversion"),
-        ]
-    elif target_id == "sec5-counts":
-        title = "EV and battery counts"
-        cells = [
-            _Cell("EV count, 2005 [1e9]", a05.ev_count.canonical / 1e9, 43.07,
-                  "1e9", "rel", 0.002, "study sec. V, method A, 2005"),
-            _Cell("EV count, 2001 [1e9]", a01.ev_count.canonical / 1e9, 32.85,
-                  "1e9", "rel", 0.002, "study sec. V, method A, 2001"),
-            _Cell("battery count, method A, 2005 [1e9]",
-                  a05.demand_a.battery_count.canonical / 1e9, 172.28,
-                  "1e9", "rel", 0.002, "study sec. V, method A, 2005"),
-            _Cell("battery count, method A, 2001 [1e9]",
-                  a01.demand_a.battery_count.canonical / 1e9, 131.4,
-                  "1e9", "rel", 0.002, "study sec. V, method A, 2001"),
-            _Cell("battery count, method B, 2005 [1e9]",
-                  a05.demand_b.battery_count.canonical / 1e9, 198.12,
-                  "1e9", "rel", 0.002, "study sec. V, method B, 2005"),
-            _Cell("battery count, method B, 2001 [1e9]",
-                  a01.demand_b.battery_count.canonical / 1e9, 151.12,
-                  "1e9", "rel", 0.002, "study sec. V, method B, 2001"),
-        ]
-    elif target_id == "sec6-co2":
-        title = "CO2 emissions"
-        cells = [
-            _Cell("carbon intensity [Mt/TWh]", a05.carbon_intensity.canonical,
-                  0.61159, "Mt/TWh", "rel", 1e-4,
-                  "derived: study sec. VI CO2 total over generation total"),
-            _Cell("additional CO2 [Mt]", a05.additional_co2.in_unit("Mt"),
-                  3900.0, "Mt", "rel", 0.005, "study sec. VI, additional CO2"),
-        ]
-    elif target_id == "sec6-water":
-        title = "freshwater consumption"
-        water = dict(a05.water)
-        cells = [
-            _Cell("freshwater, coal [1e12 gal]",
-                  water["coal"].canonical / 1e12, 1181.58, "1e12 gal",
-                  "rel", 0.005, "study sec. VI, coal freshwater"),
-            _Cell("freshwater, natural gas [1e12 gal]",
-                  water["natural_gas"].canonical / 1e12, 336.11, "1e12 gal",
-                  "erratum", 0.0, "study sec. VI, gas freshwater",
-                  note="published figure is about twice the stated share x "
-                       "intensity product; irreproducible from stated inputs, "
-                       "flagged rather than matched"),
-        ]
-        notes = (engine.WATER_CONVENTION_NOTE,)
-    elif target_id == "sec7-strategy":
-        title = "renewable conversion strategy"
-        cells = [
-            _Cell("renewable supply [TWh]", a05.renewable_supply.in_unit("TWh"),
-                  1216.0, "TWh", "rel", 0.001, "study sec. VII, 30% of baseline"),
-            _Cell("conversion fraction", a05.conversion_fraction, 0.25,
-                  "frac", "round2sig", 0.0, "study sec. VII, printed 25%",
-                  note="compared after rounding to 2 significant digits, "
-                       "the study's own rounding rule"),
-        ]
-    elif target_id == "sec8-deficit":
-        title = "capacity deficit"
-        cells = [
-            _Cell("total additional energy [TWh]",
-                  a05.total_additional_energy.in_unit("TWh"), 6374.17,
-                  "TWh", "rel", 0.002, "study sec. VI, total additional"),
-            _Cell("total vs baseline ratio", a05.deficit.ratio_to_baseline,
-                  1.572, "ratio", "rel", 0.002,
-                  "derived: study total additional over the 4055 TWh baseline"),
-        ]
-        notes = ("the study's summary quotes the 2005-column battery energy for "
-                 "the 2001 case; the production table's own 2001 figure is used here",)
-    else:
-        raise UnknownTarget(f"unknown target {target_id!r}; known: {', '.join(TARGET_IDS)}")
-    return ComparisonResult(target_id=target_id, title=title,
-                            cells=tuple(_evaluate(c) for c in cells), notes=notes)
-
-
-TARGET_IDS = (
-    "table2-stats", "table3", "sec3-shares", "sec4-energies", "sec5-counts",
-    "sec6-co2", "sec6-water", "sec7-strategy", "sec8-deficit",
+# (count, method, printed 2005 figure, printed 2001 figure), in 1e9
+_COUNTS_EXPECTED = (
+    ("EV count", "A", 43.07, 32.85),
+    ("battery count, method A", "A", 172.28, 131.4),
+    ("battery count, method B", "B", 198.12, 151.12),
 )
+
+
+def _counts_cells(a05: Assessment, a01: Assessment) -> list[CellResult]:
+    cells = []
+    for what, method, *printed in _COUNTS_EXPECTED:
+        for (year, a), expected in zip((("2005", a05), ("2001", a01)), printed):
+            demand = a.demand_a if method == "A" else a.demand_b
+            count = demand.ev_count if what == "EV count" else demand.battery_count
+            cells.append(_cell(f"{what}, {year}", count, expected, "1e9", "rel", 0.002,
+                               f"study sec. V, method {method}, {year}"))
+    return cells
+
+
+@dataclass(frozen=True)
+class _Target:
+    title: str
+    cells: Callable[[Assessment, Assessment], list[CellResult]]  # from the 2005, 2001 runs
+    notes: tuple[str, ...] = ()
+
+
+#: Every reproduction target in report order: its title, cells and notes.
+_TARGETS: dict[str, _Target] = {
+    "table2-stats": _Target("EV catalog statistics", lambda a05, a01: _table2_cells()),
+    "table3": _Target("battery production energy table", _table3_cells,
+                      (engine.PRODUCTION_TABLE_NOTE,)),
+    "sec3-shares": _Target("generation shares", lambda a05, a01: [
+        _cell("fossil generation", source_group_energy(a05.scenario.dataset.mix,
+                                                       ["coal", "natural_gas", "oil"]),
+              2895.0, "TWh", "rel", 0.005, "study sec. III, fossil total"),
+        _cell("nuclear generation", source_group_energy(a05.scenario.dataset.mix, ["nuclear"]),
+              783.0, "TWh", "rel", 0.001, "study sec. III, nuclear total"),
+    ], ("per-source shares are a documented reconstruction; only the "
+        "fossil and nuclear totals are published",)),
+    "sec4-energies": _Target("gasoline fleet energy", lambda a05, a01: [
+        _cell("fleet energy, shares basis", a05.fleet_energy, 4953.0, "TWh", "rel", 0.0005,
+              "study sec. IV, 2005 consumption-share product"),
+        _cell("fleet energy, gallons basis", a01.fleet_energy, 3778.0, "TWh", "rel", 0.001,
+              "study sec. IV, 2001 gasoline-volume conversion"),
+    ]),
+    "sec5-counts": _Target("EV and battery counts", _counts_cells),
+    "sec6-co2": _Target("CO2 emissions", lambda a05, a01: [
+        _cell("carbon intensity", a05.carbon_intensity, 0.61159, "Mt/TWh", "rel", 1e-4,
+              "derived: study sec. VI CO2 total over generation total"),
+        _cell("additional CO2", a05.additional_co2, 3900.0, "Mt", "rel", 0.005,
+              "study sec. VI, additional CO2"),
+    ]),
+    "sec6-water": _Target("freshwater consumption", lambda a05, a01: [
+        _cell("freshwater, coal", dict(a05.water)["coal"], 1181.58, "1e12 gal", "rel", 0.005,
+              "study sec. VI, coal freshwater"),
+        _cell("freshwater, natural gas", dict(a05.water)["natural_gas"], 336.11, "1e12 gal",
+              "erratum", 0.0, "study sec. VI, gas freshwater",
+              note="published figure is about twice the stated share x "
+                   "intensity product; irreproducible from stated inputs, "
+                   "flagged rather than matched"),
+    ], (engine.WATER_CONVENTION_NOTE,)),
+    "sec7-strategy": _Target("renewable conversion strategy", lambda a05, a01: [
+        _cell("renewable supply", a05.renewable_supply, 1216.0, "TWh", "rel", 0.001,
+              "study sec. VII, 30% of baseline"),
+        _cell("conversion fraction", a05.conversion_fraction, 0.25, "frac", "round2sig", 0.0,
+              "study sec. VII, printed 25%",
+              note="compared after rounding to 2 significant digits, "
+                   "the study's own rounding rule"),
+    ]),
+    "sec8-deficit": _Target("capacity deficit", lambda a05, a01: [
+        _cell("total additional energy", a05.total_additional_energy, 6374.17, "TWh",
+              "rel", 0.002, "study sec. VI, total additional"),
+        _cell("total vs baseline ratio", a05.deficit.ratio_to_baseline, 1.572, "ratio",
+              "rel", 0.002, "derived: study total additional over the 4055 TWh baseline"),
+    ], ("the study's summary quotes the 2005-column battery energy for "
+        "the 2001 case; the production table's own 2001 figure is used here",)),
+}
+
+TARGET_IDS = tuple(_TARGETS)
 
 
 def reproduce(target_ids: list[str] | None = None) -> list[ComparisonResult]:
@@ -465,17 +422,17 @@ def reproduce(target_ids: list[str] | None = None) -> list[ComparisonResult]:
 
     Runs the canonical 2005 and 2001 scenarios and builds every requested
     target; output order is the canonical registry order regardless of the
-    requested order.
+    requested order. The first unknown id, in request order, is an error.
     """
     requested = TARGET_IDS if target_ids is None else tuple(target_ids)
     for target_id in requested:
-        if target_id not in TARGET_IDS:
+        if target_id not in _TARGETS:
             raise UnknownTarget(
                 f"unknown target {target_id!r}; known: {', '.join(TARGET_IDS)}")
     a05 = assess(load_builtin_scenario("paper-2005"))
     a01 = assess(load_builtin_scenario("paper-2001"))
-    wanted = set(requested)
-    return [_build_target(tid, a05, a01) for tid in TARGET_IDS if tid in wanted]
+    return [ComparisonResult(target_id, t.title, tuple(t.cells(a05, a01)), t.notes)
+            for target_id, t in _TARGETS.items() if target_id in requested]
 
 
 def render_comparisons(results: list[ComparisonResult], fmt: str = "text",
@@ -483,47 +440,29 @@ def render_comparisons(results: list[ComparisonResult], fmt: str = "text",
     """Render reproduction results; erratum cells stay visibly flagged."""
     if fmt == "json":
         payload = [
-            {
-                "target": r.target_id,
-                "title": r.title,
-                "passed": r.passed,
-                "notes": list(r.notes),
-                "cells": [
-                    {
-                        "label": c.label, "computed": c.computed,
-                        "expected": c.expected, "unit": c.unit,
-                        "rel_err": c.rel_err, "status": c.status,
-                        "anchor": c.anchor,
-                        **({"note": c.note} if c.note else {}),
-                    }
-                    for c in r.cells
-                ],
-            }
+            {"target": r.target_id, "title": r.title, "passed": r.passed,
+             "notes": list(r.notes),
+             "cells": [{"label": c.label, "computed": c.computed, "expected": c.expected,
+                        "unit": c.unit, "rel_err": c.rel_err, "status": c.status,
+                        "anchor": c.anchor, **({"note": c.note} if c.note else {})}
+                       for c in r.cells]}
             for r in results
         ]
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["target", "cell", "computed", "expected", "unit",
-                         "rel_err", "status", "anchor"])
-        for r in results:
-            for c in r.cells:
-                writer.writerow([r.target_id, c.label, repr(c.computed),
-                                 repr(c.expected), c.unit, f"{c.rel_err:.3e}",
-                                 c.status, c.anchor])
-        return buf.getvalue()
+        return _csv(["target", "cell", "computed", "expected", "unit", "rel_err", "status",
+                     "anchor"],
+                    ([r.target_id, c.label, c.computed, c.expected, c.unit,
+                      f"{c.rel_err:.3e}", c.status, c.anchor]
+                     for r in results for c in r.cells))
     if fmt == "text":
         lines: list[str] = []
         total = passed = 0
         for r in results:
-            n = len(r.cells)
             k = sum(1 for c in r.cells if c.passed)
-            total += n
-            passed += k
-            lines.append(f"{r.target_id}: {k}/{n} within tolerance")
-            for note in r.notes:
-                lines.append(f"  note: {note}")
+            total, passed = total + len(r.cells), passed + k
+            lines.append(f"{r.target_id}: {k}/{len(r.cells)} within tolerance")
+            lines += [f"  note: {note}" for note in r.notes]
             label_w = max(len(c.label) for c in r.cells)
             for c in r.cells:
                 computed = _sig(c.computed, sig.compare)
@@ -534,8 +473,7 @@ def render_comparisons(results: list[ComparisonResult], fmt: str = "text",
                 if c.note:
                     lines.append(f"  {' ' * label_w}  ^ {c.note}")
             lines.append("")
-        lines.append(f"targets passed: {sum(1 for r in results if r.passed)}"
-                     f"/{len(results)}; cells within tolerance: {passed}/{total}")
-        lines.append("")
+        lines += [f"targets passed: {sum(1 for r in results if r.passed)}"
+                  f"/{len(results)}; cells within tolerance: {passed}/{total}", ""]
         return "\n".join(lines)
-    raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+    raise _unknown_format(fmt)

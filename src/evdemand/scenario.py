@@ -158,10 +158,12 @@ MAX_SWEEP_POINTS = 1_000_000
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One parameter path and the ordered values to evaluate it at."""
+    """One parameter path and the ordered values to evaluate it at;
+    ``progression`` keeps the (from, to, step) a progression was built from."""
 
     path: str
     points: tuple[float | Quantity, ...]
+    progression: tuple[float, float, float] | None = None
 
     def __post_init__(self):
         if not self.points:
@@ -188,7 +190,8 @@ class SweepSpec:
             raise InvalidSweep(f"sweep from {start!r} to {stop!r} by {step!r} has more "
                                f"than {MAX_SWEEP_POINTS} points")
         n = int(span + 1e-9)
-        return cls(path=path, points=tuple(start + k * step for k in range(n + 1)))
+        return cls(path=path, points=tuple(start + k * step for k in range(n + 1)),
+                   progression=(start, stop, step))
 
 
 @dataclass(frozen=True)
@@ -766,17 +769,19 @@ def load_builtin_scenario(name: str) -> Scenario:
 
 # --- assessment ------------------------------------------------------------
 
+# per-EV energy from the built-in catalog's median power, range and speed;
+# the catalog is immutable, so this is computed once
+_CATALOG_MEDIAN_PER_EV = engine.per_ev_energy(
+    *(catalog_stats(builtin_ev_catalog(), field).median
+      for field in ("power", "range", "max_speed")))
+
+
 def _resolve_per_ev(ref: EvReference) -> Quantity:
     if isinstance(ref, ExplicitPerEv):
         return ref.per_ev
     if isinstance(ref, PowerRangeSpeed):
         return engine.per_ev_energy(ref.power, ref.travel_range, ref.speed)
-    catalog = builtin_ev_catalog()
-    return engine.per_ev_energy(
-        catalog_stats(catalog, "power").median,
-        catalog_stats(catalog, "range").median,
-        catalog_stats(catalog, "max_speed").median,
-    )
+    return _CATALOG_MEDIAN_PER_EV
 
 
 def assess(s: Scenario) -> Assessment:
@@ -799,8 +804,7 @@ def assess(s: Scenario) -> Assessment:
     selected = demand_b if demand_b is not None else demand_a
     totals_method = selected.method
     if s.convention is Convention.PUBLISHED:
-        battery_energy = Quantity(engine.printed_style_wh(selected.production_energy),
-                                  Dimension.ENERGY)
+        battery_energy = engine.printed_style(selected.production_energy)
     else:
         battery_energy = selected.production_energy
 
@@ -987,11 +991,15 @@ def render_scenario(s: Scenario) -> str:
     if builtin:
         sections.append(("water", [(fuel, _render_quantity_literal(wi))
                                    for fuel, wi in s.water]))
-    if s.sweep_spec is not None:
-        sections.append(("sweep", [
-            ("path", s.sweep_spec.path),
-            ("values", ", ".join(_render_value(v) for v in s.sweep_spec.points)),
-        ]))
+    spec = s.sweep_spec
+    if spec is not None:
+        # a progression goes back as its from/to/step, not as every point
+        if spec.progression is not None:
+            entries = [(key, _render_value(v))
+                       for key, v in zip(("from", "to", "step"), spec.progression)]
+        else:
+            entries = [("values", ", ".join(_render_value(v) for v in spec.points))]
+        sections.append(("sweep", [("path", spec.path), *entries]))
     return write_document(sections)
 
 

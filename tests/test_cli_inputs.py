@@ -106,3 +106,13 @@ def test_infinite_bare_count_in_a_file_is_one_problem(capsys, tmp_path):
     assert out == ""
     [line] = err.splitlines()
     assert line == "evdemand: line 4: battery.batteries_per_ev must be finite, got inf"
+
+
+@pytest.mark.parametrize("argv", [["run", "paper-2005", "--sig-digits", "18"],
+                                  ["reproduce", "--format", "xml"], [], ["frobnicate"]])
+def test_usage_error_is_one_line(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    [line] = err.splitlines()
+    assert line.startswith("evdemand") and ": error: " in line

@@ -63,3 +63,31 @@ def test_render_scenario(name):
 def test_export_dataset(capsys):
     out = _cli_stdout(capsys, "export-dataset", "us2005", "-")
     assert out == (GOLDEN / "export_dataset_us2005.scn").read_bytes()
+
+
+def test_reproduce_all_csv_json_and_17_digits(capsys):
+    for argv, name in ((("--format", "csv"), "reproduce_all.csv"),
+                       (("--format", "json"), "reproduce_all.json"),
+                       (("--sig-digits", "17"), "reproduce_all_sig17.txt")):
+        out = _cli_stdout(capsys, "reproduce", "--all", *argv)
+        assert out == (GOLDEN / name).read_bytes(), name
+
+
+# paper-2005 with one battery method: no row of the other method, and the
+# totals and the sweep's battery count come from the one computed
+SINGLE_METHOD = {m: Path(__file__).parent / "data" / f"paper-2005-method-{m}.scn"
+                 for m in ("a", "b")}
+
+
+@pytest.mark.parametrize("fmt, ext", [("text", "txt"), ("csv", "csv"), ("json", "json")])
+@pytest.mark.parametrize("method", sorted(SINGLE_METHOD))
+def test_run_single_method(capsys, method, fmt, ext):
+    out = _cli_stdout(capsys, "run", str(SINGLE_METHOD[method]), "--format", fmt)
+    assert out == (GOLDEN / f"run_paper-2005-method-{method}.{ext}").read_bytes()
+
+
+def test_sweep_method_a_csv(capsys):
+    out = _cli_stdout(capsys, "sweep", str(SINGLE_METHOD["a"]),
+                      "--path", "battery.batteries_per_ev", "--values", "4,5,0.5,2.5",
+                      "--format", "csv")
+    assert out == (GOLDEN / "sweep_paper-2005-method-a.csv").read_bytes()
