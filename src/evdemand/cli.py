@@ -11,19 +11,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
-from .errors import EvDemandError, UnknownTarget, ValidationError
-from .report import (
-    DEFAULT_SIG,
-    FORMATS,
-    TARGET_IDS,
-    SigConfig,
-    render,
-    render_comparisons,
-    render_sweep,
-    reproduce,
-)
+from .errors import EvDemandError, InvalidRenderOption, ValidationError
+from .quantities import check_sig_digits
+from .report import FORMATS, TARGET_IDS, render, render_comparisons, render_sweep, reproduce
 from .refdata import builtin_dataset, dataset_ids
 from .scenario import (
     BUILTIN_SCENARIOS,
@@ -52,17 +45,24 @@ def _err(message: str) -> None:
     print(f"evdemand: {message}", file=sys.stderr)
 
 
-def _sig_from_args(args: argparse.Namespace) -> SigConfig:
-    if args.sig_digits is None:
-        return DEFAULT_SIG
-    return SigConfig.uniform(args.sig_digits)
+class _UsageError(Exception):
+    """A bad argument or an unreadable file: one stderr line, exit 2."""
 
 
-def _load_scenario_arg(spec: str) -> Scenario | int:
+@contextmanager
+def _argument_errors():
+    """Reports a domain error raised by a command-line argument as a usage error."""
+    try:
+        yield
+    except EvDemandError as exc:
+        raise _UsageError(str(exc)) from None
+
+
+def _load_scenario_arg(spec: str) -> Scenario:
     """Resolve a scenario argument, a file path or a packaged fixture name.
 
-    On failure, prints why and returns the exit code: 2 when the file cannot
-    be read, 1 when its content is not a valid scenario.
+    Raises :class:`_UsageError` when the file cannot be read, and the
+    loader's :class:`EvDemandError` when its text is not a valid scenario.
     """
     path = Path(spec)
     try:
@@ -70,104 +70,70 @@ def _load_scenario_arg(spec: str) -> Scenario | int:
             return load_scenario(path)
         name = spec[:-4] if spec.endswith(".scn") else spec
         if name not in BUILTIN_SCENARIOS:
-            _err(f"file not found: {spec}")
-            return 2
+            raise _UsageError(f"file not found: {spec}")
         return parse_scenario(builtin_scenario_text(name), default_name=name)
     except (OSError, UnicodeDecodeError) as exc:
-        _err(f"cannot read {spec}: {exc}")
-        return 2
-    except ValidationError as exc:
-        for problem in exc.problems:
-            _err(problem)
-        return 1
-    except EvDemandError as exc:
-        _err(str(exc))
-        return 1
+        raise _UsageError(f"cannot read {spec}: {exc}") from None
 
 
 def _sig_digits(text: str) -> int:
-    """argparse type of ``--sig-digits``: an integer from 1 to 17, the most
-    digits that still tell two doubles apart."""
+    """argparse type of ``--sig-digits``."""
     n = int(text)  # argparse reports a ValueError as an invalid value
-    if not 1 <= n <= 17:
-        raise argparse.ArgumentTypeError(f"expected an integer from 1 to 17, got {n}")
-    return n
+    try:
+        return check_sig_digits(n)
+    except InvalidRenderOption:
+        raise argparse.ArgumentTypeError(f"expected an integer from 1 to 17, got {n}") from None
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
-    targets = None if args.all or not args.targets else list(args.targets)
     if not args.all and not args.targets:
-        _err("reproduce needs target ids or --all")
-        return 2
-    try:
-        results = reproduce(targets)
-    except UnknownTarget as exc:
-        _err(str(exc))
-        return 2
-    sys.stdout.write(render_comparisons(results, args.format, _sig_from_args(args)))
+        raise _UsageError("reproduce needs target ids or --all")
+    with _argument_errors():
+        results = reproduce(None if args.all else list(args.targets))
+    sys.stdout.write(render_comparisons(results, args.format, args.sig_digits))
     return 0 if all(r.passed for r in results) else 1
 
 
-def _cmd_run(args: argparse.Namespace, *, validate_only: bool = False) -> int:
-    scenario = _load_scenario_arg(args.scenario)
-    if isinstance(scenario, int):
-        return scenario
-    if validate_only:
-        print(f"scenario valid: {scenario.name}")
-        return 0
-    try:
-        assessment = assess(scenario)
-    except EvDemandError as exc:
-        _err(str(exc))
-        return 1
-    sys.stdout.write(render(assessment, args.format, _sig_from_args(args)))
+def _cmd_run(args: argparse.Namespace) -> int:
+    assessment = assess(_load_scenario_arg(args.scenario))
+    sys.stdout.write(render(assessment, args.format, args.sig_digits))
     return 0
 
 
-def _sweep_spec_from_args(args: argparse.Namespace,
-                          scenario: Scenario) -> SweepSpec | None:
+def _cmd_validate(args: argparse.Namespace) -> int:
+    print(f"scenario valid: {_load_scenario_arg(args.scenario).name}")
+    return 0
+
+
+def _sweep_spec_from_args(args: argparse.Namespace, scenario: Scenario) -> SweepSpec:
     flags = [args.values is not None,
              any(v is not None for v in (args.from_, args.to, args.step))]
-    if args.path is None and not any(flags):
-        return scenario.sweep_spec
     if args.path is None:
-        _err("sweep overrides need --path")
-        return None
+        if any(flags):
+            raise _UsageError("sweep overrides need --path")
+        if scenario.sweep_spec is None:
+            raise _UsageError("scenario has no [sweep] section and no sweep flags were given")
+        return scenario.sweep_spec
     if args.values is not None:
         try:
             points = [float(v) for v in args.values.split(",") if v.strip()]
         except ValueError:
-            _err(f"bad --values list: {args.values!r}")
-            return None
+            raise _UsageError(f"bad --values list: {args.values!r}") from None
         if not points:
-            _err("--values list is empty")
-            return None
+            raise _UsageError("--values list is empty")
         return SweepSpec.from_values(args.path, points)
     if None in (args.from_, args.to, args.step):
-        _err("progression sweeps need all of --from, --to, --step")
-        return None
-    try:
+        raise _UsageError("progression sweeps need all of --from, --to, --step")
+    with _argument_errors():
         return SweepSpec.from_progression(args.path, args.from_, args.to, args.step)
-    except EvDemandError as exc:
-        _err(str(exc))
-        return None
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     scenario = _load_scenario_arg(args.scenario)
-    if isinstance(scenario, int):
-        return scenario
     spec = _sweep_spec_from_args(args, scenario)
-    if spec is None:
-        if args.path is None and scenario.sweep_spec is None:
-            _err("scenario has no [sweep] section and no sweep flags were given")
-        return 2
-    try:
+    with _argument_errors():
         points = sweep(scenario, spec)
-    except EvDemandError as exc:
-        _err(str(exc))
-        return 2
-    sys.stdout.write(render_sweep(spec.path, points, args.format, _sig_from_args(args)))
+    sys.stdout.write(render_sweep(spec.path, points, args.format))
     if points and all(p.assessment is None for p in points):
         _err("every sweep point failed")
         return 1
@@ -175,11 +141,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_export_dataset(args: argparse.Namespace) -> int:
-    try:
+    with _argument_errors():
         dataset = builtin_dataset(args.id)
-    except EvDemandError as exc:
-        _err(str(exc))
-        return 2
     text = render_dataset(dataset, comments=_DATASET_EXPORT_COMMENTS)
     if args.path == "-":
         sys.stdout.write(text)
@@ -187,8 +150,7 @@ def _cmd_export_dataset(args: argparse.Namespace) -> int:
     try:
         Path(args.path).write_text(text, encoding="utf-8")
     except OSError as exc:
-        _err(f"cannot write {args.path}: {exc}")
-        return 1
+        raise EvDemandError(f"cannot write {args.path}: {exc}") from None
     return 0
 
 
@@ -201,11 +163,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=FORMATS, default="text",
-                        help="output format (default: text)")
-    common.add_argument("--sig-digits", type=_sig_digits, default=None, metavar="N",
-                        help="override significant digits for all value families")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=FORMATS, default="text",
+                     help="output format (default: text)")
+    digits = argparse.ArgumentParser(add_help=False)
+    digits.add_argument("--sig-digits", type=_sig_digits, default=None, metavar="N",
+                        help="override significant digits for every value")
 
     parser = _Parser(
         prog="evdemand",
@@ -214,24 +177,23 @@ def _build_parser() -> argparse.ArgumentParser:
                     "study figures.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("reproduce", parents=[common],
+    p = sub.add_parser("reproduce", parents=[fmt, digits],
                        help="compare computed values against the published figures")
     p.add_argument("targets", nargs="*", metavar="TARGET",
                    help=f"target ids ({', '.join(TARGET_IDS)})")
     p.add_argument("--all", action="store_true", help="run every target")
     p.set_defaults(func=_cmd_reproduce)
 
-    p = sub.add_parser("run", parents=[common], help="evaluate one scenario")
+    p = sub.add_parser("run", parents=[fmt, digits], help="evaluate one scenario")
     p.add_argument("scenario", help="scenario file path or packaged fixture name "
                                     f"({', '.join(BUILTIN_SCENARIOS)})")
     p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser("validate", parents=[common],
-                       help="load and validate a scenario, then stop")
+    p = sub.add_parser("validate", help="load and validate a scenario, then stop")
     p.add_argument("scenario", help="scenario file path or packaged fixture name")
-    p.set_defaults(func=lambda a: _cmd_run(a, validate_only=True))
+    p.set_defaults(func=_cmd_validate)
 
-    p = sub.add_parser("sweep", parents=[common],
+    p = sub.add_parser("sweep", parents=[fmt],
                        help="evaluate a scenario over a parameter progression")
     p.add_argument("scenario", help="scenario file path or packaged fixture name")
     p.add_argument("--path", default=None, metavar="PARAM",
@@ -243,7 +205,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", dest="step", type=float, default=None)
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("export-dataset", parents=[common],
+    p = sub.add_parser("export-dataset",
                        help="write a built-in dataset in scenario-file syntax")
     p.add_argument("id", help=f"dataset id ({', '.join(dataset_ids())})")
     p.add_argument("path", help="output path, or - for stdout")
@@ -253,12 +215,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    """Run one command; the one place a failure becomes an exit code."""
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)  # usage errors exit 2 here
+        return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    return args.func(args)
+    except _UsageError as exc:
+        _err(str(exc))
+        return 2
+    except ValidationError as exc:
+        for problem in exc.problems:
+            _err(problem)
+        return 1
+    except EvDemandError as exc:
+        _err(str(exc))
+        return 1
 
 
 def entry() -> None:

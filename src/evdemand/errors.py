@@ -2,7 +2,7 @@
 
 Every domain error derives from :class:`EvDemandError` so callers (the CLI
 in particular) can separate domain failures from genuine bugs. The pack,
-catalog, sweep and render-option checks also derive from ``ValueError``.
+catalog, sweep, quoting and render-option checks also derive from ``ValueError``.
 """
 
 from __future__ import annotations
@@ -123,6 +123,10 @@ class ValidationError(EvDemandError):
 
 class UnknownParameter(EvDemandError):
     """Sweep parameter path does not name an overridable scenario field."""
+
+
+class UnquotableText(EvDemandError, ValueError):
+    """Text with a ``"`` or a line break, which file syntax cannot quote."""
 
 
 class InvalidSweep(EvDemandError, ValueError):

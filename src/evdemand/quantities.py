@@ -47,6 +47,7 @@ __all__ = [
     "quantity",
     "parse_quantity",
     "format_quantity",
+    "check_sig_digits",
 ]
 
 # Published rounded factor vs the exact one; see module docstring.
@@ -192,7 +193,7 @@ def quantity(value: float, unit: str) -> Quantity:
 
 
 # Literal grammar: NUMBER WS? UNIT, decimal number with optional exponent.
-_NUMBER_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+NUMBER_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 
 
 def parse_quantity(text: str) -> Quantity:
@@ -207,7 +208,7 @@ def parse_quantity(text: str) -> Quantity:
     lead = len(text) - len(text.lstrip())
     if not stripped:
         raise ParseError("empty quantity literal", offset=0)
-    m = _NUMBER_RE.match(stripped)
+    m = NUMBER_RE.match(stripped)
     if m is None:
         raise ParseError(f"expected a number in {text!r}", offset=lead)
     unit_token = stripped[m.end():].strip()
@@ -246,13 +247,19 @@ def _format_sig(value: float, sig_digits: int) -> str:
     return f"{mantissa}e{exp:+03d}"
 
 
+def check_sig_digits(sig_digits: int) -> int:
+    """``sig_digits`` if it is from 1 to 17, the most digits that still tell
+    two doubles apart; :class:`InvalidRenderOption` otherwise."""
+    if not 1 <= sig_digits <= 17:
+        raise InvalidRenderOption(f"sig_digits must be from 1 to 17, got {sig_digits}")
+    return sig_digits
+
+
 def format_quantity(q: Quantity, unit: str, sig_digits: int) -> str:
     """Render ``q`` in ``unit`` with ``sig_digits`` significant digits.
 
     Deterministic across runs and platforms; round-trips through
     :func:`parse_quantity` at 17 significant digits.
     """
-    if not 1 <= sig_digits <= 17:
-        raise InvalidRenderOption(f"sig_digits must be from 1 to 17, got {sig_digits}")
-    value = q.in_unit(unit)
-    return f"{_format_sig(value, sig_digits)} {unit}"
+    check_sig_digits(sig_digits)
+    return f"{_format_sig(q.in_unit(unit), sig_digits)} {unit}"

@@ -237,12 +237,7 @@ def validate_mix(mix: GridMix) -> list[str]:
 
 def source_group_energy(mix: GridMix, group: Iterable[str]) -> Quantity:
     """Annual generation attributable to a group of sources."""
-    names = list(group)
-    shares = dict(mix.entries)
-    for name in names:
-        if name not in shares:
-            raise UnknownSource(f"source {name!r} not in {mix.year} mix")
-    group_share = sum(shares[name] for name in names)
+    group_share = sum(mix.share(name) for name in group)
     return Quantity(mix.total_generation.canonical * group_share, Dimension.ENERGY)
 
 

@@ -24,14 +24,12 @@ from typing import Callable
 
 from . import engine
 from .errors import InvalidRenderOption, UnknownTarget
-from .quantities import Quantity
+from .quantities import Quantity, check_sig_digits
 from .quantities import _format_sig as _sig  # shared deterministic digit renderer
 from .refdata import builtin_chemistry, builtin_ev_catalog, catalog_stats, source_group_energy
 from .scenario import Assessment, SweepPoint, assess, load_builtin_scenario, scenario_echo
 
 __all__ = [
-    "SigConfig",
-    "DEFAULT_SIG",
     "CellResult",
     "ComparisonResult",
     "TARGET_IDS",
@@ -42,25 +40,6 @@ __all__ = [
 ]
 
 FORMATS = ("text", "csv", "json")
-
-
-@dataclass(frozen=True)
-class SigConfig:
-    """Significant digits per value family; the defaults are the minimum
-    that keep every published figure distinguishable."""
-
-    energy: int = 5
-    count: int = 4
-    fraction: int = 3
-    other: int = 5
-    compare: int = 6
-
-    @classmethod
-    def uniform(cls, n: int) -> "SigConfig":
-        return cls(energy=n, count=n, fraction=n, other=n, compare=n)
-
-
-DEFAULT_SIG = SigConfig()
 
 
 def _unknown_format(fmt: str) -> InvalidRenderOption:
@@ -77,6 +56,10 @@ def _csv(header, rows) -> str:
 
 # display suffix of a row's unit; any other unit follows the digits after a space
 _SUFFIX = {"1e9": "e9", "1e12 gal": "e12 gal", "frac": "", "ratio": ""}
+# significant digits when none are asked for: a row's by its unit ("other" for
+# any unit not named) and a comparison cell's; the fewest that keep every
+# published figure distinguishable
+_DIGITS = {"1e9": 4, "frac": 3, "other": 5, "compare": 6}
 # report pseudo-units outside the unit table: the canonical magnitude over a scale
 _PSEUDO_SCALE = {"1e9": 1e9, "1e12 gal": 1e12}
 
@@ -104,13 +87,13 @@ class _Row:
         return _sig(self.value, self.digits) + _SUFFIX.get(self.unit, " " + self.unit)
 
 
-def _assessment_rows(a: Assessment, sig: SigConfig) -> list[_Row]:
+def _assessment_rows(a: Assessment, digits: int | None) -> list[_Row]:
     notes = dict(a.notes)
-    digits = {"TWh": sig.energy, "kWh": sig.energy, "1e9": sig.count, "frac": sig.fraction}
 
     def row(key: str, label: str, value: Quantity | float, unit: str,
             note: str = "") -> _Row:
-        return _Row(key, label, _scaled(value, unit), unit, digits.get(unit, sig.other), note)
+        n = _DIGITS.get(unit, _DIGITS["other"]) if digits is None else digits
+        return _Row(key, label, _scaled(value, unit), unit, n, note)
 
     rows = [
         row("fleet_energy", "fleet energy", a.fleet_energy, "TWh",
@@ -153,9 +136,10 @@ def _assessment_rows(a: Assessment, sig: SigConfig) -> list[_Row]:
     ]
 
 
-def render(a: Assessment, fmt: str = "text", sig: SigConfig = DEFAULT_SIG) -> str:
-    """Render one assessment as text, csv, or json."""
-    rows = _assessment_rows(a, sig)
+def render(a: Assessment, fmt: str = "text", digits: int | None = None) -> str:
+    """Render one assessment as text, csv, or json; text values take
+    ``digits`` significant digits, or their unit's default when it is None."""
+    rows = _assessment_rows(a, digits if digits is None else check_sig_digits(digits))
     if fmt == "text":
         s = a.scenario
         lines = [f"scenario {s.name}  (dataset {s.dataset.id}, year {s.dataset.year})", "",
@@ -206,8 +190,7 @@ def _sweep_row(i: int, p: SweepPoint) -> list:
             p.error or ""]
 
 
-def render_sweep(path: str, points: list[SweepPoint], fmt: str = "text",
-                 sig: SigConfig = DEFAULT_SIG) -> str:
+def render_sweep(path: str, points: list[SweepPoint], fmt: str = "text") -> str:
     """Render sweep results; points keep their evaluation order."""
     table = [_sweep_row(i, p) for i, p in enumerate(points)]
     if fmt == "csv":
@@ -436,8 +419,10 @@ def reproduce(target_ids: list[str] | None = None) -> list[ComparisonResult]:
 
 
 def render_comparisons(results: list[ComparisonResult], fmt: str = "text",
-                       sig: SigConfig = DEFAULT_SIG) -> str:
-    """Render reproduction results; erratum cells stay visibly flagged."""
+                       digits: int | None = None) -> str:
+    """Render reproduction results; erratum cells stay visibly flagged. Text
+    figures take ``digits`` significant digits, 6 when it is None."""
+    digits = _DIGITS["compare"] if digits is None else check_sig_digits(digits)
     if fmt == "json":
         payload = [
             {"target": r.target_id, "title": r.title, "passed": r.passed,
@@ -465,8 +450,8 @@ def render_comparisons(results: list[ComparisonResult], fmt: str = "text",
             lines += [f"  note: {note}" for note in r.notes]
             label_w = max(len(c.label) for c in r.cells)
             for c in r.cells:
-                computed = _sig(c.computed, sig.compare)
-                expected = _sig(c.expected, sig.compare)
+                computed = _sig(c.computed, digits)
+                expected = _sig(c.expected, digits)
                 lines.append(f"  {c.label.ljust(label_w)}  "
                              f"computed {computed:>12}  expected {expected:>12}  "
                              f"rel err {c.rel_err:.3e}  {c.status}")

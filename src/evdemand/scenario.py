@@ -81,7 +81,7 @@ from .refdata import (
     dataset_ids,
     validate_mix,
 )
-from .scnformat import RawValue, Section, parse_document, text_literal, write_document
+from .scnformat import RawValue, Section, parse_document, quoted, text_literal, write_document
 
 __all__ = [
     "Method",
@@ -864,12 +864,17 @@ def assess(s: Scenario) -> Assessment:
 
 # --- sweeps ----------------------------------------------------------------
 
-def apply_override(s: Scenario, path: str, value: float | Quantity) -> Scenario:
-    """Return a copy of ``s`` with one parameter replaced."""
-    field = OVERRIDE_PATHS.get(path)
-    if field is None:
+def _override_field(path: str) -> FieldSpec:
+    """The field a sweep or override at ``path`` replaces."""
+    if path not in OVERRIDE_PATHS:
         raise UnknownParameter(
             f"unknown parameter path {path!r}; known: {', '.join(sorted(OVERRIDE_PATHS))}")
+    return OVERRIDE_PATHS[path]
+
+
+def apply_override(s: Scenario, path: str, value: float | Quantity) -> Scenario:
+    """Return a copy of ``s`` with one parameter replaced."""
+    field = _override_field(path)
     coerced = field.coerce(value)
     if field.owner is Scenario:
         return dataclasses.replace(s, **{field.attr: coerced})
@@ -885,10 +890,7 @@ def apply_override(s: Scenario, path: str, value: float | Quantity) -> Scenario:
 
 def sweep(s: Scenario, spec: SweepSpec) -> list[SweepPoint]:
     """Evaluate ``s`` at every sweep point, recording per-point failures inline."""
-    if spec.path not in OVERRIDE_PATHS:
-        raise UnknownParameter(
-            f"unknown parameter path {spec.path!r}; "
-            f"known: {', '.join(sorted(OVERRIDE_PATHS))}")
+    _override_field(spec.path)  # an unknown path fails before any point
     points: list[SweepPoint] = []
     for value in spec.points:
         try:
@@ -948,8 +950,8 @@ def _dataset_sections(ds: ReferenceDataset) -> list[tuple[str, list[tuple[str, s
     return [
         ("dataset", [
             ("id", text_literal(ds.id)),
-            ("year", f'"{ds.year}"'),
-            *([("mix_year", f'"{ds.mix.year}"')] if ds.mix.year != ds.year else []),
+            ("year", quoted(ds.year)),
+            *([("mix_year", quoted(ds.mix.year))] if ds.mix.year != ds.year else []),
             *_entries(ds.mix),
             *_entries(ds),
         ]),
@@ -966,7 +968,7 @@ def render_dataset(ds: ReferenceDataset, *, comments: list[str] | None = None) -
 
 def render_scenario(s: Scenario) -> str:
     """Scenario in file syntax; loads back to an equal Scenario."""
-    meta = [("name", f'"{s.name}"')]
+    meta = [("name", quoted(s.name))]
     builtin = s.dataset.id in dataset_ids() and builtin_dataset(s.dataset.id) == s.dataset
     if builtin:
         sections = [("meta", [*meta, ("dataset", s.dataset.id)])]

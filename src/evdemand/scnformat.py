@@ -19,18 +19,16 @@ import re
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import EvDemandError, ParseError
-from .quantities import Quantity, parse_quantity
+from .errors import EvDemandError, ParseError, UnquotableText
+from .quantities import NUMBER_RE, Quantity, parse_quantity
 
-__all__ = ["RawValue", "Entry", "Section", "Document", "parse_document", "text_literal",
-           "write_document"]
+__all__ = ["RawValue", "Entry", "Section", "Document", "parse_document", "quoted",
+           "text_literal", "write_document"]
 
 _SECTION_RE = re.compile(r"^\[([A-Za-z_][A-Za-z0-9_-]*)\]$")
 _KEY_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_-]*$")
 # identifier values may carry dots (sweep parameter paths)
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.-]*$")
-_NUMBER_RE = re.compile(r"^[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")
-_NUMBER_PREFIX_RE = re.compile(r"^[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
 
 
 @dataclass(frozen=True)
@@ -102,9 +100,9 @@ def _parse_value(text: str, line_no: int, column: int) -> RawValue:
             raise ParseError(f"unterminated or malformed string {text!r}",
                              line=line_no, column=column)
         return RawValue("string", text, text[1:-1], line_no, column)
-    if _NUMBER_RE.match(text):
+    if NUMBER_RE.fullmatch(text):
         return RawValue("number", text, float(text), line_no, column)
-    if _NUMBER_PREFIX_RE.match(text):
+    if NUMBER_RE.match(text):
         try:
             q = parse_quantity(text)
         except EvDemandError as exc:
@@ -164,10 +162,19 @@ def parse_document(text: str) -> Document:
         Section(name=n, line=ln, entries=tuple(es)) for n, ln, es in sections))
 
 
+def quoted(text: str) -> str:
+    """``text`` as a double-quoted string value. Strings have no escapes, so
+    text with a ``"`` or a line break raises :class:`UnquotableText`."""
+    if '"' in text or len(f"{text}.".splitlines()) > 1:
+        raise UnquotableText(f"cannot write {text!r} as a quoted string: "
+                             "it holds a '\"' or a line break")
+    return f'"{text}"'
+
+
 def text_literal(text: str) -> str:
     """A string value in file syntax: bare when it reads back as an
     identifier, double-quoted otherwise."""
-    return text if _IDENT_RE.match(text) else f'"{text}"'
+    return text if _IDENT_RE.fullmatch(text) else quoted(text)
 
 
 def write_document(sections: list[tuple[str, list[tuple[str, str]]]],

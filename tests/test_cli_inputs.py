@@ -109,7 +109,11 @@ def test_infinite_bare_count_in_a_file_is_one_problem(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("argv", [["run", "paper-2005", "--sig-digits", "18"],
-                                  ["reproduce", "--format", "xml"], [], ["frobnicate"]])
+                                  ["reproduce", "--format", "xml"], [], ["frobnicate"],
+                                  ["validate", "paper-2005", "--format", "json"],
+                                  ["export-dataset", "us2005", "-", "--sig-digits", "3"],
+                                  ["sweep", "paper-2005", "--path", "strategy.renewable_share",
+                                   "--values", "0.1", "--sig-digits", "3"]])
 def test_usage_error_is_one_line(capsys, argv):
     code, out, err = _run(capsys, *argv)
     assert code == 2

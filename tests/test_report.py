@@ -6,9 +6,7 @@ import pytest
 
 from evdemand.errors import UnknownTarget
 from evdemand.report import (
-    DEFAULT_SIG,
     TARGET_IDS,
-    SigConfig,
     render,
     render_comparisons,
     render_sweep,
@@ -79,7 +77,7 @@ class TestRenderAssessment:
         assert render(a2005, "text") != render(other, "text")
 
     def test_sig_digit_override(self, a2005):
-        text = render(a2005, "text", SigConfig.uniform(8))
+        text = render(a2005, "text", 8)
         assert "4953.2000 TWh" in text or "4953.2 TWh" in text
 
     def test_unknown_format(self, a2005):

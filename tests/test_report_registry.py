@@ -41,15 +41,34 @@ def test_render_comparisons_unknown_format_is_typed(all_results):
     _raises_typed(lambda: render_comparisons(all_results, "yaml"), "'yaml'")
 
 
+# renderer -> a call of it at ``digits`` significant digits, given the reproduction
+_AT_DIGITS = {
+    "format_quantity": lambda digits, results: format_quantity(
+        Quantity(0.1, Dimension.ENERGY), "Wh", digits),
+    "render": lambda digits, results: render(
+        assess(load_builtin_scenario("paper-2005")), "text", digits),
+    "render_comparisons": lambda digits, results: render_comparisons(results, "text", digits),
+}
+
+
 @pytest.mark.parametrize("digits", [0, 18, -1])
-def test_format_quantity_digits_outside_one_to_seventeen_are_typed(digits):
-    q = Quantity(1.0, Dimension.ENERGY)
-    _raises_typed(lambda: format_quantity(q, "Wh", digits), f"got {digits}")
+@pytest.mark.parametrize("renderer", list(_AT_DIGITS))
+def test_digits_outside_one_to_seventeen_are_typed(all_results, renderer, digits):
+    _raises_typed(lambda: _AT_DIGITS[renderer](digits, all_results), f"got {digits}")
 
 
-def test_format_quantity_takes_seventeen_digits():
-    assert format_quantity(Quantity(0.1, Dimension.ENERGY), "Wh", 17) == \
-        "0.10000000000000001 Wh"
+# renderer -> what its output holds at 17 digits (format_quantity: all of it)
+_AT_SEVENTEEN = {
+    "format_quantity": "0.10000000000000001 Wh",
+    "render": "  fleet energy                    4953.2000000000007 TWh\n",
+    "render_comparisons": "computed 0.61159062885326754  expected 0.61158999999999997",
+}
+
+
+@pytest.mark.parametrize("renderer", list(_AT_DIGITS))
+def test_seventeen_digits_still_render(all_results, renderer):
+    out, expected = _AT_DIGITS[renderer](17, all_results), _AT_SEVENTEEN[renderer]
+    assert out == expected if renderer == "format_quantity" else expected in out
 
 
 @pytest.mark.parametrize("ids, first", [(["table3", "zeta", "alpha"], "zeta"),
