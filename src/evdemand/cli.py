@@ -106,26 +106,20 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _sweep_spec_from_args(args: argparse.Namespace, scenario: Scenario) -> SweepSpec:
-    flags = [args.values is not None,
-             any(v is not None for v in (args.from_, args.to, args.step))]
     if args.path is None:
-        if any(flags):
+        if any(v is not None for v in (args.values, args.from_, args.to, args.step)):
             raise _UsageError("sweep overrides need --path")
         if scenario.sweep_spec is None:
             raise _UsageError("scenario has no [sweep] section and no sweep flags were given")
         return scenario.sweep_spec
+    values = None
     if args.values is not None:
         try:
-            points = [float(v) for v in args.values.split(",") if v.strip()]
+            values = [float(v) for v in args.values.split(",") if v.strip()]
         except ValueError:
             raise _UsageError(f"bad --values list: {args.values!r}") from None
-        if not points:
-            raise _UsageError("--values list is empty")
-        return SweepSpec.from_values(args.path, points)
-    if None in (args.from_, args.to, args.step):
-        raise _UsageError("progression sweeps need all of --from, --to, --step")
     with _argument_errors():
-        return SweepSpec.from_progression(args.path, args.from_, args.to, args.step)
+        return SweepSpec.build(args.path, values, args.from_, args.to, args.step)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

@@ -40,7 +40,6 @@ __all__ = [
     "SharesBasis",
     "GallonsBasis",
     "BatteryDemand",
-    "ProductionRow",
     "CapacityDeficit",
     "PRODUCTION_TABLE_DIVISOR",
     "PUBLISHED_MWH_PER_TWH",
@@ -52,7 +51,6 @@ __all__ = [
     "per_ev_energy",
     "battery_demand_method_a",
     "battery_demand_method_b",
-    "production_energy_table",
     "printed_style",
     "carbon_intensity",
     "additional_co2",
@@ -111,25 +109,12 @@ class BatteryDemand:
 
     method: str
     battery_count: Quantity
-    chemistry: BatteryChemistry
     production_energy: Quantity
     ev_count: Quantity | None = None
 
 
 @dataclass(frozen=True)
-class ProductionRow:
-    """One production-energy table cell: consistent and printed-style values."""
-
-    method: str
-    chemistry: str
-    consistent: Quantity
-    printed_style: Quantity
-    note: str = PRODUCTION_TABLE_NOTE
-
-
-@dataclass(frozen=True)
 class CapacityDeficit:
-    total_required: Quantity
     ratio_to_baseline: float
     deficit: Quantity
 
@@ -194,7 +179,6 @@ def battery_demand_method_a(fleet: Quantity, per_ev: Quantity,
         method="A",
         ev_count=_count(ev_count),
         battery_count=_count(battery_count),
-        chemistry=chem,
         production_energy=Quantity(production, Dimension.ENERGY),
     )
 
@@ -210,7 +194,6 @@ def battery_demand_method_b(fleet: Quantity, chem: BatteryChemistry) -> BatteryD
     return BatteryDemand(
         method="B",
         battery_count=_count(battery_count),
-        chemistry=chem,
         production_energy=Quantity(production, Dimension.ENERGY),
     )
 
@@ -218,21 +201,6 @@ def battery_demand_method_b(fleet: Quantity, chem: BatteryChemistry) -> BatteryD
 def printed_style(production_energy: Quantity) -> Quantity:
     """The printed-table figure for a consistent production energy."""
     return Quantity(production_energy.canonical / PRODUCTION_TABLE_DIVISOR, Dimension.ENERGY)
-
-
-def production_energy_table(demands: list[BatteryDemand]) -> list[ProductionRow]:
-    """Production energies with both the consistent and printed-style values."""
-    rows = []
-    for d in demands:
-        consistent = d.production_energy
-        printed = printed_style(consistent)
-        rows.append(ProductionRow(
-            method=d.method,
-            chemistry=d.chemistry.display_name,
-            consistent=consistent,
-            printed_style=printed,
-        ))
-    return rows
 
 
 def carbon_intensity(total_emissions: Quantity, total_generation: Quantity) -> Quantity:
@@ -294,7 +262,6 @@ def capacity_deficit(fleet: Quantity, battery_energy: Quantity,
         raise ZeroBaseline("baseline generation must be positive")
     total = fleet_wh + battery_wh
     return CapacityDeficit(
-        total_required=Quantity(total, Dimension.ENERGY),
         ratio_to_baseline=total / baseline_wh,
         deficit=Quantity(max(0.0, total - baseline_wh), Dimension.ENERGY),
     )

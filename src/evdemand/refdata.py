@@ -12,7 +12,6 @@ split the non-fossil, non-nuclear residual.
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -283,29 +282,6 @@ def catalog_stats(catalog: EvCatalog, field: str) -> FieldStats:
 _DATASETS = _build_datasets()
 _CHEMISTRIES = _build_chemistries()
 _EV_CATALOG = _build_ev_catalog()
-
-
-def _self_check() -> None:
-    # every shipped dataset and chemistry must satisfy its own invariants
-    for ds in _DATASETS.values():
-        problems = validate_mix(ds.mix)
-        if problems:
-            raise AssertionError(f"builtin dataset {ds.id}: {problems}")
-        for frac in (ds.transport_share, ds.gasoline_share):
-            assert frac.dimension is Dimension.FRACTION
-        for fuel in ds.water_intensity:
-            if fuel not in ds.mix.sources():
-                raise AssertionError(f"builtin dataset {ds.id}: water fuel {fuel!r} not in mix")
-    # BatteryChemistry checks its invariants at construction; statistics must
-    # be computable for every published field
-    for field in _STAT_FIELDS:
-        catalog_stats(_EV_CATALOG, field)
-    # sanity: stdlib oracle agrees with the shipped medians
-    assert statistics.median([m.power.canonical for m in _EV_CATALOG.models
-                              if m.power is not None]) == 112e3
-
-
-_self_check()
 
 
 def dataset_ids() -> tuple[str, ...]:

@@ -88,8 +88,6 @@ class _Row:
 
 
 def _assessment_rows(a: Assessment, digits: int | None) -> list[_Row]:
-    notes = dict(a.notes)
-
     def row(key: str, label: str, value: Quantity | float, unit: str,
             note: str = "") -> _Row:
         n = _DIGITS.get(unit, _DIGITS["other"]) if digits is None else digits
@@ -97,7 +95,8 @@ def _assessment_rows(a: Assessment, digits: int | None) -> list[_Row]:
 
     rows = [
         row("fleet_energy", "fleet energy", a.fleet_energy, "TWh",
-            notes.get("fleet_energy", "")),
+            "zero fleet energy; downstream values are zero"
+            if a.fleet_energy.canonical == 0.0 else ""),
         row("per_ev_energy", "per-EV energy", a.per_ev_energy, "kWh"),
     ]
     for demand, tag in ((a.demand_a, "a"), (a.demand_b, "b")):
@@ -118,16 +117,18 @@ def _assessment_rows(a: Assessment, digits: int | None) -> list[_Row]:
         *rows,
         row("battery_energy_for_totals", "battery energy for totals",
             a.battery_energy_for_totals, "TWh",
-            f"method {a.totals_method}, {a.scenario.convention.value} convention"),
+            f"method {a.totals_demand.method}, {a.scenario.convention.value} convention"),
         row("total_additional_energy", "total additional energy",
             a.total_additional_energy, "TWh"),
         row("carbon_intensity", "carbon intensity", a.carbon_intensity, "Mt/TWh"),
         row("additional_co2", "additional CO2", a.additional_co2, "Mt"),
         *(row(f"water_{fuel}", f"freshwater, {fuel}", volume, "1e12 gal",
-              notes.get("water", "")) for fuel, volume in a.water),
+              engine.WATER_CONVENTION_NOTE) for fuel, volume in a.water),
         row("renewable_supply", "renewable supply", a.renewable_supply, "TWh"),
         row("conversion_fraction", "sustainable conversion fraction",
-            min(a.conversion_fraction, 1.0), "frac", notes.get("conversion_fraction", "")),
+            min(a.conversion_fraction, 1.0), "frac",
+            "full conversion: renewable supply covers the whole fleet"
+            if a.full_conversion else ""),
         row("baseline_generation", "baseline generation", a.scenario.baseline_generation,
             "TWh"),
         row("total_vs_baseline_ratio", "total vs baseline ratio",
@@ -165,12 +166,11 @@ def render(a: Assessment, fmt: str = "text", digits: int | None = None) -> str:
 
 # --- sweeps -----------------------------------------------------------------
 
-# sweep column -> (value on an assessment, report unit); the battery count is
-# the one that feeds the totals
+# sweep column -> (value on an assessment, report unit)
 _SWEEP_COLUMNS: dict[str, tuple[Callable[[Assessment], Quantity | float], str]] = {
     "fleet_energy_twh": (lambda a: a.fleet_energy, "TWh"),
     "per_ev_energy_kwh": (lambda a: a.per_ev_energy, "kWh"),
-    "battery_count_e9": (lambda a: (a.demand_b or a.demand_a).battery_count, "1e9"),
+    "battery_count_e9": (lambda a: a.totals_demand.battery_count, "1e9"),
     "battery_energy_twh": (lambda a: a.battery_energy_for_totals, "TWh"),
     "total_additional_twh": (lambda a: a.total_additional_energy, "TWh"),
     "additional_co2_mt": (lambda a: a.additional_co2, "Mt"),

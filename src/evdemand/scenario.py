@@ -38,6 +38,7 @@ import dataclasses
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from operator import attrgetter
 from pathlib import Path
 from types import MappingProxyType
@@ -170,6 +171,21 @@ class SweepSpec:
             raise InvalidSweep("sweep needs at least one value")
 
     @classmethod
+    def build(cls, path: str, values: list[float | Quantity] | None,
+              start: float | None, stop: float | None, step: float | None) -> "SweepSpec":
+        """The sweep of either ``values`` or all of ``start``, ``stop`` and
+        ``step`` (None where not given): the one rule a ``[sweep]`` section
+        and the sweep flags share."""
+        bounds = (start, stop, step)
+        if values is not None:
+            if bounds != (None, None, None):
+                raise InvalidSweep("sweep has both values and from/to/step; pick one")
+            return cls.from_values(path, values)
+        if None in bounds:
+            raise InvalidSweep("sweep needs either values or all of from/to/step")
+        return cls.from_progression(path, start, stop, step)
+
+    @classmethod
     def from_values(cls, path: str, values: list[float | Quantity]) -> "SweepSpec":
         return cls(path=path, points=tuple(values))
 
@@ -221,7 +237,7 @@ class Assessment:
     per_ev_energy: Quantity
     demand_a: BatteryDemand | None
     demand_b: BatteryDemand | None
-    totals_method: str
+    totals_demand: BatteryDemand  # the demand whose production feeds the totals
     battery_energy_for_totals: Quantity
     total_additional_energy: Quantity
     carbon_intensity: Quantity
@@ -231,7 +247,6 @@ class Assessment:
     conversion_fraction: float
     full_conversion: bool
     deficit: CapacityDeficit
-    notes: tuple[tuple[str, str], ...]
 
     @property
     def ev_count(self) -> Quantity | None:
@@ -301,13 +316,14 @@ class FieldSpec:
     echo: str | None = None
     echo_unit: str | None = None
     sweep: bool = False
-    section: str = dataclasses.field(init=False)
-    key: str = dataclasses.field(init=False)
 
-    def __post_init__(self):
-        section, _, key = self.path.partition(".")
-        object.__setattr__(self, "section", section)
-        object.__setattr__(self, "key", key)
+    @cached_property  # read on every parse: computed once per field
+    def section(self) -> str:
+        return self.path.partition(".")[0]
+
+    @cached_property
+    def key(self) -> str:
+        return self.path.partition(".")[2]
 
     def default_for(self, ds: ReferenceDataset) -> float | Quantity:
         return self.default(ds) if callable(self.default) else self.default
@@ -457,14 +473,15 @@ def _want_ident(value: RawValue, key: str, problems: _Problems) -> str | None:
 
 def _text_or(section: Section, key: str, default: str | None,
              problems: _Problems) -> str | None:
-    """The string or identifier at ``key``; ``default`` when absent, bad or empty."""
+    """The string or identifier at ``key``, the empty string included;
+    ``default`` when absent or bad."""
     v = section.get(key)
     if v is None:
         return default
     if v.kind not in ("string", "ident"):
         problems.add(f"{key} must be a string, got {v.text!r}", v)
         return default
-    return str(v.payload) or default
+    return str(v.payload)
 
 
 def _pick(section: Section | None, key: str, choices: dict, default, problems: _Problems,
@@ -624,41 +641,29 @@ def _resolve_sweep(section: Section | None, problems: _Problems) -> SweepSpec | 
     path = _want_ident(path_v, "path", problems)
     if path is None:
         return None
-    values_v = section.get("values")
-    prog_keys = [k for k in ("from", "to", "step") if section.get(k) is not None]
-    if values_v is not None and prog_keys:
-        problems.add("[sweep] has both values and from/to/step; pick one")
-        return None
-    if values_v is not None:
-        items = values_v.payload if values_v.kind == "list" else [values_v]
-        points: list[float | Quantity] = []
-        for item in items:
+    values: list[float | Quantity] | None = None
+    if (values_v := section.get("values")) is not None:
+        values = []
+        for item in values_v.payload if values_v.kind == "list" else [values_v]:
             if item.kind == "number":
-                points.append(float(item.payload))
+                values.append(float(item.payload))
             elif item.kind == "quantity":
-                points.append(item.payload)
+                values.append(item.payload)
             else:
                 problems.add(f"sweep value must be a number or quantity, "
                              f"got {item.text!r}", item)
-        if not points:
-            problems.add("[sweep] values list is empty")
+    bounds = []
+    for key in ("from", "to", "step"):
+        v = section.get(key)
+        if v is not None and v.kind != "number":
+            problems.add(f"sweep {key} must be a bare number, got {v.text!r}", v)
             return None
-        return SweepSpec.from_values(path, points)
-    if len(prog_keys) == 3:
-        nums = []
-        for key in ("from", "to", "step"):
-            v = section.get(key)
-            if v.kind != "number":
-                problems.add(f"sweep {key} must be a bare number, got {v.text!r}", v)
-                return None
-            nums.append(float(v.payload))
-        try:
-            return SweepSpec.from_progression(path, *nums)
-        except EvDemandError as exc:
-            problems.add(f"[sweep] {exc}")
-            return None
-    problems.add("[sweep] needs either values or all of from/to/step")
-    return None
+        bounds.append(None if v is None else float(v.payload))
+    try:
+        return SweepSpec.build(path, values, *bounds)
+    except EvDemandError as exc:
+        problems.add(f"[sweep] {exc}")
+        return None
 
 
 def parse_scenario(text: str, *, default_name: str | None = None) -> Scenario:
@@ -801,12 +806,10 @@ def assess(s: Scenario) -> Assessment:
     if s.method in (Method.B, Method.BOTH):
         demand_b = engine.battery_demand_method_b(fleet, s.chemistry)
 
-    selected = demand_b if demand_b is not None else demand_a
-    totals_method = selected.method
+    totals_demand = demand_b if demand_b is not None else demand_a
+    battery_energy = totals_demand.production_energy
     if s.convention is Convention.PUBLISHED:
-        battery_energy = engine.printed_style(selected.production_energy)
-    else:
-        battery_energy = selected.production_energy
+        battery_energy = engine.printed_style(battery_energy)
 
     total = Quantity(fleet.canonical + battery_energy.canonical, Dimension.ENERGY)
     intensity = engine.carbon_intensity(s.dataset.co2_total,
@@ -827,20 +830,6 @@ def assess(s: Scenario) -> Assessment:
     else:
         conversion_fraction = engine.sustainable_conversion_fraction(
             s.baseline_generation, s.renewable_share, fleet)
-    full_conversion = conversion_fraction >= 1.0
-
-    deficit = engine.capacity_deficit(fleet, battery_energy, s.baseline_generation)
-
-    notes: list[tuple[str, str]] = []
-    if s.convention is Convention.PUBLISHED:
-        notes.append(("battery_energy", engine.PRODUCTION_TABLE_NOTE))
-    if water:
-        notes.append(("water", engine.WATER_CONVENTION_NOTE))
-    if full_conversion:
-        notes.append(("conversion_fraction",
-                      "full conversion: renewable supply covers the whole fleet"))
-    if fleet.canonical == 0.0:
-        notes.append(("fleet_energy", "zero fleet energy; downstream values are zero"))
 
     return Assessment(
         scenario=s,
@@ -848,7 +837,7 @@ def assess(s: Scenario) -> Assessment:
         per_ev_energy=per_ev,
         demand_a=demand_a,
         demand_b=demand_b,
-        totals_method=totals_method,
+        totals_demand=totals_demand,
         battery_energy_for_totals=battery_energy,
         total_additional_energy=total,
         carbon_intensity=intensity,
@@ -856,9 +845,8 @@ def assess(s: Scenario) -> Assessment:
         water=water,
         renewable_supply=renewable_supply,
         conversion_fraction=conversion_fraction,
-        full_conversion=full_conversion,
-        deficit=deficit,
-        notes=tuple(notes),
+        full_conversion=conversion_fraction >= 1.0,
+        deficit=engine.capacity_deficit(fleet, battery_energy, s.baseline_generation),
     )
 
 

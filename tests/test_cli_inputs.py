@@ -85,6 +85,27 @@ def test_unbounded_progression_is_a_usage_error(capsys, bounds):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("flags, section", [
+    (["--values", "0.1", "--from", "0", "--to", "1", "--step", "0.5"],
+     "values = 0.1\nfrom = 0\nto = 1\nstep = 0.5\n"),
+    (["--from", "0", "--to", "1"], "from = 0\nto = 1\n"),
+    (["--values", ","], 'values = "x"\n'),
+])
+def test_flags_and_sweep_section_follow_one_rule(capsys, tmp_path, flags, section):
+    code, out, err = _run(capsys, "sweep", "paper-2005",
+                          "--path", "strategy.renewable_share", *flags)
+    assert code == 2
+    assert out == ""
+    [flag_line] = err.splitlines()
+    path = tmp_path / "sweep.scn"
+    path.write_text("[meta]\ndataset = us2005\n[sweep]\npath = strategy.renewable_share\n"
+                    + section, encoding="utf-8")
+    code, out, err = _run(capsys, "sweep", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[-1] == flag_line.replace("evdemand: ", "evdemand: [sweep] ")
+
+
 @pytest.mark.parametrize("command", ["validate", "run", "sweep"])
 def test_overflowing_sweep_bound_in_a_file_is_one_problem(capsys, tmp_path, command):
     path = tmp_path / "wide.scn"

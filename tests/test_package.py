@@ -1,0 +1,33 @@
+"""Package-level guarantees: every exported name exists, and starting the CLI
+imports nothing that only the tests need."""
+
+import importlib
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import evdemand
+
+SRC = Path(evdemand.__file__).resolve().parent.parent
+# every module but __main__, which runs the CLI when imported
+MODULES = ["evdemand", *(f"evdemand.{m.name}" for m in pkgutil.iter_modules(evdemand.__path__)
+                         if m.name != "__main__")]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    for exported in getattr(module, "__all__", ()):
+        assert hasattr(module, exported), f"{name}.__all__ names missing {exported!r}"
+
+
+def test_cli_start_does_not_import_statistics():
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, evdemand.cli; print('statistics' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, check=True).stdout
+    assert out == "False\n"

@@ -3,6 +3,7 @@ render-option checks each live in one place."""
 
 import dataclasses
 import inspect
+from pathlib import Path
 
 import pytest
 
@@ -59,6 +60,23 @@ def test_dataset_text_with_a_quote_is_refused(field):
 def test_quotable_names_reload_equal(name):
     s = dataclasses.replace(load_builtin_scenario("paper-2005"), name=name)
     assert parse_scenario(render_scenario(s)) == s
+
+
+@pytest.mark.parametrize("fields", [["name"], ["id"], ["year"], ["mix_year"],
+                                    ["name", "id", "year", "mix_year"]])
+def test_empty_text_reloads_as_given(fields):
+    s = load_scenario(Path(__file__).parent / "data" / "inline-custom-gallons.scn")
+    ds = s.dataset
+    for field in fields:
+        if field == "name":
+            s = dataclasses.replace(s, name="")
+        elif field == "mix_year":
+            ds = dataclasses.replace(ds, mix=dataclasses.replace(ds.mix, year=""))
+        else:
+            ds = dataclasses.replace(ds, **{field: ""})
+    s = dataclasses.replace(s, dataset=ds)
+    assert parse_scenario(render_scenario(s)) == s
+    assert parse_scenario(render_dataset(ds)).dataset == ds
 
 
 def test_text_literal_quotes_only_what_is_not_an_identifier():

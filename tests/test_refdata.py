@@ -52,7 +52,12 @@ class TestBuiltinDatasets:
 
     def test_builtins_pass_self_check(self):
         for dataset_id in dataset_ids():
-            assert validate_mix(builtin_dataset(dataset_id).mix) == []
+            ds = builtin_dataset(dataset_id)
+            assert validate_mix(ds.mix) == []
+            assert ds.transport_share.dimension is Dimension.FRACTION
+            assert ds.gasoline_share.dimension is Dimension.FRACTION
+            # every water fuel is a source of the dataset's own mix
+            assert set(ds.water_intensity) <= set(ds.mix.sources())
 
     def test_national_figures(self):
         ds = builtin_dataset("us2005")
@@ -115,6 +120,16 @@ class TestSourceGroupEnergy:
 
 
 class TestCatalogStats:
+    @pytest.mark.parametrize("field", ["power", "max_speed", "range"])
+    def test_builtin_catalog_has_stats_for_every_field(self, field):
+        assert catalog_stats(builtin_ev_catalog(), field).count_used > 0
+
+    def test_builtin_power_median_matches_stdlib_oracle(self):
+        powers = [m.power.canonical for m in builtin_ev_catalog().models
+                  if m.power is not None]
+        assert statistics.median(powers) == 112e3
+        assert catalog_stats(builtin_ev_catalog(), "power").median.canonical == 112e3
+
     def test_power(self):
         stats = catalog_stats(builtin_ev_catalog(), "power")
         assert stats.count_used == 9

@@ -1,8 +1,14 @@
 import dataclasses
+import json
 
 import pytest
 
-from evdemand.engine import GallonsBasis, SharesBasis
+from evdemand.engine import (
+    PRODUCTION_TABLE_NOTE,
+    WATER_CONVENTION_NOTE,
+    GallonsBasis,
+    SharesBasis,
+)
 from evdemand.errors import (
     ParseError,
     UnknownChemistry,
@@ -12,6 +18,7 @@ from evdemand.errors import (
 )
 from evdemand.quantities import BTU_TO_WH_EXACT, BTU_TO_WH_PAPER, Dimension, Quantity, quantity
 from evdemand.refdata import builtin_dataset
+from evdemand.report import render
 from evdemand.scenario import (
     BUILTIN_SCENARIOS,
     CatalogMedian,
@@ -39,6 +46,12 @@ dataset = us2005
 
 def _scn(extra: str, base: str = MINIMAL) -> Scenario:
     return parse_scenario(base + extra)
+
+
+def _row_notes(a) -> dict[str, str]:
+    """The note of each rendered row that carries one, by row key."""
+    values = json.loads(render(a, "json"))["values"]
+    return {key: v["note"] for key, v in values.items() if "note" in v}
 
 
 class TestLoading:
@@ -180,7 +193,7 @@ class TestAssess:
         assert a.total_additional_energy.in_unit("TWh") == pytest.approx(6374.17,
                                                                          rel=0.002)
         assert a.additional_co2.in_unit("Mt") == pytest.approx(3898, rel=0.001)
-        assert a.totals_method == "B"
+        assert a.totals_demand is a.demand_b
 
     def test_paper_2001(self):
         a = assess(load_builtin_scenario("paper-2001"))
@@ -199,11 +212,12 @@ class TestAssess:
         assert all(v.magnitude == 0.0 for _, v in a.water)
         assert a.conversion_fraction == 0.0
         assert a.deficit.deficit.magnitude == 0.0
+        assert _row_notes(a)["fleet_energy"] == "zero fleet energy; downstream values are zero"
 
     def test_method_a_only(self):
         a = assess(_scn("\n[battery]\nmethod = A\n"))
         assert a.demand_b is None
-        assert a.totals_method == "A"
+        assert a.totals_demand is a.demand_a
 
     def test_consistent_convention(self):
         published = assess(load_builtin_scenario("paper-2005"))
@@ -220,16 +234,18 @@ class TestAssess:
         assert assess(s) == assess(s)
 
     def test_notes_mark_documented_conventions(self):
-        a = assess(load_builtin_scenario("paper-2005"))
-        keys = dict(a.notes)
-        assert "battery_energy" in keys
-        assert "water" in keys
+        notes = _row_notes(assess(load_builtin_scenario("paper-2005")))
+        assert notes["battery_energy_for_totals"] == "method B, published convention"
+        assert notes["production_published_b"] == PRODUCTION_TABLE_NOTE
+        assert notes["water_coal"] == notes["water_natural_gas"] == WATER_CONVENTION_NOTE
+        assert "fleet_energy" not in notes and "conversion_fraction" not in notes
 
     def test_full_conversion_flag(self):
         a = assess(_scn("\n[fleet]\ntotal_energy = 100 TWh\n"))
         assert a.conversion_fraction > 1.0
         assert a.full_conversion
-        assert any(k == "conversion_fraction" for k, _ in a.notes)
+        assert _row_notes(a)["conversion_fraction"] == \
+            "full conversion: renewable supply covers the whole fleet"
 
 
 class TestSweep:
