@@ -14,7 +14,7 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from .errors import EvDemandError, InvalidRenderOption, ValidationError
+from .errors import EvDemandError, InvalidRenderOption, UnknownScenario, ValidationError
 from .quantities import check_sig_digits
 from .report import FORMATS, TARGET_IDS, render, render_comparisons, render_sweep, reproduce
 from .refdata import builtin_dataset, dataset_ids
@@ -23,9 +23,8 @@ from .scenario import (
     Scenario,
     SweepSpec,
     assess,
-    builtin_scenario_text,
+    load_builtin_scenario,
     load_scenario,
-    parse_scenario,
     render_dataset,
     sweep,
 )
@@ -68,10 +67,9 @@ def _load_scenario_arg(spec: str) -> Scenario:
     try:
         if path.exists():
             return load_scenario(path)
-        name = spec[:-4] if spec.endswith(".scn") else spec
-        if name not in BUILTIN_SCENARIOS:
-            raise _UsageError(f"file not found: {spec}")
-        return parse_scenario(builtin_scenario_text(name), default_name=name)
+        return load_builtin_scenario(spec[:-4] if spec.endswith(".scn") else spec)
+    except UnknownScenario:
+        raise _UsageError(f"file not found: {spec}") from None
     except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read {spec}: {exc}") from None
 
@@ -125,8 +123,7 @@ def _sweep_spec_from_args(args: argparse.Namespace, scenario: Scenario) -> Sweep
 def _cmd_sweep(args: argparse.Namespace) -> int:
     scenario = _load_scenario_arg(args.scenario)
     spec = _sweep_spec_from_args(args, scenario)
-    with _argument_errors():
-        points = sweep(scenario, spec)
+    points = sweep(scenario, spec)
     sys.stdout.write(render_sweep(spec.path, points, args.format))
     if points and all(p.assessment is None for p in points):
         _err("every sweep point failed")

@@ -1,8 +1,8 @@
 """Exception types raised across the package.
 
-Every domain error derives from :class:`EvDemandError` so callers (the CLI
-in particular) can separate domain failures from genuine bugs. The pack,
-catalog, sweep, quoting and render-option checks also derive from ``ValueError``.
+Every domain error derives from :class:`EvDemandError`, so callers can tell it
+from a bug. The pack, catalog, sweep, quoting and render-option checks also
+subclass ``ValueError``, and an unknown packaged scenario ``KeyError``.
 """
 
 from __future__ import annotations
@@ -127,6 +127,11 @@ class UnknownParameter(EvDemandError):
 
 class UnquotableText(EvDemandError, ValueError):
     """Text with a ``"`` or a line break, which file syntax cannot quote."""
+
+
+class UnknownScenario(EvDemandError, KeyError):
+    """No packaged scenario with the requested name."""
+    __str__ = Exception.__str__  # the message, not KeyError's quoted repr
 
 
 class InvalidSweep(EvDemandError, ValueError):

@@ -10,9 +10,10 @@ assessment echoes all resolved inputs.
 Each scalar input is declared once, in ``FIELDS``: its ``section.key`` path,
 dimension, owning object and attribute, default, accepted tokens, domain
 floor and JSON echo key. File parsing and its allowed-key checks, sweep
-overrides (``OVERRIDE_PATHS`` is the sweepable part of the table), the
-write-back to file syntax and the JSON ``scenario`` echo all read that
-table, so a sweep value passes the same checks as the same value in a file.
+overrides (``OVERRIDE_PATHS``: the fields of the owners ``apply_override``
+replaces), the write-back to file syntax and the JSON ``scenario`` echo all
+read that table, so a sweep value passes the same checks as the same value
+in a file.
 Only what chooses between shapes is written by hand: the fleet basis, the
 EV reference, the chemistry, method and convention, ``[water]`` pairs and
 ``[sweep]``.
@@ -58,6 +59,7 @@ from .errors import (
     NonFiniteMagnitude,
     UnknownChemistry,
     UnknownParameter,
+    UnknownScenario,
     ValidationError,
 )
 from .quantities import (
@@ -123,14 +125,11 @@ class Convention(enum.Enum):
 
 
 # method tokens are read in any case
-_METHOD_TOKENS = {"a": Method.A, "b": Method.B, "both": Method.BOTH}
+_METHOD_TOKENS = {m.value.lower(): m for m in Method}
 
 # "paper-mantissa" is an accepted alias for the printed-style convention
-_CONVENTION_TOKENS = {
-    "consistent": Convention.CONSISTENT,
-    "published": Convention.PUBLISHED,
-    "paper-mantissa": Convention.PUBLISHED,
-}
+_CONVENTION_TOKENS = {**{c.value: c for c in Convention},
+                      "paper-mantissa": Convention.PUBLISHED}
 
 
 @dataclass(frozen=True)
@@ -159,7 +158,7 @@ MAX_SWEEP_POINTS = 1_000_000
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One parameter path and the ordered values to evaluate it at;
+    """One path of ``OVERRIDE_PATHS`` and the ordered values to evaluate it at;
     ``progression`` keeps the (from, to, step) a progression was built from."""
 
     path: str
@@ -169,6 +168,7 @@ class SweepSpec:
     def __post_init__(self):
         if not self.points:
             raise InvalidSweep("sweep needs at least one value")
+        _override_field(self.path)
 
     @classmethod
     def build(cls, path: str, values: list[float | Quantity] | None,
@@ -303,7 +303,7 @@ class FieldSpec:
     when the key is required. ``tokens`` are identifiers accepted in
     place of a literal. ``floor`` is the least bare count allowed; NaN fails
     it too. ``echo`` is the JSON ``scenario`` key, in ``echo_unit`` (None:
-    the canonical unit). ``sweep`` marks the paths in ``OVERRIDE_PATHS``.
+    the canonical unit).
     """
 
     path: str
@@ -315,7 +315,6 @@ class FieldSpec:
     floor: float | None = None
     echo: str | None = None
     echo_unit: str | None = None
-    sweep: bool = False
 
     @cached_property  # read on every parse: computed once per field
     def section(self) -> str:
@@ -372,10 +371,6 @@ class FieldSpec:
             problems.add(str(exc), raw)
             return None
 
-    def literal(self, value: float | Quantity) -> str:
-        """``value`` in file syntax; it reads back bit-identical."""
-        return repr(value) if self.dim is None else _render_quantity_literal(value)
-
     def echo_value(self, value: float | Quantity) -> float:
         if self.dim is None:
             return value
@@ -396,23 +391,23 @@ FIELDS: tuple[FieldSpec, ...] = (
     # fleet energy on the shares basis ...
     FieldSpec("fleet.total_energy", _D.ENERGY, SharesBasis, "total_energy",
               attrgetter("total_energy_consumption"),
-              echo="total_energy_twh", echo_unit="TWh", sweep=True),
+              echo="total_energy_twh", echo_unit="TWh"),
     FieldSpec("fleet.transport_share", _D.FRACTION, SharesBasis, "transport_share",
-              attrgetter("transport_share"), echo="transport_share", sweep=True),
+              attrgetter("transport_share"), echo="transport_share"),
     FieldSpec("fleet.fuel_share", _D.FRACTION, SharesBasis, "fuel_share",
-              attrgetter("gasoline_share"), echo="fuel_share", sweep=True),
+              attrgetter("gasoline_share"), echo="fuel_share"),
     # ... or on the gallons basis
     FieldSpec("fleet.gallons", _D.VOLUME, GallonsBasis, "gallons",
-              attrgetter("household_gasoline"), echo="gallons", sweep=True),
+              attrgetter("household_gasoline"), echo="gallons"),
     FieldSpec("fleet.heat_content", _D.HEAT_CONTENT, GallonsBasis, "heat_content",
               quantity(GASOLINE_HEAT_BTU_PER_GAL, "Btu/gal"),
-              echo="heat_content_btu_per_gal", sweep=True),
+              echo="heat_content_btu_per_gal"),
     FieldSpec("fleet.btu_to_wh", _D.BTU_CONVERSION, GallonsBasis, "btu_to_wh",
               Quantity(BTU_TO_WH_EXACT, _D.BTU_CONVERSION),
               tokens={"exact": BTU_TO_WH_EXACT, "paper": BTU_TO_WH_PAPER},
-              echo="btu_to_wh", sweep=True),
+              echo="btu_to_wh"),
     # per-EV energy, given outright or as power x range / speed
-    FieldSpec("ev.per_ev_energy", _D.ENERGY, ExplicitPerEv, "per_ev", sweep=True),
+    FieldSpec("ev.per_ev_energy", _D.ENERGY, ExplicitPerEv, "per_ev"),
     FieldSpec("ev.power", _D.POWER, PowerRangeSpeed, "power"),
     FieldSpec("ev.range", _D.DISTANCE, PowerRangeSpeed, "travel_range"),
     FieldSpec("ev.speed", _D.SPEED, PowerRangeSpeed, "speed"),
@@ -424,12 +419,12 @@ FIELDS: tuple[FieldSpec, ...] = (
               "energy_density"),
     FieldSpec("battery.pack_mass", _D.MASS, BatteryChemistry, "pack_mass"),
     FieldSpec("battery.batteries_per_ev", None, Scenario, "batteries_per_ev", 4.0,
-              floor=1.0, echo="batteries_per_ev", sweep=True),
+              floor=1.0, echo="batteries_per_ev"),
     FieldSpec("strategy.renewable_share", _D.FRACTION, Scenario, "renewable_share",
-              Quantity(0.30, _D.FRACTION), echo="renewable_share", sweep=True),
+              Quantity(0.30, _D.FRACTION), echo="renewable_share"),
     FieldSpec("strategy.baseline_generation", _D.ENERGY, Scenario, "baseline_generation",
               attrgetter("mix.total_generation"),
-              echo="baseline_generation_twh", echo_unit="TWh", sweep=True),
+              echo="baseline_generation_twh", echo_unit="TWh"),
 )
 
 # views of the table, built once
@@ -438,9 +433,6 @@ _OWNED: dict[type, tuple[FieldSpec, ...]] = {
     for owner in dict.fromkeys(f.owner for f in FIELDS)}
 _KEYS: dict[type, frozenset[str]] = {
     owner: frozenset(f.key for f in fields) for owner, fields in _OWNED.items()}
-
-#: sweepable parameter path -> its field spec
-OVERRIDE_PATHS = MappingProxyType({f.path: f for f in FIELDS if f.sweep})
 
 _BASES = {"shares": SharesBasis, "gallons": GallonsBasis}
 _BASIS_NAMES = {owner: name for name, owner in _BASES.items()}
@@ -630,16 +622,15 @@ def _resolve_chemistry(sections: dict[str, Section],
         return None
 
 
-def _resolve_sweep(section: Section | None, problems: _Problems) -> SweepSpec | None:
+def _resolve_sweep(section: Section | None, fleet_basis: SharesBasis | GallonsBasis | None,
+                   problems: _Problems) -> SweepSpec | None:
     if section is None:
         return None
     _check_keys(section, _ALLOWED["sweep"], problems)
-    path_v = section.get("path")
-    if path_v is None:
+    if (path_v := section.get("path")) is None:
         problems.add("[sweep] missing key 'path'")
         return None
-    path = _want_ident(path_v, "path", problems)
-    if path is None:
+    if (path := _want_ident(path_v, "path", problems)) is None:
         return None
     values: list[float | Quantity] | None = None
     if (values_v := section.get("values")) is not None:
@@ -660,7 +651,10 @@ def _resolve_sweep(section: Section | None, problems: _Problems) -> SweepSpec | 
             return None
         bounds.append(None if v is None else float(v.payload))
     try:
-        return SweepSpec.build(path, values, *bounds)
+        spec = SweepSpec.build(path, values, *bounds)
+        if fleet_basis is not None:  # else the [fleet] problems are recorded
+            _check_basis(OVERRIDE_PATHS[path], fleet_basis)
+        return spec
     except EvDemandError as exc:
         problems.add(f"[sweep] {exc}")
         return None
@@ -731,7 +725,7 @@ def parse_scenario(text: str, *, default_name: str | None = None) -> Scenario:
         if fuel not in ds.mix.sources():
             problems.add(f"water fuel {fuel!r} is not a source in the grid mix")
 
-    sweep_spec = _resolve_sweep(sections.get("sweep"), problems)
+    sweep_spec = _resolve_sweep(sections.get("sweep"), fleet_basis, problems)
 
     problems.raise_if_any()
     return Scenario(
@@ -761,8 +755,8 @@ BUILTIN_SCENARIOS = ("paper-2005", "paper-2001", "bad-mix")
 def builtin_scenario_text(name: str) -> str:
     """Text of a packaged scenario fixture."""
     if name not in BUILTIN_SCENARIOS:
-        raise KeyError(f"unknown built-in scenario {name!r}; "
-                       f"known: {', '.join(BUILTIN_SCENARIOS)}")
+        raise UnknownScenario(f"unknown built-in scenario {name!r}; "
+                              f"known: {', '.join(BUILTIN_SCENARIOS)}")
     from importlib import resources
     return resources.files("evdemand").joinpath("data", f"{name}.scn") \
         .read_text(encoding="utf-8")
@@ -852,6 +846,11 @@ def assess(s: Scenario) -> Assessment:
 
 # --- sweeps ----------------------------------------------------------------
 
+#: override path -> its field spec, for each owner ``apply_override`` replaces
+OVERRIDE_PATHS = MappingProxyType({f.path: f for f in FIELDS
+                                   if f.owner in (Scenario, ExplicitPerEv, *_BASIS_NAMES)})
+
+
 def _override_field(path: str) -> FieldSpec:
     """The field a sweep or override at ``path`` replaces."""
     if path not in OVERRIDE_PATHS:
@@ -860,25 +859,28 @@ def _override_field(path: str) -> FieldSpec:
     return OVERRIDE_PATHS[path]
 
 
+def _check_basis(field: FieldSpec, basis: SharesBasis | GallonsBasis) -> None:
+    """The fleet basis guard: a basis field applies to its own basis only."""
+    if field.owner in _BASIS_NAMES and not isinstance(basis, field.owner):
+        raise UnknownParameter(
+            f"{field.path} applies to the {_BASIS_NAMES[field.owner]} basis only")
+
+
 def apply_override(s: Scenario, path: str, value: float | Quantity) -> Scenario:
     """Return a copy of ``s`` with one parameter replaced."""
     field = _override_field(path)
     coerced = field.coerce(value)
+    _check_basis(field, s.fleet_basis)
     if field.owner is Scenario:
         return dataclasses.replace(s, **{field.attr: coerced})
     if field.owner is ExplicitPerEv:
         return dataclasses.replace(s, ev_reference=ExplicitPerEv(per_ev=coerced))
-    # the fleet basis guard: a basis field applies to its own basis only
-    if not isinstance(s.fleet_basis, field.owner):
-        raise UnknownParameter(
-            f"{path} applies to the {_BASIS_NAMES[field.owner]} basis only")
     return dataclasses.replace(s, fleet_basis=dataclasses.replace(
         s.fleet_basis, **{field.attr: coerced}))
 
 
 def sweep(s: Scenario, spec: SweepSpec) -> list[SweepPoint]:
     """Evaluate ``s`` at every sweep point, recording per-point failures inline."""
-    _override_field(spec.path)  # an unknown path fails before any point
     points: list[SweepPoint] = []
     for value in spec.points:
         try:
@@ -930,7 +932,7 @@ def _render_value(value: float | Quantity) -> str:
 
 def _entries(obj, section: str | None = None) -> list[tuple[str, str]]:
     """File entries for the table fields ``obj`` owns (in ``section`` only, if given)."""
-    return [(f.key, f.literal(getattr(obj, f.attr))) for f in _OWNED[type(obj)]
+    return [(f.key, _render_value(getattr(obj, f.attr))) for f in _OWNED[type(obj)]
             if section is None or f.section == section]
 
 

@@ -1,6 +1,7 @@
 """Fuzz the command line in-process: any generated argv, over scenario texts
 mutated from the packaged fixtures, ends in exit 0, 1 or 2 with no
-traceback, and running it twice gives the same output."""
+traceback, and running it twice gives the same output; and a file that
+``validate`` accepts never makes a flag-less ``sweep`` a usage error."""
 
 import io
 from contextlib import redirect_stderr, redirect_stdout
@@ -23,8 +24,13 @@ FIXTURES.append(INLINE.read_text(encoding="utf-8"))
 VALUES = ["0", "1", "1.5", "-1", "inf", "nan", "1e400", "1e-320", "50 %",
           "150 %", "4055 TWh", "12 furlong", '"x"', "paper", "both", "0.1, 2, nan", "",
           "[", '"unterminated']
-LINES = ["[sweep]\npath = strategy.renewable_share\nfrom = 0\nto = 1\nstep = 0.25",
-         "[sweep]\npath = battery.batteries_per_ev\nvalues = 0.5, 4, inf",
+# an unknown path, and a path of each fleet basis: the other basis for some fixtures
+SWEEPS = ["[sweep]\npath = strategy.renewable_share\nfrom = 0\nto = 1\nstep = 0.25",
+          "[sweep]\npath = battery.batteries_per_ev\nvalues = 0.5, 4, inf",
+          "[sweep]\npath = strategy.cloudiness\nvalues = 0.5",
+          "[sweep]\npath = fleet.gallons\nvalues = 1e9",
+          "[sweep]\npath = fleet.total_energy\nvalues = 4055 TWh"]
+LINES = [*SWEEPS,
          "[battery]", "batteries_per_ev = 1e400", "[ev]", "per_ev_energy = 0 kWh",
          "[fleet]", "basis = gallons", "[strategy]", "[mix]", "wind = 1 %", "[bogus]",
          "method = c", "=", "[meta"]
@@ -34,9 +40,9 @@ FILE, DIR, OUT = "<file>", "<dir>", "<out>"
 
 
 @st.composite
-def scenario_texts(draw):
+def scenario_texts(draw, edits=4):
     lines = draw(st.sampled_from(FIXTURES)).splitlines()
-    for _ in range(draw(st.integers(0, 4))):
+    for _ in range(draw(st.integers(0, edits))):
         i = draw(st.integers(0, len(lines)))
         kind = draw(st.sampled_from(["drop", "dup", "value", "insert", "garble"]))
         if kind == "insert" or i == len(lines):
@@ -129,3 +135,17 @@ def test_cli_ends_in_an_exit_code_and_repeats(tmp_path, text, argv):
     assert code in (0, 1, 2)
     assert "Traceback" not in err
     assert _main(argv) == first
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=scenario_texts(edits=2), section=st.sampled_from(SWEEPS))
+def test_a_valid_file_never_makes_sweep_a_usage_error(tmp_path, text, section):
+    if "[sweep]" not in text.splitlines():
+        text += section + "\n"
+    scenario = tmp_path / "fuzz.scn"
+    scenario.write_text(text, encoding="utf-8")
+    code = _main(["validate", str(scenario)])[0]
+    event(f"validate exit {code}")
+    if code == 0:
+        assert _main(["sweep", str(scenario)])[0] in (0, 1)

@@ -4,6 +4,7 @@ never a traceback, and ``run`` and ``sweep`` report them alike."""
 import pytest
 
 from evdemand.cli import main
+from evdemand.scenario import FIELDS, OVERRIDE_PATHS, builtin_scenario_text
 
 SWEEP_FLAGS = ["--path", "strategy.renewable_share", "--values", "0.1,0.2"]
 
@@ -116,6 +117,32 @@ def test_overflowing_sweep_bound_in_a_file_is_one_problem(capsys, tmp_path, comm
     assert out == ""
     [line] = err.splitlines()
     assert "[sweep]" in line and "finite" in line
+
+
+# the basis fields each packaged scenario does not have
+OTHER_BASIS = {
+    "paper-2005": {"fleet.gallons", "fleet.heat_content", "fleet.btu_to_wh"},
+    "paper-2001": {"fleet.total_energy", "fleet.transport_share", "fleet.fuel_share"},
+}
+
+
+@pytest.mark.parametrize("name", list(OTHER_BASIS))
+@pytest.mark.parametrize("path", [*(f.path for f in FIELDS), "strategy.cloudiness"])
+def test_validate_and_sweep_agree_on_a_sweep_path(capsys, tmp_path, name, path):
+    scenario = tmp_path / "sweep.scn"
+    scenario.write_text(builtin_scenario_text(name) + f"[sweep]\npath = {path}\nvalues = 0.5\n",
+                        encoding="utf-8")
+    if path in OVERRIDE_PATHS and path not in OTHER_BASIS[name]:
+        assert _run(capsys, "validate", str(scenario)) == (0, f"scenario valid: {name}\n", "")
+        return
+    lines = set()
+    for command in ("validate", "run", "sweep"):
+        code, out, err = _run(capsys, command, str(scenario))
+        assert (code, out) == (1, "")
+        [line] = err.splitlines()
+        lines.add(line)
+    [line] = lines
+    assert line.startswith("evdemand: [sweep] ")
 
 
 def test_infinite_bare_count_in_a_file_is_one_problem(capsys, tmp_path):

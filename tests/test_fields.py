@@ -48,7 +48,7 @@ def test_override_paths_are_the_ten_sweepable_fields():
         "ev.per_ev_energy", "battery.batteries_per_ev",
         "strategy.renewable_share", "strategy.baseline_generation",
     ]
-    assert all(OVERRIDE_PATHS[f.path] is f for f in FIELDS if f.sweep)
+    assert list(OVERRIDE_PATHS.values()) == [f for f in FIELDS if f.path in OVERRIDE_PATHS]
 
 
 def test_each_path_is_declared_once():

@@ -8,7 +8,14 @@ from pathlib import Path
 import pytest
 
 import evdemand.scenario as scenario_mod
-from evdemand.errors import EvDemandError, UnknownParameter, UnknownSource, UnquotableText
+from evdemand.errors import (
+    EvDemandError,
+    InvalidSweep,
+    UnknownParameter,
+    UnknownScenario,
+    UnknownSource,
+    UnquotableText,
+)
 from evdemand.refdata import builtin_dataset, source_group_energy
 from evdemand.report import render_sweep
 from evdemand.scenario import (
@@ -105,6 +112,21 @@ def test_unknown_sweep_path_fails_before_any_point(monkeypatch):
     with pytest.raises(UnknownParameter) as by_sweep:
         sweep(s, SweepSpec.from_values("strategy.cloudiness", [0.1, 0.2]))
     assert str(by_sweep.value) == str(by_override.value)
+
+
+def test_sweep_spec_checks_its_path_after_its_points():
+    with pytest.raises(UnknownParameter, match="unknown parameter path 'strategy.cloudiness'"):
+        SweepSpec.from_values("strategy.cloudiness", [0.1])
+    with pytest.raises(InvalidSweep, match="at least one value"):
+        SweepSpec.from_values("strategy.cloudiness", [])
+
+
+def test_unknown_builtin_scenario_is_a_typed_key_error():
+    with pytest.raises(UnknownScenario) as exc:
+        load_builtin_scenario("nope")
+    assert isinstance(exc.value, EvDemandError) and isinstance(exc.value, KeyError)
+    assert str(exc.value) == ("unknown built-in scenario 'nope'; "
+                              "known: paper-2005, paper-2001, bad-mix")
 
 
 def test_render_sweep_takes_no_digits():
