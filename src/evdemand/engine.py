@@ -21,7 +21,7 @@ than silently corrected:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     BelowMinimum,
@@ -80,8 +80,7 @@ def _expect(q: Quantity, dim: Dimension, what: str) -> float:
     return q.canonical
 
 
-@dataclass(frozen=True)
-class SharesBasis:
+class SharesBasis(NamedTuple):
     """Fleet energy from national totals: energy x transport share x fuel share."""
 
     total_energy: Quantity
@@ -89,8 +88,7 @@ class SharesBasis:
     fuel_share: Quantity
 
 
-@dataclass(frozen=True)
-class GallonsBasis:
+class GallonsBasis(NamedTuple):
     """Fleet energy from fuel volume: gallons x heat content x Wh-per-Btu."""
 
     gallons: Quantity
@@ -98,8 +96,7 @@ class GallonsBasis:
     btu_to_wh: Quantity
 
 
-@dataclass(frozen=True)
-class BatteryDemand:
+class BatteryDemand(NamedTuple):
     """Battery count and production energy for one method and chemistry.
 
     ``production_energy`` is always the unit-consistent value,
@@ -113,8 +110,7 @@ class BatteryDemand:
     ev_count: Quantity | None = None
 
 
-@dataclass(frozen=True)
-class CapacityDeficit:
+class CapacityDeficit(NamedTuple):
     ratio_to_baseline: float
     deficit: Quantity
 

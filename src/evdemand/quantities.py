@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import (
     DimensionMismatch,
@@ -76,8 +75,7 @@ class Dimension(Enum):
     ENERGY_DENSITY = "energy_density"      # Wh per kg
 
 
-@dataclass(frozen=True)
-class UnitDef:
+class UnitDef(NamedTuple):
     """One named unit: dimension plus the factor to its canonical unit.
 
     ``inverse=True`` means the canonical magnitude is value / scale rather
@@ -97,8 +95,7 @@ class UnitDef:
         return value * self.scale if self.inverse else value / self.scale
 
 
-@dataclass(frozen=True)
-class UnitCatalog:
+class UnitCatalog(NamedTuple):
     """Immutable unit table."""
 
     units: Mapping[str, UnitDef]
@@ -143,8 +140,12 @@ CANONICAL_UNIT: Mapping[Dimension, str] = MappingProxyType({
 PARSE_UNITS = tuple(name for name in CATALOG.units if name != "count")
 
 
-@dataclass(frozen=True)
-class Quantity:
+class _QuantityFields(NamedTuple):
+    magnitude: float
+    dimension: Dimension
+
+
+class Quantity(_QuantityFields):
     """A magnitude in the canonical unit of ``dimension``.
 
     Build one from another unit with :func:`quantity` or
@@ -153,21 +154,20 @@ class Quantity:
     [0, 1].
     """
 
-    magnitude: float
-    dimension: Dimension
+    __slots__ = ()
 
-    def __post_init__(self):
-        m = float(self.magnitude)
+    def __new__(cls, magnitude: float, dimension: Dimension):
+        m = float(magnitude)
         if not math.isfinite(m):
-            raise NonFiniteMagnitude(f"non-finite magnitude {m!r} for {self.dimension.value}")
+            raise NonFiniteMagnitude(f"non-finite magnitude {m!r} for {dimension.value}")
         if m == 0.0:
             m = 0.0  # normalize -0.0
         if m < 0.0:
             raise NegativeWherePhysical(
-                f"negative magnitude {m!r} for physical {self.dimension.value}")
-        object.__setattr__(self, "magnitude", m)
-        if self.dimension is Dimension.FRACTION and m > 1.0:
+                f"negative magnitude {m!r} for physical {dimension.value}")
+        if dimension is Dimension.FRACTION and m > 1.0:
             raise FractionOutOfRange(f"fraction {m!r} exceeds 1")
+        return tuple.__new__(cls, (m, dimension))
 
     @property
     def canonical(self) -> float:

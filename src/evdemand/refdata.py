@@ -12,9 +12,8 @@ split the non-fossil, non-nuclear residual.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (EmptyField, InvalidReferenceData, UnknownCatalogField, UnknownChemistry,
                      UnknownDataset, UnknownSource)
@@ -44,8 +43,7 @@ _CAPACITY_SLACK = 0.02
 _SHARE_SUM_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class GridMix:
+class GridMix(NamedTuple):
     """Named generation sources with fractional shares of an annual total."""
 
     year: str
@@ -62,10 +60,7 @@ class GridMix:
         raise UnknownSource(f"source {source!r} not in {self.year} mix")
 
 
-@dataclass(frozen=True)
-class BatteryChemistry:
-    """One battery pack option: capacity, mass, and manufacturing energy."""
-
+class _BatteryChemistryFields(NamedTuple):
     name: str
     display_name: str
     energy_density: Quantity      # Wh/kg
@@ -75,7 +70,14 @@ class BatteryChemistry:
     emissions_note: str
     recycling_note: str
 
-    def __post_init__(self):
+
+class BatteryChemistry(_BatteryChemistryFields):
+    """One battery pack option: capacity, mass, and manufacturing energy."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         implied_wh = self.energy_density.canonical * self.pack_mass.in_unit("kg")
         nominal_wh = self.pack_capacity.canonical
         if nominal_wh <= 0 or abs(implied_wh - nominal_wh) / nominal_wh > _CAPACITY_SLACK:
@@ -84,31 +86,35 @@ class BatteryChemistry:
                 f"density x mass = {implied_wh} Wh beyond {_CAPACITY_SLACK:.0%}")
         if self.manufacture_energy.canonical <= 0:
             raise InvalidReferenceData(f"{self.name}: manufacture energy must be positive")
+        return self
 
 
-@dataclass(frozen=True)
-class EvModel:
-    """One catalog row; missing entries stay None, ranges are closed intervals."""
-
+class _EvModelFields(NamedTuple):
     name: str
     power: Quantity | None = None
     max_speed: Quantity | None = None
     range_mi: tuple[float, float] | None = None
 
-    def __post_init__(self):
+
+class EvModel(_EvModelFields):
+    """One catalog row; missing entries stay None, ranges are closed intervals."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.range_mi is not None:
             lo, hi = self.range_mi
             if not (0 < lo <= hi):
                 raise InvalidReferenceData(f"{self.name}: bad range interval {self.range_mi}")
+        return self
 
 
-@dataclass(frozen=True)
-class EvCatalog:
+class EvCatalog(NamedTuple):
     models: tuple[EvModel, ...]
 
 
-@dataclass(frozen=True)
-class ReferenceDataset:
+class ReferenceDataset(NamedTuple):
     """One year of national figures driving a conversion scenario."""
 
     id: str
@@ -122,8 +128,7 @@ class ReferenceDataset:
     water_intensity: Mapping[str, Quantity]
 
 
-@dataclass(frozen=True)
-class FieldStats:
+class FieldStats(NamedTuple):
     mean: Quantity
     median: Quantity
     count_used: int

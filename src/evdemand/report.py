@@ -19,8 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import engine
 from .errors import InvalidRenderOption, UnknownTarget
@@ -73,8 +72,7 @@ def _scaled(value: Quantity | float, unit: str) -> float:
     return value.in_unit(unit)
 
 
-@dataclass(frozen=True)
-class _Row:
+class _Row(NamedTuple):
     key: str
     label: str
     value: float
@@ -227,8 +225,7 @@ _RULES: dict[str, Callable[[float, float, float], bool]] = {
 }
 
 
-@dataclass(frozen=True)
-class CellResult:
+class CellResult(NamedTuple):
     """One published figure beside the computed one, and the rule that
     compares them (a key of ``_RULES``)."""
 
@@ -258,8 +255,7 @@ class CellResult:
         return "erratum" if self.flagged else ("ok" if self.passed else "FAIL")
 
 
-@dataclass(frozen=True)
-class ComparisonResult:
+class ComparisonResult(NamedTuple):
     target_id: str
     title: str
     cells: tuple[CellResult, ...]
@@ -338,8 +334,7 @@ def _counts_cells(a05: Assessment, a01: Assessment) -> list[CellResult]:
     return cells
 
 
-@dataclass(frozen=True)
-class _Target:
+class _Target(NamedTuple):
     title: str
     cells: Callable[[Assessment, Assessment], list[CellResult]]  # from the 2005, 2001 runs
     notes: tuple[str, ...] = ()

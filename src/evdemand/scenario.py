@@ -35,15 +35,12 @@ Sections and keys (unknown ones are errors):
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import math
-from dataclasses import dataclass
-from functools import cached_property
 from operator import attrgetter
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import engine
 from .engine import (
@@ -132,20 +129,17 @@ _CONVENTION_TOKENS = {**{c.value: c for c in Convention},
                       "paper-mantissa": Convention.PUBLISHED}
 
 
-@dataclass(frozen=True)
-class ExplicitPerEv:
+class ExplicitPerEv(NamedTuple):
     per_ev: Quantity
 
 
-@dataclass(frozen=True)
-class PowerRangeSpeed:
+class PowerRangeSpeed(NamedTuple):
     power: Quantity
     travel_range: Quantity
     speed: Quantity
 
 
-@dataclass(frozen=True)
-class CatalogMedian:
+class CatalogMedian(NamedTuple):
     """Derive per-EV energy from the catalog's median power, range, speed."""
 
 
@@ -156,19 +150,24 @@ EvReference = ExplicitPerEv | PowerRangeSpeed | CatalogMedian
 MAX_SWEEP_POINTS = 1_000_000
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """One path of ``OVERRIDE_PATHS`` and the ordered values to evaluate it at;
-    ``progression`` keeps the (from, to, step) a progression was built from."""
-
+class _SweepSpecFields(NamedTuple):
     path: str
     points: tuple[float | Quantity, ...]
     progression: tuple[float, float, float] | None = None
 
-    def __post_init__(self):
+
+class SweepSpec(_SweepSpecFields):
+    """One path of ``OVERRIDE_PATHS`` and the ordered values to evaluate it at;
+    ``progression`` keeps the (from, to, step) a progression was built from."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.points:
             raise InvalidSweep("sweep needs at least one value")
         _override_field(self.path)
+        return self
 
     @classmethod
     def build(cls, path: str, values: list[float | Quantity] | None,
@@ -210,8 +209,7 @@ class SweepSpec:
                    progression=(start, stop, step))
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     """A fully resolved what-if run; every field is concrete."""
 
     name: str
@@ -228,8 +226,7 @@ class Scenario:
     sweep_spec: SweepSpec | None = None
 
 
-@dataclass(frozen=True)
-class Assessment:
+class Assessment(NamedTuple):
     """Everything a single scenario evaluation produced, inputs echoed."""
 
     scenario: Scenario
@@ -253,8 +250,7 @@ class Assessment:
         return self.demand_a.ev_count if self.demand_a is not None else None
 
 
-@dataclass(frozen=True)
-class SweepPoint:
+class SweepPoint(NamedTuple):
     value: float | Quantity
     assessment: Assessment | None
     error: str | None = None
@@ -294,18 +290,7 @@ def _want_quantity(value: RawValue, dim: Dimension, key: str,
     return None
 
 
-@dataclass(frozen=True)
-class FieldSpec:
-    """One scalar scenario input, at ``path`` = ``section.key``.
-
-    ``dim`` None means a bare count. ``owner.attr`` is where the resolved
-    value lives. ``default`` is a getter on the dataset, a constant, or None
-    when the key is required. ``tokens`` are identifiers accepted in
-    place of a literal. ``floor`` is the least bare count allowed; NaN fails
-    it too. ``echo`` is the JSON ``scenario`` key, in ``echo_unit`` (None:
-    the canonical unit).
-    """
-
+class _FieldSpecFields(NamedTuple):
     path: str
     dim: Dimension | None
     owner: type
@@ -316,13 +301,24 @@ class FieldSpec:
     echo: str | None = None
     echo_unit: str | None = None
 
-    @cached_property  # read on every parse: computed once per field
-    def section(self) -> str:
-        return self.path.partition(".")[0]
 
-    @cached_property
-    def key(self) -> str:
-        return self.path.partition(".")[2]
+class FieldSpec(_FieldSpecFields):
+    """One scalar scenario input, at ``path`` = ``section.key``.
+
+    ``dim`` None means a bare count. ``owner.attr`` is where the resolved
+    value lives. ``default`` is a getter on the dataset, a constant, or None
+    when the key is required. ``tokens`` are identifiers accepted in
+    place of a literal. ``floor`` is the least bare count allowed; NaN fails
+    it too. ``echo`` is the JSON ``scenario`` key, in ``echo_unit`` (None:
+    the canonical unit).
+    """
+
+    # no __slots__: ``section`` and ``key``, read on every parse, are set
+    # once per field as plain instance attributes
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self.section, _, self.key = self.path.partition(".")
+        return self
 
     def default_for(self, ds: ReferenceDataset) -> float | Quantity:
         return self.default(ds) if callable(self.default) else self.default
@@ -633,6 +629,7 @@ def _resolve_sweep(section: Section | None, fleet_basis: SharesBasis | GallonsBa
     if (path := _want_ident(path_v, "path", problems)) is None:
         return None
     values: list[float | Quantity] | None = None
+    bad_item = False
     if (values_v := section.get("values")) is not None:
         values = []
         for item in values_v.payload if values_v.kind == "list" else [values_v]:
@@ -643,6 +640,7 @@ def _resolve_sweep(section: Section | None, fleet_basis: SharesBasis | GallonsBa
             else:
                 problems.add(f"sweep value must be a number or quantity, "
                              f"got {item.text!r}", item)
+                bad_item = True
     bounds = []
     for key in ("from", "to", "step"):
         v = section.get(key)
@@ -650,6 +648,8 @@ def _resolve_sweep(section: Section | None, fleet_basis: SharesBasis | GallonsBa
             problems.add(f"sweep {key} must be a bare number, got {v.text!r}", v)
             return None
         bounds.append(None if v is None else float(v.payload))
+    if bad_item:  # each bad item is recorded once; what it leaves of the list is not checked
+        return None
     try:
         spec = SweepSpec.build(path, values, *bounds)
         if fleet_basis is not None:  # else the [fleet] problems are recorded
@@ -872,11 +872,10 @@ def apply_override(s: Scenario, path: str, value: float | Quantity) -> Scenario:
     coerced = field.coerce(value)
     _check_basis(field, s.fleet_basis)
     if field.owner is Scenario:
-        return dataclasses.replace(s, **{field.attr: coerced})
+        return s._replace(**{field.attr: coerced})
     if field.owner is ExplicitPerEv:
-        return dataclasses.replace(s, ev_reference=ExplicitPerEv(per_ev=coerced))
-    return dataclasses.replace(s, fleet_basis=dataclasses.replace(
-        s.fleet_basis, **{field.attr: coerced}))
+        return s._replace(ev_reference=ExplicitPerEv(per_ev=coerced))
+    return s._replace(fleet_basis=s.fleet_basis._replace(**{field.attr: coerced}))
 
 
 def sweep(s: Scenario, spec: SweepSpec) -> list[SweepPoint]:

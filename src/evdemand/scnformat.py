@@ -16,8 +16,7 @@ the scenario loader.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import EvDemandError, ParseError, UnquotableText
 from .quantities import NUMBER_RE, Quantity, parse_quantity
@@ -31,8 +30,7 @@ _KEY_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_-]*$")
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.-]*$")
 
 
-@dataclass(frozen=True)
-class RawValue:
+class RawValue(NamedTuple):
     """A parsed value: ``kind`` is quantity, number, string, ident, or list.
 
     A list payload is a tuple of scalar RawValues (comma-separated source).
@@ -45,15 +43,13 @@ class RawValue:
     column: int
 
 
-@dataclass(frozen=True)
-class Entry:
+class Entry(NamedTuple):
     key: str
     value: RawValue
     line: int
 
 
-@dataclass(frozen=True)
-class Section:
+class Section(NamedTuple):
     name: str
     line: int
     entries: tuple[Entry, ...]
@@ -68,8 +64,7 @@ class Section:
         return None
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(NamedTuple):
     sections: tuple[Section, ...]
 
 

@@ -90,7 +90,6 @@ def test_unbounded_progression_is_a_usage_error(capsys, bounds):
     (["--values", "0.1", "--from", "0", "--to", "1", "--step", "0.5"],
      "values = 0.1\nfrom = 0\nto = 1\nstep = 0.5\n"),
     (["--from", "0", "--to", "1"], "from = 0\nto = 1\n"),
-    (["--values", ","], 'values = "x"\n'),
 ])
 def test_flags_and_sweep_section_follow_one_rule(capsys, tmp_path, flags, section):
     code, out, err = _run(capsys, "sweep", "paper-2005",
@@ -105,6 +104,37 @@ def test_flags_and_sweep_section_follow_one_rule(capsys, tmp_path, flags, sectio
     assert code == 1
     assert out == ""
     assert err.splitlines()[-1] == flag_line.replace("evdemand: ", "evdemand: [sweep] ")
+
+
+def test_a_bad_sweep_value_in_a_file_is_one_problem(capsys, tmp_path):
+    # no flag list is empty without a bad item in a file, which reports that item only
+    code, out, err = _run(capsys, "sweep", "paper-2005",
+                          "--path", "strategy.renewable_share", "--values", ",")
+    assert code == 2
+    assert out == ""
+    [flag_line] = err.splitlines()
+    path = tmp_path / "sweep.scn"
+    path.write_text("[meta]\ndataset = us2005\n[sweep]\npath = strategy.renewable_share\n"
+                    'values = "x"\n', encoding="utf-8")
+    code, out, err = _run(capsys, "sweep", str(path))
+    assert code == 1
+    assert out == ""
+    [line] = err.splitlines()
+    assert "sweep value" in line and repr('"x"') in line
+
+
+@pytest.mark.parametrize("values, bad", [('y, "x"', ["y", '"x"']), ("0.5, y", ["y"])])
+def test_each_bad_sweep_value_in_a_file_is_one_problem(capsys, tmp_path, values, bad):
+    path = tmp_path / "sweep.scn"
+    path.write_text("[meta]\ndataset = us2005\n[sweep]\npath = strategy.renewable_share\n"
+                    f"values = {values}\n", encoding="utf-8")
+    code, out, err = _run(capsys, "validate", str(path))
+    assert code == 1
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == len(bad)
+    for line, item in zip(lines, bad):
+        assert "sweep value" in line and repr(item) in line
 
 
 @pytest.mark.parametrize("command", ["validate", "run", "sweep"])

@@ -31,3 +31,13 @@ def test_cli_start_does_not_import_statistics():
         env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True, text=True, check=True).stdout
     assert out == "False\n"
+
+
+def test_cli_start_does_not_import_dataclasses_or_inspect():
+    # every record is a NamedTuple: starting the CLI generates no dataclass code
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, evdemand.cli; print([m for m in "
+                               "('dataclasses', 'inspect') if m in sys.modules])"],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"

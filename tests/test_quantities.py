@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -150,7 +149,7 @@ class TestQuantityInvariants:
 
     def test_two_fields_only(self):
         q = quantity(25, "kWh")
-        assert [f.name for f in dataclasses.fields(q)] == ["magnitude", "dimension"]
+        assert list(q._fields) == ["magnitude", "dimension"]
         assert q.canonical == q.magnitude == 25000.0
         assert str(q) == "25000.0 Wh"
 

@@ -1,7 +1,6 @@
 """Write-back refuses text it cannot quote, and the source, override-path and
 render-option checks each live in one place."""
 
-import dataclasses
 import inspect
 from pathlib import Path
 
@@ -48,7 +47,7 @@ def test_name_from_a_file_name_with_a_quote_is_refused(tmp_path):
 
 @pytest.mark.parametrize("name", ["two\nlines", "cr\rhere", "tail\n", "para\u2029graph"])
 def test_name_with_a_line_break_is_refused(name):
-    s = dataclasses.replace(load_builtin_scenario("paper-2005"), name=name)
+    s = load_builtin_scenario("paper-2005")._replace(name=name)
     _refuses(lambda: render_scenario(s), name)
 
 
@@ -56,16 +55,16 @@ def test_name_with_a_line_break_is_refused(name):
 def test_dataset_text_with_a_quote_is_refused(field):
     ds = builtin_dataset("us2005")
     if field == "mix_year":
-        ds = dataclasses.replace(ds, mix=dataclasses.replace(ds.mix, year='20"01'))
+        ds = ds._replace(mix=ds.mix._replace(year='20"01'))
     else:
-        ds = dataclasses.replace(ds, **{field: 'us"2005'})
+        ds = ds._replace(**{field: 'us"2005'})
     bad = ds.mix.year if field == "mix_year" else getattr(ds, field)
     _refuses(lambda: render_dataset(ds), bad)
 
 
 @pytest.mark.parametrize("name", ["a b", "#1, = x", "Café", "tab\there"])
 def test_quotable_names_reload_equal(name):
-    s = dataclasses.replace(load_builtin_scenario("paper-2005"), name=name)
+    s = load_builtin_scenario("paper-2005")._replace(name=name)
     assert parse_scenario(render_scenario(s)) == s
 
 
@@ -76,12 +75,12 @@ def test_empty_text_reloads_as_given(fields):
     ds = s.dataset
     for field in fields:
         if field == "name":
-            s = dataclasses.replace(s, name="")
+            s = s._replace(name="")
         elif field == "mix_year":
-            ds = dataclasses.replace(ds, mix=dataclasses.replace(ds.mix, year=""))
+            ds = ds._replace(mix=ds.mix._replace(year=""))
         else:
-            ds = dataclasses.replace(ds, **{field: ""})
-    s = dataclasses.replace(s, dataset=ds)
+            ds = ds._replace(**{field: ""})
+    s = s._replace(dataset=ds)
     assert parse_scenario(render_scenario(s)) == s
     assert parse_scenario(render_dataset(ds)).dataset == ds
 

@@ -1,0 +1,109 @@
+"""Records are NamedTuples; the ones that check their values do so however
+they are built, positionally or by keyword, with the same typed errors."""
+
+import math
+
+import pytest
+
+from evdemand.engine import GallonsBasis, SharesBasis
+from evdemand.errors import (
+    FractionOutOfRange,
+    InvalidReferenceData,
+    InvalidSweep,
+    NegativeWherePhysical,
+    NonFiniteMagnitude,
+    UnknownParameter,
+)
+from evdemand.quantities import Dimension, Quantity, quantity
+from evdemand.refdata import BatteryChemistry, EvModel, builtin_chemistry
+from evdemand.scenario import (
+    FIELDS,
+    OVERRIDE_PATHS,
+    Scenario,
+    SweepSpec,
+    apply_override,
+    load_builtin_scenario,
+)
+
+NIMH = builtin_chemistry("nimh")._asdict()
+
+
+def _both_ways(cls, kwargs, error, message):
+    """``cls`` rejects ``kwargs`` given by keyword and positionally alike."""
+    for build in (lambda: cls(**kwargs), lambda: cls(*kwargs.values())):
+        with pytest.raises(error) as exc:
+            build()
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("kwargs, error, message", [
+    (dict(magnitude=-1.0, dimension=Dimension.ENERGY), NegativeWherePhysical,
+     "negative magnitude -1.0 for physical energy"),
+    (dict(magnitude=math.nan, dimension=Dimension.ENERGY), NonFiniteMagnitude,
+     "non-finite magnitude nan for energy"),
+    (dict(magnitude=1.5, dimension=Dimension.FRACTION), FractionOutOfRange,
+     "fraction 1.5 exceeds 1"),
+])
+def test_quantity_checks(kwargs, error, message):
+    _both_ways(Quantity, kwargs, error, message)
+
+
+@pytest.mark.parametrize("change, message", [
+    (dict(pack_mass=quantity(100, "kg")),
+     "nimh: pack capacity 25000.0 Wh disagrees with density x mass = 7500.0 Wh beyond 2%"),
+    (dict(manufacture_energy=quantity(0, "kWh")), "nimh: manufacture energy must be positive"),
+])
+def test_battery_chemistry_checks(change, message):
+    _both_ways(BatteryChemistry, {**NIMH, **change}, InvalidReferenceData, message)
+
+
+def test_ev_model_checks():
+    _both_ways(EvModel, dict(name="x", power=None, max_speed=None, range_mi=(50.0, 40.0)),
+               InvalidReferenceData, "x: bad range interval (50.0, 40.0)")
+
+
+@pytest.mark.parametrize("kwargs, error, message", [
+    (dict(path="strategy.renewable_share", points=(), progression=None), InvalidSweep,
+     "sweep needs at least one value"),
+    # empty points are reported before an unknown path
+    (dict(path="strategy.cloudiness", points=(), progression=None), InvalidSweep,
+     "sweep needs at least one value"),
+    (dict(path="strategy.cloudiness", points=(0.5,), progression=None), UnknownParameter,
+     "unknown parameter path 'strategy.cloudiness'; known: "
+     + ", ".join(sorted(OVERRIDE_PATHS))),
+])
+def test_sweep_spec_checks(kwargs, error, message):
+    _both_ways(SweepSpec, kwargs, error, message)
+
+
+def test_checks_keep_the_declared_defaults():
+    assert EvModel("x") == EvModel(name="x", power=None, max_speed=None, range_mi=None)
+    spec = SweepSpec("strategy.renewable_share", (0.5,))
+    assert spec.progression is None and type(spec) is SweepSpec
+
+
+def test_negative_zero_is_normalised():
+    for q in (Quantity(-0.0, Dimension.ENERGY),
+              Quantity(magnitude=-0.0, dimension=Dimension.MASS)):
+        assert math.copysign(1.0, q.magnitude) == 1.0
+
+
+def test_field_section_and_key_come_from_the_path():
+    for f in FIELDS:
+        section, _, key = f.path.partition(".")
+        assert (f.section, f.key) == (section, key)
+
+
+@pytest.mark.parametrize("name", ["paper-2005", "paper-2001"])
+def test_apply_override_keeps_the_record_types(name):
+    s = load_builtin_scenario(name)
+    basis = type(s.fleet_basis)
+    assert basis in (SharesBasis, GallonsBasis)
+    for path, field in OVERRIDE_PATHS.items():
+        if field.owner in (SharesBasis, GallonsBasis) and field.owner is not basis:
+            continue
+        out = apply_override(s, path, quantity(1, "TWh") if field.dim is Dimension.ENERGY
+                             else 1.0 if field.dim is None
+                             else Quantity(0.5, field.dim))
+        assert type(out) is Scenario, path
+        assert type(out.fleet_basis) is basis, path

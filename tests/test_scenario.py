@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import pytest
@@ -352,8 +351,8 @@ class TestRoundTrip:
     def test_round_trip_equality_is_fieldwise(self):
         s = load_builtin_scenario("paper-2005")
         s2 = parse_scenario(render_scenario(s))
-        for field in dataclasses.fields(Scenario):
-            assert getattr(s, field.name) == getattr(s2, field.name), field.name
+        for name in Scenario._fields:
+            assert getattr(s, name) == getattr(s2, name), name
 
 
 class TestScnFormatDetails:
