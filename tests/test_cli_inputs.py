@@ -106,8 +106,11 @@ def test_flags_and_sweep_section_follow_one_rule(capsys, tmp_path, flags, sectio
     assert err.splitlines()[-1] == flag_line.replace("evdemand: ", "evdemand: [sweep] ")
 
 
-def test_a_bad_sweep_value_in_a_file_is_one_problem(capsys, tmp_path):
-    # no flag list is empty without a bad item in a file, which reports that item only
+@pytest.mark.parametrize("values, bad", [('"x"', ['"x"']), ('y, "x"', ["y", '"x"']),
+                                         ("0.5, y", ["y"])])
+def test_a_bad_sweep_value_in_a_file_is_one_problem(capsys, tmp_path, values, bad):
+    # the flags give an empty list with "--values ,"; a file gives one only
+    # through bad items, and each of those is reported once, alone
     code, out, err = _run(capsys, "sweep", "paper-2005",
                           "--path", "strategy.renewable_share", "--values", ",")
     assert code == 2
@@ -115,20 +118,8 @@ def test_a_bad_sweep_value_in_a_file_is_one_problem(capsys, tmp_path):
     [flag_line] = err.splitlines()
     path = tmp_path / "sweep.scn"
     path.write_text("[meta]\ndataset = us2005\n[sweep]\npath = strategy.renewable_share\n"
-                    'values = "x"\n', encoding="utf-8")
-    code, out, err = _run(capsys, "sweep", str(path))
-    assert code == 1
-    assert out == ""
-    [line] = err.splitlines()
-    assert "sweep value" in line and repr('"x"') in line
-
-
-@pytest.mark.parametrize("values, bad", [('y, "x"', ["y", '"x"']), ("0.5, y", ["y"])])
-def test_each_bad_sweep_value_in_a_file_is_one_problem(capsys, tmp_path, values, bad):
-    path = tmp_path / "sweep.scn"
-    path.write_text("[meta]\ndataset = us2005\n[sweep]\npath = strategy.renewable_share\n"
                     f"values = {values}\n", encoding="utf-8")
-    code, out, err = _run(capsys, "validate", str(path))
+    code, out, err = _run(capsys, "sweep", str(path))
     assert code == 1
     assert out == ""
     lines = err.splitlines()
