@@ -32,13 +32,14 @@ from .scenario import (
     Scenario,
     SweepSpec,
     assess,
+    iter_sweep,
     load_builtin_scenario,
     load_scenario,
     parse_scenario,
     render_scenario,
     sweep,
 )
-from .report import render, render_comparisons, render_sweep, reproduce
+from .report import render, render_comparisons, render_sweep, reproduce, write_sweep
 
 __version__ = "0.1.0"
 
@@ -70,9 +71,11 @@ __all__ = [
     "load_builtin_scenario",
     "render_scenario",
     "assess",
+    "iter_sweep",
     "sweep",
     "render",
     "render_sweep",
+    "write_sweep",
     "render_comparisons",
     "reproduce",
     "__version__",

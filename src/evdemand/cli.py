@@ -10,23 +10,24 @@ the command line alone.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
 
 from .errors import EvDemandError, InvalidRenderOption, UnknownScenario, ValidationError
 from .quantities import check_sig_digits
-from .report import FORMATS, TARGET_IDS, render, render_comparisons, render_sweep, reproduce
+from .report import FORMATS, TARGET_IDS, render, render_comparisons, reproduce, write_sweep
 from .refdata import builtin_dataset, dataset_ids
 from .scenario import (
     BUILTIN_SCENARIOS,
     Scenario,
     SweepSpec,
     assess,
+    iter_sweep,
     load_builtin_scenario,
     load_scenario,
     render_dataset,
-    sweep,
 )
 
 __all__ = ["main", "entry"]
@@ -123,9 +124,16 @@ def _sweep_spec_from_args(args: argparse.Namespace, scenario: Scenario) -> Sweep
 def _cmd_sweep(args: argparse.Namespace) -> int:
     scenario = _load_scenario_arg(args.scenario)
     spec = _sweep_spec_from_args(args, scenario)
-    points = sweep(scenario, spec)
-    sys.stdout.write(render_sweep(spec.path, points, args.format))
-    if points and all(p.assessment is None for p in points):
+    all_failed = True  # a spec has at least one point
+
+    def points():
+        nonlocal all_failed
+        for p in iter_sweep(scenario, spec):
+            all_failed = all_failed and p.assessment is None
+            yield p
+
+    write_sweep(sys.stdout, spec.path, points(), args.format)
+    if all_failed:
         _err("every sweep point failed")
         return 1
     return 0
@@ -209,7 +217,9 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command; the one place a failure becomes an exit code."""
     try:
         args = _build_parser().parse_args(argv)  # usage errors exit 2 here
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
     except SystemExit as exc:
         return int(exc.code or 0)
     except _UsageError as exc:
@@ -221,6 +231,14 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except EvDemandError as exc:
         _err(str(exc))
+        return 1
+    except BrokenPipeError as exc:
+        # the reader closed stdout; what is still buffered goes to devnull, so
+        # that the flush at exit does not fail again
+        _err(f"cannot write output: {exc}")
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, TextIO
 
 from . import engine
 from .errors import InvalidRenderOption, UnknownTarget
@@ -34,6 +34,7 @@ __all__ = [
     "TARGET_IDS",
     "render",
     "render_sweep",
+    "write_sweep",
     "render_comparisons",
     "reproduce",
 ]
@@ -188,24 +189,46 @@ def _sweep_row(i: int, p: SweepPoint) -> list:
             p.error or ""]
 
 
-def render_sweep(path: str, points: list[SweepPoint], fmt: str = "text") -> str:
-    """Render sweep results; points keep their evaluation order."""
-    table = [_sweep_row(i, p) for i, p in enumerate(points)]
+# A point's body as ``json.dumps(..., indent=2)`` writes it at depth 2, less
+# its braces. A point is a flat object of scalars, so the C encoder, which
+# ``indent`` would rule out, writes the same bytes.
+_POINT_JSON = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
+
+
+def write_sweep(out: TextIO, path: str, points: Iterable[SweepPoint],
+                fmt: str = "text") -> None:
+    """Write sweep results to ``out`` in evaluation order. csv and json write
+    each row as its point arrives; text keeps the formatted cells until the
+    end, since its column widths need every row."""
+    if fmt not in FORMATS:
+        raise _unknown_format(fmt)
+    rows = (_sweep_row(i, p) for i, p in enumerate(points))
     if fmt == "csv":
-        return _csv(_SWEEP_HEADER, table)
-    if fmt == "json":
-        # the swept value is a float in JSON even when it was given as an int
-        payload = [{**dict(zip(_SWEEP_HEADER, row)), "value": float(row[1])}
-                   for row in table]
-        return json.dumps({"path": path, "points": payload},
-                          indent=2, sort_keys=True) + "\n"
-    if fmt == "text":
-        cells = [[c if isinstance(c, str) else repr(c) for c in row] for row in table]
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(_SWEEP_HEADER)
+        writer.writerows(rows)
+    elif fmt == "json":
+        out.write(f'{{\n  "path": {json.dumps(path)},\n  "points": [')
+        sep, tail = "\n", "]\n}\n"  # no points: "[]"
+        for row in rows:
+            row[1] = float(row[1])  # the swept value is a float even when given as an int
+            body = _POINT_JSON.encode(dict(zip(_SWEEP_HEADER, row)))[1:-1]
+            out.write(f"{sep}    {{\n      {body}\n    }}")
+            sep, tail = ",\n", "\n  ]\n}\n"
+        out.write(tail)
+    else:
+        cells = [[c if isinstance(c, str) else repr(c) for c in row] for row in rows]
         widths = [max(map(len, column)) for column in zip(_SWEEP_HEADER, *cells)]
-        lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-                 for row in (_SWEEP_HEADER, *cells)]
-        return "\n".join([f"sweep over {path}", "", *lines, ""])
-    raise _unknown_format(fmt)
+        out.write(f"sweep over {path}\n\n")
+        out.writelines("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() + "\n"
+                       for row in (_SWEEP_HEADER, *cells))
+
+
+def render_sweep(path: str, points: list[SweepPoint], fmt: str = "text") -> str:
+    """Render sweep results as one string, the text ``write_sweep`` writes."""
+    buf = io.StringIO()
+    write_sweep(buf, path, points, fmt)
+    return buf.getvalue()
 
 
 # --- reproduction targets -----------------------------------------------------

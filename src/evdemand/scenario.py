@@ -40,7 +40,7 @@ import math
 from operator import attrgetter
 from pathlib import Path
 from types import MappingProxyType
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from . import engine
 from .engine import (
@@ -100,6 +100,7 @@ __all__ = [
     "load_scenario",
     "parse_scenario",
     "assess",
+    "iter_sweep",
     "sweep",
     "apply_override",
     "render_scenario",
@@ -878,16 +879,20 @@ def apply_override(s: Scenario, path: str, value: float | Quantity) -> Scenario:
     return s._replace(fleet_basis=s.fleet_basis._replace(**{field.attr: coerced}))
 
 
-def sweep(s: Scenario, spec: SweepSpec) -> list[SweepPoint]:
-    """Evaluate ``s`` at every sweep point, recording per-point failures inline."""
-    points: list[SweepPoint] = []
+def iter_sweep(s: Scenario, spec: SweepSpec) -> Iterator[SweepPoint]:
+    """Evaluate ``s`` at each sweep point in order, yielding each point as it
+    is evaluated; a point that fails carries its error inline."""
     for value in spec.points:
         try:
-            overridden = apply_override(s, spec.path, value)
-            points.append(SweepPoint(value=value, assessment=assess(overridden)))
+            point = SweepPoint(value, assess(apply_override(s, spec.path, value)))
         except EvDemandError as exc:
-            points.append(SweepPoint(value=value, assessment=None, error=str(exc)))
-    return points
+            point = SweepPoint(value, None, str(exc))
+        yield point
+
+
+def sweep(s: Scenario, spec: SweepSpec) -> list[SweepPoint]:
+    """Every point of ``iter_sweep``, in evaluation order."""
+    return list(iter_sweep(s, spec))
 
 
 # --- rendering ---------------------------------------------------------------

@@ -69,6 +69,8 @@ class Document(NamedTuple):
 
 
 def _strip_comment(line: str) -> str:
+    if '"' not in line:
+        return line.partition("#")[0]
     in_string = False
     for i, ch in enumerate(line):
         if ch == '"':
@@ -95,9 +97,10 @@ def _parse_value(text: str, line_no: int, column: int) -> RawValue:
             raise ParseError(f"unterminated or malformed string {text!r}",
                              line=line_no, column=column)
         return RawValue("string", text, text[1:-1], line_no, column)
-    if NUMBER_RE.fullmatch(text):
+    number = NUMBER_RE.match(text)
+    if number and number.end() == len(text):
         return RawValue("number", text, float(text), line_no, column)
-    if NUMBER_RE.match(text):
+    if number:
         try:
             q = parse_quantity(text)
         except EvDemandError as exc:
@@ -119,6 +122,7 @@ def parse_document(text: str) -> Document:
     """
     sections: list[tuple[str, int, list[Entry]]] = []
     seen_sections: set[str] = set()
+    seen_keys: set[str] = set()  # of the section now open
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw_line).strip()
         if not line:
@@ -129,6 +133,7 @@ def parse_document(text: str) -> Document:
             if name in seen_sections:
                 raise ParseError(f"duplicate section [{name}]", line=line_no, column=1)
             seen_sections.add(name)
+            seen_keys = set()
             sections.append((name, line_no, []))
             continue
         if "=" not in line:
@@ -147,9 +152,10 @@ def parse_document(text: str) -> Document:
         column = raw_line.find(value_text) + 1
         value = _parse_value(value_text, line_no, column)
         name, sec_line, entries = sections[-1]
-        if any(e.key == key for e in entries):
+        if key in seen_keys:
             raise ParseError(f"duplicate key {key!r} in section [{name}]",
                              line=line_no, column=1)
+        seen_keys.add(key)
         entries.append(Entry(key=key, value=value, line=line_no))
     if not sections:
         raise ParseError("no sections found", line=1, column=1)
