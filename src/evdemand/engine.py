@@ -2,7 +2,7 @@
 arithmetic behind a full gasoline-to-EV conversion scenario.
 
 Every operation is a pure function over immutable quantities. Division by
-zero is always a typed error, never an infinity.
+zero and a ratio that overflows are always typed errors, never an infinity.
 
 Two published accounting conventions are reproduced deliberately rather
 than silently corrected:
@@ -21,11 +21,13 @@ than silently corrected:
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from .errors import (
     BelowMinimum,
     DimensionMismatch,
+    NonFiniteMagnitude,
     ZeroBaseline,
     ZeroCapacity,
     ZeroFleetEnergy,
@@ -78,6 +80,12 @@ def _expect(q: Quantity, dim: Dimension, what: str) -> float:
     if q.dimension is not dim:
         raise DimensionMismatch(f"{what} must be {dim.value}, got {q.dimension.value}")
     return q.canonical
+
+
+def _finite(ratio: float, what: str) -> float:
+    if not math.isfinite(ratio):
+        raise NonFiniteMagnitude(f"{what} {ratio!r} is not finite")
+    return ratio
 
 
 class SharesBasis(NamedTuple):
@@ -242,7 +250,7 @@ def sustainable_conversion_fraction(baseline_generation: Quantity,
     fleet_wh = _expect(fleet, Dimension.ENERGY, "fleet energy")
     if fleet_wh == 0.0:
         raise ZeroFleetEnergy("fleet energy must be positive")
-    return (baseline_wh * share) / fleet_wh
+    return _finite(baseline_wh * share / fleet_wh, "sustainable conversion fraction")
 
 
 def capacity_deficit(fleet: Quantity, battery_energy: Quantity,
@@ -258,6 +266,6 @@ def capacity_deficit(fleet: Quantity, battery_energy: Quantity,
         raise ZeroBaseline("baseline generation must be positive")
     total = fleet_wh + battery_wh
     return CapacityDeficit(
-        ratio_to_baseline=total / baseline_wh,
+        ratio_to_baseline=_finite(total / baseline_wh, "total vs baseline ratio"),
         deficit=Quantity(max(0.0, total - baseline_wh), Dimension.ENERGY),
     )

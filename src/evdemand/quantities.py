@@ -169,10 +169,8 @@ class Quantity(_QuantityFields):
             raise FractionOutOfRange(f"fraction {m!r} exceeds 1")
         return tuple.__new__(cls, (m, dimension))
 
-    @property
-    def canonical(self) -> float:
-        """The magnitude; it is always in the dimension's canonical unit."""
-        return self.magnitude
+    # the magnitude (always canonical) through the field's own read-only descriptor
+    canonical = _QuantityFields.magnitude
 
     def in_unit(self, unit: str) -> float:
         """Magnitude expressed in ``unit`` (must share the dimension)."""

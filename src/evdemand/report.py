@@ -19,11 +19,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import operator
 from typing import Callable, Iterable, NamedTuple, TextIO
 
 from . import engine
-from .errors import InvalidRenderOption, UnknownTarget
-from .quantities import Quantity, check_sig_digits
+from .errors import DimensionMismatch, InvalidRenderOption, UnknownTarget
+from .quantities import CATALOG, Dimension, Quantity, check_sig_digits
 from .quantities import _format_sig as _sig  # shared deterministic digit renderer
 from .refdata import builtin_chemistry, builtin_ev_catalog, catalog_stats, source_group_energy
 from .scenario import Assessment, SweepPoint, assess, load_builtin_scenario, scenario_echo
@@ -60,17 +61,22 @@ _SUFFIX = {"1e9": "e9", "1e12 gal": "e12 gal", "frac": "", "ratio": ""}
 # any unit not named) and a comparison cell's; the fewest that keep every
 # published figure distinguishable
 _DIGITS = {"1e9": 4, "frac": 3, "other": 5, "compare": 6}
-# report pseudo-units outside the unit table: the canonical magnitude over a scale
-_PSEUDO_SCALE = {"1e9": 1e9, "1e12 gal": 1e12}
+# report unit -> (dimension, divisor of the canonical magnitude, as in_unit divides):
+# every unit of the unit table that is not inverse, and the pseudo-units 1e9 and 1e12 gal
+_REPORT_UNITS: dict[str, tuple[Dimension, float]] = {
+    **{u.name: (u.dimension, u.scale) for u in CATALOG.units.values() if not u.inverse},
+    "1e9": (Dimension.COUNT, 1e9), "1e12 gal": (Dimension.VOLUME, 1e12)}
 
 
 def _scaled(value: Quantity | float, unit: str) -> float:
     """``value`` in report unit ``unit``; a bare float is already in it."""
     if not isinstance(value, Quantity):
         return value
-    if unit in _PSEUDO_SCALE:
-        return value.canonical / _PSEUDO_SCALE[unit]
-    return value.in_unit(unit)
+    dimension, divisor = _REPORT_UNITS[unit]
+    if value.dimension is not dimension:
+        raise DimensionMismatch(
+            f"unit {unit!r} is {dimension.value}, quantity is {value.dimension.value}")
+    return value.magnitude / divisor
 
 
 class _Row(NamedTuple):
@@ -165,27 +171,29 @@ def render(a: Assessment, fmt: str = "text", digits: int | None = None) -> str:
 
 # --- sweeps -----------------------------------------------------------------
 
-# sweep column -> (value on an assessment, report unit)
-_SWEEP_COLUMNS: dict[str, tuple[Callable[[Assessment], Quantity | float], str]] = {
-    "fleet_energy_twh": (lambda a: a.fleet_energy, "TWh"),
-    "per_ev_energy_kwh": (lambda a: a.per_ev_energy, "kWh"),
-    "battery_count_e9": (lambda a: a.totals_demand.battery_count, "1e9"),
-    "battery_energy_twh": (lambda a: a.battery_energy_for_totals, "TWh"),
-    "total_additional_twh": (lambda a: a.total_additional_energy, "TWh"),
-    "additional_co2_mt": (lambda a: a.additional_co2, "Mt"),
-    "conversion_fraction": (lambda a: a.conversion_fraction, "frac"),
-    "total_vs_baseline_ratio": (lambda a: a.deficit.ratio_to_baseline, "ratio"),
-    "capacity_deficit_twh": (lambda a: a.deficit.deficit, "TWh"),
+# sweep column -> (attribute path on an assessment, report unit)
+_SWEEP_COLUMNS = {
+    "fleet_energy_twh": ("fleet_energy", "TWh"),
+    "per_ev_energy_kwh": ("per_ev_energy", "kWh"),
+    "battery_count_e9": ("totals_demand.battery_count", "1e9"),
+    "battery_energy_twh": ("battery_energy_for_totals", "TWh"),
+    "total_additional_twh": ("total_additional_energy", "TWh"),
+    "additional_co2_mt": ("additional_co2", "Mt"),
+    "conversion_fraction": ("conversion_fraction", "frac"),
+    "total_vs_baseline_ratio": ("deficit.ratio_to_baseline", "ratio"),
+    "capacity_deficit_twh": ("deficit.deficit", "TWh"),
 }
 _SWEEP_HEADER = ("index", "value", *_SWEEP_COLUMNS, "error")
+_SWEEP_VALUES = operator.attrgetter(*(path for path, _ in _SWEEP_COLUMNS.values()))
+_SWEEP_UNITS = tuple(unit for _, unit in _SWEEP_COLUMNS.values())
+_FAILED_VALUES = ("",) * len(_SWEEP_COLUMNS)
 
 
 def _sweep_row(i: int, p: SweepPoint) -> list:
     """Index, swept value, one number per column ("" for a failed point), error."""
     a = p.assessment
     return [i, p.value.canonical if isinstance(p.value, Quantity) else p.value,
-            *("" if a is None else _scaled(get(a), unit)
-              for get, unit in _SWEEP_COLUMNS.values()),
+            *(_FAILED_VALUES if a is None else map(_scaled, _SWEEP_VALUES(a), _SWEEP_UNITS)),
             p.error or ""]
 
 

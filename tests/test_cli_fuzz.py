@@ -21,7 +21,7 @@ FIXTURES.append(INLINE.read_text(encoding="utf-8"))
 # The bare numbers here and in the progressions give a sweep at most 100
 # points, or a span that overflows to infinity: far beyond the cap, and never
 # a sweep too long to build or evaluate, even without the cap.
-VALUES = ["0", "1", "1.5", "-1", "inf", "nan", "1e400", "1e-320", "50 %",
+VALUES = ["0", "1", "1.5", "-1", "inf", "nan", "1e400", "1e-320", "1e-300 Wh", "50 %",
           "150 %", "4055 TWh", "12 furlong", '"x"', "paper", "both", "0.1, 2, nan", "",
           "[", '"unterminated']
 # an unknown path, and a path of each fleet basis: the other basis for some fixtures

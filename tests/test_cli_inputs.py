@@ -1,11 +1,15 @@
 """Unreadable or invalid CLI inputs end in exit 1 or 2 with diagnostics,
 never a traceback, and ``run`` and ``sweep`` report them alike."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from evdemand.cli import main
 from evdemand.scenario import FIELDS, OVERRIDE_PATHS, builtin_scenario_text
 
+DATA = Path(__file__).parent / "data"
 SWEEP_FLAGS = ["--path", "strategy.renewable_share", "--values", "0.1,0.2"]
 
 TWO_PROBLEMS = """
@@ -189,3 +193,36 @@ def test_usage_error_is_one_line(capsys, argv):
     assert out == ""
     [line] = err.splitlines()
     assert line.startswith("evdemand") and ": error: " in line
+
+
+def _reject_constant(name):
+    raise ValueError(f"not JSON: {name}")
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_an_overflowing_baseline_ratio_is_one_line(capsys, tmp_path, fmt):
+    text = builtin_scenario_text("paper-2005").replace(
+        "baseline_generation = 4055 TWh", "baseline_generation = 1e-300 Wh")
+    path = tmp_path / "tiny-baseline.scn"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = _run(capsys, "run", str(path), "--format", fmt)
+    assert (code, out) == (1, "")
+    [line] = err.splitlines()
+    assert line == "evdemand: total vs baseline ratio inf is not finite"
+
+
+def test_an_overflowing_conversion_fraction_fails_its_sweep_point(capsys):
+    code, out, err = _run(capsys, "sweep", "paper-2005", "--path", "fleet.total_energy",
+                          "--values", "1e-300,29000", "--format", "csv")
+    assert (code, err) == (0, "")
+    tiny, ok = out.splitlines()[1:]
+    assert tiny == "0,1e-300" + "," * 9 + ",sustainable conversion fraction inf is not finite"
+    assert ok.startswith("1,29000.0,") and ok.endswith(",")
+
+
+@pytest.mark.parametrize("scenario", [
+    "paper-2005", "paper-2001", *(str(p) for p in sorted(DATA.glob("*.scn")))])
+def test_run_json_is_strict_json(capsys, scenario):
+    code, out, _ = _run(capsys, "run", scenario, "--format", "json")
+    assert code == 0
+    assert json.loads(out, parse_constant=_reject_constant)["values"]

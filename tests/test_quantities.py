@@ -153,6 +153,12 @@ class TestQuantityInvariants:
         assert q.canonical == q.magnitude == 25000.0
         assert str(q) == "25000.0 Wh"
 
+    def test_canonical_is_the_magnitude_field(self):
+        assert Quantity.__dict__["canonical"] is Quantity.__mro__[1].__dict__["magnitude"]
+        q = quantity(25, "kWh")
+        with pytest.raises(AttributeError):
+            q.canonical = 1.0  # type: ignore[misc]
+        assert q.canonical == 25000.0
 
 class TestFormat:
     def test_fleet_energy_five_digits(self):
@@ -197,6 +203,12 @@ def _unit_and_magnitude(draw):
 
 
 class TestProperties:
+    @given(_unit_and_magnitude())
+    def test_canonical_is_the_same_float(self, unit_value):
+        unit, value = unit_value
+        q = quantity(value, unit)
+        assert q.canonical is q.magnitude
+
     @given(_unit_and_magnitude())
     def test_convert_round_trip(self, unit_value):
         unit, value = unit_value

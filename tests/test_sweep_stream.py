@@ -1,11 +1,14 @@
 """Streaming sweeps: ``iter_sweep`` yields points as they are evaluated,
 ``write_sweep`` writes csv and json rows as they arrive with the bytes
 ``json.dumps(..., indent=2)`` gives, memory stays flat as the point count
-grows, and the CLI survives a reader that closes stdout early."""
+grows, and the CLI survives a reader that closes stdout early. A sweep row's
+cells, read through the report-unit table, equal the ones ``in_unit`` gives,
+and the table keeps every dimension check."""
 
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -15,13 +18,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evdemand import report
 from evdemand.cli import main
-from evdemand.errors import InvalidRenderOption
-from evdemand.quantities import quantity
-from evdemand.report import _SWEEP_HEADER, _sweep_row, render_sweep, write_sweep
+from evdemand.errors import DimensionMismatch, InvalidRenderOption
+from evdemand.quantities import Dimension, Quantity, quantity
+from evdemand.report import (
+    _REPORT_UNITS,
+    _SWEEP_HEADER,
+    _SWEEP_UNITS,
+    _scaled,
+    _sweep_row,
+    render_sweep,
+    write_sweep,
+)
 from evdemand.scenario import (
     MAX_SWEEP_POINTS,
     OVERRIDE_PATHS,
+    Convention,
+    Method,
     SweepPoint,
     SweepSpec,
     assess,
@@ -152,3 +166,73 @@ def test_reader_closing_stdout_early_ends_without_traceback():
     assert proc.wait(timeout=60) in (0, 1, 2)
     assert "Traceback" not in err
     assert len(err.splitlines()) <= 1
+
+
+# --- the report-unit table ----------------------------------------------------
+
+# each sweep column built per cell the long way, through in_unit or the pseudo-unit scale
+REFERENCE_COLUMNS = {
+    "fleet_energy_twh": lambda a: a.fleet_energy.in_unit("TWh"),
+    "per_ev_energy_kwh": lambda a: a.per_ev_energy.in_unit("kWh"),
+    "battery_count_e9": lambda a: a.totals_demand.battery_count.canonical / 1e9,
+    "battery_energy_twh": lambda a: a.battery_energy_for_totals.in_unit("TWh"),
+    "total_additional_twh": lambda a: a.total_additional_energy.in_unit("TWh"),
+    "additional_co2_mt": lambda a: a.additional_co2.in_unit("Mt"),
+    "conversion_fraction": lambda a: a.conversion_fraction,
+    "total_vs_baseline_ratio": lambda a: a.deficit.ratio_to_baseline,
+    "capacity_deficit_twh": lambda a: a.deficit.deficit.in_unit("TWh"),
+}
+PSEUDO_SCALES = {"1e9": 1e9, "1e12 gal": 1e12}
+VARIANTS = [assess(load_builtin_scenario(name)._replace(method=method, convention=convention))
+            for name in ("paper-2005", "paper-2001")
+            for method in Method for convention in Convention]
+
+
+def _reference(q, unit):
+    return q.canonical / PSEUDO_SCALES[unit] if unit in PSEUDO_SCALES else q.in_unit(unit)
+
+
+@pytest.mark.parametrize("a", VARIANTS, ids=lambda a: (
+    f"{a.scenario.name}-{a.scenario.method.value}-{a.scenario.convention.value}"))
+def test_sweep_row_matches_a_per_cell_reference(a):
+    assert tuple(REFERENCE_COLUMNS) == _SWEEP_HEADER[2:-1]
+    row = _sweep_row(7, SweepPoint(0.25, a))
+    expected = [7, 0.25, *(get(a) for get in REFERENCE_COLUMNS.values()), ""]
+    assert repr(row) == repr(expected)
+
+
+@given(unit=st.sampled_from(sorted(_REPORT_UNITS)), fraction=st.floats(0, 1))
+def test_scaled_divides_as_in_unit_does(unit, fraction):
+    dimension = _REPORT_UNITS[unit][0]
+    q = Quantity(fraction if dimension is Dimension.FRACTION else fraction * 1e18, dimension)
+    assert repr(_scaled(q, unit)) == repr(_reference(q, unit))
+
+
+def test_every_report_unit_of_a_quantity_is_in_the_table(monkeypatch):
+    seen = set()
+
+    def recording(value, unit):
+        seen.add((isinstance(value, Quantity), unit))
+        return _scaled(value, unit)
+
+    monkeypatch.setattr(report, "_scaled", recording)
+    for a in VARIANTS:
+        report.render(a, "csv")
+        _sweep_row(0, SweepPoint(0.25, a))
+    report.reproduce()
+    assert {unit for is_quantity, unit in seen if is_quantity} <= set(_REPORT_UNITS)
+    assert {unit for _, unit in seen} - set(_REPORT_UNITS) == {"ratio"}
+    assert set(_SWEEP_UNITS) <= {unit for _, unit in seen}
+    assert {"1e9", "1e12 gal"} <= {unit for is_quantity, unit in seen if is_quantity}
+
+
+@pytest.mark.parametrize("unit", sorted(_REPORT_UNITS))
+def test_scaled_rejects_a_quantity_of_another_dimension(unit):
+    dimension = _REPORT_UNITS[unit][0]
+    other = next(d for d in Dimension if d is not dimension)
+    with pytest.raises(DimensionMismatch) as exc:
+        _scaled(Quantity(0.5, other), unit)
+    assert str(exc.value) == f"unit {unit!r} is {dimension.value}, quantity is {other.value}"
+    if unit not in PSEUDO_SCALES:  # the message in_unit gives
+        with pytest.raises(DimensionMismatch, match=f"^{re.escape(str(exc.value))}$"):
+            Quantity(0.5, other).in_unit(unit)
