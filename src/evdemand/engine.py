@@ -2,7 +2,9 @@
 arithmetic behind a full gasoline-to-EV conversion scenario.
 
 Every operation is a pure function over immutable quantities. Division by
-zero and a ratio that overflows are always typed errors, never an infinity.
+zero is a typed error, and a result that overflows raises
+:class:`~evdemand.errors.NonFiniteMagnitude` naming that result, never an
+infinity.
 
 Two published accounting conventions are reproduced deliberately rather
 than silently corrected:
@@ -35,7 +37,7 @@ from .errors import (
     ZeroPerEvEnergy,
     ZeroSpeed,
 )
-from .quantities import Dimension, Quantity, quantity
+from .quantities import CATALOG, Dimension, Quantity
 from .refdata import BatteryChemistry
 
 __all__ = [
@@ -47,8 +49,6 @@ __all__ = [
     "PUBLISHED_MWH_PER_TWH",
     "PRODUCTION_TABLE_NOTE",
     "WATER_CONVENTION_NOTE",
-    "fleet_energy_from_shares",
-    "fleet_energy_from_gallons",
     "fleet_energy",
     "per_ev_energy",
     "battery_demand_method_a",
@@ -76,16 +76,23 @@ WATER_CONVENTION_NOTE = (
     "so volumes exceed strict unit algebra by 10^3"
 )
 
+# fixed scales of the published per-TWh and Mt figures
+_WH_PER_TWH = CATALOG.lookup("TWh").scale
+_T_PER_MT = CATALOG.lookup("Mt").scale
+
+
 def _expect(q: Quantity, dim: Dimension, what: str) -> float:
     if q.dimension is not dim:
         raise DimensionMismatch(f"{what} must be {dim.value}, got {q.dimension.value}")
     return q.canonical
 
 
-def _finite(ratio: float, what: str) -> float:
-    if not math.isfinite(ratio):
-        raise NonFiniteMagnitude(f"{what} {ratio!r} is not finite")
-    return ratio
+def _result(value: float, output: str, dim: Dimension | None = None) -> Quantity | float:
+    """The result ``output`` as a ``dim`` quantity, or as a bare ratio when
+    ``dim`` is None; an overflow raises, naming the output."""
+    if not math.isfinite(value):
+        raise NonFiniteMagnitude(f"{output} {value!r} is not finite")
+    return value if dim is None else Quantity(value, dim)
 
 
 class SharesBasis(NamedTuple):
@@ -123,26 +130,18 @@ class CapacityDeficit(NamedTuple):
     deficit: Quantity
 
 
-def fleet_energy_from_shares(basis: SharesBasis) -> Quantity:
-    """Fleet energy as total consumption x transport share x fuel share."""
-    total = _expect(basis.total_energy, Dimension.ENERGY, "total energy")
-    transport = _expect(basis.transport_share, Dimension.FRACTION, "transport share")
-    fuel = _expect(basis.fuel_share, Dimension.FRACTION, "fuel share")
-    return Quantity(total * transport * fuel, Dimension.ENERGY)
-
-
-def fleet_energy_from_gallons(basis: GallonsBasis) -> Quantity:
-    """Fleet energy as gallons x Btu per gallon x Wh per Btu."""
-    gallons = _expect(basis.gallons, Dimension.VOLUME, "gasoline volume")
-    heat = _expect(basis.heat_content, Dimension.HEAT_CONTENT, "heat content")
-    factor = _expect(basis.btu_to_wh, Dimension.BTU_CONVERSION, "Btu conversion")
-    return Quantity(gallons * heat * factor, Dimension.ENERGY)
-
-
 def fleet_energy(basis: SharesBasis | GallonsBasis) -> Quantity:
+    """Fleet energy as total consumption x transport share x fuel share, or
+    as gallons x Btu per gallon x Wh per Btu."""
     if isinstance(basis, SharesBasis):
-        return fleet_energy_from_shares(basis)
-    return fleet_energy_from_gallons(basis)
+        a = _expect(basis.total_energy, Dimension.ENERGY, "total energy")
+        b = _expect(basis.transport_share, Dimension.FRACTION, "transport share")
+        c = _expect(basis.fuel_share, Dimension.FRACTION, "fuel share")
+    else:
+        a = _expect(basis.gallons, Dimension.VOLUME, "gasoline volume")
+        b = _expect(basis.heat_content, Dimension.HEAT_CONTENT, "heat content")
+        c = _expect(basis.btu_to_wh, Dimension.BTU_CONVERSION, "Btu conversion")
+    return _result(a * b * c, "fleet energy", Dimension.ENERGY)
 
 
 def per_ev_energy(power: Quantity, travel_range: Quantity, speed: Quantity) -> Quantity:
@@ -155,11 +154,12 @@ def per_ev_energy(power: Quantity, travel_range: Quantity, speed: Quantity) -> Q
     v = _expect(speed, Dimension.SPEED, "speed")
     if v == 0.0:
         raise ZeroSpeed("reference speed must be positive")
-    return Quantity(p * (r / v), Dimension.ENERGY)
+    return _result(p * (r / v), "per-EV energy", Dimension.ENERGY)
 
 
-def _count(value: float) -> Quantity:
-    return Quantity(value, Dimension.COUNT)
+def _production(battery_count: Quantity, chem: BatteryChemistry) -> Quantity:
+    return _result(battery_count.canonical * chem.manufacture_energy.canonical,
+                   "production energy", Dimension.ENERGY)
 
 
 def battery_demand_method_a(fleet: Quantity, per_ev: Quantity,
@@ -176,15 +176,10 @@ def battery_demand_method_a(fleet: Quantity, per_ev: Quantity,
         raise ZeroPerEvEnergy("per-EV energy must be positive")
     if not batteries_per_ev >= 1:  # written this way round so NaN fails too
         raise BelowMinimum(f"batteries per EV must be >= 1, got {batteries_per_ev!r}")
-    ev_count = fleet_wh / per_ev_wh
-    battery_count = ev_count * batteries_per_ev
-    production = battery_count * chem.manufacture_energy.canonical
-    return BatteryDemand(
-        method="A",
-        ev_count=_count(ev_count),
-        battery_count=_count(battery_count),
-        production_energy=Quantity(production, Dimension.ENERGY),
-    )
+    ev_count = _result(fleet_wh / per_ev_wh, "EV count", Dimension.COUNT)
+    battery_count = _result(ev_count.canonical * batteries_per_ev, "battery count",
+                            Dimension.COUNT)
+    return BatteryDemand("A", battery_count, _production(battery_count, chem), ev_count)
 
 
 def battery_demand_method_b(fleet: Quantity, chem: BatteryChemistry) -> BatteryDemand:
@@ -193,34 +188,31 @@ def battery_demand_method_b(fleet: Quantity, chem: BatteryChemistry) -> BatteryD
     capacity_wh = chem.pack_capacity.canonical
     if capacity_wh == 0.0:
         raise ZeroCapacity("pack capacity must be positive")
-    battery_count = fleet_wh / capacity_wh
-    production = battery_count * chem.manufacture_energy.canonical
-    return BatteryDemand(
-        method="B",
-        battery_count=_count(battery_count),
-        production_energy=Quantity(production, Dimension.ENERGY),
-    )
+    battery_count = _result(fleet_wh / capacity_wh, "battery count", Dimension.COUNT)
+    return BatteryDemand("B", battery_count, _production(battery_count, chem))
 
 
 def printed_style(production_energy: Quantity) -> Quantity:
     """The printed-table figure for a consistent production energy."""
-    return Quantity(production_energy.canonical / PRODUCTION_TABLE_DIVISOR, Dimension.ENERGY)
+    return _result(production_energy.canonical / PRODUCTION_TABLE_DIVISOR,
+                   "published-style production energy", Dimension.ENERGY)
 
 
 def carbon_intensity(total_emissions: Quantity, total_generation: Quantity) -> Quantity:
     """CO2 intensity of generation, in Mt per TWh."""
-    _expect(total_emissions, Dimension.MASS, "emissions")
-    if _expect(total_generation, Dimension.ENERGY, "generation") == 0.0:
+    emissions_t = _expect(total_emissions, Dimension.MASS, "emissions")
+    generation_wh = _expect(total_generation, Dimension.ENERGY, "generation")
+    if generation_wh == 0.0:
         raise ZeroGeneration("total generation must be positive")
-    mt_per_twh = total_emissions.in_unit("Mt") / total_generation.in_unit("TWh")
-    return Quantity(mt_per_twh, Dimension.CARBON_INTENSITY)
+    return _result((emissions_t / _T_PER_MT) / (generation_wh / _WH_PER_TWH),
+                   "carbon intensity", Dimension.CARBON_INTENSITY)
 
 
 def additional_co2(additional_energy: Quantity, intensity: Quantity) -> Quantity:
     """CO2 mass from generating ``additional_energy`` at ``intensity``."""
-    _expect(additional_energy, Dimension.ENERGY, "additional energy")
+    twh = _expect(additional_energy, Dimension.ENERGY, "additional energy") / _WH_PER_TWH
     i = _expect(intensity, Dimension.CARBON_INTENSITY, "carbon intensity")
-    return quantity(additional_energy.in_unit("TWh") * i, "Mt")
+    return _result(twh * i * _T_PER_MT, "additional CO2", Dimension.MASS)
 
 
 def water_use(additional_energy: Quantity, fuel_share: Quantity,
@@ -230,11 +222,11 @@ def water_use(additional_energy: Quantity, fuel_share: Quantity,
     Follows the published accounting convention (``PUBLISHED_MWH_PER_TWH``,
     see module docstring): volume = TWh x 10^9 x share x gal/MWh.
     """
-    _expect(additional_energy, Dimension.ENERGY, "additional energy")
+    twh = _expect(additional_energy, Dimension.ENERGY, "additional energy") / _WH_PER_TWH
     share = _expect(fuel_share, Dimension.FRACTION, "fuel share")
     gal_per_mwh = _expect(intensity, Dimension.WATER_INTENSITY, "water intensity")
-    twh = additional_energy.in_unit("TWh")
-    return Quantity(twh * PUBLISHED_MWH_PER_TWH * share * gal_per_mwh, Dimension.VOLUME)
+    return _result(twh * PUBLISHED_MWH_PER_TWH * share * gal_per_mwh, "freshwater",
+                   Dimension.VOLUME)
 
 
 def sustainable_conversion_fraction(baseline_generation: Quantity,
@@ -250,7 +242,7 @@ def sustainable_conversion_fraction(baseline_generation: Quantity,
     fleet_wh = _expect(fleet, Dimension.ENERGY, "fleet energy")
     if fleet_wh == 0.0:
         raise ZeroFleetEnergy("fleet energy must be positive")
-    return _finite(baseline_wh * share / fleet_wh, "sustainable conversion fraction")
+    return _result(baseline_wh * share / fleet_wh, "sustainable conversion fraction")
 
 
 def capacity_deficit(fleet: Quantity, battery_energy: Quantity,
@@ -266,6 +258,6 @@ def capacity_deficit(fleet: Quantity, battery_energy: Quantity,
         raise ZeroBaseline("baseline generation must be positive")
     total = fleet_wh + battery_wh
     return CapacityDeficit(
-        ratio_to_baseline=_finite(total / baseline_wh, "total vs baseline ratio"),
-        deficit=Quantity(max(0.0, total - baseline_wh), Dimension.ENERGY),
+        ratio_to_baseline=_result(total / baseline_wh, "total vs baseline ratio"),
+        deficit=_result(max(0.0, total - baseline_wh), "capacity deficit", Dimension.ENERGY),
     )

@@ -246,10 +246,6 @@ class Assessment(NamedTuple):
     full_conversion: bool
     deficit: CapacityDeficit
 
-    @property
-    def ev_count(self) -> Quantity | None:
-        return self.demand_a.ev_count if self.demand_a is not None else None
-
 
 class SweepPoint(NamedTuple):
     value: float | Quantity
@@ -806,7 +802,8 @@ def assess(s: Scenario) -> Assessment:
     if s.convention is Convention.PUBLISHED:
         battery_energy = engine.printed_style(battery_energy)
 
-    total = Quantity(fleet.canonical + battery_energy.canonical, Dimension.ENERGY)
+    total = engine._result(fleet.canonical + battery_energy.canonical,
+                           "total additional energy", Dimension.ENERGY)
     intensity = engine.carbon_intensity(s.dataset.co2_total,
                                         s.dataset.mix.total_generation)
     co2 = engine.additional_co2(total, intensity)
@@ -897,19 +894,11 @@ def sweep(s: Scenario, spec: SweepSpec) -> list[SweepPoint]:
 
 # --- rendering ---------------------------------------------------------------
 
+# units written back in preference to the canonical one, when they reparse exactly
 _PRETTY_UNITS: dict[Dimension, tuple[str, ...]] = {
-    Dimension.ENERGY: ("TWh", "kWh", "Wh"),
-    Dimension.POWER: ("kW", "W"),
-    Dimension.SPEED: ("mph",),
-    Dimension.DISTANCE: ("mi",),
-    Dimension.VOLUME: ("gal",),
-    Dimension.MASS: ("Mt", "kg", "t"),
-    Dimension.FRACTION: ("frac",),
-    Dimension.CARBON_INTENSITY: ("Mt/TWh",),
-    Dimension.WATER_INTENSITY: ("gal/MWh",),
-    Dimension.HEAT_CONTENT: ("Btu/gal",),
-    Dimension.BTU_CONVERSION: ("Wh/Btu",),
-    Dimension.ENERGY_DENSITY: ("Wh/kg",),
+    Dimension.ENERGY: ("TWh", "kWh"),
+    Dimension.POWER: ("kW",),
+    Dimension.MASS: ("Mt", "kg"),
 }
 
 
@@ -920,7 +909,7 @@ def _render_quantity_literal(q: Quantity) -> str:
         mantissa = canonical / 1e9
         if float(f"{mantissa!r}e9") == canonical:
             return f"{mantissa!r}e9 gal"
-    for unit in _PRETTY_UNITS[q.dimension]:
+    for unit in _PRETTY_UNITS.get(q.dimension, ()):
         u = CATALOG.lookup(unit)
         value = u.from_canonical(canonical)
         if u.to_canonical(float(repr(value))) == canonical:

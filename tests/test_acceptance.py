@@ -55,7 +55,7 @@ def _rel(computed: float, expected: float) -> float:
 
 
 def test_c01_shares_pipeline():
-    fleet = engine.fleet_energy_from_shares(SharesBasis(
+    fleet = engine.fleet_energy(SharesBasis(
         total_energy=quantity(29000, "TWh"),
         transport_share=Quantity(0.28, F),
         fuel_share=Quantity(0.61, F)))
@@ -66,7 +66,7 @@ def test_c01_shares_pipeline():
 
 def test_c02_gallons_pipeline():
     def fleet(btu):
-        return engine.fleet_energy_from_gallons(GallonsBasis(
+        return engine.fleet_energy(GallonsBasis(
             gallons=quantity(113.1e9, "gal"),
             heat_content=quantity(114000, "Btu/gal"),
             btu_to_wh=Quantity(btu, Dimension.BTU_CONVERSION))).in_unit("TWh")
@@ -209,9 +209,9 @@ def test_c12_property_suites():
     intensity = engine.carbon_intensity(quantity(2480, "Mt"), quantity(4055, "TWh"))
     for k in (0.0, 0.25, 1.0, 3.0, 17.5):
         e1, ek = quantity(100, "TWh"), quantity(k * 100, "TWh")
-        assert engine.fleet_energy_from_shares(
+        assert engine.fleet_energy(
             SharesBasis(ek, Quantity(0.28, F), Quantity(0.61, F))).magnitude == \
-            pytest.approx(k * engine.fleet_energy_from_shares(
+            pytest.approx(k * engine.fleet_energy(
                 SharesBasis(e1, Quantity(0.28, F), Quantity(0.61, F))).magnitude,
                 rel=1e-12, abs=1e-6)
         assert engine.battery_demand_method_b(ek, nimh).battery_count.magnitude == \

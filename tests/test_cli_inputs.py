@@ -170,15 +170,39 @@ def test_validate_and_sweep_agree_on_a_sweep_path(capsys, tmp_path, name, path):
     assert line.startswith("evdemand: [sweep] ")
 
 
-def test_infinite_bare_count_in_a_file_is_one_problem(capsys, tmp_path):
+@pytest.mark.parametrize("body, message", [
+    ("[battery]\nbatteries_per_ev = 1e400\n",
+     "line 4: battery.batteries_per_ev must be finite, got inf"),
+    ("[strategy]\nrenewable_share = 1.5\n", "line 4: renewable_share: fraction 1.5 exceeds 1"),
+    ("[strategy]\nrenewable_share = -0.5\n",
+     "line 4: renewable_share: negative magnitude -0.5 for physical fraction"),
+    ("[battery]\nbatteries_per_ev = 4 kWh\n",
+     "line 4: batteries_per_ev must be a bare number, got '4 kWh'"),
+    ("[fleet]\nbasis = gallons\nbtu_to_wh = approx\n",
+     "line 5: btu_to_wh must be exact, paper, or a Wh/Btu quantity, got 'approx'"),
+    ('[battery]\nchemistry = "nimh"\n',
+     "line 4: chemistry must be an identifier, got '\"nimh\"'"),
+    ("[battery]\nchemistry = nimh\npack_mass = 300 kg\n",
+     "pack fields ['pack_mass'] are only for non-built-in chemistries; 'nimh' is built-in"),
+    ("[sweep]\nvalues = 0.1\n", "[sweep] missing key 'path'"),
+    ('[sweep]\npath = "strategy.renewable_share"\nvalues = 0.1\n',
+     "line 4: path must be an identifier, got '\"strategy.renewable_share\"'"),
+    ("[sweep]\npath = strategy.renewable_share\nfrom = 1 kWh\nto = 0.5\nstep = 0.1\n",
+     "line 5: sweep from must be a bare number, got '1 kWh'"),
+    ("[sweep]\npath = strategy.renewable_share\nvalues = 0.1,,0.2\n",
+     "empty item in value list (line 5, column 14)"),
+    ("[strategy]\n1x = 2\n", "bad key '1x' (line 4, column 1)"),
+    ("[strategy]\nrenewable_share =\n",
+     "missing value for key 'renewable_share' (line 4, column 1)"),
+])
+def test_infinite_bare_count_in_a_file_is_one_problem(capsys, tmp_path, body, message):
     path = tmp_path / "packs.scn"
-    path.write_text("[meta]\ndataset = us2005\n[battery]\nbatteries_per_ev = 1e400\n",
-                    encoding="utf-8")
+    path.write_text("[meta]\ndataset = us2005\n" + body, encoding="utf-8")
     code, out, err = _run(capsys, "validate", str(path))
     assert code == 1
     assert out == ""
     [line] = err.splitlines()
-    assert line == "evdemand: line 4: battery.batteries_per_ev must be finite, got inf"
+    assert line == f"evdemand: {message}"
 
 
 @pytest.mark.parametrize("argv", [["run", "paper-2005", "--sig-digits", "18"],
@@ -211,13 +235,47 @@ def test_an_overflowing_baseline_ratio_is_one_line(capsys, tmp_path, fmt):
     assert line == "evdemand: total vs baseline ratio inf is not finite"
 
 
-def test_an_overflowing_conversion_fraction_fails_its_sweep_point(capsys):
-    code, out, err = _run(capsys, "sweep", "paper-2005", "--path", "fleet.total_energy",
-                          "--values", "1e-300,29000", "--format", "csv")
+@pytest.mark.parametrize("name, path, value, message", [
+    ("paper-2005", "fleet.total_energy", "1e-300",
+     "sustainable conversion fraction inf is not finite"),
+    ("paper-2005", "ev.per_ev_energy", "1e-300", "EV count inf is not finite"),
+    ("paper-2001", "fleet.gallons", "1e+305", "fleet energy inf is not finite"),
+    ("paper-2005", "fleet.total_energy", "1e+308", "production energy inf is not finite"),
+])
+def test_an_overflowing_conversion_fraction_fails_its_sweep_point(capsys, name, path,
+                                                                   value, message):
+    code, out, err = _run(capsys, "sweep", name, "--path", path,
+                          "--values", f"{value},29000", "--format", "csv")
     assert (code, err) == (0, "")
     tiny, ok = out.splitlines()[1:]
-    assert tiny == "0,1e-300" + "," * 9 + ",sustainable conversion fraction inf is not finite"
+    assert tiny == f"0,{value}" + "," * 9 + f",{message}"
     assert ok.startswith("1,29000.0,") and ok.endswith(",")
+
+
+OVERFLOWING_GALLONS = """
+[meta]
+dataset = us2005
+[fleet]
+basis = gallons
+gallons = 1.5e303 gal
+[battery]
+chemistry = custom
+pack_capacity = 25 kWh
+manufacture_energy = 75 kWh
+energy_density = 50 Wh/kg
+pack_mass = 500 kg
+method = B
+convention = consistent
+"""
+
+
+def test_an_overflowing_total_additional_energy_is_one_line(capsys, tmp_path):
+    path = tmp_path / "huge-gallons.scn"
+    path.write_text(OVERFLOWING_GALLONS, encoding="utf-8")
+    code, out, err = _run(capsys, "run", str(path))
+    assert (code, out) == (1, "")
+    [line] = err.splitlines()
+    assert line == "evdemand: total additional energy inf is not finite"
 
 
 @pytest.mark.parametrize("scenario", [

@@ -11,8 +11,7 @@ from evdemand.engine import (
     battery_demand_method_b,
     capacity_deficit,
     carbon_intensity,
-    fleet_energy_from_gallons,
-    fleet_energy_from_shares,
+    fleet_energy,
     per_ev_energy,
     printed_style,
     sustainable_conversion_fraction,
@@ -54,15 +53,15 @@ def _gallons(gal, heat=114000.0, btu=BTU_TO_WH_EXACT):
 
 class TestFleetEnergy:
     def test_published_shares_product(self):
-        fleet = fleet_energy_from_shares(_shares(29000, 0.28, 0.61))
+        fleet = fleet_energy(_shares(29000, 0.28, 0.61))
         assert fleet.in_unit("TWh") == pytest.approx(4953.2, rel=1e-12)
         assert fleet.in_unit("TWh") == pytest.approx(4953, rel=0.0005)
 
     def test_zero_share(self):
-        assert fleet_energy_from_shares(_shares(29000, 0.0, 0.61)).magnitude == 0.0
+        assert fleet_energy(_shares(29000, 0.0, 0.61)).magnitude == 0.0
 
     def test_halves(self):
-        fleet = fleet_energy_from_shares(_shares(1000, 0.5, 0.5))
+        fleet = fleet_energy(_shares(1000, 0.5, 0.5))
         assert fleet.in_unit("TWh") == 250.0
 
     def test_dimension_checked(self):
@@ -70,21 +69,21 @@ class TestFleetEnergy:
                             transport_share=Quantity(0.5, F),
                             fuel_share=Quantity(0.5, F))
         with pytest.raises(DimensionMismatch):
-            fleet_energy_from_shares(basis)
+            fleet_energy(basis)
 
     def test_gallons_with_exact_factor(self):
-        fleet = fleet_energy_from_gallons(_gallons(113.1e9))
+        fleet = fleet_energy(_gallons(113.1e9))
         assert fleet.magnitude == pytest.approx(113.1e9 * 114000 * BTU_TO_WH_EXACT,
                                                 rel=1e-12)
         assert fleet.in_unit("TWh") == pytest.approx(3778, rel=0.001)
 
     def test_gallons_with_published_factor(self):
-        fleet = fleet_energy_from_gallons(_gallons(113.1e9, btu=BTU_TO_WH_PAPER))
+        fleet = fleet_energy(_gallons(113.1e9, btu=BTU_TO_WH_PAPER))
         # documents the constant discrepancy: the rounded factor undershoots
         assert fleet.in_unit("TWh") == pytest.approx(3776.4, rel=0.0005)
 
     def test_zero_gallons(self):
-        assert fleet_energy_from_gallons(_gallons(0.0)).magnitude == 0.0
+        assert fleet_energy(_gallons(0.0)).magnitude == 0.0
 
 
 class TestPerEvEnergy:
@@ -304,8 +303,8 @@ _ENERGIES_TWH = st.floats(min_value=1e-3, max_value=1e5, allow_nan=False,
 class TestProperties:
     @given(_SCALES, _ENERGIES_TWH)
     def test_shares_homogeneous_in_energy(self, k, twh):
-        base = fleet_energy_from_shares(_shares(twh, 0.28, 0.61)).magnitude
-        scaled = fleet_energy_from_shares(_shares(k * twh, 0.28, 0.61)).magnitude
+        base = fleet_energy(_shares(twh, 0.28, 0.61)).magnitude
+        scaled = fleet_energy(_shares(k * twh, 0.28, 0.61)).magnitude
         assert scaled == pytest.approx(k * base, rel=1e-12, abs=1e-300)
 
     @given(_SCALES, _ENERGIES_TWH)
@@ -359,7 +358,7 @@ class TestProperties:
 
     def test_pure_functions_bit_identical(self):
         basis = _shares(29000, 0.28, 0.61)
-        assert fleet_energy_from_shares(basis) == fleet_energy_from_shares(basis)
+        assert fleet_energy(basis) == fleet_energy(basis)
         i1 = carbon_intensity(quantity(2480, "Mt"), quantity(4055, "TWh"))
         i2 = carbon_intensity(quantity(2480, "Mt"), quantity(4055, "TWh"))
         assert i1 == i2

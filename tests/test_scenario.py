@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +16,14 @@ from evdemand.errors import (
     UnknownParameter,
     ValidationError,
 )
-from evdemand.quantities import BTU_TO_WH_EXACT, BTU_TO_WH_PAPER, Dimension, Quantity, quantity
+from evdemand.quantities import (
+    BTU_TO_WH_EXACT,
+    BTU_TO_WH_PAPER,
+    Dimension,
+    Quantity,
+    UnitCatalog,
+    quantity,
+)
 from evdemand.refdata import builtin_dataset
 from evdemand.report import render
 from evdemand.scenario import (
@@ -36,6 +44,8 @@ from evdemand.scenario import (
     render_scenario,
     sweep,
 )
+
+DATA = Path(__file__).parent / "data"
 
 MINIMAL = """
 [meta]
@@ -130,6 +140,9 @@ class TestLoading:
         s = _scn("\n[ev]\nper_ev_energy = 115 kWh\n")
         assert isinstance(s.ev_reference, ExplicitPerEv)
         assert s.ev_reference.per_ev.in_unit("kWh") == 115.0
+        a = assess(s)
+        assert a.per_ev_energy == s.ev_reference.per_ev
+        assert a.demand_a.ev_count.magnitude == a.fleet_energy.canonical / 115e3
 
     def test_power_range_speed(self):
         s = _scn("\n[ev]\npower = 112 kW\nrange = 100 mi\nspeed = 97.5 mph\n")
@@ -231,6 +244,21 @@ class TestAssess:
     def test_referentially_transparent(self):
         s = load_builtin_scenario("paper-2005")
         assert assess(s) == assess(s)
+
+    @pytest.mark.parametrize("name", ["paper-2005", "paper-2001",
+                                      *sorted(p.name for p in DATA.glob("*.scn"))])
+    def test_no_unit_lookup(self, monkeypatch, name):
+        s = load_scenario(DATA / name) if name.endswith(".scn") else load_builtin_scenario(name)
+        lookups = []
+        real = UnitCatalog.lookup
+
+        def counting(catalog, unit):
+            lookups.append(unit)
+            return real(catalog, unit)
+
+        monkeypatch.setattr(UnitCatalog, "lookup", counting)
+        assess(s)
+        assert lookups == []
 
     def test_notes_mark_documented_conventions(self):
         notes = _row_notes(assess(load_builtin_scenario("paper-2005")))
