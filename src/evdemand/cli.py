@@ -7,8 +7,6 @@ no configuration file and no environment input; runs are reproducible from
 the command line alone.
 """
 
-from __future__ import annotations
-
 import argparse
 import os
 import sys
@@ -118,7 +116,7 @@ def _sweep_spec_from_args(args: argparse.Namespace, scenario: Scenario) -> Sweep
         except ValueError:
             raise _UsageError(f"bad --values list: {args.values!r}") from None
     with _argument_errors():
-        return SweepSpec.build(args.path, values, args.from_, args.to, args.step)
+        return SweepSpec(args.path, values, args.from_, args.to, args.step)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

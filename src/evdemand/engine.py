@@ -21,8 +21,6 @@ than silently corrected:
   erratum note wherever the values surface.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 

@@ -5,8 +5,6 @@ from a bug. The pack, catalog, sweep, quoting and render-option checks also
 subclass ``ValueError``, and an unknown packaged scenario ``KeyError``.
 """
 
-from __future__ import annotations
-
 
 class EvDemandError(Exception):
     """Base class for all errors raised by this package."""

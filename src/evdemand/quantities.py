@@ -17,8 +17,6 @@ selectable per scenario. Either is a ``Wh/Btu`` quantity; there is no bare
 Btu unit.
 """
 
-from __future__ import annotations
-
 import math
 import re
 from enum import Enum

@@ -10,8 +10,6 @@ takes the remainder of the fossil total, and hydro and other renewables
 split the non-fossil, non-nuclear residual.
 """
 
-from __future__ import annotations
-
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 

@@ -14,8 +14,6 @@ intensity, so the cell passes by carrying the erratum flag rather than by
 matching.
 """
 
-from __future__ import annotations
-
 import csv
 import io
 import json

@@ -33,8 +33,6 @@ Sections and keys (unknown ones are errors):
 * ``[sweep]``: ``path`` and either ``values`` or ``from``/``to``/``step``
 """
 
-from __future__ import annotations
-
 import enum
 import math
 from operator import attrgetter
@@ -54,7 +52,7 @@ from .errors import (
     EvDemandError,
     InvalidSweep,
     NonFiniteMagnitude,
-    UnknownChemistry,
+    UnknownDataset,
     UnknownParameter,
     UnknownScenario,
     ValidationError,
@@ -153,47 +151,48 @@ MAX_SWEEP_POINTS = 1_000_000
 
 class _SweepSpecFields(NamedTuple):
     path: str
-    points: tuple[float | Quantity, ...]
-    progression: tuple[float, float, float] | None = None
+    values: tuple[float | Quantity, ...] | None = None
+    start: float | None = None
+    stop: float | None = None
+    step: float | None = None
 
 
 class SweepSpec(_SweepSpecFields):
-    """One path of ``OVERRIDE_PATHS`` and the ordered values to evaluate it at;
-    ``progression`` keeps the (from, to, step) a progression was built from."""
+    """One path of ``OVERRIDE_PATHS`` and what was written for it: either
+    ``values``, or all of ``start``, ``stop`` and ``step`` (None where not
+    given). ``points()`` yields the values to evaluate it at, in order."""
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if not self.points:
-            raise InvalidSweep("sweep needs at least one value")
+        bounds = (self.start, self.stop, self.step)
+        if self.values is not None:
+            self = self._replace(values=tuple(self.values))
+            if bounds != (None, None, None):
+                raise InvalidSweep("sweep has both values and from/to/step; pick one")
+            if not self.values:
+                raise InvalidSweep("sweep needs at least one value")
+        elif None in bounds:
+            raise InvalidSweep("sweep needs either values or all of from/to/step")
+        else:
+            self._last()
         _override_field(self.path)
         return self
 
     @classmethod
-    def build(cls, path: str, values: list[float | Quantity] | None,
-              start: float | None, stop: float | None, step: float | None) -> "SweepSpec":
-        """The sweep of either ``values`` or all of ``start``, ``stop`` and
-        ``step`` (None where not given): the one rule a ``[sweep]`` section
-        and the sweep flags share."""
-        bounds = (start, stop, step)
-        if values is not None:
-            if bounds != (None, None, None):
-                raise InvalidSweep("sweep has both values and from/to/step; pick one")
-            return cls.from_values(path, values)
-        if None in bounds:
-            raise InvalidSweep("sweep needs either values or all of from/to/step")
-        return cls.from_progression(path, start, stop, step)
-
-    @classmethod
     def from_values(cls, path: str, values: list[float | Quantity]) -> "SweepSpec":
-        return cls(path=path, points=tuple(values))
+        return cls(path, values)
 
     @classmethod
     def from_progression(cls, path: str, start: float, stop: float,
                          step: float) -> "SweepSpec":
-        """Arithmetic progression via an integer counter (no accumulation drift),
-        of at most ``MAX_SWEEP_POINTS`` points."""
+        return cls(path, None, start, stop, step)
+
+    def _last(self) -> int:
+        """The progression's last counter, once its bounds are checked: finite,
+        reaching ``stop``, and at most ``MAX_SWEEP_POINTS`` points."""
+        start, stop, step = self.start, self.stop, self.step
         if not all(map(math.isfinite, (start, stop, step))):
             raise InvalidSweep(f"sweep from/to/step must be finite, "
                                f"got {start!r}, {stop!r}, {step!r}")
@@ -205,9 +204,14 @@ class SweepSpec(_SweepSpecFields):
         if span + 1e-9 >= MAX_SWEEP_POINTS:  # then n + 1 points exceed the cap
             raise InvalidSweep(f"sweep from {start!r} to {stop!r} by {step!r} has more "
                                f"than {MAX_SWEEP_POINTS} points")
-        n = int(span + 1e-9)
-        return cls(path=path, points=tuple(start + k * step for k in range(n + 1)),
-                   progression=(start, stop, step))
+        return int(span + 1e-9)
+
+    def points(self) -> Iterator[float | Quantity]:
+        """The values in order; a progression is counted out on demand by an
+        integer counter, ``start + k * step``, so no error accumulates."""
+        if self.values is not None:
+            return iter(self.values)
+        return (self.start + k * self.step for k in range(self._last() + 1))
 
 
 class Scenario(NamedTuple):
@@ -287,20 +291,8 @@ def _want_quantity(value: RawValue, dim: Dimension, key: str,
     return None
 
 
-class _FieldSpecFields(NamedTuple):
-    path: str
-    dim: Dimension | None
-    owner: type
-    attr: str
-    default: Callable[[ReferenceDataset], Quantity] | float | Quantity | None = None
-    tokens: dict[str, float] | None = None
-    floor: float | None = None
-    echo: str | None = None
-    echo_unit: str | None = None
-
-
-class FieldSpec(_FieldSpecFields):
-    """One scalar scenario input, at ``path`` = ``section.key``.
+class FieldSpec(NamedTuple):
+    """One scalar scenario input, at ``section.key``.
 
     ``dim`` None means a bare count. ``owner.attr`` is where the resolved
     value lives. ``default`` is a getter on the dataset, a constant, or None
@@ -310,12 +302,20 @@ class FieldSpec(_FieldSpecFields):
     the canonical unit).
     """
 
-    # no __slots__: ``section`` and ``key``, read on every parse, are set
-    # once per field as plain instance attributes
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        self.section, _, self.key = self.path.partition(".")
-        return self
+    section: str
+    key: str
+    dim: Dimension | None
+    owner: type
+    attr: str
+    default: Callable[[ReferenceDataset], Quantity] | float | Quantity | None = None
+    tokens: dict[str, float] | None = None
+    floor: float | None = None
+    echo: str | None = None
+    echo_unit: str | None = None
+
+    @property
+    def path(self) -> str:
+        return f"{self.section}.{self.key}"
 
     def default_for(self, ds: ReferenceDataset) -> float | Quantity:
         return self.default(ds) if callable(self.default) else self.default
@@ -373,50 +373,51 @@ class FieldSpec(_FieldSpecFields):
 _D = Dimension
 FIELDS: tuple[FieldSpec, ...] = (
     # an inline dataset's totals
-    FieldSpec("dataset.total_generation", _D.ENERGY, GridMix, "total_generation"),
-    FieldSpec("dataset.total_energy_consumption", _D.ENERGY, ReferenceDataset,
+    FieldSpec("dataset", "total_generation", _D.ENERGY, GridMix, "total_generation"),
+    FieldSpec("dataset", "total_energy_consumption", _D.ENERGY, ReferenceDataset,
               "total_energy_consumption"),
-    FieldSpec("dataset.transport_share", _D.FRACTION, ReferenceDataset, "transport_share"),
-    FieldSpec("dataset.gasoline_share", _D.FRACTION, ReferenceDataset, "gasoline_share"),
-    FieldSpec("dataset.household_gasoline", _D.VOLUME, ReferenceDataset,
+    FieldSpec("dataset", "transport_share", _D.FRACTION, ReferenceDataset,
+              "transport_share"),
+    FieldSpec("dataset", "gasoline_share", _D.FRACTION, ReferenceDataset, "gasoline_share"),
+    FieldSpec("dataset", "household_gasoline", _D.VOLUME, ReferenceDataset,
               "household_gasoline"),
-    FieldSpec("dataset.co2_total", _D.MASS, ReferenceDataset, "co2_total"),
+    FieldSpec("dataset", "co2_total", _D.MASS, ReferenceDataset, "co2_total"),
     # fleet energy on the shares basis ...
-    FieldSpec("fleet.total_energy", _D.ENERGY, SharesBasis, "total_energy",
+    FieldSpec("fleet", "total_energy", _D.ENERGY, SharesBasis, "total_energy",
               attrgetter("total_energy_consumption"),
               echo="total_energy_twh", echo_unit="TWh"),
-    FieldSpec("fleet.transport_share", _D.FRACTION, SharesBasis, "transport_share",
+    FieldSpec("fleet", "transport_share", _D.FRACTION, SharesBasis, "transport_share",
               attrgetter("transport_share"), echo="transport_share"),
-    FieldSpec("fleet.fuel_share", _D.FRACTION, SharesBasis, "fuel_share",
+    FieldSpec("fleet", "fuel_share", _D.FRACTION, SharesBasis, "fuel_share",
               attrgetter("gasoline_share"), echo="fuel_share"),
     # ... or on the gallons basis
-    FieldSpec("fleet.gallons", _D.VOLUME, GallonsBasis, "gallons",
+    FieldSpec("fleet", "gallons", _D.VOLUME, GallonsBasis, "gallons",
               attrgetter("household_gasoline"), echo="gallons"),
-    FieldSpec("fleet.heat_content", _D.HEAT_CONTENT, GallonsBasis, "heat_content",
+    FieldSpec("fleet", "heat_content", _D.HEAT_CONTENT, GallonsBasis, "heat_content",
               quantity(GASOLINE_HEAT_BTU_PER_GAL, "Btu/gal"),
               echo="heat_content_btu_per_gal"),
-    FieldSpec("fleet.btu_to_wh", _D.BTU_CONVERSION, GallonsBasis, "btu_to_wh",
+    FieldSpec("fleet", "btu_to_wh", _D.BTU_CONVERSION, GallonsBasis, "btu_to_wh",
               Quantity(BTU_TO_WH_EXACT, _D.BTU_CONVERSION),
               tokens={"exact": BTU_TO_WH_EXACT, "paper": BTU_TO_WH_PAPER},
               echo="btu_to_wh"),
     # per-EV energy, given outright or as power x range / speed
-    FieldSpec("ev.per_ev_energy", _D.ENERGY, ExplicitPerEv, "per_ev"),
-    FieldSpec("ev.power", _D.POWER, PowerRangeSpeed, "power"),
-    FieldSpec("ev.range", _D.DISTANCE, PowerRangeSpeed, "travel_range"),
-    FieldSpec("ev.speed", _D.SPEED, PowerRangeSpeed, "speed"),
+    FieldSpec("ev", "per_ev_energy", _D.ENERGY, ExplicitPerEv, "per_ev"),
+    FieldSpec("ev", "power", _D.POWER, PowerRangeSpeed, "power"),
+    FieldSpec("ev", "range", _D.DISTANCE, PowerRangeSpeed, "travel_range"),
+    FieldSpec("ev", "speed", _D.SPEED, PowerRangeSpeed, "speed"),
     # the pack of a chemistry that is not built in
-    FieldSpec("battery.pack_capacity", _D.ENERGY, BatteryChemistry, "pack_capacity"),
-    FieldSpec("battery.manufacture_energy", _D.ENERGY, BatteryChemistry,
+    FieldSpec("battery", "pack_capacity", _D.ENERGY, BatteryChemistry, "pack_capacity"),
+    FieldSpec("battery", "manufacture_energy", _D.ENERGY, BatteryChemistry,
               "manufacture_energy"),
-    FieldSpec("battery.energy_density", _D.ENERGY_DENSITY, BatteryChemistry,
+    FieldSpec("battery", "energy_density", _D.ENERGY_DENSITY, BatteryChemistry,
               "energy_density"),
-    FieldSpec("battery.pack_mass", _D.MASS, BatteryChemistry, "pack_mass"),
-    FieldSpec("battery.batteries_per_ev", None, Scenario, "batteries_per_ev", 4.0,
+    FieldSpec("battery", "pack_mass", _D.MASS, BatteryChemistry, "pack_mass"),
+    FieldSpec("battery", "batteries_per_ev", None, Scenario, "batteries_per_ev", 4.0,
               floor=1.0, echo="batteries_per_ev"),
-    FieldSpec("strategy.renewable_share", _D.FRACTION, Scenario, "renewable_share",
+    FieldSpec("strategy", "renewable_share", _D.FRACTION, Scenario, "renewable_share",
               Quantity(0.30, _D.FRACTION), echo="renewable_share"),
-    FieldSpec("strategy.baseline_generation", _D.ENERGY, Scenario, "baseline_generation",
-              attrgetter("mix.total_generation"),
+    FieldSpec("strategy", "baseline_generation", _D.ENERGY, Scenario,
+              "baseline_generation", attrgetter("mix.total_generation"),
               echo="baseline_generation_twh", echo_unit="TWh"),
 )
 
@@ -485,8 +486,7 @@ def _pick(section: Section | None, key: str, choices: dict, default, problems: _
 def _check_keys(section: Section, allowed: frozenset[str], problems: _Problems):
     for entry in section.entries:
         if entry.key not in allowed:
-            problems.add(f"line {entry.line}: unknown key {entry.key!r} "
-                         f"in [{section.name}]")
+            problems.add(f"unknown key {entry.key!r} in [{section.name}]", entry.value)
 
 
 def _read(sections: dict[str, Section], owner: type, ds: ReferenceDataset | None,
@@ -600,9 +600,9 @@ def _resolve_chemistry(sections: dict[str, Section],
                          f"chemistries; {name!r} is built-in")
         return builtin_chemistry(name)
     if not present:
-        raise UnknownChemistry(
-            f"unknown chemistry {name!r}; built-ins: {', '.join(chemistry_names())} "
-            f"(or supply {', '.join(pack_keys)})")
+        problems.add(f"unknown chemistry {name!r}; built-ins: {', '.join(chemistry_names())} "
+                     f"(or supply {', '.join(pack_keys)})")
+        return None
     values = _read(sections, BatteryChemistry, None, problems)
     if values is None:
         return None
@@ -648,7 +648,7 @@ def _resolve_sweep(section: Section | None, fleet_basis: SharesBasis | GallonsBa
     if bad_item:  # each bad item is recorded once; what it leaves of the list is not checked
         return None
     try:
-        spec = SweepSpec.build(path, values, *bounds)
+        spec = SweepSpec(path, values, *bounds)
         if fleet_basis is not None:  # else the [fleet] problems are recorded
             _check_basis(OVERRIDE_PATHS[path], fleet_basis)
         return spec
@@ -660,9 +660,9 @@ def _resolve_sweep(section: Section | None, fleet_basis: SharesBasis | GallonsBa
 def parse_scenario(text: str, *, default_name: str | None = None) -> Scenario:
     """Parse and fully resolve scenario text.
 
-    Raises ParseError for malformed syntax, UnknownDataset or
-    UnknownChemistry for bad references, and ValidationError aggregating
-    all other problems.
+    Raises ParseError for malformed syntax, and otherwise ValidationError
+    listing every problem found, in the order found: an unknown dataset or
+    chemistry is one of them.
     """
     doc = parse_document(text)
     sections = {section.name: section for section in doc.sections}
@@ -688,7 +688,10 @@ def parse_scenario(text: str, *, default_name: str | None = None) -> Scenario:
     if has_inline:
         ds = _resolve_dataset(sections, problems)
     elif dataset_ref is not None:
-        ds = builtin_dataset(dataset_ref)   # raises UnknownDataset
+        try:
+            ds = builtin_dataset(dataset_ref)
+        except UnknownDataset as exc:
+            problems.add(str(exc))
     else:
         problems.add("scenario must reference a built-in dataset ([meta] dataset = ...) "
                      "or define one inline ([dataset] + [mix])")
@@ -879,7 +882,7 @@ def apply_override(s: Scenario, path: str, value: float | Quantity) -> Scenario:
 def iter_sweep(s: Scenario, spec: SweepSpec) -> Iterator[SweepPoint]:
     """Evaluate ``s`` at each sweep point in order, yielding each point as it
     is evaluated; a point that fails carries its error inline."""
-    for value in spec.points:
+    for value in spec.points():
         try:
             point = SweepPoint(value, assess(apply_override(s, spec.path, value)))
         except EvDemandError as exc:
@@ -978,12 +981,11 @@ def render_scenario(s: Scenario) -> str:
                                    for fuel, wi in s.water]))
     spec = s.sweep_spec
     if spec is not None:
-        # a progression goes back as its from/to/step, not as every point
-        if spec.progression is not None:
-            entries = [(key, _render_value(v))
-                       for key, v in zip(("from", "to", "step"), spec.progression)]
+        if spec.values is None:
+            entries = [(key, _render_value(v)) for key, v in
+                       zip(("from", "to", "step"), (spec.start, spec.stop, spec.step))]
         else:
-            entries = [("values", ", ".join(_render_value(v) for v in spec.points))]
+            entries = [("values", ", ".join(map(_render_value, spec.values)))]
         sections.append(("sweep", [("path", spec.path), *entries]))
     return write_document(sections)
 

@@ -13,8 +13,6 @@ This module only tokenizes and structures the text; meaning is assigned by
 the scenario loader.
 """
 
-from __future__ import annotations
-
 import re
 from typing import NamedTuple, Union
 
@@ -46,7 +44,6 @@ class RawValue(NamedTuple):
 class Entry(NamedTuple):
     key: str
     value: RawValue
-    line: int
 
 
 class Section(NamedTuple):
@@ -156,7 +153,7 @@ def parse_document(text: str) -> Document:
             raise ParseError(f"duplicate key {key!r} in section [{name}]",
                              line=line_no, column=1)
         seen_keys.add(key)
-        entries.append(Entry(key=key, value=value, line=line_no))
+        entries.append(Entry(key=key, value=value))
     if not sections:
         raise ParseError("no sections found", line=1, column=1)
     return Document(sections=tuple(

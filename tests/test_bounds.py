@@ -3,8 +3,11 @@ bare counts are finite, and the pack, catalog and sweep checks raise
 ``EvDemandError`` subclasses that are also ``ValueError``s."""
 
 import math
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evdemand.errors import (
     EvDemandError,
@@ -20,6 +23,7 @@ from evdemand.scenario import (
     SweepSpec,
     apply_override,
     load_builtin_scenario,
+    parse_scenario,
     sweep,
 )
 
@@ -42,7 +46,32 @@ def test_unbounded_progressions_are_typed_errors(start, stop, step):
 
 def test_progression_below_the_cap_keeps_its_points():
     spec = SweepSpec.from_progression(PATH, 0.0, 99.0, 1.0)
-    assert spec.points == tuple(float(k) for k in range(100))
+    assert tuple(spec.points()) == tuple(float(k) for k in range(100))
+
+
+def test_a_parsed_progression_holds_its_bounds_not_its_points():
+    text = ("[meta]\ndataset = us2005\n[sweep]\npath = strategy.renewable_share\n"
+            "from = 0\nto = 1\nstep = 0.0000011\n")
+    tracemalloc.start()
+    try:
+        s = parse_scenario(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(1 for _ in s.sweep_spec.points()) == 909_091
+    assert peak < 1_000_000
+
+
+@settings(max_examples=200, deadline=None)
+@given(start=st.floats(-1e6, 1e6),
+       step=st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3),
+       n=st.integers(0, 300), fraction=st.floats(0.0, 0.999))
+def test_progression_points_come_from_an_integer_counter(start, step, n, fraction):
+    stop = start + (n + fraction) * step
+    spec = SweepSpec.from_progression(PATH, start, stop, step)
+    last = int((stop - start) / step + 1e-9)  # the span as the cap check rounds it
+    assert list(map(repr, spec.points())) == [repr(start + k * step)
+                                               for k in range(last + 1)]
 
 
 def _pack(**overrides):

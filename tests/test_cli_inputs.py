@@ -22,6 +22,35 @@ count = 5
 """
 
 
+# an unknown chemistry or dataset is one problem among the others, in the
+# order they are found
+UNKNOWN_CHEMISTRY = """
+[meta]
+dataset = us2005
+colour = 1
+[battery]
+chemistry = unobtainium
+"""
+
+UNKNOWN_DATASET = """
+[meta]
+dataset = us1999
+colour = 1
+[bogus]
+x = 1
+"""
+
+PROBLEM_LINES = [
+    (TWO_PROBLEMS, ["unknown section [turbines]",
+                    "line 5: unknown key 'renewable_shard' in [strategy]"]),
+    (UNKNOWN_CHEMISTRY, ["line 4: unknown key 'colour' in [meta]",
+                         "unknown chemistry 'unobtainium'; built-ins: nimh, pb_acid (or "
+                         "supply pack_capacity, manufacture_energy, energy_density, pack_mass)"]),
+    (UNKNOWN_DATASET, ["unknown section [bogus]", "line 4: unknown key 'colour' in [meta]",
+                       "unknown dataset 'us1999'; built-ins: us2001, us2005"]),
+]
+
+
 def _run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -51,15 +80,14 @@ def test_non_utf8_file_is_a_file_error(capsys, tmp_path, command):
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_validation_problems_print_one_line_each(capsys, tmp_path, command):
-    path = tmp_path / "two.scn"
-    path.write_text(TWO_PROBLEMS, encoding="utf-8")
+    path = tmp_path / "problems.scn"
     flags = SWEEP_FLAGS if command == "sweep" else []
-    code, out, err = _run(capsys, command, str(path), *flags)
-    assert code == 1
-    assert out == ""
-    lines = err.splitlines()
-    assert len(lines) == 2
-    assert "turbines" in lines[0] and "renewable_shard" in lines[1]
+    for text, problems in PROBLEM_LINES:
+        path.write_text(text, encoding="utf-8")
+        code, out, err = _run(capsys, command, str(path), *flags)
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == [f"evdemand: {p}" for p in problems]
 
 
 @pytest.mark.parametrize("digits", ["0", "-1", "x", "18", "2147483648", str(10**20)])

@@ -41,3 +41,23 @@ def test_cli_start_does_not_import_dataclasses_or_inspect():
         env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True, text=True, check=True).stdout
     assert out == "[]\n"
+
+
+def test_cli_start_compiles_no_annotation_strings():
+    # annotations are real types, not strings that typing.NamedTuple compiles
+    # into a ForwardRef each; and a FieldSpec is a plain tuple, with no __dict__
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import typing\n"
+         "made = []\n"
+         "init = typing.ForwardRef.__init__\n"
+         "def counting(self, *args, **kwargs):\n"
+         "    made.append(args)\n"
+         "    init(self, *args, **kwargs)\n"
+         "typing.ForwardRef.__init__ = counting\n"
+         "import evdemand.cli\n"
+         "from evdemand.scenario import FIELDS\n"
+         "print(len(made), any(hasattr(f, '__dict__') for f in FIELDS))\n"],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, check=True).stdout
+    assert out == "0 False\n"

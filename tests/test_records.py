@@ -62,15 +62,37 @@ def test_ev_model_checks():
                InvalidReferenceData, "x: bad range interval (50.0, 40.0)")
 
 
+def _sweep(values=None, start=None, stop=None, step=None, path="strategy.renewable_share"):
+    """A ``SweepSpec``'s fields in declared order, for ``_both_ways``."""
+    return dict(path=path, values=values, start=start, stop=stop, step=step)
+
+
+_UNKNOWN_PATH = ("unknown parameter path 'strategy.cloudiness'; known: "
+                 + ", ".join(sorted(OVERRIDE_PATHS)))
+
+
 @pytest.mark.parametrize("kwargs, error, message", [
-    (dict(path="strategy.renewable_share", points=(), progression=None), InvalidSweep,
-     "sweep needs at least one value"),
-    # empty points are reported before an unknown path
-    (dict(path="strategy.cloudiness", points=(), progression=None), InvalidSweep,
-     "sweep needs at least one value"),
-    (dict(path="strategy.cloudiness", points=(0.5,), progression=None), UnknownParameter,
-     "unknown parameter path 'strategy.cloudiness'; known: "
-     + ", ".join(sorted(OVERRIDE_PATHS))),
+    (_sweep((0.5,), 0.0, 1.0, 0.5), InvalidSweep,
+     "sweep has both values and from/to/step; pick one"),
+    (_sweep((0.5,), 0.0), InvalidSweep, "sweep has both values and from/to/step; pick one"),
+    (_sweep(), InvalidSweep, "sweep needs either values or all of from/to/step"),
+    (_sweep(None, 0.0, 1.0), InvalidSweep, "sweep needs either values or all of from/to/step"),
+    (_sweep(()), InvalidSweep, "sweep needs at least one value"),
+    # empty values are reported before an unknown path
+    (_sweep((), path="strategy.cloudiness"), InvalidSweep, "sweep needs at least one value"),
+    (_sweep(None, 0.0, math.inf, 1.0), InvalidSweep,
+     "sweep from/to/step must be finite, got 0.0, inf, 1.0"),
+    (_sweep(None, math.nan, 1.0, 0.5), InvalidSweep,
+     "sweep from/to/step must be finite, got nan, 1.0, 0.5"),
+    (_sweep(None, 0.1, 0.3, 0.0), InvalidSweep, "sweep step must be nonzero"),
+    (_sweep(None, 0.3, 0.1, 0.1), InvalidSweep, "step 0.1 never reaches 0.1 from 0.3"),
+    (_sweep(None, 0.0, 1e6, 1.0), InvalidSweep,
+     "sweep from 0.0 to 1000000.0 by 1.0 has more than 1000000 points"),
+    # a bad progression is reported before an unknown path
+    (_sweep(None, 0.0, 1e6, 1.0, path="strategy.cloudiness"), InvalidSweep,
+     "sweep from 0.0 to 1000000.0 by 1.0 has more than 1000000 points"),
+    (_sweep((0.5,), path="strategy.cloudiness"), UnknownParameter, _UNKNOWN_PATH),
+    (_sweep(None, 0.0, 1.0, 0.5, path="strategy.cloudiness"), UnknownParameter, _UNKNOWN_PATH),
 ])
 def test_sweep_spec_checks(kwargs, error, message):
     _both_ways(SweepSpec, kwargs, error, message)
@@ -79,7 +101,8 @@ def test_sweep_spec_checks(kwargs, error, message):
 def test_checks_keep_the_declared_defaults():
     assert EvModel("x") == EvModel(name="x", power=None, max_speed=None, range_mi=None)
     spec = SweepSpec("strategy.renewable_share", (0.5,))
-    assert spec.progression is None and type(spec) is SweepSpec
+    assert (spec.start, spec.stop, spec.step) == (None, None, None)
+    assert type(spec) is SweepSpec
 
 
 def test_negative_zero_is_normalised():

@@ -11,8 +11,6 @@ from evdemand.engine import (
 )
 from evdemand.errors import (
     ParseError,
-    UnknownChemistry,
-    UnknownDataset,
     UnknownParameter,
     ValidationError,
 )
@@ -108,11 +106,14 @@ class TestLoading:
         assert s.renewable_share.magnitude == 0.30
 
     def test_unknown_dataset(self):
-        with pytest.raises(UnknownDataset):
+        with pytest.raises(ValidationError,
+                           match=r"^unknown dataset 'us2030'; built-ins: us2001, us2005$"):
             parse_scenario("[meta]\ndataset = us2030\n")
 
     def test_unknown_chemistry(self):
-        with pytest.raises(UnknownChemistry):
+        with pytest.raises(ValidationError, match=(
+                r"^unknown chemistry 'li_ion'; built-ins: nimh, pb_acid \(or supply "
+                r"pack_capacity, manufacture_energy, energy_density, pack_mass\)$")):
             _scn("\n[battery]\nchemistry = li_ion\n")
 
     def test_unknown_key_is_error(self):
@@ -310,8 +311,9 @@ class TestSweep:
 
     def test_progression_counter_has_no_drift(self):
         spec = SweepSpec.from_progression("strategy.renewable_share", 0.1, 0.3, 0.1)
-        assert len(spec.points) == 3
-        assert spec.points[2] == 0.1 + 2 * 0.1
+        points = list(spec.points())
+        assert len(points) == 3
+        assert points[2] == 0.1 + 2 * 0.1
 
     def test_invalid_progressions(self):
         with pytest.raises(ValueError):
@@ -357,7 +359,7 @@ class TestRoundTrip:
 
     def test_round_trip_with_progression(self):
         s = _scn("\n[sweep]\npath = battery.batteries_per_ev\nfrom = 1\nto = 4\nstep = 1\n")
-        assert s.sweep_spec.points == (1.0, 2.0, 3.0, 4.0)
+        assert tuple(s.sweep_spec.points()) == (1.0, 2.0, 3.0, 4.0)
         assert parse_scenario(render_scenario(s)) == s
 
     def test_round_trip_explicit_ev_and_overrides(self):

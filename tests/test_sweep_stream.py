@@ -134,7 +134,7 @@ def _traced_from(points, start):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_streamed_sweep_memory_stays_flat(fmt):
     spec = SweepSpec.from_progression("strategy.renewable_share", -19.0, 1.0, 0.001)
-    assert len(spec.points) == 20_001
+    assert sum(1 for _ in spec.points()) == 20_001
     try:
         write_sweep(_Discard(), spec.path,
                     _traced_from(iter_sweep(PAPER_2005, spec), 17_000), fmt)

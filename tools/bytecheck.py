@@ -23,6 +23,12 @@ The calls:
   fixtures and 10 scenarios from each seed;
 * both packaged fixtures under every method and convention, in every format
   and digit setting;
+* ``render_scenario``, and ``render_sweep`` in every format of
+  ``sweep(s, s.sweep_spec)``, of scenarios on either fleet basis with a
+  ``[sweep]`` section: values as numbers and quantities, progressions, and
+  every invalid shape, which stores its error instead;
+* the error of texts with several problems at once, an unknown chemistry or
+  dataset among them;
 * ``render_comparisons`` of every target alone and of all targets together,
   in every format.
 """
@@ -40,6 +46,59 @@ FORMATS = ("text", "csv", "json")
 DIGITS = (None, 3, 17)
 EXTREMES = (float("nan"), float("inf"), 1e300, 1e-300, 1e308, -1.0, 0.0)
 FIXTURES = ("paper-2005", "paper-2001")
+SWEEP_HEADS = {"shares": "[meta]\ndataset = us2005\n",
+               "gallons": "[meta]\ndataset = us2001\n[fleet]\nbasis = gallons\n"}
+RENEWABLE = "path = strategy.renewable_share\n"
+SWEEP_SECTIONS = (
+    # values, as numbers and quantities; some fail their points inline
+    RENEWABLE + "values = 0.1, 0.2, 0.3",
+    RENEWABLE + "values = 0.5, 30 %, 1.5, 1 kWh",
+    "path = strategy.baseline_generation\nvalues = 4055 TWh, 3e15, 1e300 Wh, 0 Wh",
+    "path = battery.batteries_per_ev\nvalues = 1, 2.5, 4, 1e400, 0.5",
+    "path = ev.per_ev_energy\nvalues = 115 kWh, 1e-300 Wh, 20000",
+    "path = fleet.total_energy\nvalues = 29000 TWh, 1e308",
+    "path = fleet.gallons\nvalues = 113.1e9 gal, 1",
+    "path = fleet.btu_to_wh\nvalues = 0.2929, 0.293071 Wh/Btu",
+    # progressions
+    RENEWABLE + "from = 0.1\nto = 0.3\nstep = 0.1",
+    RENEWABLE + "from = 0\nto = 1\nstep = 0.05",
+    RENEWABLE + "from = 0.5\nto = 0.5\nstep = 1",
+    "path = battery.batteries_per_ev\nfrom = 4\nto = 1\nstep = -0.5",
+    "path = ev.per_ev_energy\nfrom = 1e3\nto = 1e5\nstep = 1e4",
+    "path = fleet.fuel_share\nfrom = 0.3\nto = 0.9\nstep = 0.15",
+    "path = fleet.heat_content\nfrom = 100000\nto = 130000\nstep = 7500",
+    "path = strategy.baseline_generation\nfrom = 1e15\nto = 5e15\nstep = 1e15",
+    # every invalid shape
+    RENEWABLE + "values = 0.1\nfrom = 0\nto = 1\nstep = 0.5",
+    RENEWABLE + "values = 0.1\nfrom = 0",
+    RENEWABLE + "from = 0\nto = 1",
+    RENEWABLE,
+    "values = 0.1",
+    'path = "strategy.renewable_share"\nvalues = 0.1',
+    "path = strategy.cloudiness\nvalues = 0.5",
+    "path = strategy.cloudiness\nfrom = 0\nto = 1e6\nstep = 1",
+    RENEWABLE + 'values = "x"',
+    RENEWABLE + 'values = y, "x"',
+    RENEWABLE + "values = 0.5, y",
+    RENEWABLE + "values = 0.5,",
+    RENEWABLE + 'from = "0"\nto = 1\nstep = 0.5',
+    RENEWABLE + "from = nan\nto = 1\nstep = 0.5",
+    RENEWABLE + "from = 0\nto = 1e400\nstep = 1",
+    RENEWABLE + "from = 0\nto = 1\nstep = 0",
+    RENEWABLE + "from = 1\nto = 0\nstep = 0.1",
+    RENEWABLE + "from = 0\nto = 1e6\nstep = 1",
+    RENEWABLE + "values = 0.1\ncolour = 1",
+)
+# several problems at once, an unknown chemistry or dataset among them
+PROBLEM_TEXTS = (
+    "[meta]\ndataset = us2005\ncolour = 1\n[battery]\nchemistry = unobtainium\n",
+    "[meta]\ndataset = us1999\ncolour = 1\n[bogus]\nx = 1\n",
+    "[meta]\ndataset = us2005\n[battery]\nchemistry = unobtainium\nmethod = c\n"
+    "[sweep]\npath = strategy.cloudiness\nvalues = 1\n",
+    "[meta]\ndataset = us1999\n[sweep]\npath = strategy.renewable_share\nfrom = 0\n",
+    "[meta]\nname = 3\ndataset = us2005\n[fleet]\nbasis = coal\n[strategy]\n"
+    "renewable_share = 1 kWh\n[turbines]\ncount = 5\n",
+)
 
 
 def _outputs(evdemand, gen) -> dict[str, str]:
@@ -71,6 +130,14 @@ def _outputs(evdemand, gen) -> dict[str, str]:
                 record(f"{key} render {fmt} {digits}",
                        lambda: evdemand.render(assess(scenario), fmt, digits))
 
+    def parsed(key: str, text: str):
+        """The scenario ``text`` gives, or None once its error is recorded."""
+        try:
+            return parse_scenario(text)
+        except EvDemandError as exc:
+            out[key] = f"{type(exc).__name__}: {exc}"
+            return None
+
     def sweeps(key: str, scenario) -> None:
         for path, (lo, hi) in gen.SWEEP_PATHS.items():
             spec = SweepSpec.from_values(path, [*EXTREMES, lo, (lo + hi) / 2, hi])
@@ -91,10 +158,7 @@ def _outputs(evdemand, gen) -> dict[str, str]:
         valid, invalid = gen.scenario_pool(random.Random(seed), N_VALID, N_INVALID)
         for k, g in enumerate(valid):
             key = f"seed {seed} valid {k}"
-            try:
-                scenario = parse_scenario(g.text)
-            except EvDemandError as exc:
-                out[key] = f"{type(exc).__name__}: {exc}"
+            if (scenario := parsed(key, g.text)) is None:
                 continue
             renders(key, scenario)
             record(f"{key} render_scenario", lambda: render_scenario(scenario))
@@ -103,6 +167,19 @@ def _outputs(evdemand, gen) -> dict[str, str]:
                 sweeps(key, scenario)
         for k, g in enumerate(invalid):
             record(f"seed {seed} invalid {k}", lambda: repr(parse_scenario(g.text)))
+
+    for basis, head in SWEEP_HEADS.items():
+        for k, section in enumerate(SWEEP_SECTIONS):
+            key = f"[sweep] {basis} {k}"
+            if (scenario := parsed(key, f"{head}[sweep]\n{section}\n")) is None:
+                continue
+            spec = scenario.sweep_spec
+            record(f"{key} render_scenario", lambda: render_scenario(scenario))
+            points = sweep(scenario, spec)
+            for fmt in FORMATS:
+                record(f"{key} {fmt}", lambda: evdemand.render_sweep(spec.path, points, fmt))
+    for k, text in enumerate(PROBLEM_TEXTS):
+        record(f"problems {k}", lambda: repr(parse_scenario(text)))
 
     for targets in [[t] for t in TARGET_IDS] + [None]:
         for fmt in FORMATS:
