@@ -239,7 +239,9 @@ def validate_mix(mix: GridMix) -> list[str]:
 
 def source_group_energy(mix: GridMix, group: Iterable[str]) -> Quantity:
     """Annual generation attributable to a group of sources."""
-    group_share = sum(mix.share(name) for name in group)
+    group_share = 0.0
+    for name in group:  # left to right: sum() compensates from Python 3.12 on
+        group_share += mix.share(name)
     return Quantity(mix.total_generation.canonical * group_share, Dimension.ENERGY)
 
 
@@ -271,7 +273,10 @@ def catalog_stats(catalog: EvCatalog, field: str) -> FieldStats:
     values, dim = _field_values(catalog, field)
     if not values:
         raise EmptyField(f"no model provides {field!r}")
-    mean = sum(values) / len(values)
+    total = 0.0
+    for value in values:  # left to right, as in source_group_energy
+        total += value
+    mean = total / len(values)
     ordered = sorted(values)
     n = len(ordered)
     if n % 2:

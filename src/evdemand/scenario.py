@@ -268,10 +268,6 @@ class _Problems:
             message = f"line {value.line}: {message}"
         self.items.append(message)
 
-    def raise_if_any(self):
-        if self.items:
-            raise ValidationError(self.items)
-
 
 def _want_quantity(value: RawValue, dim: Dimension, key: str,
                    problems: _Problems) -> Quantity | None:
@@ -317,8 +313,11 @@ class FieldSpec(NamedTuple):
     def path(self) -> str:
         return f"{self.section}.{self.key}"
 
-    def default_for(self, ds: ReferenceDataset) -> float | Quantity:
-        return self.default(ds) if callable(self.default) else self.default
+    def default_for(self, ds: ReferenceDataset | None) -> float | Quantity | None:
+        """The value an omitted key takes; None where it reads an absent dataset."""
+        if callable(self.default):
+            return None if ds is None else self.default(ds)
+        return self.default
 
     def coerce(self, value: float | Quantity) -> float | Quantity:
         """The checked value from a quantity or a bare number; bare numbers
@@ -492,7 +491,7 @@ def _check_keys(section: Section, allowed: frozenset[str], problems: _Problems):
 def _read(sections: dict[str, Section], owner: type, ds: ReferenceDataset | None,
           problems: _Problems) -> dict | None:
     """``owner``'s field values by attribute, defaults filling omitted keys;
-    None once a value is bad or a required key is missing."""
+    None once a value is bad or missing (a required key, or a default without ``ds``)."""
     values = {}
     for f in _OWNED[owner]:
         section = sections.get(f.section)
@@ -507,12 +506,15 @@ def _read(sections: dict[str, Section], owner: type, ds: ReferenceDataset | None
     return None if None in values.values() else values
 
 
-def _water(section: Section | None, problems: _Problems) -> list[tuple[str, Quantity]]:
+def _pairs(section: Section | None, dim: Dimension,
+           problems: _Problems) -> list[tuple[str, Quantity]]:
+    """The ``key = quantity`` entries of ``section``, each in ``dim``; a bad
+    one is recorded and left out."""
     pairs = []
     for entry in section.entries if section is not None else ():
-        wi = _want_quantity(entry.value, Dimension.WATER_INTENSITY, entry.key, problems)
-        if wi is not None:
-            pairs.append((entry.key, wi))
+        q = _want_quantity(entry.value, dim, entry.key, problems)
+        if q is not None:
+            pairs.append((entry.key, q))
     return pairs
 
 
@@ -538,13 +540,9 @@ def _resolve_dataset(sections: dict[str, Section],
     mix_totals = _read(sections, GridMix, None, problems)
     totals = _read(sections, ReferenceDataset, None, problems)
 
-    entries: list[tuple[str, float]] = []
-    for entry in mix_sec.entries:
-        share = _want_quantity(entry.value, Dimension.FRACTION, entry.key, problems)
-        if share is not None:
-            entries.append((entry.key, share.canonical))
-
-    water = dict(_water(sections.get("water"), problems))
+    entries = [(key, share.canonical)
+               for key, share in _pairs(mix_sec, Dimension.FRACTION, problems)]
+    water = dict(_pairs(sections.get("water"), Dimension.WATER_INTENSITY, problems))
 
     if mix_totals is None or totals is None:
         return None
@@ -554,7 +552,7 @@ def _resolve_dataset(sections: dict[str, Section],
     return ReferenceDataset(id=ds_id, year=year, mix=mix, water_intensity=water, **totals)
 
 
-def _resolve_fleet(sections: dict[str, Section], ds: ReferenceDataset,
+def _resolve_fleet(sections: dict[str, Section], ds: ReferenceDataset | None,
                    problems: _Problems) -> SharesBasis | GallonsBasis | None:
     section = sections.get("fleet")
     owner = _pick(section, "basis", _BASES, SharesBasis, problems)
@@ -586,14 +584,14 @@ def _resolve_ev(sections: dict[str, Section], problems: _Problems) -> EvReferenc
 def _resolve_chemistry(sections: dict[str, Section],
                        problems: _Problems) -> BatteryChemistry | None:
     section = sections.get("battery")
-    v = section.get("chemistry") if section is not None else None
-    if v is None:
-        return builtin_chemistry("nimh")
-    name = _want_ident(v, "chemistry", problems)
+    keys = section.keys() if section is not None else ()
+    name = "nimh"  # when none is named
+    if "chemistry" in keys:
+        name = _want_ident(section.get("chemistry"), "chemistry", problems)
     if name is None:
         return None
     pack_keys = [f.key for f in _OWNED[BatteryChemistry]]
-    present = [k for k in pack_keys if section.get(k) is not None]
+    present = [k for k in pack_keys if k in keys]
     if name in chemistry_names():
         if present:
             problems.add(f"pack fields {present} are only for non-built-in "
@@ -661,8 +659,8 @@ def parse_scenario(text: str, *, default_name: str | None = None) -> Scenario:
     """Parse and fully resolve scenario text.
 
     Raises ParseError for malformed syntax, and otherwise ValidationError
-    listing every problem found, in the order found: an unknown dataset or
-    chemistry is one of them.
+    listing every problem found, in the order found: a missing, unknown or
+    malformed dataset, or an unknown chemistry, is one of them.
     """
     doc = parse_document(text)
     sections = {section.name: section for section in doc.sections}
@@ -673,14 +671,15 @@ def parse_scenario(text: str, *, default_name: str | None = None) -> Scenario:
             problems.add(f"unknown section [{name}]")
 
     meta = sections.get("meta")
-    dataset_ref: str | None = None
+    dataset_v: RawValue | None = None
     scenario_name = default_name
     if meta is not None:
         _check_keys(meta, _ALLOWED["meta"], problems)
         scenario_name = _text_or(meta, "name", scenario_name, problems)
-        if (v := meta.get("dataset")) is not None:
-            dataset_ref = _want_ident(v, "dataset", problems)
+        dataset_v = meta.get("dataset")
+    dataset_ref = None if dataset_v is None else _want_ident(dataset_v, "dataset", problems)
 
+    # without a dataset (its problem recorded) every other section is still checked
     has_inline = "dataset" in sections or "mix" in sections
     ds: ReferenceDataset | None = None
     if dataset_ref is not None and has_inline:
@@ -692,15 +691,9 @@ def parse_scenario(text: str, *, default_name: str | None = None) -> Scenario:
             ds = builtin_dataset(dataset_ref)
         except UnknownDataset as exc:
             problems.add(str(exc))
-    else:
+    elif dataset_v is None:
         problems.add("scenario must reference a built-in dataset ([meta] dataset = ...) "
                      "or define one inline ([dataset] + [mix])")
-    if ds is None:
-        problems.raise_if_any()
-        raise AssertionError("unreachable")
-
-    if scenario_name is None:
-        scenario_name = ds.id
 
     fleet_basis = _resolve_fleet(sections, ds, problems)
     ev_reference = _resolve_ev(sections, problems)
@@ -718,18 +711,19 @@ def parse_scenario(text: str, *, default_name: str | None = None) -> Scenario:
 
     if has_inline or "water" not in sections:
         # an inline [water] section already populated the dataset's map
-        water_pairs = tuple(ds.water_intensity.items())
+        water_pairs = tuple(ds.water_intensity.items()) if ds is not None else ()
     else:
-        water_pairs = tuple(_water(sections["water"], problems))
+        water_pairs = tuple(_pairs(sections["water"], Dimension.WATER_INTENSITY, problems))
     for fuel, _ in water_pairs:
-        if fuel not in ds.mix.sources():
+        if ds is not None and fuel not in ds.mix.sources():
             problems.add(f"water fuel {fuel!r} is not a source in the grid mix")
 
     sweep_spec = _resolve_sweep(sections.get("sweep"), fleet_basis, problems)
 
-    problems.raise_if_any()
+    if problems.items:
+        raise ValidationError(problems.items)
     return Scenario(
-        name=scenario_name,
+        name=ds.id if scenario_name is None else scenario_name,
         dataset=ds,
         fleet_basis=fleet_basis,
         ev_reference=ev_reference,
@@ -745,7 +739,7 @@ def parse_scenario(text: str, *, default_name: str | None = None) -> Scenario:
 def load_scenario(path: str | Path) -> Scenario:
     """Load and resolve a scenario file."""
     p = Path(path)
-    text = p.read_text(encoding="utf-8")
+    text = p.read_text(encoding="utf-8-sig")  # a leading byte-order mark is ignored
     return parse_scenario(text, default_name=p.stem)
 
 

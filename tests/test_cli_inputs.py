@@ -40,6 +40,32 @@ colour = 1
 x = 1
 """
 
+# a missing, unknown or malformed dataset hides no other section's problems
+UNKNOWN_DATASET_BAD_SWEEP = """
+[meta]
+dataset = us1999
+[sweep]
+path = strategy.renewable_share
+from = 0
+"""
+
+NO_DATASET = """
+[strategy]
+renewable_shard = 3 %
+"""
+
+QUOTED_DATASET = """[meta]
+dataset = "us2005"
+"""
+
+# no chemistry key names nimh, which is built in and takes no pack fields
+PACK_WITHOUT_CHEMISTRY = """
+[meta]
+dataset = us2005
+[battery]
+pack_capacity = 30 kWh
+"""
+
 PROBLEM_LINES = [
     (TWO_PROBLEMS, ["unknown section [turbines]",
                     "line 5: unknown key 'renewable_shard' in [strategy]"]),
@@ -48,6 +74,14 @@ PROBLEM_LINES = [
                          "supply pack_capacity, manufacture_energy, energy_density, pack_mass)"]),
     (UNKNOWN_DATASET, ["unknown section [bogus]", "line 4: unknown key 'colour' in [meta]",
                        "unknown dataset 'us1999'; built-ins: us2001, us2005"]),
+    (UNKNOWN_DATASET_BAD_SWEEP, ["unknown dataset 'us1999'; built-ins: us2001, us2005",
+                                 "[sweep] sweep needs either values or all of from/to/step"]),
+    (NO_DATASET, ["scenario must reference a built-in dataset ([meta] dataset = ...) "
+                  "or define one inline ([dataset] + [mix])",
+                  "line 3: unknown key 'renewable_shard' in [strategy]"]),
+    (QUOTED_DATASET, ["line 2: dataset must be an identifier, got '\"us2005\"'"]),
+    (PACK_WITHOUT_CHEMISTRY, ["pack fields ['pack_capacity'] are only for non-built-in "
+                              "chemistries; 'nimh' is built-in"]),
 ]
 
 
@@ -78,7 +112,16 @@ def test_non_utf8_file_is_a_file_error(capsys, tmp_path, command):
     assert "cannot read" in err
 
 
-@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_a_leading_byte_order_mark_is_ignored(capsys, tmp_path):
+    original = DATA / "inline-custom-gallons.scn"
+    path = tmp_path / original.name
+    path.write_bytes(b"\xef\xbb\xbf" + original.read_bytes())
+    code, out, err = _run(capsys, "run", str(path))
+    assert (code, out, err) == _run(capsys, "run", str(original))
+    assert code == 0
+
+
+@pytest.mark.parametrize("command", ["run", "validate", "sweep"])
 def test_validation_problems_print_one_line_each(capsys, tmp_path, command):
     path = tmp_path / "problems.scn"
     flags = SWEEP_FLAGS if command == "sweep" else []

@@ -1,3 +1,4 @@
+import math
 import random
 import statistics
 
@@ -117,6 +118,28 @@ class TestSourceGroupEnergy:
         total = sum(source_group_energy(mix, [name]).magnitude
                     for name in mix.sources())
         assert total == pytest.approx(mix.total_generation.magnitude, rel=1e-9)
+
+
+def _fold(values: list[float]) -> float:
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+# sum() compensates its float additions from Python 3.12 on, so on these
+# shares a compensated result differs from the left-to-right one
+SHARES = [0.1, 0.2, 0.3]
+
+
+def test_float_totals_add_left_to_right_on_every_interpreter():
+    assert _fold(SHARES) != math.fsum(SHARES)
+    mix = GridMix(year="x", entries=tuple(zip("abcd", [*SHARES, 0.4])),
+                  total_generation=quantity(1, "TWh"))
+    assert repr(source_group_energy(mix, "abc").canonical) == repr(1e12 * _fold(SHARES))
+    catalog = EvCatalog(models=tuple(EvModel(name=f"m{i}", power=quantity(p, "W"))
+                                     for i, p in enumerate(SHARES)))
+    assert repr(catalog_stats(catalog, "power").mean.canonical) == repr(_fold(SHARES) / 3)
 
 
 class TestCatalogStats:

@@ -28,7 +28,8 @@ The calls:
   ``[sweep]`` section: values as numbers and quantities, progressions, and
   every invalid shape, which stores its error instead;
 * the error of texts with several problems at once, an unknown chemistry or
-  dataset among them;
+  dataset among them, and of texts whose dataset is missing, unknown,
+  malformed or a broken inline one beside other bad sections;
 * ``render_comparisons`` of every target alone and of all targets together,
   in every format.
 """
@@ -98,6 +99,14 @@ PROBLEM_TEXTS = (
     "[meta]\ndataset = us1999\n[sweep]\npath = strategy.renewable_share\nfrom = 0\n",
     "[meta]\nname = 3\ndataset = us2005\n[fleet]\nbasis = coal\n[strategy]\n"
     "renewable_share = 1 kWh\n[turbines]\ncount = 5\n",
+    # a missing, malformed or broken dataset hides no other problem
+    "[strategy]\nrenewable_shard = 3 %\n",
+    '[meta]\ndataset = "us2005"\n',
+    "[dataset]\nid = custom\ntotal_generation = 1 kg\n[mix]\ncoal = 2\n"
+    "[ev]\npower = 100 kWh\nrange = 100 mi\n"
+    "[battery]\nchemistry = custom\npack_capacity = 1 kg\n",
+    # no chemistry key names the built-in nimh, which takes no pack fields
+    "[meta]\ndataset = us2005\n[battery]\npack_capacity = 30 kWh\n",
 )
 
 
