@@ -1,8 +1,10 @@
 """Fleet-conversion accounting: the energy, battery, emission and water
 arithmetic behind a full gasoline-to-EV conversion scenario.
 
-Every operation is a pure function over immutable quantities. Division by
-zero is a typed error, and a result that overflows raises
+Every operation is a pure function over immutable quantities; the public
+ones check their arguments' dimensions and compute on canonical floats in
+kernels (see the note above ``fleet_energy``). Division by zero is a typed
+error, and a result that overflows raises
 :class:`~evdemand.errors.NonFiniteMagnitude` naming that result, never an
 infinity.
 
@@ -87,10 +89,16 @@ def _expect(q: Quantity, dim: Dimension, what: str) -> float:
 
 def _result(value: float, output: str, dim: Dimension | None = None) -> Quantity | float:
     """The result ``output`` as a ``dim`` quantity, or as a bare ratio when
-    ``dim`` is None; an overflow raises, naming the output."""
+    ``dim`` is None; an overflow raises, naming the output.
+
+    Every result is a product, ratio, sum or ``max(0, ...)`` of finite,
+    non-negative operands (canonical magnitudes, batteries per EV, positive
+    constants), so a finite one is never negative or -0.0 and the quantity
+    is built without the constructor's checks.
+    """
     if not math.isfinite(value):
         raise NonFiniteMagnitude(f"{output} {value!r} is not finite")
-    return value if dim is None else Quantity(value, dim)
+    return value if dim is None else tuple.__new__(Quantity, (value, dim))
 
 
 class SharesBasis(NamedTuple):
@@ -127,6 +135,15 @@ class CapacityDeficit(NamedTuple):
     ratio_to_baseline: float
     deficit: Quantity
 
+
+# Each public function checks its arguments' dimensions and hands their
+# canonical magnitudes to its kernel, the ``_``-prefixed function of the same
+# name, which holds the formula, its zero and minimum guards and its overflow
+# check; ``scenario.assess`` reads every input once and calls the kernels.
+# ``fleet_energy`` and ``per_ev_energy`` take scenario inputs only, and
+# ``printed_style`` takes a result and checks none, so each is its own kernel.
+# ``_renewable_supply`` and ``_total_additional_energy`` have no public twin:
+# ``assess`` and one public function share each.
 
 def fleet_energy(basis: SharesBasis | GallonsBasis) -> Quantity:
     """Fleet energy as total consumption x transport share x fuel share, or
@@ -168,8 +185,13 @@ def battery_demand_method_a(fleet: Quantity, per_ev: Quantity,
     EV count = fleet energy / per-vehicle energy; batteries = EVs x packs
     per vehicle.
     """
-    fleet_wh = _expect(fleet, Dimension.ENERGY, "fleet energy")
-    per_ev_wh = _expect(per_ev, Dimension.ENERGY, "per-EV energy")
+    return _battery_demand_method_a(_expect(fleet, Dimension.ENERGY, "fleet energy"),
+                                    _expect(per_ev, Dimension.ENERGY, "per-EV energy"),
+                                    batteries_per_ev, chem)
+
+
+def _battery_demand_method_a(fleet_wh: float, per_ev_wh: float, batteries_per_ev: float,
+                             chem: BatteryChemistry) -> BatteryDemand:
     if per_ev_wh == 0.0:
         raise ZeroPerEvEnergy("per-EV energy must be positive")
     if not batteries_per_ev >= 1:  # written this way round so NaN fails too
@@ -182,7 +204,10 @@ def battery_demand_method_a(fleet: Quantity, per_ev: Quantity,
 
 def battery_demand_method_b(fleet: Quantity, chem: BatteryChemistry) -> BatteryDemand:
     """Battery demand straight from pack capacity: fleet energy / pack energy."""
-    fleet_wh = _expect(fleet, Dimension.ENERGY, "fleet energy")
+    return _battery_demand_method_b(_expect(fleet, Dimension.ENERGY, "fleet energy"), chem)
+
+
+def _battery_demand_method_b(fleet_wh: float, chem: BatteryChemistry) -> BatteryDemand:
     capacity_wh = chem.pack_capacity.canonical
     if capacity_wh == 0.0:
         raise ZeroCapacity("pack capacity must be positive")
@@ -198,19 +223,28 @@ def printed_style(production_energy: Quantity) -> Quantity:
 
 def carbon_intensity(total_emissions: Quantity, total_generation: Quantity) -> Quantity:
     """CO2 intensity of generation, in Mt per TWh."""
-    emissions_t = _expect(total_emissions, Dimension.MASS, "emissions")
-    generation_wh = _expect(total_generation, Dimension.ENERGY, "generation")
-    if generation_wh == 0.0:
+    return _carbon_intensity(_expect(total_emissions, Dimension.MASS, "emissions"),
+                             _expect(total_generation, Dimension.ENERGY, "generation"))
+
+
+def _carbon_intensity(emissions_t: float, generation_wh: float) -> Quantity:
+    generation_twh = generation_wh / _WH_PER_TWH
+    if generation_twh == 0.0:  # as is a generation that rounds to 0 TWh
         raise ZeroGeneration("total generation must be positive")
-    return _result((emissions_t / _T_PER_MT) / (generation_wh / _WH_PER_TWH),
+    return _result((emissions_t / _T_PER_MT) / generation_twh,
                    "carbon intensity", Dimension.CARBON_INTENSITY)
 
 
 def additional_co2(additional_energy: Quantity, intensity: Quantity) -> Quantity:
     """CO2 mass from generating ``additional_energy`` at ``intensity``."""
-    twh = _expect(additional_energy, Dimension.ENERGY, "additional energy") / _WH_PER_TWH
-    i = _expect(intensity, Dimension.CARBON_INTENSITY, "carbon intensity")
-    return _result(twh * i * _T_PER_MT, "additional CO2", Dimension.MASS)
+    return _additional_co2(
+        _expect(additional_energy, Dimension.ENERGY, "additional energy"),
+        _expect(intensity, Dimension.CARBON_INTENSITY, "carbon intensity"))
+
+
+def _additional_co2(energy_wh: float, mt_per_twh: float) -> Quantity:
+    return _result(energy_wh / _WH_PER_TWH * mt_per_twh * _T_PER_MT, "additional CO2",
+                   Dimension.MASS)
 
 
 def water_use(additional_energy: Quantity, fuel_share: Quantity,
@@ -220,11 +254,19 @@ def water_use(additional_energy: Quantity, fuel_share: Quantity,
     Follows the published accounting convention (``PUBLISHED_MWH_PER_TWH``,
     see module docstring): volume = TWh x 10^9 x share x gal/MWh.
     """
-    twh = _expect(additional_energy, Dimension.ENERGY, "additional energy") / _WH_PER_TWH
-    share = _expect(fuel_share, Dimension.FRACTION, "fuel share")
-    gal_per_mwh = _expect(intensity, Dimension.WATER_INTENSITY, "water intensity")
-    return _result(twh * PUBLISHED_MWH_PER_TWH * share * gal_per_mwh, "freshwater",
-                   Dimension.VOLUME)
+    return _water_use(_expect(additional_energy, Dimension.ENERGY, "additional energy"),
+                      _expect(fuel_share, Dimension.FRACTION, "fuel share"),
+                      _expect(intensity, Dimension.WATER_INTENSITY, "water intensity"))
+
+
+def _water_use(energy_wh: float, share: float, gal_per_mwh: float) -> Quantity:
+    return _result(energy_wh / _WH_PER_TWH * PUBLISHED_MWH_PER_TWH * share * gal_per_mwh,
+                   "freshwater", Dimension.VOLUME)
+
+
+def _renewable_supply(baseline_wh: float, renewable_share: float) -> Quantity:
+    """Generation the renewable build-out adds: baseline x renewable share."""
+    return _result(baseline_wh * renewable_share, "renewable supply", Dimension.ENERGY)
 
 
 def sustainable_conversion_fraction(baseline_generation: Quantity,
@@ -238,9 +280,19 @@ def sustainable_conversion_fraction(baseline_generation: Quantity,
     baseline_wh = _expect(baseline_generation, Dimension.ENERGY, "baseline generation")
     share = _expect(renewable_share, Dimension.FRACTION, "renewable share")
     fleet_wh = _expect(fleet, Dimension.ENERGY, "fleet energy")
+    return _sustainable_conversion_fraction(_renewable_supply(baseline_wh, share).canonical,
+                                            fleet_wh)
+
+
+def _sustainable_conversion_fraction(supply_wh: float, fleet_wh: float) -> float:
     if fleet_wh == 0.0:
         raise ZeroFleetEnergy("fleet energy must be positive")
-    return _result(baseline_wh * share / fleet_wh, "sustainable conversion fraction")
+    return _result(supply_wh / fleet_wh, "sustainable conversion fraction")
+
+
+def _total_additional_energy(fleet_wh: float, battery_wh: float) -> Quantity:
+    """All the generation a conversion needs: fleet energy + battery energy."""
+    return _result(fleet_wh + battery_wh, "total additional energy", Dimension.ENERGY)
 
 
 def capacity_deficit(fleet: Quantity, battery_energy: Quantity,
@@ -252,10 +304,15 @@ def capacity_deficit(fleet: Quantity, battery_energy: Quantity,
     fleet_wh = _expect(fleet, Dimension.ENERGY, "fleet energy")
     battery_wh = _expect(battery_energy, Dimension.ENERGY, "battery energy")
     baseline_wh = _expect(baseline_generation, Dimension.ENERGY, "baseline generation")
+    return _capacity_deficit(_total_additional_energy(fleet_wh, battery_wh).canonical,
+                             baseline_wh)
+
+
+def _capacity_deficit(total_wh: float, baseline_wh: float) -> CapacityDeficit:
     if baseline_wh == 0.0:
         raise ZeroBaseline("baseline generation must be positive")
-    total = fleet_wh + battery_wh
     return CapacityDeficit(
-        ratio_to_baseline=_result(total / baseline_wh, "total vs baseline ratio"),
-        deficit=_result(max(0.0, total - baseline_wh), "capacity deficit", Dimension.ENERGY),
+        ratio_to_baseline=_result(total_wh / baseline_wh, "total vs baseline ratio"),
+        deficit=_result(max(0.0, total_wh - baseline_wh), "capacity deficit",
+                        Dimension.ENERGY),
     )

@@ -149,7 +149,7 @@ class Quantity(_QuantityFields):
     Build one from another unit with :func:`quantity` or
     :func:`parse_quantity`, and read it in another unit with :meth:`in_unit`.
     Magnitudes must be finite and non-negative, and fractions must lie in
-    [0, 1].
+    [0, 1]; ``_replace`` and ``_make`` check a copy the same way.
     """
 
     __slots__ = ()
@@ -166,6 +166,9 @@ class Quantity(_QuantityFields):
         if dimension is Dimension.FRACTION and m > 1.0:
             raise FractionOutOfRange(f"fraction {m!r} exceeds 1")
         return tuple.__new__(cls, (m, dimension))
+
+    # a copy passes the same checks; ``_replace`` builds its copy with ``_make``
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     # the magnitude (always canonical) through the field's own read-only descriptor
     canonical = _QuantityFields.magnitude

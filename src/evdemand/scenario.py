@@ -520,31 +520,31 @@ def _pairs(section: Section | None, dim: Dimension,
 
 def _resolve_dataset(sections: dict[str, Section],
                      problems: _Problems) -> ReferenceDataset | None:
-    """Build a ReferenceDataset from inline [dataset], [mix] and [water]."""
+    """Build a ReferenceDataset from inline [dataset], [mix] and [water]; a
+    missing [dataset] or [mix] is one problem, and the sections present are
+    still checked."""
     ds_sec = sections.get("dataset")
     mix_sec = sections.get("mix")
-    if ds_sec is None:
-        problems.add("inline dataset requires a [dataset] section")
-        return None
-    if mix_sec is None:
-        problems.add("inline dataset requires a [mix] section")
-        return None
-    _check_keys(ds_sec, _ALLOWED["dataset"], problems)
+    for name, section in (("dataset", ds_sec), ("mix", mix_sec)):
+        if section is None:
+            problems.add(f"inline dataset requires a [{name}] section")
 
-    ds_id = _text_or(ds_sec, "id", "custom", problems)
-    year = _text_or(ds_sec, "year", ds_id, problems)
-    # the mix may be older than the dataset's nominal year (2001 datasets
-    # reuse the 2005 generation data)
-    mix_year = _text_or(ds_sec, "mix_year", year, problems)
-
-    mix_totals = _read(sections, GridMix, None, problems)
-    totals = _read(sections, ReferenceDataset, None, problems)
+    mix_totals = totals = None
+    if ds_sec is not None:
+        _check_keys(ds_sec, _ALLOWED["dataset"], problems)
+        ds_id = _text_or(ds_sec, "id", "custom", problems)
+        year = _text_or(ds_sec, "year", ds_id, problems)
+        # the mix may be older than the dataset's nominal year (2001 datasets
+        # reuse the 2005 generation data)
+        mix_year = _text_or(ds_sec, "mix_year", year, problems)
+        mix_totals = _read(sections, GridMix, None, problems)
+        totals = _read(sections, ReferenceDataset, None, problems)
 
     entries = [(key, share.canonical)
                for key, share in _pairs(mix_sec, Dimension.FRACTION, problems)]
     water = dict(_pairs(sections.get("water"), Dimension.WATER_INTENSITY, problems))
 
-    if mix_totals is None or totals is None:
+    if mix_sec is None or mix_totals is None or totals is None:
         return None
     mix = GridMix(year=mix_year, entries=tuple(entries), **mix_totals)
     for violation in validate_mix(mix):
@@ -771,6 +771,7 @@ _CATALOG_MEDIAN_PER_EV = engine.per_ev_energy(
 
 def _resolve_per_ev(ref: EvReference) -> Quantity:
     if isinstance(ref, ExplicitPerEv):
+        engine._expect(ref.per_ev, Dimension.ENERGY, "per-EV energy")
         return ref.per_ev
     if isinstance(ref, PowerRangeSpeed):
         return engine.per_ev_energy(ref.power, ref.travel_range, ref.speed)
@@ -786,39 +787,43 @@ def assess(s: Scenario) -> Assessment:
     """
     fleet = engine.fleet_energy(s.fleet_basis)
     per_ev = _resolve_per_ev(s.ev_reference)
+    # every other input, read once with its dimension check; the engine
+    # kernels then compute on canonical floats
+    expect = engine._expect
+    emissions_t = expect(s.dataset.co2_total, Dimension.MASS, "emissions")
+    mix = s.dataset.mix
+    generation_wh = expect(mix.total_generation, Dimension.ENERGY, "generation")
+    water_inputs = [(fuel, Quantity(mix.share(fuel), Dimension.FRACTION).canonical,
+                     expect(wi, Dimension.WATER_INTENSITY, "water intensity"))
+                    for fuel, wi in s.water]
+    baseline_wh = expect(s.baseline_generation, Dimension.ENERGY, "baseline generation")
+    renewable_share = expect(s.renewable_share, Dimension.FRACTION, "renewable share")
+    fleet_wh = fleet.canonical
 
     demand_a = demand_b = None
     if s.method in (Method.A, Method.BOTH):
-        demand_a = engine.battery_demand_method_a(fleet, per_ev, s.batteries_per_ev,
-                                                  s.chemistry)
+        demand_a = engine._battery_demand_method_a(fleet_wh, per_ev.canonical,
+                                                   s.batteries_per_ev, s.chemistry)
     if s.method in (Method.B, Method.BOTH):
-        demand_b = engine.battery_demand_method_b(fleet, s.chemistry)
+        demand_b = engine._battery_demand_method_b(fleet_wh, s.chemistry)
 
     totals_demand = demand_b if demand_b is not None else demand_a
     battery_energy = totals_demand.production_energy
     if s.convention is Convention.PUBLISHED:
         battery_energy = engine.printed_style(battery_energy)
 
-    total = engine._result(fleet.canonical + battery_energy.canonical,
-                           "total additional energy", Dimension.ENERGY)
-    intensity = engine.carbon_intensity(s.dataset.co2_total,
-                                        s.dataset.mix.total_generation)
-    co2 = engine.additional_co2(total, intensity)
+    total = engine._total_additional_energy(fleet_wh, battery_energy.canonical)
+    intensity = engine._carbon_intensity(emissions_t, generation_wh)
+    co2 = engine._additional_co2(total.canonical, intensity.canonical)
+    water = tuple((fuel, engine._water_use(fleet_wh, share, gal_per_mwh))
+                  for fuel, share, gal_per_mwh in water_inputs)
 
-    water = tuple(
-        (fuel, engine.water_use(fleet, Quantity(s.dataset.mix.share(fuel),
-                                                Dimension.FRACTION), wi))
-        for fuel, wi in s.water
-    )
-
-    renewable_supply = Quantity(
-        s.baseline_generation.canonical * s.renewable_share.canonical,
-        Dimension.ENERGY)
-    if fleet.canonical == 0.0:
+    renewable_supply = engine._renewable_supply(baseline_wh, renewable_share)
+    if fleet_wh == 0.0:
         conversion_fraction = 0.0
     else:
-        conversion_fraction = engine.sustainable_conversion_fraction(
-            s.baseline_generation, s.renewable_share, fleet)
+        conversion_fraction = engine._sustainable_conversion_fraction(
+            renewable_supply.canonical, fleet_wh)
 
     return Assessment(
         scenario=s,
@@ -835,7 +840,7 @@ def assess(s: Scenario) -> Assessment:
         renewable_supply=renewable_supply,
         conversion_fraction=conversion_fraction,
         full_conversion=conversion_fraction >= 1.0,
-        deficit=engine.capacity_deficit(fleet, battery_energy, s.baseline_generation),
+        deficit=engine._capacity_deficit(total.canonical, baseline_wh),
     )
 
 

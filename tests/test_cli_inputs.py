@@ -54,6 +54,28 @@ NO_DATASET = """
 renewable_shard = 3 %
 """
 
+# a half-written inline dataset: the missing section is one problem, and the
+# section present and [water] are still checked
+NO_DATASET_SECTION = """
+[mix]
+coal = x
+[water]
+coal = 3 kWh
+"""
+
+NO_MIX_SECTION = """
+[dataset]
+total_generation = 1 kg
+total_energy_consumption = 28500 TWh
+transport_share = 29.5 %
+gasoline_share = 62 %
+household_gasoline = 120.25e9 gal
+co2_total = 2350.5 Mt
+colour = 1
+[water]
+coal = 3 kWh
+"""
+
 QUOTED_DATASET = """[meta]
 dataset = "us2005"
 """
@@ -79,6 +101,13 @@ PROBLEM_LINES = [
     (NO_DATASET, ["scenario must reference a built-in dataset ([meta] dataset = ...) "
                   "or define one inline ([dataset] + [mix])",
                   "line 3: unknown key 'renewable_shard' in [strategy]"]),
+    (NO_DATASET_SECTION, ["inline dataset requires a [dataset] section",
+                          "line 3: coal must be a fraction quantity literal, got 'x'",
+                          "line 5: coal must be water_intensity, got energy"]),
+    (NO_MIX_SECTION, ["inline dataset requires a [mix] section",
+                      "line 9: unknown key 'colour' in [dataset]",
+                      "line 3: total_generation must be energy, got mass",
+                      "line 11: coal must be water_intensity, got energy"]),
     (QUOTED_DATASET, ["line 2: dataset must be an identifier, got '\"us2005\"'"]),
     (PACK_WITHOUT_CHEMISTRY, ["pack fields ['pack_capacity'] are only for non-built-in "
                               "chemistries; 'nimh' is built-in"]),

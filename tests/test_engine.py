@@ -208,6 +208,11 @@ class TestCarbonAccounting:
         with pytest.raises(ZeroGeneration):
             carbon_intensity(quantity(2480, "Mt"), Quantity(0.0, E))
 
+    def test_generation_that_rounds_to_zero_twh(self):
+        # 1e-315 Wh / 1e12 Wh per TWh underflows to 0.0, a divisor of zero
+        with pytest.raises(ZeroGeneration, match="total generation must be positive"):
+            carbon_intensity(quantity(2480, "Mt"), Quantity(1e-315, E))
+
     def test_additional_co2_published_total(self):
         i = carbon_intensity(quantity(2480, "Mt"), quantity(4055, "TWh"))
         co2 = additional_co2(quantity(6374.17, "TWh"), i)

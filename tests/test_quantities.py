@@ -129,6 +129,31 @@ class TestQuantityInvariants:
     def test_negative_zero_normalized(self):
         assert str(Quantity(-0.0, Dimension.ENERGY)).startswith("0.0")
 
+    @given(st.one_of(st.floats(), st.sampled_from([-0.0, 0.0, 1.0, 1.5, -1.0])),
+           st.sampled_from(Dimension))
+    def test_copies_pass_the_constructor_checks(self, magnitude, dim):
+        def outcome(build):
+            try:
+                q = build()
+            except Exception as exc:
+                return type(exc), str(exc)
+            return type(q), repr(q.magnitude), q.dimension
+
+        built = outcome(lambda: Quantity(magnitude, dim))
+        assert outcome(lambda: Quantity._make([magnitude, dim])) == built
+        assert outcome(lambda: Quantity(0.5, dim)._replace(magnitude=magnitude)) == built
+        assert outcome(lambda: Quantity(2.0, Dimension.ENERGY)._replace(
+            magnitude=magnitude, dimension=dim)) == built
+
+    def test_replace_checks_against_the_new_dimension(self):
+        with pytest.raises(FractionOutOfRange, match="fraction 5.0 exceeds 1"):
+            Quantity(5.0, Dimension.ENERGY)._replace(dimension=Dimension.FRACTION)
+        with pytest.raises(NegativeWherePhysical):
+            Quantity(1.0, Dimension.ENERGY)._replace(magnitude=-5.0)
+        with pytest.raises(NonFiniteMagnitude):
+            Quantity._make([math.inf, Dimension.FRACTION])
+        assert repr(Quantity(1.0, Dimension.MASS)._replace(magnitude=-0.0).magnitude) == "0.0"
+
     def test_catalog_immutable(self):
         with pytest.raises(TypeError):
             CATALOG.units["Wh"] = None  # type: ignore[index]

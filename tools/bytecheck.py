@@ -21,6 +21,9 @@ The calls:
 * ``render_sweep`` in every format over all ten override paths, with nan,
   inf, 1e300, 1e-300, 1e308, -1 and 0 among the values, for both packaged
   fixtures and 10 scenarios from each seed;
+* the ``repr`` of every point of each of those sweeps and of the ``[sweep]``
+  sections below: its value, its error or every field of its assessment
+  but the echoed scenario, so no output is rounded or left out;
 * both packaged fixtures under every method and convention, in every format
   and digit setting;
 * ``render_scenario``, and ``render_sweep`` in every format of
@@ -29,7 +32,8 @@ The calls:
   every invalid shape, which stores its error instead;
 * the error of texts with several problems at once, an unknown chemistry or
   dataset among them, and of texts whose dataset is missing, unknown,
-  malformed or a broken inline one beside other bad sections;
+  malformed, a broken inline one beside other bad sections, or an inline
+  one without its ``[dataset]`` or ``[mix]`` section;
 * ``render_comparisons`` of every target alone and of all targets together,
   in every format.
 """
@@ -107,6 +111,9 @@ PROBLEM_TEXTS = (
     "[battery]\nchemistry = custom\npack_capacity = 1 kg\n",
     # no chemistry key names the built-in nimh, which takes no pack fields
     "[meta]\ndataset = us2005\n[battery]\npack_capacity = 30 kWh\n",
+    # an inline dataset without its [dataset] or its [mix] section
+    "[mix]\ncoal = x\n[water]\ncoal = 3 kWh\n",
+    "[dataset]\ntotal_generation = 1 kg\ncolour = 1\n[water]\ncoal = 3 kWh\n",
 )
 
 
@@ -147,10 +154,17 @@ def _outputs(evdemand, gen) -> dict[str, str]:
             out[key] = f"{type(exc).__name__}: {exc}"
             return None
 
+    def swept(key: str, scenario, spec):
+        """Every point of the sweep, its ``repr`` recorded under ``key``."""
+        points = sweep(scenario, spec)
+        out[key] = "\n".join(repr(p._replace(assessment=p.assessment._replace(scenario=None)))
+                             if p.assessment else repr(p) for p in points)
+        return points
+
     def sweeps(key: str, scenario) -> None:
         for path, (lo, hi) in gen.SWEEP_PATHS.items():
             spec = SweepSpec.from_values(path, [*EXTREMES, lo, (lo + hi) / 2, hi])
-            points = sweep(scenario, spec)
+            points = swept(f"{key} sweep {path} points", scenario, spec)
             for fmt in FORMATS:
                 record(f"{key} sweep {path} {fmt}",
                        lambda: evdemand.render_sweep(path, points, fmt))
@@ -184,7 +198,7 @@ def _outputs(evdemand, gen) -> dict[str, str]:
                 continue
             spec = scenario.sweep_spec
             record(f"{key} render_scenario", lambda: render_scenario(scenario))
-            points = sweep(scenario, spec)
+            points = swept(f"{key} points", scenario, spec)
             for fmt in FORMATS:
                 record(f"{key} {fmt}", lambda: evdemand.render_sweep(spec.path, points, fmt))
     for k, text in enumerate(PROBLEM_TEXTS):
