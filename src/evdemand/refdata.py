@@ -13,8 +13,8 @@ split the non-fossil, non-nuclear residual.
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import (EmptyField, InvalidReferenceData, UnknownCatalogField, UnknownChemistry,
-                     UnknownDataset, UnknownSource)
+from .errors import (DimensionMismatch, EmptyField, InvalidReferenceData, UnknownCatalogField,
+                     UnknownChemistry, UnknownDataset, UnknownSource)
 from .quantities import Dimension, Quantity, quantity
 
 __all__ = [
@@ -69,13 +69,24 @@ class _BatteryChemistryFields(NamedTuple):
     recycling_note: str
 
 
+# each quantity of a chemistry and its dimension, in declared order
+_CHEMISTRY_DIMENSIONS = {"energy_density": Dimension.ENERGY_DENSITY, "pack_mass": Dimension.MASS,
+                         "pack_capacity": Dimension.ENERGY, "manufacture_energy": Dimension.ENERGY}
+
+
 class BatteryChemistry(_BatteryChemistryFields):
-    """One battery pack option: capacity, mass, and manufacturing energy."""
+    """One battery pack option: capacity, mass, and manufacturing energy.
+    ``_replace`` and ``_make`` check a copy the same way."""
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
+        for field, dim in _CHEMISTRY_DIMENSIONS.items():
+            got = getattr(self, field).dimension
+            if got is not dim:
+                raise DimensionMismatch(f"{self.name}: {field.replace('_', ' ')} must be "
+                                        f"{dim.value}, got {got.value}")
         implied_wh = self.energy_density.canonical * self.pack_mass.in_unit("kg")
         nominal_wh = self.pack_capacity.canonical
         if nominal_wh <= 0 or abs(implied_wh - nominal_wh) / nominal_wh > _CAPACITY_SLACK:
@@ -85,6 +96,8 @@ class BatteryChemistry(_BatteryChemistryFields):
         if self.manufacture_energy.canonical <= 0:
             raise InvalidReferenceData(f"{self.name}: manufacture energy must be positive")
         return self
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
 
 class _EvModelFields(NamedTuple):

@@ -17,8 +17,9 @@ matching.
 import csv
 import io
 import json
+import math
 import operator
-from typing import Callable, Iterable, NamedTuple, TextIO
+from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 
 from . import engine
 from .errors import DimensionMismatch, InvalidRenderOption, UnknownTarget
@@ -187,18 +188,41 @@ _SWEEP_UNITS = tuple(unit for _, unit in _SWEEP_COLUMNS.values())
 _FAILED_VALUES = ("",) * len(_SWEEP_COLUMNS)
 
 
-def _sweep_row(i: int, p: SweepPoint) -> list:
-    """Index, swept value, one number per column ("" for a failed point), error."""
-    a = p.assessment
-    return [i, p.value.canonical if isinstance(p.value, Quantity) else p.value,
-            *(_FAILED_VALUES if a is None else map(_scaled, _SWEEP_VALUES(a), _SWEEP_UNITS)),
-            p.error or ""]
+def _sweep_cells(points: Iterable[SweepPoint],
+                 number: Callable[[float], str]) -> Iterator[list[str]]:
+    """Each point's row as text: index, swept value, one cell per column ("" for
+    a failed point), error. A column is scaled and spelled by ``number`` again
+    only when its value differs from the previous evaluated point's, or is a
+    zero or NaN float, so 0.0 and -0.0 never share a cell; a Quantity is never
+    -0.0 or NaN, so an equal one always reuses the text."""
+    values, texts = _FAILED_VALUES, _FAILED_VALUES
+    for i, p in enumerate(points):
+        a, value = p.assessment, p.value
+        if a is not None:
+            new = _SWEEP_VALUES(a)
+            texts = [text if v == old and v else number(_scaled(v, unit))
+                     for v, old, text, unit in zip(new, values, texts, _SWEEP_UNITS)]
+            values = new
+        yield [str(i), number(value.canonical if isinstance(value, Quantity) else value),
+               *(_FAILED_VALUES if a is None else texts), p.error or ""]
 
 
-# A point's body as ``json.dumps(..., indent=2)`` writes it at depth 2, less
-# its braces. A point is a flat object of scalars, so the C encoder, which
-# ``indent`` would rule out, writes the same bytes.
-_POINT_JSON = json.JSONEncoder(sort_keys=True, separators=(",\n      ", ": "))
+def _json_number(x: float) -> str:
+    """``x`` as a float, spelled as ``json.dumps`` spells it."""
+    x = float(x)
+    return repr(x) if math.isfinite(x) else json.dumps(x)
+
+
+def _json_point(failed: bool) -> str:
+    """A point as ``json.dumps(..., indent=2, sort_keys=True)`` writes it at
+    depth 2: slot k takes row cell k; a failed point's columns are ""."""
+    slots = {k: '""' if failed and k in _SWEEP_COLUMNS else f"{{{i}}}"
+             for i, k in enumerate(_SWEEP_HEADER)}
+    return "    {{\n" + ",\n".join(f"      {json.dumps(k)}: {slots[k]}"
+                                   for k in sorted(slots)) + "\n    }}"
+
+
+_JSON_POINT, _JSON_FAILED_POINT = _json_point(False), _json_point(True)
 
 
 def write_sweep(out: TextIO, path: str, points: Iterable[SweepPoint],
@@ -208,26 +232,23 @@ def write_sweep(out: TextIO, path: str, points: Iterable[SweepPoint],
     end, since its column widths need every row."""
     if fmt not in FORMATS:
         raise _unknown_format(fmt)
-    rows = (_sweep_row(i, p) for i, p in enumerate(points))
     if fmt == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(_SWEEP_HEADER)
-        writer.writerows(rows)
+        writer.writerows(_sweep_cells(points, repr))
     elif fmt == "json":
         out.write(f'{{\n  "path": {json.dumps(path)},\n  "points": [')
         sep, tail = "\n", "]\n}\n"  # no points: "[]"
-        for row in rows:
-            row[1] = float(row[1])  # the swept value is a float even when given as an int
-            body = _POINT_JSON.encode(dict(zip(_SWEEP_HEADER, row)))[1:-1]
-            out.write(f"{sep}    {{\n      {body}\n    }}")
+        for cells in _sweep_cells(points, _json_number):
+            cells[-1] = json.dumps(cells[-1])
+            out.write(sep + (_JSON_POINT if cells[2] else _JSON_FAILED_POINT).format(*cells))
             sep, tail = ",\n", "\n  ]\n}\n"
         out.write(tail)
     else:
-        cells = [[c if isinstance(c, str) else repr(c) for c in row] for row in rows]
-        widths = [max(map(len, column)) for column in zip(_SWEEP_HEADER, *cells)]
+        rows = [_SWEEP_HEADER, *_sweep_cells(points, repr)]
+        line = "  ".join(f"{{:<{max(map(len, column))}}}" for column in zip(*rows))
         out.write(f"sweep over {path}\n\n")
-        out.writelines("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() + "\n"
-                       for row in (_SWEEP_HEADER, *cells))
+        out.writelines(line.format(*row).rstrip() + "\n" for row in rows)
 
 
 def render_sweep(path: str, points: list[SweepPoint], fmt: str = "text") -> str:

@@ -146,7 +146,7 @@ def parse_document(text: str) -> Document:
                              line=line_no, column=1)
         if not value_text:
             raise ParseError(f"missing value for key {key!r}", line=line_no, column=1)
-        column = raw_line.find(value_text) + 1
+        column = raw_line.find(value_text, raw_line.index("=") + 1) + 1  # not in the key
         value = _parse_value(value_text, line_no, column)
         name, sec_line, entries = sections[-1]
         if key in seen_keys:

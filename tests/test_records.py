@@ -2,11 +2,13 @@
 they are built, positionally or by keyword, with the same typed errors."""
 
 import math
+import re
 
 import pytest
 
 from evdemand.engine import GallonsBasis, SharesBasis
 from evdemand.errors import (
+    DimensionMismatch,
     FractionOutOfRange,
     InvalidReferenceData,
     InvalidSweep,
@@ -55,6 +57,27 @@ def test_quantity_checks(kwargs, error, message):
 ])
 def test_battery_chemistry_checks(change, message):
     _both_ways(BatteryChemistry, {**NIMH, **change}, InvalidReferenceData, message)
+    with pytest.raises(InvalidReferenceData, match=f"^{re.escape(message)}$"):  # and a copy
+        builtin_chemistry("nimh")._replace(**change)
+
+
+@pytest.mark.parametrize("change, message", [
+    # a count-valued density and capacity agree with the mass, and a
+    # mass-valued manufacture energy is positive: the dimensions alone are wrong
+    (dict(energy_density=Quantity(75.0, Dimension.COUNT),
+          pack_capacity=Quantity(24750.0, Dimension.COUNT),
+          manufacture_energy=Quantity(3.0, Dimension.MASS)),
+     "nimh: energy density must be energy_density, got count"),
+    (dict(pack_mass=quantity(330, "kWh")), "nimh: pack mass must be mass, got energy"),
+    (dict(pack_capacity=Quantity(25000.0, Dimension.COUNT)),
+     "nimh: pack capacity must be energy, got count"),
+    (dict(manufacture_energy=quantity(3, "kg")),
+     "nimh: manufacture energy must be energy, got mass"),
+])
+def test_battery_chemistry_checks_dimensions(change, message):
+    _both_ways(BatteryChemistry, {**NIMH, **change}, DimensionMismatch, message)
+    with pytest.raises(DimensionMismatch, match=f"^{message}$"):  # and a copy
+        builtin_chemistry("nimh")._replace(**change)
 
 
 def test_ev_model_checks():

@@ -24,6 +24,7 @@ from evdemand.quantities import (
 )
 from evdemand.refdata import builtin_dataset
 from evdemand.report import render
+from evdemand.scnformat import parse_document
 from evdemand.scenario import (
     BUILTIN_SCENARIOS,
     CatalogMedian,
@@ -407,3 +408,15 @@ class TestScnFormatDetails:
         with pytest.raises(ParseError) as exc:
             parse_scenario("[meta]\ndataset us2005\n")
         assert exc.value.line == 2
+
+    def test_bad_value_column_is_past_the_key(self):
+        # the key "a1e" holds the value text "1e" at column 2
+        with pytest.raises(ParseError) as exc:
+            parse_document("[meta]\na1e = 1e")
+        assert (exc.value.line, exc.value.column) == (2, 7)
+        assert str(exc.value).endswith("(line 2, column 7)")
+
+    def test_value_column_is_past_the_key(self):
+        [section] = parse_document("[meta]\nab = b").sections
+        [entry] = section.entries
+        assert (entry.value.text, entry.value.line, entry.value.column) == ("b", 2, 6)

@@ -3,10 +3,13 @@
 ``json.dumps(..., indent=2)`` gives, memory stays flat as the point count
 grows, and the CLI survives a reader that closes stdout early. A sweep row's
 cells, read through the report-unit table, equal the ones ``in_unit`` gives,
-and the table keeps every dimension check."""
+and the table keeps every dimension check. A row reuses a column's text while
+its value repeats, and writes the bytes of a writer that reuses nothing."""
 
+import csv
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -26,8 +29,9 @@ from evdemand.report import (
     _REPORT_UNITS,
     _SWEEP_HEADER,
     _SWEEP_UNITS,
+    _SWEEP_VALUES,
     _scaled,
-    _sweep_row,
+    _sweep_cells,
     render_sweep,
     write_sweep,
 )
@@ -50,9 +54,20 @@ ASSESSMENTS = [assess(PAPER_2005), assess(load_builtin_scenario("paper-2001")),
                assess(PAPER_2005._replace(renewable_share=quantity(1.0, "frac")))]
 
 
+def _row(i, p):
+    """Index, swept value, one number per column ("" for a failed point) and
+    error, every column scaled on its own: the rows of a writer that reuses
+    nothing."""
+    a = p.assessment
+    return [i, p.value.canonical if isinstance(p.value, Quantity) else p.value,
+            *(("",) * len(_SWEEP_UNITS) if a is None
+              else map(_scaled, _SWEEP_VALUES(a), _SWEEP_UNITS)),
+            p.error or ""]
+
+
 def _json_as_dumps(path, points):
     """The sweep JSON as one ``json.dumps(..., indent=2)`` call writes it."""
-    rows = [_sweep_row(i, p) for i, p in enumerate(points)]
+    rows = [_row(i, p) for i, p in enumerate(points)]
     payload = [{**dict(zip(_SWEEP_HEADER, row)), "value": float(row[1])} for row in rows]
     return json.dumps({"path": path, "points": payload}, indent=2, sort_keys=True) + "\n"
 
@@ -79,6 +94,61 @@ points = st.one_of(
 @given(path=st.sampled_from(sorted(OVERRIDE_PATHS)) | st.text(), pts=st.lists(points, max_size=6))
 def test_json_layout_matches_indented_dumps(path, pts):
     assert render_sweep(path, pts, "json") == _json_as_dumps(path, pts)
+
+
+def _text_reference(path, points):
+    """The sweep text with each cell spelled by ``repr`` and padded by ``ljust``."""
+    cells = [[c if isinstance(c, str) else repr(c) for c in _row(i, p)]
+             for i, p in enumerate(points)]
+    widths = [max(map(len, column)) for column in zip(_SWEEP_HEADER, *cells)]
+    return f"sweep over {path}\n\n" + "".join(
+        "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() + "\n"
+        for row in (_SWEEP_HEADER, *cells))
+
+
+def _csv_reference(points):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(_SWEEP_HEADER)
+    writer.writerows(_row(i, p) for i, p in enumerate(points))
+    return buf.getvalue()
+
+
+# runs of one assessment, failed points between them, and conversion fractions
+# that equal the previous one's without sharing its text: 0.0 after -0.0, NaN
+fractions = st.sampled_from([0.0, -0.0, math.nan, 0.25]) | st.floats()
+repeating = st.lists(st.one_of(
+    st.builds(SweepPoint, swept_values,
+              st.builds(lambda a, f: a if f is None else a._replace(conversion_fraction=f),
+                        st.sampled_from(ASSESSMENTS), st.none() | fractions)),
+    st.builds(SweepPoint, swept_values, st.none(), st.sampled_from(["", "x", 'say "no"'])),
+).flatmap(lambda p: st.lists(st.just(p), min_size=1, max_size=3)), max_size=8).map(
+    lambda runs: [p for run in runs for p in run])
+
+
+@settings(max_examples=200, deadline=None)
+@given(pts=repeating)
+def test_reused_cells_write_what_a_writer_that_reuses_nothing_writes(pts):
+    path = "strategy.renewable_share"
+    assert render_sweep(path, pts, "text") == _text_reference(path, pts)
+    assert render_sweep(path, pts, "csv") == _csv_reference(pts)
+    assert render_sweep(path, pts, "json") == _json_as_dumps(path, pts)
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_a_one_path_sweep_scales_only_the_cells_that_change(monkeypatch, fmt):
+    calls = []
+
+    def counting(value, unit):
+        calls.append(unit)
+        return _scaled(value, unit)
+
+    monkeypatch.setattr(report, "_scaled", counting)
+    spec = SweepSpec.from_values("strategy.renewable_share", [k / 100 for k in range(100)])
+    render_sweep(spec.path, sweep(PAPER_2005, spec), fmt)
+    # every column of the first point, then the conversion fraction of the other 99
+    assert len(calls) == 108
+    assert calls[9:] == ["frac"] * 99
 
 
 def test_empty_sweep_json_is_an_empty_list():
@@ -196,9 +266,13 @@ def _reference(q, unit):
     f"{a.scenario.name}-{a.scenario.method.value}-{a.scenario.convention.value}"))
 def test_sweep_row_matches_a_per_cell_reference(a):
     assert tuple(REFERENCE_COLUMNS) == _SWEEP_HEADER[2:-1]
-    row = _sweep_row(7, SweepPoint(0.25, a))
-    expected = [7, 0.25, *(get(a) for get in REFERENCE_COLUMNS.values()), ""]
-    assert repr(row) == repr(expected)
+    expected = [repr(0.25), *(repr(get(a)) for get in REFERENCE_COLUMNS.values()), ""]
+    # the row alone, and after the other variants' rows, whose texts it may reuse
+    alone = [SweepPoint(0.25, a)]
+    after = [SweepPoint(0.5, b) for b in VARIANTS if b is not a] + alone
+    for pts in (alone, after):
+        *_, row = _sweep_cells(pts, repr)
+        assert row == [str(len(pts) - 1), *expected]
 
 
 @given(unit=st.sampled_from(sorted(_REPORT_UNITS)), fraction=st.floats(0, 1))
@@ -218,7 +292,7 @@ def test_every_report_unit_of_a_quantity_is_in_the_table(monkeypatch):
     monkeypatch.setattr(report, "_scaled", recording)
     for a in VARIANTS:
         report.render(a, "csv")
-        _sweep_row(0, SweepPoint(0.25, a))
+        list(report._sweep_cells([SweepPoint(0.25, a)], repr))
     report.reproduce()
     assert {unit for is_quantity, unit in seen if is_quantity} <= set(_REPORT_UNITS)
     assert {unit for _, unit in seen} - set(_REPORT_UNITS) == {"ratio"}

@@ -24,6 +24,10 @@ The calls:
 * the ``repr`` of every point of each of those sweeps and of the ``[sweep]``
   sections below: its value, its error or every field of its assessment
   but the echoed scenario, so no output is rounded or left out;
+* ``render_sweep`` in every format, and the ``repr`` of every point, of
+  sweeps of both packaged fixtures whose values repeat between failing
+  points, one of them over baselines so large that the capacity deficit
+  stays 0.0, so a row's cells are reused across runs and gaps;
 * both packaged fixtures under every method and convention, in every format
   and digit setting;
 * ``render_scenario``, and ``render_sweep`` in every format of
@@ -93,6 +97,16 @@ SWEEP_SECTIONS = (
     RENEWABLE + "from = 1\nto = 0\nstep = 0.1",
     RENEWABLE + "from = 0\nto = 1e6\nstep = 1",
     RENEWABLE + "values = 0.1\ncolour = 1",
+)
+NAN = float("nan")
+# values that repeat between failing points; a baseline above the fleet's
+# total keeps the capacity deficit at 0.0 while the other columns move
+REPEATS = (
+    ("strategy.renewable_share", (0.3, 0.3, -1.0, 0.3, NAN, 0.5, 0.5)),
+    ("strategy.baseline_generation", (1e17, 1e17, 2e17, -1.0, 2e17, NAN, 4055e12, 1e17)),
+    ("battery.batteries_per_ev", (4.0, 4.0, 0.5, 4.0, 2.0, 2.0, 1e400, 2.0)),
+    ("ev.per_ev_energy", (25000.0, 25000.0, 0.0, 25000.0, -1.0, 25000.0)),
+    ("fleet.fuel_share", (0.6, 0.6, 1.5, 0.6, 0.0, 0.0, 0.6)),
 )
 # several problems at once, an unknown chemistry or dataset among them
 PROBLEM_TEXTS = (
@@ -203,6 +217,14 @@ def _outputs(evdemand, gen) -> dict[str, str]:
                 record(f"{key} {fmt}", lambda: evdemand.render_sweep(spec.path, points, fmt))
     for k, text in enumerate(PROBLEM_TEXTS):
         record(f"problems {k}", lambda: repr(parse_scenario(text)))
+
+    for name in FIXTURES:
+        fixture = load_builtin_scenario(name)
+        for k, (path, values) in enumerate(REPEATS):
+            key = f"{name} repeats {k} {path}"
+            points = swept(f"{key} points", fixture, SweepSpec.from_values(path, values))
+            for fmt in FORMATS:
+                record(f"{key} {fmt}", lambda: evdemand.render_sweep(path, points, fmt))
 
     for targets in [[t] for t in TARGET_IDS] + [None]:
         for fmt in FORMATS:
