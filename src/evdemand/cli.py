@@ -14,7 +14,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from .errors import EvDemandError, InvalidRenderOption, UnknownScenario, ValidationError
-from .quantities import check_sig_digits
+from .quantities import NUMBER_RE, check_sig_digits
 from .report import FORMATS, TARGET_IDS, render, render_comparisons, reproduce, write_sweep
 from .refdata import builtin_dataset, dataset_ids
 from .scenario import (
@@ -110,11 +110,13 @@ def _sweep_spec_from_args(args: argparse.Namespace, scenario: Scenario) -> Sweep
             raise _UsageError("scenario has no [sweep] section and no sweep flags were given")
         return scenario.sweep_spec
     values = None
-    if args.values is not None:
-        try:
-            values = [float(v) for v in args.values.split(",") if v.strip()]
-        except ValueError:
-            raise _UsageError(f"bad --values list: {args.values!r}") from None
+    if args.values is not None:  # each item a bare number, as a [sweep] values list reads it
+        values = []
+        for item in map(str.strip, args.values.split(",")):
+            if not NUMBER_RE.fullmatch(item):
+                raise _UsageError(f"bad --values item {item!r}: not a number" if item
+                                  else "empty item in --values list")
+            values.append(float(item))
     with _argument_errors():
         return SweepSpec(args.path, values, args.from_, args.to, args.step)
 

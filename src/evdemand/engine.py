@@ -23,7 +23,7 @@ than silently corrected:
   erratum note wherever the values surface.
 """
 
-import math
+from math import isfinite
 from typing import NamedTuple
 
 from .errors import (
@@ -80,6 +80,10 @@ WATER_CONVENTION_NOTE = (
 _WH_PER_TWH = CATALOG.lookup("TWh").scale
 _T_PER_MT = CATALOG.lookup("Mt").scale
 
+# bound once: results are built without their classes' Python-level
+# constructors (see ``_result``), about 20 of them an ``assess``
+_tuple_new = tuple.__new__
+
 
 def _expect(q: Quantity, dim: Dimension, what: str) -> float:
     if q.dimension is not dim:
@@ -96,9 +100,9 @@ def _result(value: float, output: str, dim: Dimension | None = None) -> Quantity
     constants), so a finite one is never negative or -0.0 and the quantity
     is built without the constructor's checks.
     """
-    if not math.isfinite(value):
+    if not isfinite(value):
         raise NonFiniteMagnitude(f"{output} {value!r} is not finite")
-    return value if dim is None else tuple.__new__(Quantity, (value, dim))
+    return value if dim is None else _tuple_new(Quantity, (value, dim))
 
 
 class SharesBasis(NamedTuple):
@@ -199,7 +203,8 @@ def _battery_demand_method_a(fleet_wh: float, per_ev_wh: float, batteries_per_ev
     ev_count = _result(fleet_wh / per_ev_wh, "EV count", Dimension.COUNT)
     battery_count = _result(ev_count.canonical * batteries_per_ev, "battery count",
                             Dimension.COUNT)
-    return BatteryDemand("A", battery_count, _production(battery_count, chem), ev_count)
+    return _tuple_new(BatteryDemand, ("A", battery_count, _production(battery_count, chem),
+                                      ev_count))
 
 
 def battery_demand_method_b(fleet: Quantity, chem: BatteryChemistry) -> BatteryDemand:
@@ -212,7 +217,8 @@ def _battery_demand_method_b(fleet_wh: float, chem: BatteryChemistry) -> Battery
     if capacity_wh == 0.0:
         raise ZeroCapacity("pack capacity must be positive")
     battery_count = _result(fleet_wh / capacity_wh, "battery count", Dimension.COUNT)
-    return BatteryDemand("B", battery_count, _production(battery_count, chem))
+    return _tuple_new(BatteryDemand, ("B", battery_count, _production(battery_count, chem),
+                                      None))
 
 
 def printed_style(production_energy: Quantity) -> Quantity:
@@ -311,8 +317,6 @@ def capacity_deficit(fleet: Quantity, battery_energy: Quantity,
 def _capacity_deficit(total_wh: float, baseline_wh: float) -> CapacityDeficit:
     if baseline_wh == 0.0:
         raise ZeroBaseline("baseline generation must be positive")
-    return CapacityDeficit(
-        ratio_to_baseline=_result(total_wh / baseline_wh, "total vs baseline ratio"),
-        deficit=_result(max(0.0, total_wh - baseline_wh), "capacity deficit",
-                        Dimension.ENERGY),
-    )
+    return CapacityDeficit(_result(total_wh / baseline_wh, "total vs baseline ratio"),
+                           _result(max(0.0, total_wh - baseline_wh), "capacity deficit",
+                                   Dimension.ENERGY))

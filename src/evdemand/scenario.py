@@ -35,7 +35,7 @@ Sections and keys (unknown ones are errors):
 
 import enum
 import math
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Iterator, NamedTuple
@@ -769,79 +769,131 @@ _CATALOG_MEDIAN_PER_EV = engine.per_ev_energy(
       for field in ("power", "range", "max_speed")))
 
 
-def _resolve_per_ev(ref: EvReference) -> Quantity:
+_STAGES: list = []  # the stage functions, in the order ``assess`` runs them
+
+
+def _stage(reads: str, writes: str):
+    """Declares a stage of ``assess``: ``run(s, record)`` adds the keys in
+    ``writes`` to the record, from the field paths and earlier outputs it
+    ``reads``; both are kept as attributes of ``run``."""
+    def add(run):
+        run.reads, run.writes = frozenset(reads.split()), tuple(writes.split())
+        _STAGES.append(run)
+        return run
+    return add
+
+
+# A stage declares field paths and outputs only: the method, convention,
+# chemistry and water pairs are not fields, and no override replaces them.
+@_stage("fleet.total_energy fleet.transport_share fleet.fuel_share fleet.gallons "
+        "fleet.heat_content fleet.btu_to_wh", "fleet_energy fleet_wh")
+def _fleet(s: Scenario, r: dict) -> None:
+    r["fleet_energy"] = fleet = engine.fleet_energy(s.fleet_basis)
+    r["fleet_wh"] = fleet.canonical
+
+
+@_stage("ev.per_ev_energy ev.power ev.range ev.speed", "per_ev_energy")
+def _per_ev(s: Scenario, r: dict) -> None:
+    ref = s.ev_reference
     if isinstance(ref, ExplicitPerEv):
         engine._expect(ref.per_ev, Dimension.ENERGY, "per-EV energy")
-        return ref.per_ev
-    if isinstance(ref, PowerRangeSpeed):
-        return engine.per_ev_energy(ref.power, ref.travel_range, ref.speed)
-    return _CATALOG_MEDIAN_PER_EV
+        r["per_ev_energy"] = ref.per_ev
+    elif isinstance(ref, PowerRangeSpeed):
+        r["per_ev_energy"] = engine.per_ev_energy(ref.power, ref.travel_range, ref.speed)
+    else:
+        r["per_ev_energy"] = _CATALOG_MEDIAN_PER_EV
+
+
+# every other input is read once, with its dimension check, in the order
+# below; the engine kernels then compute on canonical floats
+@_stage("dataset.co2_total dataset.total_generation", "emissions_t generation_wh water_inputs")
+def _dataset_inputs(s: Scenario, r: dict) -> None:
+    expect = engine._expect
+    r["emissions_t"] = expect(s.dataset.co2_total, Dimension.MASS, "emissions")
+    mix = s.dataset.mix
+    r["generation_wh"] = expect(mix.total_generation, Dimension.ENERGY, "generation")
+    r["water_inputs"] = [(fuel, Quantity(mix.share(fuel), Dimension.FRACTION).canonical,
+                          expect(wi, Dimension.WATER_INTENSITY, "water intensity"))
+                         for fuel, wi in s.water]
+
+
+@_stage("strategy.baseline_generation strategy.renewable_share", "baseline_wh share")
+def _strategy_inputs(s: Scenario, r: dict) -> None:
+    r["baseline_wh"] = engine._expect(s.baseline_generation, Dimension.ENERGY,
+                                      "baseline generation")
+    r["share"] = engine._expect(s.renewable_share, Dimension.FRACTION, "renewable share")
+
+
+@_stage("fleet_wh per_ev_energy battery.batteries_per_ev battery.pack_capacity "
+        "battery.manufacture_energy",
+        "demand_a demand_b totals_demand battery_energy_for_totals total_additional_energy")
+def _demand(s: Scenario, r: dict) -> None:
+    fleet_wh = r["fleet_wh"]
+    demand_a = demand_b = None
+    if s.method in (Method.A, Method.BOTH):
+        demand_a = engine._battery_demand_method_a(fleet_wh, r["per_ev_energy"].canonical,
+                                                   s.batteries_per_ev, s.chemistry)
+    if s.method in (Method.B, Method.BOTH):
+        demand_b = engine._battery_demand_method_b(fleet_wh, s.chemistry)
+    r["demand_a"], r["demand_b"] = demand_a, demand_b
+    # the published total pairs the fleet demand with the pack-capacity
+    # (method B) battery energy whenever that method is computed
+    r["totals_demand"] = totals_demand = demand_b if demand_b is not None else demand_a
+    battery_energy = totals_demand.production_energy
+    if s.convention is Convention.PUBLISHED:
+        battery_energy = engine.printed_style(battery_energy)
+    r["battery_energy_for_totals"] = battery_energy
+    r["total_additional_energy"] = engine._total_additional_energy(
+        fleet_wh, battery_energy.canonical)
+
+
+@_stage("emissions_t generation_wh", "carbon_intensity")
+def _intensity(s: Scenario, r: dict) -> None:
+    r["carbon_intensity"] = engine._carbon_intensity(r["emissions_t"], r["generation_wh"])
+
+
+@_stage("total_additional_energy carbon_intensity fleet_wh water_inputs",
+        "additional_co2 water")
+def _co2_and_water(s: Scenario, r: dict) -> None:
+    r["additional_co2"] = engine._additional_co2(r["total_additional_energy"].canonical,
+                                                 r["carbon_intensity"].canonical)
+    fleet_wh = r["fleet_wh"]
+    r["water"] = tuple([(fuel, engine._water_use(fleet_wh, share, gal_per_mwh))
+                        for fuel, share, gal_per_mwh in r["water_inputs"]])
+
+
+@_stage("baseline_wh share fleet_wh total_additional_energy",
+        "renewable_supply conversion_fraction full_conversion deficit")
+def _strategy(s: Scenario, r: dict) -> None:
+    fleet_wh, baseline_wh = r["fleet_wh"], r["baseline_wh"]
+    r["renewable_supply"] = supply = engine._renewable_supply(baseline_wh, r["share"])
+    if fleet_wh == 0.0:
+        fraction = 0.0
+    else:
+        fraction = engine._sustainable_conversion_fraction(supply.canonical, fleet_wh)
+    r["conversion_fraction"], r["full_conversion"] = fraction, fraction >= 1.0
+    r["deficit"] = engine._capacity_deficit(r["total_additional_energy"].canonical,
+                                            baseline_wh)
+
+
+_FIELDS_OF = itemgetter(*Assessment._fields)
+
+
+def _evaluate(s: Scenario, runs: list | tuple, record: dict) -> Assessment:
+    """Run ``runs`` on ``s`` in order, into ``record``, which holds every
+    output the runs read and do not write."""
+    record["scenario"] = s
+    for run in runs:
+        run(s, record)
+    return tuple.__new__(Assessment, _FIELDS_OF(record))
 
 
 def assess(s: Scenario) -> Assessment:
     """Evaluate a scenario: fleet energy, demands, CO2, water, strategy, deficit.
 
-    Deterministic and referentially transparent; the published total pairs
-    the fleet demand with the pack-capacity (method B) battery energy, so
-    that method feeds the totals whenever it is computed.
+    Deterministic and referentially transparent; runs every stage in order.
     """
-    fleet = engine.fleet_energy(s.fleet_basis)
-    per_ev = _resolve_per_ev(s.ev_reference)
-    # every other input, read once with its dimension check; the engine
-    # kernels then compute on canonical floats
-    expect = engine._expect
-    emissions_t = expect(s.dataset.co2_total, Dimension.MASS, "emissions")
-    mix = s.dataset.mix
-    generation_wh = expect(mix.total_generation, Dimension.ENERGY, "generation")
-    water_inputs = [(fuel, Quantity(mix.share(fuel), Dimension.FRACTION).canonical,
-                     expect(wi, Dimension.WATER_INTENSITY, "water intensity"))
-                    for fuel, wi in s.water]
-    baseline_wh = expect(s.baseline_generation, Dimension.ENERGY, "baseline generation")
-    renewable_share = expect(s.renewable_share, Dimension.FRACTION, "renewable share")
-    fleet_wh = fleet.canonical
-
-    demand_a = demand_b = None
-    if s.method in (Method.A, Method.BOTH):
-        demand_a = engine._battery_demand_method_a(fleet_wh, per_ev.canonical,
-                                                   s.batteries_per_ev, s.chemistry)
-    if s.method in (Method.B, Method.BOTH):
-        demand_b = engine._battery_demand_method_b(fleet_wh, s.chemistry)
-
-    totals_demand = demand_b if demand_b is not None else demand_a
-    battery_energy = totals_demand.production_energy
-    if s.convention is Convention.PUBLISHED:
-        battery_energy = engine.printed_style(battery_energy)
-
-    total = engine._total_additional_energy(fleet_wh, battery_energy.canonical)
-    intensity = engine._carbon_intensity(emissions_t, generation_wh)
-    co2 = engine._additional_co2(total.canonical, intensity.canonical)
-    water = tuple((fuel, engine._water_use(fleet_wh, share, gal_per_mwh))
-                  for fuel, share, gal_per_mwh in water_inputs)
-
-    renewable_supply = engine._renewable_supply(baseline_wh, renewable_share)
-    if fleet_wh == 0.0:
-        conversion_fraction = 0.0
-    else:
-        conversion_fraction = engine._sustainable_conversion_fraction(
-            renewable_supply.canonical, fleet_wh)
-
-    return Assessment(
-        scenario=s,
-        fleet_energy=fleet,
-        per_ev_energy=per_ev,
-        demand_a=demand_a,
-        demand_b=demand_b,
-        totals_demand=totals_demand,
-        battery_energy_for_totals=battery_energy,
-        total_additional_energy=total,
-        carbon_intensity=intensity,
-        additional_co2=co2,
-        water=water,
-        renewable_supply=renewable_supply,
-        conversion_fraction=conversion_fraction,
-        full_conversion=conversion_fraction >= 1.0,
-        deficit=engine._capacity_deficit(total.canonical, baseline_wh),
-    )
+    return _evaluate(s, _STAGES, {})
 
 
 # --- sweeps ----------------------------------------------------------------
@@ -878,12 +930,39 @@ def apply_override(s: Scenario, path: str, value: float | Quantity) -> Scenario:
     return s._replace(fleet_basis=s.fleet_basis._replace(**{field.attr: coerced}))
 
 
+def _reruns(path: str) -> tuple:
+    """The stages an override at ``path`` changes, in ``assess`` order: those
+    that read it, and those that read what a changed stage wrote."""
+    changed, runs = {path}, []
+    for stage in _STAGES:
+        if not changed.isdisjoint(stage.reads):
+            changed.update(stage.writes)
+            runs.append(stage)
+    return tuple(runs)
+
+
+_RERUNS = {path: _reruns(path) for path in OVERRIDE_PATHS}
+
+
 def iter_sweep(s: Scenario, spec: SweepSpec) -> Iterator[SweepPoint]:
     """Evaluate ``s`` at each sweep point in order, yielding each point as it
-    is evaluated; a point that fails carries its error inline."""
+    is evaluated; a point that fails carries its error inline.
+
+    ``s`` is assessed once. A point reruns only the stages its path changes
+    and takes every other output from ``s``: those succeeded on the same
+    inputs, so the point equals a full ``assess`` of the overridden scenario,
+    error for error. If ``s`` fails, each point is assessed in full.
+    """
+    base: dict = {}
+    try:
+        _evaluate(s, _STAGES, base)
+        runs = _RERUNS.get(spec.path, _STAGES)  # else apply_override rejects the path
+    except EvDemandError:
+        base, runs = {}, _STAGES
     for value in spec.points():
         try:
-            point = SweepPoint(value, assess(apply_override(s, spec.path, value)))
+            point = SweepPoint(value, _evaluate(apply_override(s, spec.path, value), runs,
+                                                dict(base)))
         except EvDemandError as exc:
             point = SweepPoint(value, None, str(exc))
         yield point

@@ -113,13 +113,10 @@ magnitudes = st.one_of(
 fractions = st.floats(min_value=0.0, max_value=1.0)
 
 
-@pytest.mark.parametrize("basis, method, convention, ev", itertools.product(
-    FIXTURES, Method, Convention, ("explicit", "power-range-speed", "catalog-median")))
-@settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_float_assess_matches_the_quantity_level_one(basis, method, convention, ev, data):
+def drawn_scenario(draw, basis, method, convention, ev):
+    """A fixture with every magnitude ``assess`` reads drawn: zero, tiny,
+    huge and overflowing ones among them."""
     s = FIXTURES[basis]
-    draw = data.draw
     if isinstance(s.fleet_basis, SharesBasis):
         fleet_basis = s.fleet_basis._replace(total_energy=Quantity(draw(magnitudes), D.ENERGY),
                                              fuel_share=Quantity(draw(fractions), D.FRACTION))
@@ -135,7 +132,7 @@ def test_float_assess_matches_the_quantity_level_one(basis, method, convention, 
     else:
         ev_reference = CatalogMedian()
     mix = s.dataset.mix._replace(total_generation=Quantity(draw(magnitudes), D.ENERGY))
-    s = s._replace(
+    return s._replace(
         dataset=s.dataset._replace(mix=mix, co2_total=Quantity(draw(magnitudes), D.MASS)),
         fleet_basis=fleet_basis,
         ev_reference=ev_reference,
@@ -145,6 +142,14 @@ def test_float_assess_matches_the_quantity_level_one(basis, method, convention, 
         renewable_share=Quantity(draw(fractions), D.FRACTION),
         baseline_generation=Quantity(draw(magnitudes), D.ENERGY),
     )
+
+
+@pytest.mark.parametrize("basis, method, convention, ev", itertools.product(
+    FIXTURES, Method, Convention, ("explicit", "power-range-speed", "catalog-median")))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_float_assess_matches_the_quantity_level_one(basis, method, convention, ev, data):
+    s = drawn_scenario(data.draw, basis, method, convention, ev)
     assert _outcome(assess, s) == _outcome(_reference_assess, s)
 
 

@@ -213,8 +213,8 @@ def test_flags_and_sweep_section_follow_one_rule(capsys, tmp_path, flags, sectio
 @pytest.mark.parametrize("values, bad", [('"x"', ['"x"']), ('y, "x"', ["y", '"x"']),
                                          ("0.5, y", ["y"])])
 def test_a_bad_sweep_value_in_a_file_is_one_problem(capsys, tmp_path, values, bad):
-    # the flags give an empty list with "--values ,"; a file gives one only
-    # through bad items, and each of those is reported once, alone
+    # "--values ," is one empty item; a file's bad items are each reported
+    # once, alone
     code, out, err = _run(capsys, "sweep", "paper-2005",
                           "--path", "strategy.renewable_share", "--values", ",")
     assert code == 2
@@ -230,6 +230,34 @@ def test_a_bad_sweep_value_in_a_file_is_one_problem(capsys, tmp_path, values, ba
     assert len(lines) == len(bad)
     for line, item in zip(lines, bad):
         assert "sweep value" in line and repr(item) in line
+
+
+def _sweep_file(tmp_path, values):
+    path = tmp_path / "sweep.scn"
+    path.write_text(builtin_scenario_text("paper-2005")
+                    + f"[sweep]\npath = strategy.renewable_share\nvalues = {values}\n",
+                    encoding="utf-8")
+    return str(path)
+
+
+# each --values item is read as a [sweep] values list reads a bare number
+@pytest.mark.parametrize("values", ["0.1,,0.3", "0.1,", "1_0", "nan", "inf", "0.1, -inf", ""])
+def test_a_values_item_a_file_rejects_is_a_usage_error(capsys, tmp_path, values):
+    code, out, err = _run(capsys, "sweep", "paper-2005",
+                          "--path", "strategy.renewable_share", "--values", values)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    code, out, err = _run(capsys, "sweep", _sweep_file(tmp_path, values))
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("values", ["0.1,0.3", " .5 , +0.25,5.", "1e-1,1E+0,-1"])
+def test_values_a_file_accepts_sweep_as_in_the_file(capsys, tmp_path, values):
+    flags = _run(capsys, "sweep", "paper-2005",
+                 "--path", "strategy.renewable_share", "--values", values)
+    assert flags == _run(capsys, "sweep", _sweep_file(tmp_path, values))
+    assert flags[0] == 0
 
 
 @pytest.mark.parametrize("command", ["validate", "run", "sweep"])

@@ -39,7 +39,12 @@ The calls:
   malformed, a broken inline one beside other bad sections, or an inline
   one without its ``[dataset]`` or ``[mix]`` section;
 * ``render_comparisons`` of every target alone and of all targets together,
-  in every format.
+  in every format;
+* ``render_sweep`` in every format, and the ``repr`` of every point, of
+  ``paper-2005`` under every method and convention with a zero baseline
+  generation or a zero per-EV energy, so the base fails to assess and each
+  point is assessed in full, and with a zero fuel share, so the fleet
+  energy is zero; each swept over the strategy paths or ``ev.per_ev_energy``.
 """
 
 from __future__ import annotations
@@ -108,6 +113,19 @@ REPEATS = (
     ("ev.per_ev_energy", (25000.0, 25000.0, 0.0, 25000.0, -1.0, 25000.0)),
     ("fleet.fuel_share", (0.6, 0.6, 1.5, 0.6, 0.0, 0.0, 0.6)),
 )
+# (name, override that makes the base, sweeps of it): a zero baseline or
+# per-EV energy fails the base, a zero fuel share zeroes the fleet energy
+EDGE_BASES = (
+    ("zero baseline", "strategy.baseline_generation", 0.0,
+     (("strategy.baseline_generation", (0.0, 4055e12)),
+      ("strategy.renewable_share", (0.0, 0.3, 1.0)))),
+    ("zero per-EV energy", "ev.per_ev_energy", 0.0,
+     (("ev.per_ev_energy", (0.0, 25000.0)),)),
+    ("zero fleet", "fleet.fuel_share", 0.0,
+     (("strategy.renewable_share", (0.0, 0.3, 1.0)),
+      ("strategy.baseline_generation", (0.0, 4055e12)),
+      ("ev.per_ev_energy", (0.0, 25000.0)))),
+)
 # several problems at once, an unknown chemistry or dataset among them
 PROBLEM_TEXTS = (
     "[meta]\ndataset = us2005\ncolour = 1\n[battery]\nchemistry = unobtainium\n",
@@ -138,6 +156,7 @@ def _outputs(evdemand, gen) -> dict[str, str]:
         Convention,
         Method,
         SweepSpec,
+        apply_override,
         assess,
         load_builtin_scenario,
         parse_scenario,
@@ -230,6 +249,18 @@ def _outputs(evdemand, gen) -> dict[str, str]:
         for fmt in FORMATS:
             record(f"comparisons {targets or 'all'} {fmt}",
                    lambda: evdemand.render_comparisons(evdemand.reproduce(targets), fmt))
+
+    fixture = load_builtin_scenario("paper-2005")
+    for name, base_path, base_value, edge_sweeps in EDGE_BASES:
+        for method in Method:
+            for convention in Convention:
+                base = apply_override(fixture, base_path, base_value)._replace(
+                    method=method, convention=convention)
+                for path, values in edge_sweeps:
+                    key = f"edge {name} {method.value} {convention.value} {path}"
+                    points = swept(f"{key} points", base, SweepSpec.from_values(path, values))
+                    for fmt in FORMATS:
+                        record(f"{key} {fmt}", lambda: evdemand.render_sweep(path, points, fmt))
     return out
 
 
