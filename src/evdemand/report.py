@@ -213,13 +213,15 @@ def _json_number(x: float) -> str:
     return repr(x) if math.isfinite(x) else json.dumps(x)
 
 
-def _json_point(failed: bool) -> str:
-    """A point as ``json.dumps(..., indent=2, sort_keys=True)`` writes it at
-    depth 2: slot k takes row cell k; a failed point's columns are ""."""
-    slots = {k: '""' if failed and k in _SWEEP_COLUMNS else f"{{{i}}}"
-             for i, k in enumerate(_SWEEP_HEADER)}
-    return "    {{\n" + ",\n".join(f"      {json.dumps(k)}: {slots[k]}"
-                                   for k in sorted(slots)) + "\n    }}"
+def _json_point(failed: bool) -> tuple[str, Callable]:
+    """A ``%`` template of a point as ``json.dumps(..., indent=2, sort_keys=True)``
+    writes it at depth 2, and what picks its slots from a row's cells in
+    sorted key order; a failed point's columns are ""."""
+    keys = sorted(_SWEEP_HEADER)
+    slots = [k for k in keys if not (failed and k in _SWEEP_COLUMNS)]
+    fields = (f"      {json.dumps(k)}: " + ("%s" if k in slots else '""') for k in keys)
+    return ("    {\n" + ",\n".join(fields) + "\n    }",
+            operator.itemgetter(*map(_SWEEP_HEADER.index, slots)))
 
 
 _JSON_POINT, _JSON_FAILED_POINT = _json_point(False), _json_point(True)
@@ -233,22 +235,30 @@ def write_sweep(out: TextIO, path: str, points: Iterable[SweepPoint],
     if fmt not in FORMATS:
         raise _unknown_format(fmt)
     if fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(_SWEEP_HEADER)
-        writer.writerows(_sweep_cells(points, repr))
+        # no cell but the error can need quoting, and the csv module's rules for it
+        # differ between Python versions; alone in a row, "" would be quoted
+        quote = csv.writer(out, lineterminator="\n").writerow
+        out.write(",".join(_SWEEP_HEADER) + "\n")
+        for cells in _sweep_cells(points, repr):
+            if cells[-1]:
+                out.write(",".join(cells[:-1]) + ",")
+                quote(cells[-1:])
+            else:
+                out.write(",".join(cells) + "\n")
     elif fmt == "json":
         out.write(f'{{\n  "path": {json.dumps(path)},\n  "points": [')
         sep, tail = "\n", "]\n}\n"  # no points: "[]"
         for cells in _sweep_cells(points, _json_number):
-            cells[-1] = json.dumps(cells[-1])
-            out.write(sep + (_JSON_POINT if cells[2] else _JSON_FAILED_POINT).format(*cells))
+            cells[-1] = json.dumps(cells[-1]) if cells[-1] else '""'
+            template, pick = _JSON_POINT if cells[2] else _JSON_FAILED_POINT
+            out.write(sep + template % pick(cells))
             sep, tail = ",\n", "\n  ]\n}\n"
         out.write(tail)
     else:
         rows = [_SWEEP_HEADER, *_sweep_cells(points, repr)]
-        line = "  ".join(f"{{:<{max(map(len, column))}}}" for column in zip(*rows))
+        line = "  ".join(f"%-{max(map(len, column))}s" for column in zip(*rows))
         out.write(f"sweep over {path}\n\n")
-        out.writelines(line.format(*row).rstrip() + "\n" for row in rows)
+        out.writelines((line % tuple(row)).rstrip() + "\n" for row in rows)
 
 
 def render_sweep(path: str, points: list[SweepPoint], fmt: str = "text") -> str:

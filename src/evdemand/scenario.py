@@ -160,25 +160,28 @@ class _SweepSpecFields(NamedTuple):
 class SweepSpec(_SweepSpecFields):
     """One path of ``OVERRIDE_PATHS`` and what was written for it: either
     ``values``, or all of ``start``, ``stop`` and ``step`` (None where not
-    given). ``points()`` yields the values to evaluate it at, in order."""
+    given). ``points()`` yields the values to evaluate it at, in order.
+    ``_replace`` and ``_make`` check a copy the same way."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        bounds = (self.start, self.stop, self.step)
-        if self.values is not None:
-            self = self._replace(values=tuple(self.values))
+    def __new__(cls, path, values=None, start=None, stop=None, step=None):
+        values = None if values is None else tuple(values)
+        self = super().__new__(cls, path, values, start, stop, step)
+        bounds = (start, stop, step)
+        if values is not None:
             if bounds != (None, None, None):
                 raise InvalidSweep("sweep has both values and from/to/step; pick one")
-            if not self.values:
+            if not values:
                 raise InvalidSweep("sweep needs at least one value")
         elif None in bounds:
             raise InvalidSweep("sweep needs either values or all of from/to/step")
         else:
             self._last()
-        _override_field(self.path)
+        _override_field(path)
         return self
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     @classmethod
     def from_values(cls, path: str, values: list[float | Quantity]) -> "SweepSpec":
@@ -954,9 +957,9 @@ def iter_sweep(s: Scenario, spec: SweepSpec) -> Iterator[SweepPoint]:
     error for error. If ``s`` fails, each point is assessed in full.
     """
     base: dict = {}
+    runs = _RERUNS[spec.path]
     try:
         _evaluate(s, _STAGES, base)
-        runs = _RERUNS.get(spec.path, _STAGES)  # else apply_override rejects the path
     except EvDemandError:
         base, runs = {}, _STAGES
     for value in spec.points():

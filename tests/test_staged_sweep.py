@@ -3,6 +3,7 @@ path feeds: every point must equal a full ``assess`` of the overridden
 scenario, result for result and error for error."""
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from test_assess_floats import FIXTURES, drawn_scenario, fractions, magnitudes
 
 from evdemand import engine
-from evdemand.errors import EvDemandError
+from evdemand.errors import EvDemandError, InvalidSweep, UnknownParameter
 from evdemand.scenario import (
     _RERUNS,
     _STAGES,
@@ -67,11 +68,17 @@ def test_a_base_that_fails_assesses_each_point_in_full():
     assert repr(points) == repr([_full(s, "strategy.baseline_generation", v) for v in values])
 
 
-def test_a_path_a_copy_left_unchecked_fails_each_point_inline():
-    spec = SweepSpec("strategy.renewable_share", [0.1, 0.2])._replace(path="strategy.cloud")
-    points = list(iter_sweep(PAPER_2005, spec))
-    assert [p.error.split(";")[0] for p in points] == ["unknown parameter path "
-                                                       "'strategy.cloud'"] * 2
+@pytest.mark.parametrize("change, error, message", [
+    ({"path": "strategy.cloud"}, UnknownParameter, "unknown parameter path 'strategy.cloud'"),
+    ({"values": ()}, InvalidSweep, "sweep needs at least one value"),
+    ({"values": None}, InvalidSweep, "sweep needs either values or all of from/to/step"),
+])
+def test_a_sweep_spec_copy_is_checked(change, error, message):
+    """``_replace`` builds its copy with ``_make``, which checks it as the
+    constructor does, so no sweep reaches ``iter_sweep`` with a path or
+    values the constructor would reject."""
+    with pytest.raises(error, match=f"^{re.escape(message)}"):
+        SweepSpec("strategy.renewable_share", [0.1, 0.2])._replace(**change)
 
 
 @pytest.mark.parametrize("path, counted, calls", [

@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_golden import _interpreter
 
 from evdemand import report
 from evdemand.cli import main
@@ -81,12 +82,16 @@ swept_values = st.one_of(
 # assessments, some with a NaN or infinite column
 assessments = st.builds(lambda a, f: a if f is None else a._replace(conversion_fraction=f),
                         st.sampled_from(ASSESSMENTS), st.none() | st.floats())
-# failed points: errors with quotes, backslashes, control and non-ASCII characters
+# errors with commas, quotes, backslashes, line breaks, control and non-ASCII
+# characters, and the empty error
+ERRORS = ['say "no"', "back\\slash", "tab\tnew\nline\x00\x1f", "é ☃ 𝄞",
+          "a,b", "cr\rlf", "lf\nonly", ""]
+# failed points, and evaluated points that carry an error all the same
 points = st.one_of(
     st.builds(SweepPoint, swept_values, assessments),
     st.builds(SweepPoint, swept_values, st.none(),
-              st.text(st.characters(blacklist_categories=("Cs",))) | st.sampled_from(
-                  ['say "no"', "back\\slash", "tab\tnew\nline\x00\x1f", "é ☃ 𝄞"])),
+              st.text(st.characters(blacklist_categories=("Cs",))) | st.sampled_from(ERRORS)),
+    st.builds(SweepPoint, swept_values, assessments, st.sampled_from(ERRORS[:-1])),
 )
 
 
@@ -121,7 +126,8 @@ repeating = st.lists(st.one_of(
     st.builds(SweepPoint, swept_values,
               st.builds(lambda a, f: a if f is None else a._replace(conversion_fraction=f),
                         st.sampled_from(ASSESSMENTS), st.none() | fractions)),
-    st.builds(SweepPoint, swept_values, st.none(), st.sampled_from(["", "x", 'say "no"'])),
+    st.builds(SweepPoint, swept_values, st.none(), st.sampled_from(["x", *ERRORS])),
+    st.builds(SweepPoint, swept_values, st.sampled_from(ASSESSMENTS), st.sampled_from(ERRORS[:-1])),
 ).flatmap(lambda p: st.lists(st.just(p), min_size=1, max_size=3)), max_size=8).map(
     lambda runs: [p for run in runs for p in run])
 
@@ -133,6 +139,34 @@ def test_reused_cells_write_what_a_writer_that_reuses_nothing_writes(pts):
     assert render_sweep(path, pts, "text") == _text_reference(path, pts)
     assert render_sweep(path, pts, "csv") == _csv_reference(pts)
     assert render_sweep(path, pts, "json") == _json_as_dumps(path, pts)
+
+
+# The csv module quotes a lone "\r" under 3.13 and not under 3.10-3.12, and the
+# Hypothesis tests run under one interpreter: each other one checks that a csv
+# sweep quotes its errors as that interpreter's csv.writer does.
+CSV_QUOTING = """
+import csv, io
+from evdemand.report import _SWEEP_HEADER, render_sweep
+from evdemand.scenario import SweepPoint
+errors = ("a,b", 'say "no"', "lf\\nonly", "cr\\rlf", "\\r", "\\n", ",", '"', "\\r\\n")
+points = [SweepPoint(0.5, None, e) for e in errors]
+buf = io.StringIO()
+writer = csv.writer(buf, lineterminator="\\n")
+writer.writerow(_SWEEP_HEADER)
+writer.writerows([i, 0.5, *[""] * (len(_SWEEP_HEADER) - 3), e] for i, e in enumerate(errors))
+assert render_sweep("strategy.renewable_share", points, "csv") == buf.getvalue()
+"""
+
+
+@pytest.mark.parametrize("minor", [10, 12, 13])
+def test_csv_errors_are_quoted_as_each_interpreters_csv_module_quotes_them(minor):
+    exe = _interpreter(minor)
+    if exe is None:
+        pytest.skip(f"no python3.{minor} starts here")
+    proc = subprocess.run([exe, "-B", "-c", CSV_QUOTING], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.stdout + proc.stderr == ""  # a traceback, the assertion's among them
+    assert proc.returncode == 0
 
 
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])

@@ -44,7 +44,11 @@ The calls:
   ``paper-2005`` under every method and convention with a zero baseline
   generation or a zero per-EV energy, so the base fails to assess and each
   point is assessed in full, and with a zero fuel share, so the fleet
-  energy is zero; each swept over the strategy paths or ``ev.per_ev_energy``.
+  energy is zero; each swept over the strategy paths or ``ev.per_ev_energy``;
+* ``render_sweep`` in every format of hand-built point lists: failed points
+  whose errors hold commas, quotes, line breaks or nothing, an evaluated
+  point that carries an error, NaN, infinite and -0.0 conversion fractions,
+  and int and quantity swept values, each list alone and all of them in one.
 """
 
 from __future__ import annotations
@@ -126,6 +130,8 @@ EDGE_BASES = (
       ("strategy.baseline_generation", (0.0, 4055e12)),
       ("ev.per_ev_energy", (0.0, 25000.0)))),
 )
+# errors a csv sweep quotes or leaves bare, under one interpreter or another
+HAND_ERRORS = ("a,b", "cr\rlf", "lf\nonly", "", 'say "no"', "\r", "\r\n", "tab\tx\x00")
 # several problems at once, an unknown chemistry or dataset among them
 PROBLEM_TEXTS = (
     "[meta]\ndataset = us2005\ncolour = 1\n[battery]\nchemistry = unobtainium\n",
@@ -151,10 +157,12 @@ PROBLEM_TEXTS = (
 
 def _outputs(evdemand, gen) -> dict[str, str]:
     from evdemand.errors import EvDemandError
+    from evdemand.quantities import quantity
     from evdemand.report import TARGET_IDS
     from evdemand.scenario import (
         Convention,
         Method,
+        SweepPoint,
         SweepSpec,
         apply_override,
         assess,
@@ -261,6 +269,22 @@ def _outputs(evdemand, gen) -> dict[str, str]:
                     points = swept(f"{key} points", base, SweepSpec.from_values(path, values))
                     for fmt in FORMATS:
                         record(f"{key} {fmt}", lambda: evdemand.render_sweep(path, points, fmt))
+
+    a, inf = assess(fixture), float("inf")
+    hand_built = {
+        "failed": [SweepPoint(0.5, None, e) for e in HAND_ERRORS],
+        "evaluated with error": [SweepPoint(0.5, a, "x"), SweepPoint(0.5, a, "a,b\r"),
+                                 SweepPoint(0.5, a)],
+        "fractions": [SweepPoint(0.5, a._replace(conversion_fraction=f))
+                      for f in (NAN, inf, -inf, -0.0, 0.0, -0.0, NAN)],
+        "values": [SweepPoint(3, a), SweepPoint(0, None, "x"), SweepPoint(quantity(30, "TWh"), a),
+                   SweepPoint(quantity(0.5, "frac"), None, "y"), SweepPoint(2**53, a)],
+    }
+    hand_built["all"] = [p for points in hand_built.values() for p in points]
+    for name, points in hand_built.items():
+        for fmt in FORMATS:
+            record(f"hand-built {name} {fmt}",
+                   lambda: evdemand.render_sweep("strategy.renewable_share", points, fmt))
     return out
 
 
