@@ -4,7 +4,8 @@
 grows, and the CLI survives a reader that closes stdout early. A sweep row's
 cells, read through the report-unit table, equal the ones ``in_unit`` gives,
 and the table keeps every dimension check. A row reuses a column's text while
-its value repeats, and writes the bytes of a writer that reuses nothing."""
+its value repeats, and writes the bytes of a writer that reuses nothing. A
+csv sweep quotes an error as the csv module of each interpreter quotes it."""
 
 import csv
 import io
