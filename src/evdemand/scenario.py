@@ -34,6 +34,7 @@ Sections and keys (unknown ones are errors):
 """
 
 import enum
+import functools
 import math
 from operator import attrgetter, itemgetter
 from pathlib import Path
@@ -149,6 +150,12 @@ EvReference = ExplicitPerEv | PowerRangeSpeed | CatalogMedian
 MAX_SWEEP_POINTS = 1_000_000
 
 
+#: The types a progression bound may have (a number that is not a bool), and
+#: those a sweep value may have (also a quantity).
+_SWEEP_BOUND_TYPES = frozenset((int, float))
+_SWEEP_VALUE_TYPES = _SWEEP_BOUND_TYPES | {Quantity}
+
+
 class _SweepSpecFields(NamedTuple):
     path: str
     values: tuple[float | Quantity, ...] | None = None
@@ -166,7 +173,10 @@ class SweepSpec(_SweepSpecFields):
     __slots__ = ()
 
     def __new__(cls, path, values=None, start=None, stop=None, step=None):
-        values = None if values is None else tuple(values)
+        try:
+            values = None if values is None else tuple(values)
+        except TypeError:
+            raise InvalidSweep(f"sweep values must be a list, got {values!r}") from None
         self = super().__new__(cls, path, values, start, stop, step)
         bounds = (start, stop, step)
         if values is not None:
@@ -174,6 +184,9 @@ class SweepSpec(_SweepSpecFields):
                 raise InvalidSweep("sweep has both values and from/to/step; pick one")
             if not values:
                 raise InvalidSweep("sweep needs at least one value")
+            if not set(map(type, values)) <= _SWEEP_VALUE_TYPES:
+                bad = next(v for v in values if type(v) not in _SWEEP_VALUE_TYPES)
+                raise InvalidSweep(f"sweep value {bad!r} is not a number or a quantity")
         elif None in bounds:
             raise InvalidSweep("sweep needs either values or all of from/to/step")
         else:
@@ -193,10 +206,10 @@ class SweepSpec(_SweepSpecFields):
         return cls(path, None, start, stop, step)
 
     def _last(self) -> int:
-        """The progression's last counter, once its bounds are checked: finite,
-        reaching ``stop``, and at most ``MAX_SWEEP_POINTS`` points."""
-        start, stop, step = self.start, self.stop, self.step
-        if not all(map(math.isfinite, (start, stop, step))):
+        """The progression's last counter, once its bounds are checked: finite
+        numbers, reaching ``stop``, and at most ``MAX_SWEEP_POINTS`` points."""
+        start, stop, step = bounds = self.start, self.stop, self.step
+        if not (set(map(type, bounds)) <= _SWEEP_BOUND_TYPES and all(map(math.isfinite, bounds))):
             raise InvalidSweep(f"sweep from/to/step must be finite, "
                                f"got {start!r}, {stop!r}, {step!r}")
         if step == 0:
@@ -759,6 +772,7 @@ def builtin_scenario_text(name: str) -> str:
         .read_text(encoding="utf-8")
 
 
+@functools.cache  # one per packaged fixture: the text never changes, the Scenario is immutable
 def load_builtin_scenario(name: str) -> Scenario:
     return parse_scenario(builtin_scenario_text(name), default_name=name)
 

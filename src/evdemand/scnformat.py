@@ -1,31 +1,54 @@
 """Line-oriented section/key-value syntax for scenario and dataset files.
 
-The format is UTF-8 text. ``#`` starts a comment to end of line (outside
-quoted strings), ``[section-name]`` lines open sections, and entries are
-``key = value``. A value is one of:
+The format is UTF-8 text, read line by line. A line is one of
 
-* a quantity literal (``4055 TWh``, ``61 %``),
-* a bare decimal (dimensionless),
-* a double-quoted string (no escapes), or
-* an identifier (``shares``, ``catalog-median``).
+* blank, or a comment: ``#`` to end of line;
+* ``[name]``, which opens a section;
+* ``key = value``, an entry of the section opened above it,
+
+and a section or entry line may end in a comment. A name or key is
+``[A-Za-z_][A-Za-z0-9_-]*``. Whitespace is Unicode whitespace, the
+characters ``str.strip`` removes, and may stand around every part of a line.
+A value is one of:
+
+* a quantity literal (``4055 TWh``, ``61 %``): a decimal number with an
+  optional exponent, optional whitespace, and a unit;
+* a bare decimal (dimensionless);
+* a double-quoted string (no escapes; a ``#`` inside it is kept);
+* an identifier (``shares``, ``catalog-median``, ``fleet.fuel_share``), or
+* a comma-separated list of those (not a string).
 
 This module only tokenizes and structures the text; meaning is assigned by
 the scenario loader.
 """
 
 import re
-from typing import NamedTuple, Union
+from typing import NamedTuple, NoReturn, Union
 
 from .errors import EvDemandError, ParseError, UnquotableText
-from .quantities import NUMBER_RE, Quantity, parse_quantity
+from .quantities import CATALOG, NUMBER_RE, PARSE_UNITS, Quantity, parse_quantity
 
 __all__ = ["RawValue", "Entry", "Section", "Document", "parse_document", "quoted",
            "text_literal", "write_document"]
 
-_SECTION_RE = re.compile(r"^\[([A-Za-z_][A-Za-z0-9_-]*)\]$")
-_KEY_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_-]*$")
-# identifier values may carry dots (sweep parameter paths)
-_IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.-]*$")
+_NAME = "[A-Za-z_][A-Za-z0-9_-]*"
+_IDENT = "[A-Za-z_][A-Za-z0-9_.-]*"  # identifier values may carry dots (sweep paths)
+_KEY_RE, _IDENT_RE = re.compile(_NAME), re.compile(_IDENT)
+# One line, matched whole: blank or a comment, a section, or an entry whose
+# value is a number with an optional unit, a string, an identifier, or other
+# text with no comment in it (lists, malformed values) for ``_parse_value``.
+_LINE = re.compile(rf"""\s*(?:(?:
+    \[(?P<section>{_NAME})\]
+  | (?P<key>{_NAME})\s*=\s*(?P<value>
+        (?P<number>{NUMBER_RE.pattern})(?:\s*(?P<unit>[^\s"\#]+))?
+      | "(?P<string>[^"]*)"
+      | (?P<ident>{_IDENT})
+      | (?:[^\s"\#]|"[^"]*")(?:[^\s"\#]|"[^"]*"|\s+(?=[^\s\#]))*)
+)\s*)?(?:\#.*)?""", re.VERBOSE).fullmatch
+# what precedes a comment: a ``#`` in a string, open or closed, is kept
+_BEFORE_COMMENT = re.compile(r'(?:[^"#]|"[^"]*"?)*').match
+_UNITS = {name: CATALOG.units[name] for name in PARSE_UNITS}
+_new = tuple.__new__  # builds a record from its fields in order, unchecked
 
 
 class RawValue(NamedTuple):
@@ -65,18 +88,6 @@ class Document(NamedTuple):
     sections: tuple[Section, ...]
 
 
-def _strip_comment(line: str) -> str:
-    if '"' not in line:
-        return line.partition("#")[0]
-    in_string = False
-    for i, ch in enumerate(line):
-        if ch == '"':
-            in_string = not in_string
-        elif ch == "#" and not in_string:
-            return line[:i]
-    return line
-
-
 def _parse_value(text: str, line_no: int, column: int) -> RawValue:
     if "," in text and not text.startswith('"'):
         items = []
@@ -86,7 +97,8 @@ def _parse_value(text: str, line_no: int, column: int) -> RawValue:
             if not stripped:
                 raise ParseError("empty item in value list", line=line_no,
                                  column=column + offset)
-            items.append(_parse_value(stripped, line_no, column + offset))
+            lead = len(piece) - len(piece.lstrip())
+            items.append(_parse_value(stripped, line_no, column + offset + lead))
             offset += len(piece) + 1
         return RawValue("list", text, tuple(items), line_no, column)
     if text.startswith('"'):
@@ -104,9 +116,29 @@ def _parse_value(text: str, line_no: int, column: int) -> RawValue:
             raise ParseError(f"bad quantity literal {text!r}: {exc}",
                              line=line_no, column=column) from exc
         return RawValue("quantity", text, q, line_no, column)
-    if _IDENT_RE.match(text):
+    if _IDENT_RE.fullmatch(text):
         return RawValue("ident", text, text, line_no, column)
     raise ParseError(f"unrecognized value {text!r}", line=line_no, column=column)
+
+
+def _reject(raw_line: str, line_no: int, in_section: bool) -> NoReturn:
+    """Raise the :class:`ParseError` for an entry before any section, or for
+    a line ``_LINE`` does not match: one with no ``=``, a bad key, no value,
+    or a string left open."""
+    line = _BEFORE_COMMENT(raw_line).group().strip()
+    key, eq, value_text = line.partition("=")
+    key, value_text = key.strip(), value_text.strip()
+    if not eq:
+        raise ParseError(f"expected 'key = value' or '[section]', got {line!r}",
+                         line=line_no, column=1)
+    if not _KEY_RE.fullmatch(key):
+        raise ParseError(f"bad key {key!r}", line=line_no, column=1)
+    if not in_section:
+        raise ParseError(f"entry {key!r} appears before any section", line=line_no, column=1)
+    if not value_text:
+        raise ParseError(f"missing value for key {key!r}", line=line_no, column=1)
+    _parse_value(value_text, line_no, raw_line.find(value_text, raw_line.index("=") + 1) + 1)
+    raise AssertionError(f"line {line_no} parses but does not match the line pattern")
 
 
 def parse_document(text: str) -> Document:
@@ -121,39 +153,43 @@ def parse_document(text: str) -> Document:
     seen_sections: set[str] = set()
     seen_keys: set[str] = set()  # of the section now open
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw_line).strip()
-        if not line:
+        m = _LINE(raw_line)
+        if m is None:
+            _reject(raw_line, line_no, bool(sections))
+        name, key, value_text, number, unit, string, ident = m.groups()
+        if key is None:
+            if name is not None:
+                if name in seen_sections:
+                    raise ParseError(f"duplicate section [{name}]", line=line_no, column=1)
+                seen_sections.add(name)
+                seen_keys = set()
+                entries: list[Entry] = []
+                sections.append((name, line_no, entries))
             continue
-        m = _SECTION_RE.match(line)
-        if m:
-            name = m.group(1)
-            if name in seen_sections:
-                raise ParseError(f"duplicate section [{name}]", line=line_no, column=1)
-            seen_sections.add(name)
-            seen_keys = set()
-            sections.append((name, line_no, []))
-            continue
-        if "=" not in line:
-            raise ParseError(f"expected 'key = value' or '[section]', got {line!r}",
-                             line=line_no, column=1)
-        key_part, _, value_part = line.partition("=")
-        key = key_part.strip()
-        value_text = value_part.strip()
-        if not _KEY_RE.match(key):
-            raise ParseError(f"bad key {key!r}", line=line_no, column=1)
         if not sections:
-            raise ParseError(f"entry {key!r} appears before any section",
-                             line=line_no, column=1)
-        if not value_text:
-            raise ParseError(f"missing value for key {key!r}", line=line_no, column=1)
-        column = raw_line.find(value_text, raw_line.index("=") + 1) + 1  # not in the key
-        value = _parse_value(value_text, line_no, column)
-        name, sec_line, entries = sections[-1]
+            _reject(raw_line, line_no, False)
+        column = m.start(3) + 1
+        if number is not None and unit is None:
+            value = _new(RawValue, ("number", value_text, float(number), line_no, column))
+        elif unit in _UNITS:
+            u = _UNITS[unit]
+            try:
+                q = Quantity(u.to_canonical(float(number)), u.dimension)
+            except EvDemandError as exc:
+                raise ParseError(f"bad quantity literal {value_text!r}: {exc}",
+                                 line=line_no, column=column) from exc
+            value = _new(RawValue, ("quantity", value_text, q, line_no, column))
+        elif string is not None:
+            value = _new(RawValue, ("string", value_text, string, line_no, column))
+        elif ident is not None:
+            value = _new(RawValue, ("ident", value_text, ident, line_no, column))
+        else:  # a list, a number with a unit it does not know, or a malformed value
+            value = _parse_value(value_text, line_no, column)
         if key in seen_keys:
-            raise ParseError(f"duplicate key {key!r} in section [{name}]",
+            raise ParseError(f"duplicate key {key!r} in section [{sections[-1][0]}]",
                              line=line_no, column=1)
         seen_keys.add(key)
-        entries.append(Entry(key=key, value=value))
+        entries.append(_new(Entry, (key, value)))
     if not sections:
         raise ParseError("no sections found", line=1, column=1)
     return Document(sections=tuple(

@@ -1,8 +1,10 @@
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from evdemand import scenario
 from evdemand.engine import (
     PRODUCTION_TABLE_NOTE,
     WATER_CONVENTION_NOTE,
@@ -10,8 +12,10 @@ from evdemand.engine import (
     SharesBasis,
 )
 from evdemand.errors import (
+    InvalidSweep,
     ParseError,
     UnknownParameter,
+    UnknownScenario,
     ValidationError,
 )
 from evdemand.quantities import (
@@ -23,7 +27,7 @@ from evdemand.quantities import (
     quantity,
 )
 from evdemand.refdata import builtin_dataset
-from evdemand.report import render
+from evdemand.report import render, reproduce
 from evdemand.scnformat import parse_document
 from evdemand.scenario import (
     BUILTIN_SCENARIOS,
@@ -184,6 +188,24 @@ class TestLoading:
         assert s.chemistry.name == "li_ion"
         assert s.chemistry.manufacture_energy.in_unit("kWh") == 5000.0
 
+    def test_reproduce_parses_each_fixture_once(self, monkeypatch):
+        parsed = Counter()
+        parse = scenario.parse_scenario
+
+        def counting(text, *, default_name=None):
+            parsed[default_name] += 1
+            return parse(text, default_name=default_name)
+
+        monkeypatch.setattr(scenario, "parse_scenario", counting)
+        load_builtin_scenario.cache_clear()
+        assert reproduce() == reproduce()
+        assert parsed == {"paper-2005": 1, "paper-2001": 1}
+
+    def test_unknown_builtin_scenario_raises_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(UnknownScenario):
+                load_builtin_scenario("paper-2099")
+
     def test_load_scenario_from_path(self, tmp_path):
         p = tmp_path / "mini.scn"
         p.write_text(MINIMAL, encoding="utf-8")
@@ -322,6 +344,13 @@ class TestSweep:
         with pytest.raises(ValueError):
             SweepSpec.from_progression("p", 0.3, 0.1, 0.1)
 
+    @pytest.mark.parametrize("args", [
+        (5,), ([None, "x"],), (["0.5"],), ([0.5, True],), (None, "a", 1, 1), (None, 0.0, 1.0, False),
+    ], ids=["values-not-a-list", "none-and-text", "numeric-text", "bool", "text-bound", "bool-bound"])
+    def test_sweep_spec_rejects_what_is_not_a_number_or_quantity(self, args):
+        with pytest.raises(InvalidSweep):
+            SweepSpec("strategy.renewable_share", *args)
+
     def test_unknown_parameter(self):
         s = load_builtin_scenario("paper-2005")
         with pytest.raises(UnknownParameter):
@@ -415,6 +444,16 @@ class TestScnFormatDetails:
             parse_document("[meta]\na1e = 1e")
         assert (exc.value.line, exc.value.column) == (2, 7)
         assert str(exc.value).endswith("(line 2, column 7)")
+
+    def test_list_item_column_is_the_item(self):
+        with pytest.raises(ParseError) as exc:
+            parse_document("[sweep]\nvalues = 0.1,   1 furlong")
+        assert exc.value.column == 17
+        [section] = parse_document("[s]\nk = a,  b").sections
+        assert [item.column for item in section.get("k").payload] == [5, 9]
+        with pytest.raises(ParseError) as exc:  # an empty item keeps its column
+            parse_document("[s]\nk = a,  ,b")
+        assert exc.value.column == 7
 
     def test_value_column_is_past_the_key(self):
         [section] = parse_document("[meta]\nab = b").sections

@@ -48,7 +48,11 @@ The calls:
 * ``render_sweep`` in every format of hand-built point lists: failed points
   whose errors hold commas, quotes, line breaks or nothing, an evaluated
   point that carries an error, NaN, infinite and -0.0 conversion fractions,
-  and int and quantity swept values, each list alone and all of them in one.
+  and int and quantity swept values, each list alone and all of them in one;
+* the ``repr`` of ``parse_document``, or its error with line and column, of
+  the pool texts above, the packaged fixtures, every ``tests/**/*.scn`` file,
+  and 800 texts made from those files by changing one to three of their
+  lines with characters drawn by a seeded generator.
 """
 
 from __future__ import annotations
@@ -130,6 +134,12 @@ EDGE_BASES = (
       ("strategy.baseline_generation", (0.0, 4055e12)),
       ("ev.per_ev_energy", (0.0, 25000.0)))),
 )
+# what a changed line is made of: whitespace a line may hold (and \x0c and \r,
+# which end one), quotes, comments, list and entry syntax, names, numbers and units
+MUTATIONS = (" ", "\t", "\xa0", "\u3000", "\x1f", "\x0c", "\r", '"', "#", ",", "=", "[", "]",
+             "[a]", "k", "é", "\u0663", "1", "0.5", "e3", "E-2", ".", "-", "_", "nan",
+             "TWh", "%", "gal/MWh", "count", "furlong")
+N_MUTATED = 800
 # errors a csv sweep quotes or leaves bare, under one interpreter or another
 HAND_ERRORS = ("a,b", "cr\rlf", "lf\nonly", "", 'say "no"', "\r", "\r\n", "tab\tx\x00")
 # several problems at once, an unknown chemistry or dataset among them
@@ -160,18 +170,21 @@ def _outputs(evdemand, gen) -> dict[str, str]:
     from evdemand.quantities import quantity
     from evdemand.report import TARGET_IDS
     from evdemand.scenario import (
+        BUILTIN_SCENARIOS,
         Convention,
         Method,
         SweepPoint,
         SweepSpec,
         apply_override,
         assess,
+        builtin_scenario_text,
         load_builtin_scenario,
         parse_scenario,
         render_dataset,
         render_scenario,
         sweep,
     )
+    from evdemand.scnformat import parse_document
 
     out: dict[str, str] = {}
 
@@ -285,6 +298,26 @@ def _outputs(evdemand, gen) -> dict[str, str]:
         for fmt in FORMATS:
             record(f"hand-built {name} {fmt}",
                    lambda: evdemand.render_sweep("strategy.renewable_share", points, fmt))
+
+    tests = Path(__file__).resolve().parents[1] / "tests"
+    files = {name: builtin_scenario_text(name) for name in BUILTIN_SCENARIOS}
+    files |= {str(p.relative_to(tests)): p.read_text(encoding="utf-8")
+              for p in sorted(tests.rglob("*.scn"))}
+    documents = {f"seed {seed} {kind} {k}": g.text for seed in SEEDS
+                 for kind, pool in zip(("valid", "invalid"), gen.scenario_pool(
+                     random.Random(seed), N_VALID, N_INVALID)) for k, g in enumerate(pool)}
+    documents |= files
+    texts, rng = list(files.values()), random.Random(0)
+    for k in range(N_MUTATED):
+        lines = rng.choice(texts).splitlines()
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(lines))
+            piece = "".join(rng.choices(MUTATIONS, k=rng.randint(1, 4)))
+            at = rng.randint(0, len(lines[i]))
+            lines[i] = lines[i][:at] + piece + lines[i][at + rng.randint(0, 3):]
+        documents[f"mutated {k}"] = "\n".join(lines)
+    for key, text in documents.items():
+        record(f"document {key}", lambda: repr(parse_document(text)))
     return out
 
 
