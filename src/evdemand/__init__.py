@@ -16,7 +16,6 @@ from .quantities import (
 )
 from .refdata import (
     BatteryChemistry,
-    EvCatalog,
     EvModel,
     GridMix,
     ReferenceDataset,
@@ -55,7 +54,6 @@ __all__ = [
     "GridMix",
     "BatteryChemistry",
     "EvModel",
-    "EvCatalog",
     "ReferenceDataset",
     "builtin_dataset",
     "builtin_chemistry",

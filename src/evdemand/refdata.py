@@ -21,7 +21,6 @@ __all__ = [
     "GridMix",
     "BatteryChemistry",
     "EvModel",
-    "EvCatalog",
     "ReferenceDataset",
     "FieldStats",
     "builtin_dataset",
@@ -108,7 +107,8 @@ class _EvModelFields(NamedTuple):
 
 
 class EvModel(_EvModelFields):
-    """One catalog row; missing entries stay None, ranges are closed intervals."""
+    """One catalog row; missing entries stay None, ranges are closed intervals.
+    ``_replace`` and ``_make`` check a copy the same way."""
 
     __slots__ = ()
 
@@ -120,9 +120,7 @@ class EvModel(_EvModelFields):
                 raise InvalidReferenceData(f"{self.name}: bad range interval {self.range_mi}")
         return self
 
-
-class EvCatalog(NamedTuple):
-    models: tuple[EvModel, ...]
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
 
 class ReferenceDataset(NamedTuple):
@@ -210,7 +208,7 @@ def _build_chemistries() -> dict[str, BatteryChemistry]:
     }
 
 
-def _build_ev_catalog() -> EvCatalog:
+def _build_ev_catalog() -> tuple[EvModel, ...]:
     def ev(name, power_kw, speed_mph, rng):
         return EvModel(
             name=name,
@@ -219,7 +217,7 @@ def _build_ev_catalog() -> EvCatalog:
             range_mi=rng,
         )
 
-    return EvCatalog(models=(
+    return (
         ev("Chevrolet Volt", 112, 100, (40.0, 40.0)),
         ev("Fisker Karma", 300, 125, (50.0, 50.0)),
         ev("GM Opel Ampera", 112, 100, (37.0, 37.0)),
@@ -230,7 +228,7 @@ def _build_ev_catalog() -> EvCatalog:
         ev("Th!nk city", 30, 65, (112.0, 112.0)),
         ev("Toyota Prius PHEV", None, None, None),
         ev("ZENN", 22.4, 25, (30.0, 50.0)),
-    ))
+    )
 
 
 def validate_mix(mix: GridMix) -> list[str]:
@@ -261,23 +259,23 @@ def source_group_energy(mix: GridMix, group: Iterable[str]) -> Quantity:
 _STAT_FIELDS = ("power", "max_speed", "range")
 
 
-def _field_values(catalog: EvCatalog, field: str) -> tuple[list[float], Dimension]:
+def _field_values(catalog: tuple[EvModel, ...], field: str) -> tuple[list[float], Dimension]:
     if field == "power":
-        vals = [m.power.canonical for m in catalog.models if m.power is not None]
+        vals = [m.power.canonical for m in catalog if m.power is not None]
         return vals, Dimension.POWER
     if field == "max_speed":
-        vals = [m.max_speed.canonical for m in catalog.models if m.max_speed is not None]
+        vals = [m.max_speed.canonical for m in catalog if m.max_speed is not None]
         return vals, Dimension.SPEED
     if field == "range":
         # midpoint rule: a printed interval contributes (lo + hi) / 2
         vals = [(m.range_mi[0] + m.range_mi[1]) / 2.0
-                for m in catalog.models if m.range_mi is not None]
+                for m in catalog if m.range_mi is not None]
         return vals, Dimension.DISTANCE
     raise UnknownCatalogField(
         f"unknown catalog field {field!r}; expected one of {_STAT_FIELDS}")
 
 
-def catalog_stats(catalog: EvCatalog, field: str) -> FieldStats:
+def catalog_stats(catalog: tuple[EvModel, ...], field: str) -> FieldStats:
     """Mean and median over the models that provide ``field``.
 
     Missing entries are excluded, range intervals contribute their midpoint,
@@ -331,6 +329,6 @@ def builtin_chemistry(name: str) -> BatteryChemistry:
             f"unknown chemistry {name!r}; built-ins: {', '.join(chemistry_names())}") from None
 
 
-def builtin_ev_catalog() -> EvCatalog:
+def builtin_ev_catalog() -> tuple[EvModel, ...]:
     """The ten-vehicle performance catalog used for median statistics."""
     return _EV_CATALOG

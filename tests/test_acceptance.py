@@ -21,7 +21,6 @@ from evdemand.quantities import (
     quantity,
 )
 from evdemand.refdata import (
-    EvCatalog,
     EvModel,
     builtin_chemistry,
     builtin_dataset,
@@ -250,7 +249,7 @@ def test_c12_property_suites():
                 values.append(kw * 1e3)
         if not values:
             continue
-        stats = catalog_stats(EvCatalog(models=tuple(models)), "power")
+        stats = catalog_stats(tuple(models), "power")
         assert stats.median.magnitude == pytest.approx(statistics.median(values),
                                                        rel=1e-12)
         checked += 1

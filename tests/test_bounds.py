@@ -33,7 +33,7 @@ PATH = "strategy.renewable_share"
 def test_progression_over_the_cap_is_rejected_before_building():
     # 0, 1, ..., 1_000_000 is one point more than the cap allows
     with pytest.raises(InvalidSweep, match="more than 1000000 points"):
-        SweepSpec.from_progression(PATH, 0.0, float(MAX_SWEEP_POINTS), 1.0)
+        SweepSpec(PATH, start=0.0, stop=float(MAX_SWEEP_POINTS), step=1.0)
 
 
 @pytest.mark.parametrize("start, stop, step", [
@@ -41,11 +41,11 @@ def test_progression_over_the_cap_is_rejected_before_building():
     (math.nan, 1.0, 0.5), (0.0, 1e308, 1e-308), (-1e308, 1e308, 1.0)])
 def test_unbounded_progressions_are_typed_errors(start, stop, step):
     with pytest.raises(InvalidSweep):
-        SweepSpec.from_progression(PATH, start, stop, step)
+        SweepSpec(PATH, start=start, stop=stop, step=step)
 
 
 def test_progression_below_the_cap_keeps_its_points():
-    spec = SweepSpec.from_progression(PATH, 0.0, 99.0, 1.0)
+    spec = SweepSpec(PATH, start=0.0, stop=99.0, step=1.0)
     assert tuple(spec.points()) == tuple(float(k) for k in range(100))
 
 
@@ -68,7 +68,7 @@ def test_a_parsed_progression_holds_its_bounds_not_its_points():
        n=st.integers(0, 300), fraction=st.floats(0.0, 0.999))
 def test_progression_points_come_from_an_integer_counter(start, step, n, fraction):
     stop = start + (n + fraction) * step
-    spec = SweepSpec.from_progression(PATH, start, stop, step)
+    spec = SweepSpec(PATH, start=start, stop=stop, step=step)
     last = int((stop - start) / step + 1e-9)  # the span as the cap check rounds it
     assert list(map(repr, spec.points())) == [repr(start + k * step)
                                                for k in range(last + 1)]
@@ -88,7 +88,7 @@ def _pack(**overrides):
     (lambda: EvModel(name="x", range_mi=(50.0, 40.0)), InvalidReferenceData),
     (lambda: catalog_stats(builtin_ev_catalog(), "price"), UnknownCatalogField),
     (lambda: SweepSpec.from_values(PATH, []), InvalidSweep),
-    (lambda: SweepSpec.from_progression(PATH, 0.1, 0.3, 0.0), InvalidSweep),
+    (lambda: SweepSpec(PATH, start=0.1, stop=0.3, step=0.0), InvalidSweep),
 ])
 def test_checks_raise_typed_errors_that_are_value_errors(make, error):
     with pytest.raises(error) as exc:

@@ -50,7 +50,7 @@ def test_values_sweep_still_writes_values():
 
 
 def test_progression_and_values_specs_differ_only_in_origin():
-    prog = SweepSpec.from_progression("strategy.renewable_share", 0.0, 0.5, 0.25)
+    prog = SweepSpec("strategy.renewable_share", start=0.0, stop=0.5, step=0.25)
     vals = SweepSpec.from_values("strategy.renewable_share", list(prog.points()))
     assert list(prog.points()) == list(vals.points())
     assert (prog.values, prog.start, prog.stop, prog.step) == (None, 0.0, 0.5, 0.25)
@@ -69,6 +69,6 @@ def test_every_override_path_writes_back_both_sweep_shapes(name, path):
     dim = OVERRIDE_PATHS[path].dim
     fixture = load_builtin_scenario(name)
     for spec in (SweepSpec.from_values(path, [0.25, 2.0 if dim is None else Quantity(0.5, dim)]),
-                 SweepSpec.from_progression(path, 1.0, 3.0, 0.5)):
+                 SweepSpec(path, start=1.0, stop=3.0, step=0.5)):
         s = fixture._replace(sweep_spec=spec)
         assert parse_scenario(render_scenario(s)) == s

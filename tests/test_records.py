@@ -83,6 +83,11 @@ def test_battery_chemistry_checks_dimensions(change, message):
 def test_ev_model_checks():
     _both_ways(EvModel, dict(name="x", power=None, max_speed=None, range_mi=(50.0, 40.0)),
                InvalidReferenceData, "x: bad range interval (50.0, 40.0)")
+    model = EvModel("x", None, None, (1.0, 5.0))
+    for copy in (lambda: model._replace(range_mi=(5.0, 1.0)),
+                 lambda: EvModel._make(["x", None, None, (5.0, 1.0)])):
+        with pytest.raises(InvalidReferenceData, match=r"^x: bad range interval \(5\.0, 1\.0\)$"):
+            copy()
 
 
 def _sweep(values=None, start=None, stop=None, step=None, path="strategy.renewable_share"):

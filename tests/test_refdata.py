@@ -8,7 +8,6 @@ from evdemand.errors import EmptyField, UnknownChemistry, UnknownDataset, Unknow
 from evdemand.quantities import Dimension, Quantity, quantity
 from evdemand.refdata import (
     BatteryChemistry,
-    EvCatalog,
     EvModel,
     GridMix,
     builtin_chemistry,
@@ -137,8 +136,7 @@ def test_float_totals_add_left_to_right_on_every_interpreter():
     mix = GridMix(year="x", entries=tuple(zip("abcd", [*SHARES, 0.4])),
                   total_generation=quantity(1, "TWh"))
     assert repr(source_group_energy(mix, "abc").canonical) == repr(1e12 * _fold(SHARES))
-    catalog = EvCatalog(models=tuple(EvModel(name=f"m{i}", power=quantity(p, "W"))
-                                     for i, p in enumerate(SHARES)))
+    catalog = tuple(EvModel(name=f"m{i}", power=quantity(p, "W")) for i, p in enumerate(SHARES))
     assert repr(catalog_stats(catalog, "power").mean.canonical) == repr(_fold(SHARES) / 3)
 
 
@@ -148,7 +146,7 @@ class TestCatalogStats:
         assert catalog_stats(builtin_ev_catalog(), field).count_used > 0
 
     def test_builtin_power_median_matches_stdlib_oracle(self):
-        powers = [m.power.canonical for m in builtin_ev_catalog().models
+        powers = [m.power.canonical for m in builtin_ev_catalog()
                   if m.power is not None]
         assert statistics.median(powers) == 112e3
         assert catalog_stats(builtin_ev_catalog(), "power").median.canonical == 112e3
@@ -173,7 +171,7 @@ class TestCatalogStats:
         assert stats.median.magnitude == 100.0
 
     def test_empty_field(self):
-        catalog = EvCatalog(models=(EvModel(name="x", power=quantity(10, "kW")),))
+        catalog = (EvModel(name="x", power=quantity(10, "kW")),)
         with pytest.raises(EmptyField):
             catalog_stats(catalog, "max_speed")
 
@@ -195,7 +193,7 @@ class TestCatalogStats:
                 hi = lo + rng.uniform(0, 100)
                 models.append(EvModel(name=f"m{i}", range_mi=(lo, hi)))
                 values.append((lo + hi) / 2)
-            catalog = EvCatalog(models=tuple(models))
+            catalog = tuple(models)
             if not values:
                 with pytest.raises(EmptyField):
                     catalog_stats(catalog, "range")

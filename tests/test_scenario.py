@@ -327,22 +327,22 @@ class TestSweep:
 
     def test_every_point_matches_assess(self):
         s = load_builtin_scenario("paper-2005")
-        spec = SweepSpec.from_progression("strategy.renewable_share", 0.05, 0.45, 0.1)
+        spec = SweepSpec("strategy.renewable_share", start=0.05, stop=0.45, step=0.1)
         for point in sweep(s, spec):
             assert point.assessment == assess(
                 apply_override(s, "strategy.renewable_share", point.value))
 
     def test_progression_counter_has_no_drift(self):
-        spec = SweepSpec.from_progression("strategy.renewable_share", 0.1, 0.3, 0.1)
+        spec = SweepSpec("strategy.renewable_share", start=0.1, stop=0.3, step=0.1)
         points = list(spec.points())
         assert len(points) == 3
         assert points[2] == 0.1 + 2 * 0.1
 
     def test_invalid_progressions(self):
         with pytest.raises(ValueError):
-            SweepSpec.from_progression("p", 0.1, 0.3, 0.0)
+            SweepSpec("p", start=0.1, stop=0.3, step=0.0)
         with pytest.raises(ValueError):
-            SweepSpec.from_progression("p", 0.3, 0.1, 0.1)
+            SweepSpec("p", start=0.3, stop=0.1, step=0.1)
 
     @pytest.mark.parametrize("args", [
         (5,), ([None, "x"],), (["0.5"],), ([0.5, True],), (None, "a", 1, 1), (None, 0.0, 1.0, False),

@@ -198,8 +198,8 @@ def test_sweep_is_every_point_of_iter_sweep():
 
 
 def test_iter_sweep_yields_before_evaluating_the_rest():
-    spec = SweepSpec.from_progression("strategy.renewable_share", 0.0, 1.0,
-                                      1.0 / (MAX_SWEEP_POINTS - 1))
+    spec = SweepSpec("strategy.renewable_share", start=0.0, stop=1.0,
+                     step=1.0 / (MAX_SWEEP_POINTS - 1))
     first = next(iter_sweep(PAPER_2005, spec))
     assert first.value == 0.0 and first.assessment is not None
 
@@ -238,7 +238,7 @@ def _traced_from(points, start):
 # evaluated point takes would pass 1 MB within them.
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_streamed_sweep_memory_stays_flat(fmt):
-    spec = SweepSpec.from_progression("strategy.renewable_share", -19.0, 1.0, 0.001)
+    spec = SweepSpec("strategy.renewable_share", start=-19.0, stop=1.0, step=0.001)
     assert sum(1 for _ in spec.points()) == 20_001
     try:
         write_sweep(_Discard(), spec.path,
