@@ -1,8 +1,8 @@
 """Exception types raised across the package.
 
 Every domain error derives from :class:`EvDemandError`, so callers can tell it
-from a bug. The pack, catalog, sweep, quoting and render-option checks also
-subclass ``ValueError``, and an unknown packaged scenario ``KeyError``.
+from a bug. The pack, catalog, sweep, quoting, write-back and render-option
+checks also subclass ``ValueError``, and an unknown packaged scenario ``KeyError``.
 """
 
 
@@ -125,6 +125,12 @@ class UnknownParameter(EvDemandError):
 
 class UnquotableText(EvDemandError, ValueError):
     """Text with a ``"`` or a line break, which file syntax cannot quote."""
+
+
+class UnwritableScenario(EvDemandError, ValueError):
+    """A scenario no file can hold: a chemistry that differs from the
+    built-in of its name, water pairs that differ from its inline dataset's
+    water intensities, or a sweep value that is a count quantity."""
 
 
 class UnknownScenario(EvDemandError, KeyError):

@@ -247,10 +247,11 @@ def _format_sig(value: float, sig_digits: int) -> str:
 
 
 def check_sig_digits(sig_digits: int) -> int:
-    """``sig_digits`` if it is from 1 to 17, the most digits that still tell
-    two doubles apart; :class:`InvalidRenderOption` otherwise."""
-    if not 1 <= sig_digits <= 17:
-        raise InvalidRenderOption(f"sig_digits must be from 1 to 17, got {sig_digits}")
+    """``sig_digits`` if it is an ``int`` (not a ``bool``) from 1 to 17, the
+    most digits that still tell two doubles apart; :class:`InvalidRenderOption`
+    otherwise."""
+    if type(sig_digits) is not int or not 1 <= sig_digits <= 17:
+        raise InvalidRenderOption(f"sig_digits must be from 1 to 17, got {sig_digits!r}")
     return sig_digits
 
 

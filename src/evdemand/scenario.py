@@ -56,6 +56,7 @@ from .errors import (
     UnknownDataset,
     UnknownParameter,
     UnknownScenario,
+    UnwritableScenario,
     ValidationError,
 )
 from .quantities import (
@@ -151,7 +152,7 @@ MAX_SWEEP_POINTS = 1_000_000
 
 
 #: The types a progression bound may have (a number that is not a bool), and
-#: those a sweep value may have (also a quantity).
+#: those a sweep or override value may have (also a quantity).
 _SWEEP_BOUND_TYPES = frozenset((int, float))
 _SWEEP_VALUE_TYPES = _SWEEP_BOUND_TYPES | {Quantity}
 
@@ -196,7 +197,7 @@ class SweepSpec(_SweepSpecFields):
 
     _make = classmethod(lambda cls, iterable: cls(*iterable))
 
-    # the benchmark harness builds its sweeps with this; it goes with the harness's next change
+    # perfbench builds its sweeps with this; it goes in a change to perfbench
     @classmethod
     def from_values(cls, path: str, values: list[float | Quantity]) -> "SweepSpec":
         return cls(path, values)
@@ -205,12 +206,20 @@ class SweepSpec(_SweepSpecFields):
         """The progression's last counter, once its bounds are checked: finite
         numbers, reaching ``stop``, and at most ``MAX_SWEEP_POINTS`` points."""
         start, stop, step = bounds = self.start, self.stop, self.step
-        if not (set(map(type, bounds)) <= _SWEEP_BOUND_TYPES and all(map(math.isfinite, bounds))):
+        try:
+            finite = (set(map(type, bounds)) <= _SWEEP_BOUND_TYPES
+                      and all(map(math.isfinite, bounds)))
+        except OverflowError:  # an int too large for a float
+            finite = False
+        if not finite:
             raise InvalidSweep(f"sweep from/to/step must be finite, "
                                f"got {start!r}, {stop!r}, {step!r}")
         if step == 0:
             raise InvalidSweep("sweep step must be nonzero")
-        span = (stop - start) / step
+        try:
+            span = (stop - start) / step
+        except OverflowError:  # int bounds whose quotient is too large for a float
+            span = math.inf if (stop > start) == (step > 0) else -math.inf
         if span < 0:
             raise InvalidSweep(f"step {step!r} never reaches {stop!r} from {start!r}")
         if span + 1e-9 >= MAX_SWEEP_POINTS:  # then n + 1 points exceed the cap
@@ -333,8 +342,11 @@ class FieldSpec(NamedTuple):
 
     def coerce(self, value: float | Quantity) -> float | Quantity:
         """The checked value from a quantity or a bare number; bare numbers
-        are canonical-unit magnitudes. File and sweep values both pass here."""
-        if isinstance(value, Quantity):
+        are canonical-unit magnitudes. File and sweep values both pass here,
+        and it takes what a ``SweepSpec`` value may be."""
+        if type(value) not in _SWEEP_VALUE_TYPES:
+            raise UnknownParameter(f"{self.path} takes a number or a quantity, got {value!r}")
+        if type(value) is Quantity:
             want = self.dim or Dimension.COUNT
             if value.dimension is not want:
                 kind = "a bare count" if self.dim is None else self.dim.value
@@ -342,10 +354,13 @@ class FieldSpec(NamedTuple):
                                        f"got {value.dimension.value}")
             if self.dim is None:
                 value = value.canonical
-        elif self.dim is not None:
-            value = Quantity(float(value), self.dim)
         else:
-            value = float(value)
+            try:
+                value = float(value)
+            except OverflowError:  # an int too large for a float reads as a file's 1e400 does
+                value = math.inf if value > 0 else -math.inf
+            if self.dim is not None:
+                value = Quantity(value, self.dim)
         if self.floor is not None and not value >= self.floor:
             raise BelowMinimum(f"{self.path} must be >= {self.floor:g}, got {value!r}")
         if self.dim is None and not math.isfinite(value):  # +inf passes the floor
@@ -999,10 +1014,12 @@ _PRETTY_UNITS: dict[Dimension, tuple[str, ...]] = {
 def _render_quantity_literal(q: Quantity) -> str:
     """Shortest literal that reparses to the bit-identical canonical value."""
     canonical = q.canonical
+    if q.dimension is Dimension.COUNT:  # a file writes a count as a bare number
+        raise UnwritableScenario(f"count quantity {canonical!r} has no literal")
     if q.dimension is Dimension.VOLUME and canonical >= 1e9:
-        mantissa = canonical / 1e9
-        if float(f"{mantissa!r}e9") == canonical:
-            return f"{mantissa!r}e9 gal"
+        mantissa = repr(canonical / 1e9)
+        if "e" not in mantissa and float(f"{mantissa}e9") == canonical:  # not "1e+16e9"
+            return f"{mantissa}e9 gal"
     for unit in _PRETTY_UNITS.get(q.dimension, ()):
         u = CATALOG.lookup(unit)
         value = u.from_canonical(canonical)
@@ -1044,11 +1061,15 @@ def render_dataset(ds: ReferenceDataset, *, comments: list[str] | None = None) -
 
 
 def render_scenario(s: Scenario) -> str:
-    """Scenario in file syntax; loads back to an equal Scenario."""
+    """Scenario in file syntax; loads back to an equal Scenario. Raises
+    :class:`UnwritableScenario` where no file could."""
     meta = [("name", quoted(s.name))]
     builtin = s.dataset.id in dataset_ids() and builtin_dataset(s.dataset.id) == s.dataset
     if builtin:
         sections = [("meta", [*meta, ("dataset", s.dataset.id)])]
+    elif s.water != tuple(s.dataset.water_intensity.items()):
+        raise UnwritableScenario(f"water pairs differ from the water intensities of inline "
+                                 f"dataset {s.dataset.id!r}, and a file holds one [water] section")
     else:
         # the inline dataset brings its own [water] section
         sections = [("meta", meta), *_dataset_sections(s.dataset)]
@@ -1063,6 +1084,9 @@ def render_scenario(s: Scenario) -> str:
     battery = [("chemistry", s.chemistry.name)]
     if s.chemistry.name not in chemistry_names():
         battery += _entries(s.chemistry)
+    elif s.chemistry != builtin_chemistry(s.chemistry.name):
+        raise UnwritableScenario(f"chemistry {s.chemistry.name!r} differs from the built-in of "
+                                 f"that name, and a file can only name the built-in")
     battery += [*_entries(s, "battery"), ("method", s.method.value),
                 ("convention", s.convention.value)]
     sections += [("battery", battery), ("strategy", _entries(s, "strategy"))]

@@ -1,8 +1,11 @@
 """Bounded inputs and typed errors: progression sweeps are finite and capped,
-bare counts are finite, and the pack, catalog and sweep checks raise
-``EvDemandError`` subclasses that are also ``ValueError``s."""
+bare counts are finite, the pack, catalog and sweep checks raise
+``EvDemandError`` subclasses that are also ``ValueError``s, and a number of
+the wrong type, or an int too large for a float, is a typed error at every
+gate of the API."""
 
 import math
+import re
 import tracemalloc
 
 import pytest
@@ -10,22 +13,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evdemand.errors import (
+    BelowMinimum,
     EvDemandError,
     InvalidReferenceData,
+    InvalidRenderOption,
     InvalidSweep,
     NonFiniteMagnitude,
     UnknownCatalogField,
+    UnknownParameter,
 )
-from evdemand.quantities import quantity
+from evdemand.quantities import format_quantity, quantity
 from evdemand.refdata import BatteryChemistry, EvModel, builtin_ev_catalog, catalog_stats
 from evdemand.scenario import (
     MAX_SWEEP_POINTS,
     SweepSpec,
     apply_override,
+    assess,
+    iter_sweep,
     load_builtin_scenario,
     parse_scenario,
     sweep,
 )
+from evdemand.report import render, render_comparisons, reproduce
 
 PATH = "strategy.renewable_share"
 
@@ -103,3 +112,56 @@ def test_infinite_bare_count_is_rejected_like_a_file_value():
     [point] = sweep(s, SweepSpec.from_values("battery.batteries_per_ev", [math.inf]))
     assert point.assessment is None
     assert point.error == "battery.batteries_per_ev must be finite, got inf"
+
+
+@pytest.mark.parametrize("call, digits", [
+    (lambda d: render(assess(load_builtin_scenario("paper-2005")), "text", d), 3.5),
+    (lambda d: render_comparisons(reproduce(["table2-stats"]), "text", d), 2.0),
+    (lambda d: format_quantity(quantity(1, "TWh"), "TWh", d), 4.0),
+    (lambda d: render(assess(load_builtin_scenario("paper-2005")), "text", d), "3"),
+    (lambda d: render(assess(load_builtin_scenario("paper-2005")), "csv", d), True),
+], ids=["render-float", "comparisons-float", "format-float", "render-text", "render-bool"])
+def test_sig_digits_take_only_an_int(call, digits):
+    with pytest.raises(InvalidRenderOption,
+                       match=f"^sig_digits must be from 1 to 17, got {digits!r}$"):
+        call(digits)
+
+
+@pytest.mark.parametrize("path, value", [
+    ("battery.batteries_per_ev", None), ("battery.batteries_per_ev", "4"),
+    ("battery.batteries_per_ev", True), (PATH, "0.5"),
+], ids=["none", "numeric-text", "bool", "fraction-text"])
+def test_an_override_takes_what_a_sweep_spec_takes(path, value):
+    s = load_builtin_scenario("paper-2005")
+    with pytest.raises(UnknownParameter,
+                       match=f"^{path} takes a number or a quantity, got {value!r}$"):
+        apply_override(s, path, value)
+    with pytest.raises(InvalidSweep, match="is not a number or a quantity"):
+        SweepSpec(path, [value])
+
+
+@pytest.mark.parametrize("start, stop, step, message", [
+    (0, 2**1100, 1, "sweep from/to/step must be finite"),
+    (-(10**308), 10**308, 1, "has more than 1000000 points"),
+    (10**308, -(10**308), 1, "never reaches"),
+], ids=["bound", "span", "span-backwards"])
+def test_int_bounds_too_large_for_a_float_are_invalid_sweeps(start, stop, step, message):
+    with pytest.raises(InvalidSweep, match=message):
+        SweepSpec(PATH, start=start, stop=stop, step=step)
+
+
+@pytest.mark.parametrize("path, ok, big, error, message", [
+    ("strategy.baseline_generation", 1e15, 2**1100, NonFiniteMagnitude,
+     "non-finite magnitude inf for energy"),
+    ("battery.batteries_per_ev", 4, 2**1100, NonFiniteMagnitude,
+     "battery.batteries_per_ev must be finite, got inf"),
+    ("battery.batteries_per_ev", 4, -(2**1100), BelowMinimum,
+     "battery.batteries_per_ev must be >= 1, got -inf"),
+], ids=["energy", "count", "negative-count"])
+def test_an_int_too_large_for_a_float_fails_its_point_inline(path, ok, big, error, message):
+    s = load_builtin_scenario("paper-2005")
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        apply_override(s, path, big)
+    first, last = iter_sweep(s, SweepSpec(path, [ok, big]))
+    assert first.assessment == assess(apply_override(s, path, ok))
+    assert (last.value, last.assessment, last.error) == (big, None, message)

@@ -1,11 +1,14 @@
-"""The catalog-median per-EV energy is a constant, and a sweep is written
-back as it was written: a progression as its from/to/step, values as values."""
+"""The catalog-median per-EV energy is a constant, a sweep is written back
+as it was written (a progression as its from/to/step, values as values), and
+a scenario no file can hold is refused rather than written."""
 
 import pytest
 
 import evdemand.scenario as scenario_mod
 from evdemand.engine import GallonsBasis, SharesBasis
-from evdemand.quantities import Quantity
+from evdemand.errors import EvDemandError, UnwritableScenario
+from evdemand.quantities import Quantity, quantity
+from evdemand.refdata import builtin_chemistry
 from evdemand.scenario import (
     OVERRIDE_PATHS,
     SweepSpec,
@@ -71,4 +74,28 @@ def test_every_override_path_writes_back_both_sweep_shapes(name, path):
     for spec in (SweepSpec.from_values(path, [0.25, 2.0 if dim is None else Quantity(0.5, dim)]),
                  SweepSpec(path, start=1.0, stop=3.0, step=0.5)):
         s = fixture._replace(sweep_spec=spec)
+        assert parse_scenario(render_scenario(s)) == s
+
+
+_PAPER_2005 = load_builtin_scenario("paper-2005")
+
+
+@pytest.mark.parametrize("s, part", [
+    # a file names a built-in chemistry only, so this would reload with 7,176 kWh
+    (_PAPER_2005._replace(chemistry=builtin_chemistry("nimh")._replace(
+        manufacture_energy=quantity(1, "kWh"))), "chemistry 'nimh'"),
+    # an inline dataset's [water] section is its intensities: coal 480, gas 180
+    (_PAPER_2005._replace(dataset=_PAPER_2005.dataset._replace(id="mine"),
+                          water=(("coal", quantity(1, "gal/MWh")),)), "water pairs"),
+], ids=["builtin-chemistry-changed", "inline-water-differs"])
+def test_a_scenario_no_file_can_hold_is_refused(s, part):
+    with pytest.raises(UnwritableScenario, match=f"^{part} differ") as exc:
+        render_scenario(s)
+    assert isinstance(exc.value, EvDemandError) and isinstance(exc.value, ValueError)
+
+
+def test_the_same_scenarios_written_as_a_file_holds_them_reload_equal():
+    inline = _PAPER_2005._replace(dataset=_PAPER_2005.dataset._replace(id="mine"))
+    same_pack = _PAPER_2005._replace(chemistry=builtin_chemistry("nimh")._replace())
+    for s in (inline, same_pack):
         assert parse_scenario(render_scenario(s)) == s

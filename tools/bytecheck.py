@@ -52,7 +52,16 @@ The calls:
 * the ``repr`` of ``parse_document``, or its error with line and column, of
   the pool texts above, the packaged fixtures, every ``tests/**/*.scn`` file,
   and 800 texts made from those files by changing one to three of their
-  lines with characters drawn by a seeded generator.
+  lines with characters drawn by a seeded generator;
+* the number gates of the API, each output or error stored whatever its
+  class: ``render``, ``render_comparisons`` and ``format_quantity`` with
+  digits that are not an ``int``, ``apply_override`` with a value that is
+  not a number or a quantity or is an int too large for a float, progression
+  bounds too large for a float, and a sweep that reaches such an int;
+* ``render_scenario`` of scenarios no file can hold (a changed built-in
+  chemistry, inline water pairs that differ from the dataset's, a count
+  quantity among the sweep values), and ``render_dataset`` of a dataset
+  with 1e25 gallons.
 """
 
 from __future__ import annotations
@@ -163,11 +172,21 @@ PROBLEM_TEXTS = (
     "[mix]\ncoal = x\n[water]\ncoal = 3 kWh\n",
     "[dataset]\ntotal_generation = 1 kg\ncolour = 1\n[water]\ncoal = 3 kWh\n",
 )
+# the API's number gates: digits that are not an int, override values that
+# are not a number or a quantity, and ints too large for a float
+GATE_DIGITS = (3.5, 2.0, 4.0, "3", True, 0, 18)
+GATE_OVERRIDES = (("battery.batteries_per_ev", None), ("battery.batteries_per_ev", "4"),
+                  ("battery.batteries_per_ev", True), ("strategy.renewable_share", "0.5"),
+                  ("strategy.baseline_generation", 2**1100),
+                  ("battery.batteries_per_ev", 2**1100), ("battery.batteries_per_ev", -2**1100))
+GATE_BOUNDS = ((0, 2**1100, 1), (-10**308, 10**308, 1), (10**308, -10**308, 1))
+GATE_SWEEPS = (("strategy.baseline_generation", (1e15, 2**1100)),
+               ("battery.batteries_per_ev", (4, 2**1100)))
 
 
 def _outputs(evdemand, gen) -> dict[str, str]:
     from evdemand.errors import EvDemandError
-    from evdemand.quantities import quantity
+    from evdemand.quantities import Dimension, Quantity, quantity
     from evdemand.report import TARGET_IDS
     from evdemand.scenario import (
         BUILTIN_SCENARIOS,
@@ -318,6 +337,43 @@ def _outputs(evdemand, gen) -> dict[str, str]:
         documents[f"mutated {k}"] = "\n".join(lines)
     for key, text in documents.items():
         record(f"document {key}", lambda: repr(parse_document(text)))
+
+    def probe(key: str, call) -> None:
+        """``record``, but an error of any class is stored."""
+        try:
+            out[key] = call()
+        except Exception as exc:
+            out[key] = f"{type(exc).__name__}: {exc}"
+
+    results, q = evdemand.reproduce(None), quantity(1, "TWh")
+    for digits in GATE_DIGITS:
+        probe(f"gate render {digits!r}", lambda: evdemand.render(a, "text", digits))
+        probe(f"gate comparisons {digits!r}",
+              lambda: evdemand.render_comparisons(results, "text", digits))
+        probe(f"gate format_quantity {digits!r}",
+              lambda: evdemand.format_quantity(q, "TWh", digits))
+    for path, value in GATE_OVERRIDES:
+        probe(f"gate override {path} {value!r}",
+              lambda: repr(apply_override(fixture, path, value)))
+    for bounds in GATE_BOUNDS:
+        probe(f"gate progression {bounds!r}",
+              lambda: repr(SweepSpec("strategy.renewable_share", None, *bounds)))
+    for path, values in GATE_SWEEPS:
+        probe(f"gate sweep {path} {values!r}", lambda: "\n".join(
+            repr(p.error) for p in sweep(fixture, SweepSpec(path, values))))
+    ds = fixture.dataset
+    unwritable = {
+        "changed nimh": fixture._replace(chemistry=fixture.chemistry._replace(
+            manufacture_energy=quantity(1, "kWh"))),
+        "inline water": fixture._replace(dataset=ds._replace(id="mine"),
+                                         water=(("coal", quantity(1, "gal/MWh")),)),
+        "count sweep value": fixture._replace(sweep_spec=SweepSpec(
+            "battery.batteries_per_ev", [2.0, Quantity(3.0, Dimension.COUNT)])),
+    }
+    for name, scenario in unwritable.items():
+        probe(f"unwritable {name}", lambda: render_scenario(scenario))
+    probe("render_dataset 1e25 gal", lambda: render_dataset(ds._replace(
+        id="mine", household_gasoline=quantity(1e25, "gal"))))
     return out
 
 
