@@ -10,12 +10,12 @@ have a strategy each. Names, years and dataset ids are free text, the empty
 string included.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evdemand.engine import GallonsBasis, SharesBasis
 from evdemand.errors import UnquotableText, UnwritableScenario
-from evdemand.quantities import Dimension, Quantity
+from evdemand.quantities import Dimension, Quantity, quantity
 from evdemand.refdata import (
     BatteryChemistry,
     GridMix,
@@ -115,7 +115,7 @@ def _custom_chemistry(draw):
 def _sweep_value(dim):
     # Finite numbers only, and ints a float holds exactly: a NaN or infinite
     # value is written as `nan` or `inf`, which no file reads back, and an
-    # int beyond the float range cannot be written (see CHANGES.md).
+    # int beyond the float range cannot be written.
     numbers = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-2**53, 2**53)
     return numbers | st.sampled_from([dim or Dimension.COUNT, *Dimension]).flatmap(_quantities)
 
@@ -190,6 +190,8 @@ def test_a_written_scenario_reloads_equal(s):
 
 @settings(max_examples=100, deadline=None)
 @given(inline_datasets())
+# 1e25 gal was once written as "1e+16e9 gal", which raised a bare ValueError
+@example(builtin_dataset("us2005")._replace(id="mine", household_gasoline=quantity(1e25, "gal")))
 def test_a_written_dataset_reloads_equal(ds):
     try:
         text = render_dataset(ds)

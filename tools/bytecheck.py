@@ -207,10 +207,10 @@ def _outputs(evdemand, gen) -> dict[str, str]:
 
     out: dict[str, str] = {}
 
-    def record(key: str, call) -> None:
+    def record(key: str, call, catch=EvDemandError) -> None:
         try:
             out[key] = call()
-        except EvDemandError as exc:
+        except catch as exc:
             out[key] = f"{type(exc).__name__}: {exc}"
 
     def renders(key: str, scenario) -> None:
@@ -340,10 +340,7 @@ def _outputs(evdemand, gen) -> dict[str, str]:
 
     def probe(key: str, call) -> None:
         """``record``, but an error of any class is stored."""
-        try:
-            out[key] = call()
-        except Exception as exc:
-            out[key] = f"{type(exc).__name__}: {exc}"
+        record(key, call, Exception)
 
     results, q = evdemand.reproduce(None), quantity(1, "TWh")
     for digits in GATE_DIGITS:
