@@ -13,8 +13,9 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from .errors import EvDemandError, InvalidRenderOption, UnknownScenario, ValidationError
-from .quantities import NUMBER_RE, check_sig_digits
+from .errors import (EvDemandError, InvalidRenderOption, ParseError, UnknownScenario,
+                     ValidationError)
+from .quantities import check_sig_digits
 from .report import FORMATS, TARGET_IDS, render, render_comparisons, reproduce, write_sweep
 from .refdata import builtin_dataset, dataset_ids
 from .scenario import (
@@ -27,6 +28,7 @@ from .scenario import (
     load_scenario,
     render_dataset,
 )
+from .scnformat import number
 
 __all__ = ["main", "entry"]
 
@@ -82,6 +84,14 @@ def _sig_digits(text: str) -> int:
         raise argparse.ArgumentTypeError(f"expected an integer from 1 to 17, got {n}") from None
 
 
+def _number(text: str) -> float:
+    """argparse type of a sweep number: a bare number, as a file reads one."""
+    try:
+        return number(text)
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _cmd_reproduce(args: argparse.Namespace) -> int:
     if not args.all and not args.targets:
         raise _UsageError("reproduce needs target ids or --all")
@@ -109,16 +119,8 @@ def _sweep_spec_from_args(args: argparse.Namespace, scenario: Scenario) -> Sweep
         if scenario.sweep_spec is None:
             raise _UsageError("scenario has no [sweep] section and no sweep flags were given")
         return scenario.sweep_spec
-    values = None
-    if args.values is not None:  # each item a bare number, as a [sweep] values list reads it
-        values = []
-        for item in map(str.strip, args.values.split(",")):
-            if not NUMBER_RE.fullmatch(item):
-                raise _UsageError(f"bad --values item {item!r}: not a number" if item
-                                  else "empty item in --values list")
-            values.append(float(item))
     with _argument_errors():
-        return SweepSpec(args.path, values, args.from_, args.to, args.step)
+        return SweepSpec(args.path, args.values, args.from_, args.to, args.step)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -197,11 +199,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario", help="scenario file path or packaged fixture name")
     p.add_argument("--path", default=None, metavar="PARAM",
                    help="parameter path, e.g. strategy.renewable_share")
-    p.add_argument("--values", default=None, metavar="V1,V2,...",
-                   help="explicit comma-separated values")
-    p.add_argument("--from", dest="from_", type=float, default=None)
-    p.add_argument("--to", dest="to", type=float, default=None)
-    p.add_argument("--step", dest="step", type=float, default=None)
+    p.add_argument("--values", type=lambda text: [*map(_number, text.split(","))],
+                   default=None, metavar="V1,V2,...", help="explicit comma-separated values")
+    p.add_argument("--from", dest="from_", type=_number, default=None)
+    p.add_argument("--to", dest="to", type=_number, default=None)
+    p.add_argument("--step", dest="step", type=_number, default=None)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("export-dataset",

@@ -31,7 +31,6 @@ from .errors import (
     DimensionMismatch,
     NonFiniteMagnitude,
     ZeroBaseline,
-    ZeroCapacity,
     ZeroFleetEnergy,
     ZeroGeneration,
     ZeroPerEvEnergy,
@@ -213,10 +212,8 @@ def battery_demand_method_b(fleet: Quantity, chem: BatteryChemistry) -> BatteryD
 
 
 def _battery_demand_method_b(fleet_wh: float, chem: BatteryChemistry) -> BatteryDemand:
-    capacity_wh = chem.pack_capacity.canonical
-    if capacity_wh == 0.0:
-        raise ZeroCapacity("pack capacity must be positive")
-    battery_count = _result(fleet_wh / capacity_wh, "battery count", Dimension.COUNT)
+    battery_count = _result(fleet_wh / chem.pack_capacity.canonical, "battery count",
+                            Dimension.COUNT)
     return _tuple_new(BatteryDemand, ("B", battery_count, _production(battery_count, chem),
                                       None))
 

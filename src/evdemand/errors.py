@@ -89,10 +89,6 @@ class ZeroPerEvEnergy(EvDemandError):
     """Fleet count requires a positive per-vehicle energy."""
 
 
-class ZeroCapacity(EvDemandError):
-    """Battery count requires a positive pack capacity."""
-
-
 class ZeroGeneration(EvDemandError):
     """Emission intensity requires a positive generation total."""
 
@@ -129,8 +125,9 @@ class UnquotableText(EvDemandError, ValueError):
 
 class UnwritableScenario(EvDemandError, ValueError):
     """A scenario no file can hold: a chemistry that differs from the
-    built-in of its name, water pairs that differ from its inline dataset's
-    water intensities, or a sweep value that is a count quantity."""
+    built-in of its name or whose name is not an identifier, water pairs that
+    differ from its inline dataset's water intensities, or a sweep value that
+    is a count quantity, a NaN or an int no float holds."""
 
 
 class UnknownScenario(EvDemandError, KeyError):

@@ -63,7 +63,6 @@ from .quantities import (
     BTU_TO_WH_EXACT,
     BTU_TO_WH_PAPER,
     CANONICAL_UNIT,
-    CATALOG,
     GASOLINE_HEAT_BTU_PER_GAL,
     Dimension,
     Quantity,
@@ -81,7 +80,8 @@ from .refdata import (
     dataset_ids,
     validate_mix,
 )
-from .scnformat import RawValue, Section, parse_document, quoted, text_literal, write_document
+from .scnformat import (RawValue, Section, is_ident, literal, parse_document, quoted,
+                        text_literal, write_document)
 
 __all__ = [
     "Method",
@@ -1003,40 +1003,9 @@ def sweep(s: Scenario, spec: SweepSpec) -> list[SweepPoint]:
 
 # --- rendering ---------------------------------------------------------------
 
-# units written back in preference to the canonical one, when they reparse exactly
-_PRETTY_UNITS: dict[Dimension, tuple[str, ...]] = {
-    Dimension.ENERGY: ("TWh", "kWh"),
-    Dimension.POWER: ("kW",),
-    Dimension.MASS: ("Mt", "kg"),
-}
-
-
-def _render_quantity_literal(q: Quantity) -> str:
-    """Shortest literal that reparses to the bit-identical canonical value."""
-    canonical = q.canonical
-    if q.dimension is Dimension.COUNT:  # a file writes a count as a bare number
-        raise UnwritableScenario(f"count quantity {canonical!r} has no literal")
-    if q.dimension is Dimension.VOLUME and canonical >= 1e9:
-        mantissa = repr(canonical / 1e9)
-        if "e" not in mantissa and float(f"{mantissa}e9") == canonical:  # not "1e+16e9"
-            return f"{mantissa}e9 gal"
-    for unit in _PRETTY_UNITS.get(q.dimension, ()):
-        u = CATALOG.lookup(unit)
-        value = u.from_canonical(canonical)
-        if u.to_canonical(float(repr(value))) == canonical:
-            return f"{value!r} {unit}"
-    return f"{canonical!r} {CANONICAL_UNIT[q.dimension]}"
-
-
-def _render_value(value: float | Quantity) -> str:
-    if isinstance(value, Quantity):
-        return _render_quantity_literal(value)
-    return repr(float(value))
-
-
 def _entries(obj, section: str | None = None) -> list[tuple[str, str]]:
     """File entries for the table fields ``obj`` owns (in ``section`` only, if given)."""
-    return [(f.key, _render_value(getattr(obj, f.attr))) for f in _OWNED[type(obj)]
+    return [(f.key, literal(getattr(obj, f.attr))) for f in _OWNED[type(obj)]
             if section is None or f.section == section]
 
 
@@ -1050,8 +1019,7 @@ def _dataset_sections(ds: ReferenceDataset) -> list[tuple[str, list[tuple[str, s
             *_entries(ds),
         ]),
         ("mix", [(name, f"{share!r} frac") for name, share in ds.mix.entries]),
-        ("water", [(fuel, _render_quantity_literal(wi))
-                   for fuel, wi in ds.water_intensity.items()]),
+        ("water", [(fuel, literal(wi)) for fuel, wi in ds.water_intensity.items()]),
     ]
 
 
@@ -1082,6 +1050,9 @@ def render_scenario(s: Scenario) -> str:
         sections.append(("ev", _entries(s.ev_reference)))
 
     battery = [("chemistry", s.chemistry.name)]
+    if not is_ident(s.chemistry.name):  # which no built-in name is
+        raise UnwritableScenario(f"chemistry {s.chemistry.name!r} is not an identifier, and a "
+                                 f"file names a chemistry by one")
     if s.chemistry.name not in chemistry_names():
         battery += _entries(s.chemistry)
     elif s.chemistry != builtin_chemistry(s.chemistry.name):
@@ -1092,15 +1063,13 @@ def render_scenario(s: Scenario) -> str:
     sections += [("battery", battery), ("strategy", _entries(s, "strategy"))]
 
     if builtin:
-        sections.append(("water", [(fuel, _render_quantity_literal(wi))
-                                   for fuel, wi in s.water]))
+        sections.append(("water", [(fuel, literal(wi)) for fuel, wi in s.water]))
     spec = s.sweep_spec
     if spec is not None:
         if spec.values is None:
-            entries = [(key, _render_value(v)) for key, v in
-                       zip(("from", "to", "step"), (spec.start, spec.stop, spec.step))]
+            entries = list(zip(("from", "to", "step"), map(literal, spec[2:])))
         else:
-            entries = [("values", ", ".join(map(_render_value, spec.values)))]
+            entries = [("values", ", ".join(map(literal, spec.values)))]
         sections.append(("sweep", [("path", spec.path), *entries]))
     return write_document(sections)
 

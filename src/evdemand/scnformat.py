@@ -18,18 +18,19 @@ A value is one of:
 * an identifier (``shares``, ``catalog-median``, ``fleet.fuel_share``), or
 * a comma-separated list of those (not a string).
 
-This module only tokenizes and structures the text; meaning is assigned by
-the scenario loader.
+This module reads and writes the syntax, one value at a time included
+(``number``, ``literal``); meaning is assigned by the scenario loader.
 """
 
 import re
 from typing import NamedTuple, NoReturn, Union
 
-from .errors import EvDemandError, ParseError, UnquotableText
-from .quantities import CATALOG, NUMBER_RE, PARSE_UNITS, Quantity, parse_quantity
+from .errors import EvDemandError, ParseError, UnquotableText, UnwritableScenario
+from .quantities import (CANONICAL_UNIT, CATALOG, NUMBER_RE, PARSE_UNITS, Dimension, Quantity,
+                         parse_quantity)
 
-__all__ = ["RawValue", "Entry", "Section", "Document", "parse_document", "quoted",
-           "text_literal", "write_document"]
+__all__ = ["RawValue", "Entry", "Section", "Document", "parse_document", "number", "quoted",
+           "text_literal", "is_ident", "literal", "write_document"]
 
 _NAME = "[A-Za-z_][A-Za-z0-9_-]*"
 _IDENT = "[A-Za-z_][A-Za-z0-9_.-]*"  # identifier values may carry dots (sweep paths)
@@ -48,6 +49,9 @@ _LINE = re.compile(rf"""\s*(?:(?:
 # what precedes a comment: a ``#`` in a string, open or closed, is kept
 _BEFORE_COMMENT = re.compile(r'(?:[^"#]|"[^"]*"?)*').match
 _UNITS = {name: CATALOG.units[name] for name in PARSE_UNITS}
+# units written in preference to the canonical one, when they reparse exactly
+_PRETTY_UNITS = {Dimension.ENERGY: ("TWh", "kWh"), Dimension.POWER: ("kW",),
+                 Dimension.MASS: ("Mt", "kg")}
 _new = tuple.__new__  # builds a record from its fields in order, unchecked
 
 
@@ -196,6 +200,14 @@ def parse_document(text: str) -> Document:
         Section(name=n, line=ln, entries=tuple(es)) for n, ln, es in sections))
 
 
+def number(text: str) -> float:
+    """``text`` read as a file reads a bare number; :class:`ParseError` otherwise."""
+    stripped = text.strip()
+    if not NUMBER_RE.fullmatch(stripped):
+        raise ParseError(f"expected a bare number, got {text!r}")
+    return float(stripped)
+
+
 def quoted(text: str) -> str:
     """``text`` as a double-quoted string value. Strings have no escapes, so
     text with a ``"`` or a line break raises :class:`UnquotableText`."""
@@ -208,7 +220,37 @@ def quoted(text: str) -> str:
 def text_literal(text: str) -> str:
     """A string value in file syntax: bare when it reads back as an
     identifier, double-quoted otherwise."""
-    return text if _IDENT_RE.fullmatch(text) else quoted(text)
+    return text if is_ident(text) else quoted(text)
+
+
+def is_ident(text: str) -> bool:
+    """Whether ``text`` reads back as an identifier value."""
+    return _IDENT_RE.fullmatch(text) is not None
+
+
+def literal(value: float | Quantity) -> str:
+    """A number (an infinity as ``1e400``) or the shortest quantity literal that reads
+    back bit-identical; :class:`UnwritableScenario` for a NaN, an int no float
+    holds, or a count quantity, which a file writes bare."""
+    if not isinstance(value, Quantity):
+        try:
+            if float(value) == value:  # not a NaN, nor an int a float does not hold
+                return repr(float(value)).replace("inf", "1e400")
+        except OverflowError:
+            pass
+        raise UnwritableScenario(f"number {value!r} has no literal")
+    canonical = value.canonical
+    if value.dimension is Dimension.COUNT:
+        raise UnwritableScenario(f"count quantity {canonical!r} has no literal")
+    if value.dimension is Dimension.VOLUME and canonical >= 1e9:
+        mantissa = repr(canonical / 1e9)
+        if "e" not in mantissa and float(f"{mantissa}e9") == canonical:  # not "1e+16e9"
+            return f"{mantissa}e9 gal"
+    for unit in _PRETTY_UNITS.get(value.dimension, ()):
+        u = CATALOG.units[unit]  # a repr reads back as the same float
+        if u.to_canonical(scaled := u.from_canonical(canonical)) == canonical:
+            return f"{scaled!r} {unit}"
+    return f"{canonical!r} {CANONICAL_UNIT[value.dimension]}"
 
 
 def write_document(sections: list[tuple[str, list[tuple[str, str]]]],

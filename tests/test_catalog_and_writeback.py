@@ -52,6 +52,14 @@ def test_values_sweep_still_writes_values():
     assert parse_scenario(back) == s
 
 
+def test_an_infinite_sweep_value_writes_back_as_a_file_writes_it():
+    s = parse_scenario("[meta]\ndataset = us2005\n"
+                       "[sweep]\npath = battery.batteries_per_ev\nvalues = 1, 1e400, -1e400\n")
+    back = render_scenario(s)
+    assert "values = 1.0, 1e400, -1e400\n" in back
+    assert parse_scenario(back) == s
+
+
 def test_progression_and_values_specs_differ_only_in_origin():
     prog = SweepSpec("strategy.renewable_share", start=0.0, stop=0.5, step=0.25)
     vals = SweepSpec.from_values("strategy.renewable_share", list(prog.points()))
@@ -90,7 +98,14 @@ _PAPER_2005 = load_builtin_scenario("paper-2005")
     # a file writes a count bare, and a bare number reloads as a float
     (_PAPER_2005._replace(sweep_spec=SweepSpec("battery.batteries_per_ev", [
         2.0, Quantity(3.0, Dimension.COUNT)])), "count quantity 3.0 has no literal"),
-], ids=["builtin-chemistry-changed", "inline-water-differs", "count-sweep-value"])
+    # a file has no NaN, and no literal for an int beyond or between floats
+    *((_PAPER_2005._replace(sweep_spec=SweepSpec("battery.batteries_per_ev", [2.0, v])),
+       f"number {v!r} has no literal") for v in (float("nan"), 2**1100, 2**53 + 1)),
+    # a file names a chemistry by an identifier
+    (_PAPER_2005._replace(chemistry=builtin_chemistry("nimh")._replace(
+        name="my pack", display_name="my pack")), "chemistry 'my pack' is not an identifier"),
+], ids=["builtin-chemistry-changed", "inline-water-differs", "count-sweep-value",
+        "nan-sweep-value", "int-beyond-floats", "int-between-floats", "chemistry-not-an-ident"])
 def test_a_scenario_no_file_can_hold_is_refused(s, part):
     with pytest.raises(UnwritableScenario, match=f"^{part}") as exc:
         render_scenario(s)

@@ -61,7 +61,8 @@ def scenario_texts(draw, edits=4):
 
 @st.composite
 def progressions(draw):
-    """At most 100 points, or far beyond the cap, or not finite."""
+    """At most 100 points, or far beyond the cap, or not finite, or a bound
+    a file reads otherwise than ``float`` does."""
     if draw(st.booleans()):
         start = draw(st.floats(-10, 10))
         step = draw(st.sampled_from([0.25, 0.1, -0.5, 1.0, 1e-3, 0.0]))
@@ -69,7 +70,8 @@ def progressions(draw):
         return [repr(start), repr(stop), repr(step)]
     return list(draw(st.sampled_from([
         ("0", "inf", "1"), ("0", "1", "nan"), ("-inf", "0", "1"), ("-1e308", "1e308", "1"),
-        ("0", "1e308", "1e-308"), ("1", "0", "1")])))
+        ("0", "1e308", "1e-308"), ("1", "0", "1"), ("1_0", "12", "1"), ("0", "\u0661", "1"),
+        ("0", "1", "infinity"), ("", "1", "1")])))
 
 
 @st.composite

@@ -88,6 +88,20 @@ dataset = us2005
 pack_capacity = 30 kWh
 """
 
+# a custom pack that fails its own check is one problem; [strategy] is still checked
+BAD_CUSTOM_PACK = """
+[meta]
+dataset = us2005
+[battery]
+chemistry = li_ion
+pack_capacity = 25 kWh
+manufacture_energy = 5000 kWh
+energy_density = 125 Wh/kg
+pack_mass = 100 kg
+[strategy]
+colour = 1
+"""
+
 PROBLEM_LINES = [
     (TWO_PROBLEMS, ["unknown section [turbines]",
                     "line 5: unknown key 'renewable_shard' in [strategy]"]),
@@ -111,6 +125,8 @@ PROBLEM_LINES = [
     (QUOTED_DATASET, ["line 2: dataset must be an identifier, got '\"us2005\"'"]),
     (PACK_WITHOUT_CHEMISTRY, ["pack fields ['pack_capacity'] are only for non-built-in "
                               "chemistries; 'nimh' is built-in"]),
+    (BAD_CUSTOM_PACK, ["li_ion: pack capacity 25000.0 Wh disagrees with density x mass = "
+                       "12500.0 Wh beyond 2%", "line 11: unknown key 'colour' in [strategy]"]),
 ]
 
 
@@ -232,10 +248,10 @@ def test_a_bad_sweep_value_in_a_file_is_one_problem(capsys, tmp_path, values, ba
         assert "sweep value" in line and repr(item) in line
 
 
-def _sweep_file(tmp_path, values):
+def _sweep_file(tmp_path, entries):
     path = tmp_path / "sweep.scn"
     path.write_text(builtin_scenario_text("paper-2005")
-                    + f"[sweep]\npath = strategy.renewable_share\nvalues = {values}\n",
+                    + f"[sweep]\npath = strategy.renewable_share\n{entries}\n",
                     encoding="utf-8")
     return str(path)
 
@@ -247,7 +263,7 @@ def test_a_values_item_a_file_rejects_is_a_usage_error(capsys, tmp_path, values)
                           "--path", "strategy.renewable_share", "--values", values)
     assert (code, out) == (2, "")
     assert len(err.splitlines()) == 1
-    code, out, err = _run(capsys, "sweep", _sweep_file(tmp_path, values))
+    code, out, err = _run(capsys, "sweep", _sweep_file(tmp_path, f"values = {values}"))
     assert (code, out) == (1, "")
     assert len(err.splitlines()) == 1
 
@@ -256,8 +272,41 @@ def test_a_values_item_a_file_rejects_is_a_usage_error(capsys, tmp_path, values)
 def test_values_a_file_accepts_sweep_as_in_the_file(capsys, tmp_path, values):
     flags = _run(capsys, "sweep", "paper-2005",
                  "--path", "strategy.renewable_share", "--values", values)
-    assert flags == _run(capsys, "sweep", _sweep_file(tmp_path, values))
+    assert flags == _run(capsys, "sweep", _sweep_file(tmp_path, f"values = {values}"))
     assert flags[0] == 0
+
+
+def _progression(flag, bound):
+    """``--from``/``--to``/``--step`` flags and the [sweep] entries they
+    stand for, ``bound`` given for ``flag``."""
+    bounds = {"from": "0", "to": "1", "step": "0.5", flag: bound}
+    return ([f"--{key}={value}" for key, value in bounds.items()],
+            "\n".join(f"{key} = {value}" for key, value in bounds.items()))
+
+
+# each progression bound is read as a [sweep] bound reads a bare number
+@pytest.mark.parametrize("flag", ["from", "to", "step"])
+@pytest.mark.parametrize("bound", ["1_0", "infinity", ""])
+def test_a_bound_a_file_rejects_is_a_usage_error(capsys, tmp_path, flag, bound):
+    flags, entries = _progression(flag, bound)
+    code, out, err = _run(capsys, "sweep", "paper-2005",
+                          "--path", "strategy.renewable_share", *flags)
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    code, out, err = _run(capsys, "sweep", _sweep_file(tmp_path, entries))
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+
+
+# a file reads any Unicode decimal digit, so the flags do too
+@pytest.mark.parametrize("flag", ["from", "to", "step"])
+@pytest.mark.parametrize("bound", ["\u0661", " .5 ", "+1e0"])
+def test_a_bound_a_file_accepts_sweeps_as_in_the_file(capsys, tmp_path, flag, bound):
+    flags, entries = _progression(flag, bound)
+    code, out, err = _run(capsys, "sweep", "paper-2005",
+                          "--path", "strategy.renewable_share", *flags)
+    assert (code, out, err) == _run(capsys, "sweep", _sweep_file(tmp_path, entries))
+    assert code == 0
 
 
 @pytest.mark.parametrize("command", ["validate", "run", "sweep"])
@@ -320,6 +369,13 @@ def test_validate_and_sweep_agree_on_a_sweep_path(capsys, tmp_path, name, path):
     ("[sweep]\npath = strategy.renewable_share\nvalues = 0.1,,0.2\n",
      "empty item in value list (line 5, column 14)"),
     ("[strategy]\n1x = 2\n", "bad key '1x' (line 4, column 1)"),
+    # a token that names no choice
+    ("[fleet]\nbasis = coal\n", "line 4: basis must be one of shares, gallons, got 'coal'"),
+    ("[battery]\nmethod = c\n", "line 4: method must be one of a, b, both, got 'c'"),
+    ("[battery]\nconvention = x\n",
+     "line 4: convention must be one of consistent, published, paper-mantissa, got 'x'"),
+    ("[ev]\nsource = median\n",
+     "line 4: source must be one of catalog-median, got 'median'"),
     ("[strategy]\nrenewable_share =\n",
      "missing value for key 'renewable_share' (line 4, column 1)"),
 ])

@@ -20,7 +20,6 @@ from evdemand.engine import (
 from evdemand.errors import (
     DimensionMismatch,
     ZeroBaseline,
-    ZeroCapacity,
     ZeroFleetEnergy,
     ZeroGeneration,
     ZeroPerEvEnergy,

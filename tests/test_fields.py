@@ -7,7 +7,7 @@ import pytest
 
 from evdemand import engine
 from evdemand.errors import BelowMinimum, UnknownParameter, ValidationError
-from evdemand.quantities import quantity
+from evdemand.quantities import Dimension, Quantity, quantity
 from evdemand.refdata import builtin_chemistry
 from evdemand.scenario import (
     FIELDS,
@@ -87,6 +87,12 @@ def test_sweep_quantity_of_wrong_dimension_names_the_path():
     with pytest.raises(UnknownParameter, match="fleet.gallons takes volume, got energy"):
         apply_override(load_builtin_scenario("paper-2001"), "fleet.gallons",
                        quantity(4055, "TWh"))
+
+
+def test_a_count_quantity_sets_the_bare_count():
+    s = apply_override(load_builtin_scenario("paper-2005"), "battery.batteries_per_ev",
+                       Quantity(3.0, Dimension.COUNT))
+    assert type(s.batteries_per_ev) is float and s.batteries_per_ev == 3.0
 
 
 def test_engine_rejects_nan_packs_with_a_typed_error():

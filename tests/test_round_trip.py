@@ -1,7 +1,8 @@
 """Write-back round trips on generated scenarios: ``render_scenario`` gives a
 file that reloads to an equal ``Scenario``, and ``render_dataset`` one that
 reloads to an equal inline dataset, or each raises ``UnquotableText`` for
-text that file syntax cannot quote.
+text that file syntax cannot quote, and ``render_scenario`` raises
+``UnwritableScenario`` for a value no file holds.
 
 Each scalar is drawn from its ``FIELDS`` entry (dimension, floor and tokens)
 and passes that field's own ``coerce``; the shapes chosen by hand (fleet
@@ -9,6 +10,10 @@ basis, EV reference, chemistry, method, convention, water pairs and sweep)
 have a strategy each. Names, years and dataset ids are free text, the empty
 string included.
 """
+
+import math
+import re
+import sys
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -100,8 +105,9 @@ def inline_datasets(draw):
 def _custom_chemistry(draw):
     """A chemistry as the loader builds one from pack fields: its name for a
     display name, "user supplied" notes, and a capacity that agrees with
-    density x mass."""
-    name = draw(_IDENTS.filter(lambda n: n not in chemistry_names()))
+    density x mass. The name is an identifier, or any text, which a file
+    cannot name a chemistry by unless it is one."""
+    name = draw((_IDENTS | st.text()).filter(lambda n: n not in chemistry_names()))
     density = Quantity(draw(st.floats(1e-3, 1e4)), Dimension.ENERGY_DENSITY)
     mass = Quantity(draw(st.floats(1e-6, 1e3)), Dimension.MASS)
     capacity = density.canonical * mass.in_unit("kg") * draw(st.floats(0.99, 1.01))
@@ -113,10 +119,10 @@ def _custom_chemistry(draw):
 
 
 def _sweep_value(dim):
-    # Finite numbers only, and ints a float holds exactly: a NaN or infinite
-    # value is written as `nan` or `inf`, which no file reads back, and an
-    # int beyond the float range cannot be written.
-    numbers = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-2**53, 2**53)
+    # every float, NaN and infinities included, and ints of any size: a file
+    # writes an infinity as 1e400, and has no literal for a NaN or an int a
+    # float does not hold
+    numbers = st.floats() | st.integers() | st.sampled_from([2**53 + 1, 2**1100, -2**1100])
     return numbers | st.sampled_from([dim or Dimension.COUNT, *Dimension]).flatmap(_quantities)
 
 
@@ -168,10 +174,23 @@ def _texts(ds: ReferenceDataset) -> tuple[str, ...]:
     return ds.id, ds.year, ds.mix.year
 
 
-def _counts(spec: SweepSpec | None) -> bool:
-    """Whether a sweep value is a count quantity, which a file writes bare."""
-    return spec is not None and spec.values is not None and any(
-        isinstance(v, Quantity) and v.dimension is Dimension.COUNT for v in spec.values)
+def _has_no_literal(v) -> bool:
+    """Whether a sweep value has no literal: a count quantity, which a file
+    writes bare, a NaN, or an int a float does not hold."""
+    if isinstance(v, Quantity):
+        return v.dimension is Dimension.COUNT
+    if isinstance(v, int):
+        return abs(v) > sys.float_info.max or float(v) != v
+    return math.isnan(v)
+
+
+def _unwritable(s: Scenario) -> bool:
+    """Whether no file can hold ``s``: a custom chemistry whose name is not
+    an identifier, or a sweep value with no literal."""
+    spec = s.sweep_spec
+    return (not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_.-]*", s.chemistry.name)
+            or spec is not None and spec.values is not None
+            and any(map(_has_no_literal, spec.values)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -183,8 +202,9 @@ def test_a_written_scenario_reloads_equal(s):
         assert _unquotable(s.name, *_texts(s.dataset))
         return
     except UnwritableScenario:
-        assert _counts(s.sweep_spec)
+        assert _unwritable(s)
         return
+    assert not _unwritable(s)
     assert parse_scenario(text) == s
 
 

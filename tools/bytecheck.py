@@ -61,7 +61,10 @@ The calls:
 * ``render_scenario`` of scenarios no file can hold (a changed built-in
   chemistry, inline water pairs that differ from the dataset's, a count
   quantity among the sweep values), and ``render_dataset`` of a dataset
-  with 1e25 gallons.
+  with 1e25 gallons;
+* ``render_scenario`` of scenarios whose sweep values are infinite, a NaN,
+  or an int a float does not hold (``2**1100``, ``2**53 + 1``), and of one
+  whose custom chemistry is named ``my pack``, which is not an identifier.
 """
 
 from __future__ import annotations
@@ -371,6 +374,12 @@ def _outputs(evdemand, gen) -> dict[str, str]:
         probe(f"unwritable {name}", lambda: render_scenario(scenario))
     probe("render_dataset 1e25 gal", lambda: render_dataset(ds._replace(
         id="mine", household_gasoline=quantity(1e25, "gal"))))
+    for name, value in (("inf", inf), ("-inf", -inf), ("nan", NAN), ("2**1100", 2**1100),
+                        ("2**53 + 1", 2**53 + 1)):
+        probe(f"write-back sweep value {name}", lambda: render_scenario(fixture._replace(
+            sweep_spec=SweepSpec("battery.batteries_per_ev", [2.0, value]))))
+    probe("write-back chemistry my pack", lambda: render_scenario(fixture._replace(
+        chemistry=fixture.chemistry._replace(name="my pack", display_name="my pack"))))
     return out
 
 
