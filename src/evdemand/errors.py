@@ -2,7 +2,8 @@
 
 Every domain error derives from :class:`EvDemandError`, so callers can tell it
 from a bug. The pack, catalog, sweep, quoting, write-back and render-option
-checks also subclass ``ValueError``, and an unknown packaged scenario ``KeyError``.
+checks also subclass ``ValueError``, a magnitude that is not a number
+``TypeError``, and an unknown packaged scenario ``KeyError``.
 """
 
 
@@ -45,7 +46,11 @@ class NegativeWherePhysical(EvDemandError):
 
 
 class NonFiniteMagnitude(EvDemandError):
-    """NaN or infinite magnitude."""
+    """NaN or infinite magnitude, or an ``int`` too large for a float."""
+
+
+class NonNumericMagnitude(EvDemandError, TypeError):
+    """Magnitude that is not an ``int`` or a ``float``; a ``bool`` is not one."""
 
 
 class FractionOutOfRange(EvDemandError):

@@ -29,6 +29,7 @@ from .errors import (
     InvalidRenderOption,
     NegativeWherePhysical,
     NonFiniteMagnitude,
+    NonNumericMagnitude,
     ParseError,
     UnknownUnit,
 )
@@ -148,14 +149,15 @@ class Quantity(_QuantityFields):
 
     Build one from another unit with :func:`quantity` or
     :func:`parse_quantity`, and read it in another unit with :meth:`in_unit`.
-    Magnitudes must be finite and non-negative, and fractions must lie in
-    [0, 1]; ``_replace`` and ``_make`` check a copy the same way.
+    Magnitudes must be an ``int`` or a ``float`` (not a ``bool``), finite and
+    non-negative, and fractions must lie in [0, 1]; ``_replace`` and
+    ``_make`` check a copy the same way.
     """
 
     __slots__ = ()
 
     def __new__(cls, magnitude: float, dimension: Dimension):
-        m = float(magnitude)
+        m = magnitude if type(magnitude) is float else _float(magnitude, dimension)
         if not math.isfinite(m):
             raise NonFiniteMagnitude(f"non-finite magnitude {m!r} for {dimension.value}")
         if m == 0.0:
@@ -185,9 +187,23 @@ class Quantity(_QuantityFields):
         return f"{self.magnitude!r} {CANONICAL_UNIT[self.dimension]}"
 
 
+def _float(value: float, dimension: Dimension) -> float:
+    """A ``float`` as it is, an ``int`` as a float (an infinity when no float
+    holds it, as a file's ``1e400`` reads); else :class:`NonNumericMagnitude`."""
+    if type(value) is not float and type(value) is not int:
+        raise NonNumericMagnitude(
+            f"magnitude {value!r} for {dimension.value} is not an int or a float")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def quantity(value: float, unit: str) -> Quantity:
     """Build a Quantity from a magnitude in ``unit``."""
     u = CATALOG.lookup(unit)
+    if type(value) is not float:
+        value = _float(value, u.dimension)
     return Quantity(u.to_canonical(value), u.dimension)
 
 
@@ -227,6 +243,13 @@ def _format_sig(value: float, sig_digits: int) -> str:
     """
     if value == 0.0:
         return "0"
+    if sig_digits <= 16 and math.isfinite(value):
+        # "g" spells a finite value as below, except that it writes e+ form for an
+        # exponent from the digit count to 15, and 1e16 .. 1e17 plainly at 17 digits
+        out = f"{value:.{sig_digits}g}"
+        _, e, exp = out.partition("e+")
+        if not e or int(exp) > 15:
+            return out
     s = f"{value:.{sig_digits - 1}e}"
     mantissa, _, exp_s = s.partition("e")
     exp = int(exp_s)

@@ -19,6 +19,7 @@ import io
 import json
 import math
 import operator
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 
 from . import engine
@@ -155,16 +156,27 @@ def render(a: Assessment, fmt: str = "text", digits: int | None = None) -> str:
         lines.append("")
         return "\n".join(lines)
     if fmt == "csv":
-        return _csv(["key", "value", "unit", "note"],
-                    ([row.key, row.value, row.unit, row.note] for row in rows))
+        # the csv module quotes a row with a note or a key holding a fuel's name
+        buf = io.StringIO()
+        quote = csv.writer(buf, lineterminator="\n").writerow
+        buf.write("key,value,unit,note\n")
+        for key, _, value, unit, _, note in rows:
+            if note or not key.isidentifier():
+                quote((key, value, unit, note))
+            else:
+                buf.write(f"{key},{value!r},{unit},\n")
+        return buf.getvalue()
     if fmt == "json":
-        payload = {
-            "scenario": scenario_echo(a.scenario),
-            "values": {row.key: {"value": row.value, "unit": row.unit,
-                                 **({"note": row.note} if row.note else {})}
-                       for row in rows},
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        # the bytes json.dumps(..., indent=2, sort_keys=True) writes for the echo
+        # and one object per key (the last row of a key wins); a unit needs no escape
+        echo = json.dumps(scenario_echo(a.scenario), indent=2, sort_keys=True)
+        values = ",\n".join(
+            f"    {_json_str(key)}: {{\n"
+            + (f'      "note": {_json_str(note)},\n' if note else "")
+            + f'      "unit": "{unit}",\n      "value": {_json_number(value)}\n    }}'
+            for key, (_, _, value, unit, _, note) in sorted({r.key: r for r in rows}.items()))
+        return ('{\n  "scenario": ' + echo.replace("\n", "\n  ")
+                + ',\n  "values": {\n' + values + "\n  }\n}\n")
     raise _unknown_format(fmt)
 
 

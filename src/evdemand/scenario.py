@@ -66,6 +66,7 @@ from .quantities import (
     GASOLINE_HEAT_BTU_PER_GAL,
     Dimension,
     Quantity,
+    _float,
     quantity,
 )
 from .refdata import (
@@ -354,13 +355,10 @@ class FieldSpec(NamedTuple):
                                        f"got {value.dimension.value}")
             if self.dim is None:
                 value = value.canonical
+        elif self.dim is None:  # an int too large for a float reads as a file's 1e400 does
+            value = _float(value, Dimension.COUNT)
         else:
-            try:
-                value = float(value)
-            except OverflowError:  # an int too large for a float reads as a file's 1e400 does
-                value = math.inf if value > 0 else -math.inf
-            if self.dim is not None:
-                value = Quantity(value, self.dim)
+            value = Quantity(value, self.dim)
         if self.floor is not None and not value >= self.floor:
             raise BelowMinimum(f"{self.path} must be >= {self.floor:g}, got {value!r}")
         if self.dim is None and not math.isfinite(value):  # +inf passes the floor

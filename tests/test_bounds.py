@@ -2,7 +2,7 @@
 bare counts are finite, the pack, catalog and sweep checks raise
 ``EvDemandError`` subclasses that are also ``ValueError``s, and a number of
 the wrong type, or an int too large for a float, is a typed error at every
-gate of the API."""
+gate of the API, a ``Quantity``'s magnitude among them."""
 
 import math
 import re
@@ -19,10 +19,11 @@ from evdemand.errors import (
     InvalidRenderOption,
     InvalidSweep,
     NonFiniteMagnitude,
+    NonNumericMagnitude,
     UnknownCatalogField,
     UnknownParameter,
 )
-from evdemand.quantities import format_quantity, quantity
+from evdemand.quantities import Dimension, Quantity, format_quantity, quantity
 from evdemand.refdata import BatteryChemistry, EvModel, builtin_ev_catalog, catalog_stats
 from evdemand.scenario import (
     MAX_SWEEP_POINTS,
@@ -165,3 +166,38 @@ def test_an_int_too_large_for_a_float_fails_its_point_inline(path, ok, big, erro
     first, last = iter_sweep(s, SweepSpec(path, [ok, big]))
     assert first.assessment == assess(apply_override(s, path, ok))
     assert (last.value, last.assessment, last.error) == (big, None, message)
+
+
+ENERGY = Dimension.ENERGY
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: Quantity("5", ENERGY), NonNumericMagnitude,
+     "magnitude '5' for energy is not an int or a float"),
+    (lambda: Quantity(True, ENERGY), NonNumericMagnitude,
+     "magnitude True for energy is not an int or a float"),
+    (lambda: Quantity(None, Dimension.FRACTION), NonNumericMagnitude,
+     "magnitude None for fraction is not an int or a float"),
+    (lambda: Quantity(1.0, ENERGY)._replace(magnitude="1"), NonNumericMagnitude,
+     "magnitude '1' for energy is not an int or a float"),
+    (lambda: quantity("5", "TWh"), NonNumericMagnitude,
+     "magnitude '5' for energy is not an int or a float"),
+    (lambda: quantity(False, "%"), NonNumericMagnitude,
+     "magnitude False for fraction is not an int or a float"),
+    (lambda: Quantity(10**400, ENERGY), NonFiniteMagnitude, "non-finite magnitude inf for energy"),
+    (lambda: Quantity(-(10**400), ENERGY), NonFiniteMagnitude,
+     "non-finite magnitude -inf for energy"),
+    (lambda: quantity(10**400, "kg"), NonFiniteMagnitude, "non-finite magnitude inf for mass"),
+], ids=["text", "bool", "none", "replace", "quantity-text", "quantity-bool", "huge-int",
+        "huge-negative-int", "quantity-huge-int"])
+def test_a_magnitude_is_an_int_or_a_float(make, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as exc:
+        make()
+    assert isinstance(exc.value, EvDemandError)
+    assert error is not NonNumericMagnitude or isinstance(exc.value, TypeError)
+
+
+def test_an_int_magnitude_is_its_float():
+    assert Quantity(5, ENERGY) == Quantity(5.0, ENERGY)
+    assert type(Quantity(2**53, ENERGY).magnitude) is float
+    assert quantity(3, "TWh") == quantity(3.0, "TWh")

@@ -1,4 +1,5 @@
 import math
+from decimal import ROUND_HALF_EVEN, Decimal
 
 import pytest
 from hypothesis import given
@@ -19,6 +20,7 @@ from evdemand.quantities import (
     PARSE_UNITS,
     Dimension,
     Quantity,
+    _format_sig,
     format_quantity,
     parse_quantity,
     quantity,
@@ -210,6 +212,42 @@ class TestFormat:
     def test_deterministic(self):
         q = Quantity(4953.2e12, Dimension.ENERGY)
         assert format_quantity(q, "TWh", 5) == format_quantity(q, "TWh", 5)
+
+
+def _sig_reference(x: float, n: int) -> str:
+    """``x`` rounded half-even to ``n`` significant digits from its exact
+    decimal value, written plainly for 1e-4 <= |r| < 1e16, else as mantissa
+    e+-XX, with no trailing zeros."""
+    if x == 0.0:
+        return "0"
+    exact = Decimal(x)
+    r = exact.quantize(Decimal(1).scaleb(exact.adjusted() - n + 1), ROUND_HALF_EVEN)
+    if -4 <= r.adjusted() <= 15:
+        plain = format(r, "f")
+        return plain.rstrip("0").rstrip(".") if "." in plain else plain
+    sign, digits, _ = r.as_tuple()
+    text = "".join(map(str, digits)).rstrip("0") or "0"
+    mantissa = text[0] + ("." + text[1:] if len(text) > 1 else "")
+    return f"{'-' * sign}{mantissa}e{r.adjusted():+03d}"
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False), st.integers(1, 17))
+def test_format_sig_rounds_the_exact_value_half_even(x, n):
+    assert _format_sig(x, n) == _sig_reference(x, n)
+
+
+# the 1e16 edge (at 17 digits "g" would write 1e16 .. 1e17 plainly), the 1e15
+# and 1e-4 edges, the extreme floats, and the two figures on a rounding tie
+SIG_EDGES = (1e16, 9999999999999998.0, 1.2345678901234568e16, 999999999999999.9, 1e15,
+             1e-4, 9.99995e-5, 5e-324, 1.7976931348623157e308, 2899.3250000000003,
+             172.47750000000005)
+
+
+@pytest.mark.parametrize("x", SIG_EDGES)
+def test_format_sig_at_the_edges(x):
+    for n in range(1, 18):
+        for v in (x, -x):
+            assert _format_sig(v, n) == _sig_reference(v, n), (v, n)
 
 
 _MAGNITUDES = st.floats(min_value=1e-6, max_value=1e18, allow_nan=False,

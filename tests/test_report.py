@@ -1,22 +1,31 @@
 import csv
 import io
+import itertools
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_assess_floats import drawn_scenario
 
-from evdemand.errors import UnknownTarget
+from evdemand.errors import EvDemandError, UnknownTarget
+from evdemand.quantities import quantity
 from evdemand.report import (
     TARGET_IDS,
+    _assessment_rows,
     render,
     render_comparisons,
     render_sweep,
     reproduce,
 )
 from evdemand.scenario import (
+    Convention,
+    Method,
     SweepSpec,
     assess,
     load_builtin_scenario,
     parse_scenario,
+    scenario_echo,
     sweep,
 )
 
@@ -179,3 +188,54 @@ class TestReproduce:
         for fmt in ("text", "csv", "json"):
             assert render_comparisons(all_results, fmt) == \
                 render_comparisons(all_results, fmt)
+
+
+def _json_as_dumps(a):
+    """The assessment JSON as one ``json.dumps(..., indent=2)`` call writes it."""
+    values = {row.key: {"value": row.value, "unit": row.unit,
+                        **({"note": row.note} if row.note else {})}
+              for row in _assessment_rows(a, None)}
+    payload = {"scenario": scenario_echo(a.scenario), "values": values}
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _csv_as_writer(a):
+    """The assessment csv as one ``csv.writer`` writes it."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["key", "value", "unit", "note"])
+    writer.writerows([row.key, row.value, row.unit, row.note]
+                     for row in _assessment_rows(a, None))
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("basis, method, convention, ev", itertools.product(
+    ["shares", "gallons"], Method, Convention, ["explicit", "power-range-speed", "catalog"]))
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_json_and_csv_layouts_match_the_library_writers(basis, method, convention, ev, data):
+    s = data.draw(st.composite(drawn_scenario)(basis, method, convention, ev))
+    try:
+        a = assess(s)
+    except EvDemandError:
+        return
+    assert render(a, "json") == _json_as_dumps(a)
+    assert render(a, "csv") == _csv_as_writer(a)
+
+
+def _with_fuels(s, *fuels):
+    """``s`` with an inline mix of ``fuels`` and a water pair for each, in order."""
+    sources = dict.fromkeys(fuels)
+    mix = s.dataset.mix._replace(entries=tuple((f, 1 / len(sources)) for f in sources))
+    return s._replace(dataset=s.dataset._replace(mix=mix),
+                      water=tuple((f, quantity(100 + k, "gal/MWh")) for k, f in enumerate(fuels)))
+
+
+@pytest.mark.parametrize("fuels", [
+    ("coal", "coal"),  # the json keeps the last row of a key
+    ('gas, "wet"', "tab\there", "line\nbreak", "é ☃"),  # keys the csv module quotes
+], ids=["repeated", "quoted"])
+def test_fuel_names_lay_out_as_the_library_writers_do(fuels):
+    a = assess(_with_fuels(load_builtin_scenario("paper-2005"), *fuels))
+    assert render(a, "json") == _json_as_dumps(a)
+    assert render(a, "csv") == _csv_as_writer(a)

@@ -64,12 +64,17 @@ The calls:
   with 1e25 gallons;
 * ``render_scenario`` of scenarios whose sweep values are infinite, a NaN,
   or an int a float does not hold (``2**1100``, ``2**53 + 1``), and of one
-  whose custom chemistry is named ``my pack``, which is not an identifier.
+  whose custom chemistry is named ``my pack``, which is not an identifier;
+* ``format_quantity`` at every digit count from 1 to 17 of magnitudes at
+  the edges of the plain range: 1e-4, 1e15 and 1e16, the floats beside
+  them and values just below them that round up to them, the two printed
+  figures on a rounding tie, ``5e-324`` and the largest float.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
 import sys
 from pathlib import Path
@@ -185,6 +190,13 @@ GATE_OVERRIDES = (("battery.batteries_per_ev", None), ("battery.batteries_per_ev
 GATE_BOUNDS = ((0, 2**1100, 1), (-10**308, 10**308, 1), (10**308, -10**308, 1))
 GATE_SWEEPS = (("strategy.baseline_generation", (1e15, 2**1100)),
                ("battery.batteries_per_ev", (4, 2**1100)))
+# magnitudes at the edges of the plain range, the floats beside them, and values
+# that round up to them at k digits; the two figures on a rounding tie; the extremes
+SIG_MAGNITUDES = sorted(
+    {v for edge in (1e-4, 1e15, 1e16)
+     for v in (edge, math.nextafter(edge, 0), math.nextafter(edge, math.inf),
+               *(edge * (1 - 5 * 10.0**-k) for k in range(1, 18)))}
+    | {2899.3250000000003, 172.47750000000005, 5e-324, sys.float_info.max})
 
 
 def _outputs(evdemand, gen) -> dict[str, str]:
@@ -380,6 +392,10 @@ def _outputs(evdemand, gen) -> dict[str, str]:
             sweep_spec=SweepSpec("battery.batteries_per_ev", [2.0, value]))))
     probe("write-back chemistry my pack", lambda: render_scenario(fixture._replace(
         chemistry=fixture.chemistry._replace(name="my pack", display_name="my pack"))))
+    for m in SIG_MAGNITUDES:
+        probe(f"format_quantity {m!r}", lambda: "\n".join(
+            evdemand.format_quantity(Quantity(m, Dimension.ENERGY), "Wh", digits)
+            for digits in range(1, 18)))
     return out
 
 
