@@ -129,10 +129,11 @@ class UnquotableText(EvDemandError, ValueError):
 
 
 class UnwritableScenario(EvDemandError, ValueError):
-    """A scenario no file can hold: a chemistry that differs from the
-    built-in of its name or whose name is not an identifier, water pairs that
-    differ from its inline dataset's water intensities, or a sweep value that
-    is a count quantity, a NaN or an int no float holds."""
+    """A scenario or dataset no file can hold: a mix source or water fuel that
+    is not a key, a chemistry that differs from the built-in of its name or
+    whose name is not an identifier, a custom chemistry's own display name or
+    notes, water pairs that differ from its inline dataset's water intensities,
+    or a sweep value that is a count quantity, a NaN or an int no float holds."""
 
 
 class UnknownScenario(EvDemandError, KeyError):

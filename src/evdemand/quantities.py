@@ -238,35 +238,24 @@ def parse_quantity(text: str) -> Quantity:
 def _format_sig(value: float, sig_digits: int) -> str:
     """Round to significant digits (ties to even) and render plainly.
 
-    Falls back to scientific notation outside 1e-4 .. 1e16 so output stays
-    unambiguous for extreme magnitudes.
+    Uses scientific notation outside 1e-4 .. 1e16 so output stays unambiguous
+    for extreme magnitudes; a NaN or an infinity has no digits and raises
+    :class:`NonFiniteMagnitude`.
     """
     if value == 0.0:
         return "0"
-    if sig_digits <= 16 and math.isfinite(value):
-        # "g" spells a finite value as below, except that it writes e+ form for an
-        # exponent from the digit count to 15, and 1e16 .. 1e17 plainly at 17 digits
-        out = f"{value:.{sig_digits}g}"
-        _, e, exp = out.partition("e+")
-        if not e or int(exp) > 15:
-            return out
-    s = f"{value:.{sig_digits - 1}e}"
-    mantissa, _, exp_s = s.partition("e")
-    exp = int(exp_s)
-    sign = "-" if mantissa.startswith("-") else ""
-    digits = mantissa.lstrip("-").replace(".", "")
-    if -4 <= exp <= 15:
-        if exp >= len(digits) - 1:
-            out = digits + "0" * (exp - len(digits) + 1)
-        elif exp >= 0:
-            out = digits[: exp + 1] + "." + digits[exp + 1:]
-        else:
-            out = "0." + "0" * (-exp - 1) + digits
-        if "." in out:
-            out = out.rstrip("0").rstrip(".")
-        return sign + out
-    mantissa = mantissa.rstrip("0").rstrip(".") if "." in mantissa else mantissa
-    return f"{mantissa}e{exp:+03d}"
+    # "g" writes as above, except an integer with an exponent from the digit
+    # count to 15 in e+ form, and 1e16 .. 1e17 plainly at 17 digits
+    out = f"{value:.{sig_digits}g}"
+    head, e, exp = out.partition("e+")
+    if e and int(exp) <= 15:  # an integer: pad its digits out to the exponent
+        return head.replace(".", "").ljust(int(exp) + 1 + (value < 0), "0")
+    if e or abs(value) < 1e16:
+        return out
+    if not math.isfinite(value):
+        raise NonFiniteMagnitude(f"cannot print {value!r}: it has no digits")
+    # 17 digits, 1e16 <= |value| < 1e17: "g" wrote the 17 digits of an integer
+    return f"{out[:-16]}.{out[-16:]}".rstrip("0").rstrip(".") + "e+16"
 
 
 def check_sig_digits(sig_digits: int) -> int:

@@ -470,6 +470,7 @@ _ALLOWED = {section: frozenset(keys | {f.key for f in FIELDS if f.section == sec
 _FLEET_ALLOWED = {owner: _KEYS[owner] | {"basis"} for owner in _BASES.values()}
 
 _SCENARIO_SECTIONS = {*_HAND_KEYS, "mix", "fleet", "water"}
+_USER_SUPPLIED = "user supplied"  # both notes of a chemistry built from pack fields
 
 
 # --- loading --------------------------------------------------------------
@@ -630,9 +631,8 @@ def _resolve_chemistry(sections: dict[str, Section],
     if values is None:
         return None
     try:
-        return BatteryChemistry(name=name, display_name=name,
-                                emissions_note="user supplied",
-                                recycling_note="user supplied", **values)
+        return BatteryChemistry(name=name, display_name=name, emissions_note=_USER_SUPPLIED,
+                                recycling_note=_USER_SUPPLIED, **values)
     except EvDemandError as exc:
         problems.add(str(exc))
         return None
@@ -1022,7 +1022,8 @@ def _dataset_sections(ds: ReferenceDataset) -> list[tuple[str, list[tuple[str, s
 
 
 def render_dataset(ds: ReferenceDataset, *, comments: list[str] | None = None) -> str:
-    """Dataset in file syntax; loads back to identical data."""
+    """Dataset in file syntax; loads back to identical data. Raises
+    :class:`UnwritableScenario` where no file could."""
     return write_document(_dataset_sections(ds), header_comments=comments)
 
 
@@ -1052,6 +1053,11 @@ def render_scenario(s: Scenario) -> str:
         raise UnwritableScenario(f"chemistry {s.chemistry.name!r} is not an identifier, and a "
                                  f"file names a chemistry by one")
     if s.chemistry.name not in chemistry_names():
+        c = s.chemistry  # labelled as the loader labels one, or it reloads unequal
+        if c.display_name != c.name or {c.emissions_note, c.recycling_note} != {_USER_SUPPLIED}:
+            raise UnwritableScenario(f"chemistry {c.name!r} has its own display name or notes, "
+                                     f"and a file labels a custom chemistry by its name, "
+                                     f"with {_USER_SUPPLIED!r} notes")
         battery += _entries(s.chemistry)
     elif s.chemistry != builtin_chemistry(s.chemistry.name):
         raise UnwritableScenario(f"chemistry {s.chemistry.name!r} differs from the built-in of "

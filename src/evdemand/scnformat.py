@@ -255,7 +255,8 @@ def literal(value: float | Quantity) -> str:
 
 def write_document(sections: list[tuple[str, list[tuple[str, str]]]],
                    header_comments: list[str] | None = None) -> str:
-    """Render sections back to file text. Values must be pre-rendered strings."""
+    """Render sections back to file text. Values must be pre-rendered strings;
+    a key the reader would not read back raises :class:`UnwritableScenario`."""
     lines: list[str] = []
     for comment in header_comments or []:
         lines.append(f"# {comment}" if comment else "#")
@@ -267,6 +268,9 @@ def write_document(sections: list[tuple[str, list[tuple[str, str]]]],
                 lines.append("")
         lines.append(f"[{name}]")
         for key, value in entries:
+            # an ASCII identifier is a key, and cheaper to tell than by the pattern
+            if not (key.isascii() and key.isidentifier()) and not _KEY_RE.fullmatch(key):
+                raise UnwritableScenario(f"[{name}] {key!r} is not a key a file reads back")
             lines.append(f"{key} = {value}")
     lines.append("")
     return "\n".join(lines)

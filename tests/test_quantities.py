@@ -250,6 +250,21 @@ def test_format_sig_at_the_edges(x):
             assert _format_sig(v, n) == _sig_reference(v, n), (v, n)
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_format_sig_refuses_a_value_with_no_digits(x):
+    for n in range(1, 18):
+        with pytest.raises(NonFiniteMagnitude, match=f"cannot print {x!r}"):
+            _format_sig(x, n)
+
+
+def test_format_quantity_refuses_a_value_that_overflows_in_its_unit():
+    q = Quantity(1e308, Dimension.MASS)  # 1e311 kg
+    for n in range(1, 18):
+        with pytest.raises(NonFiniteMagnitude, match="cannot print inf"):
+            format_quantity(q, "kg", n)
+        assert format_quantity(q, "t", n).endswith("e+308 t")
+
+
 _MAGNITUDES = st.floats(min_value=1e-6, max_value=1e18, allow_nan=False,
                         allow_infinity=False)
 

@@ -2,13 +2,14 @@ import csv
 import io
 import itertools
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_assess_floats import drawn_scenario
 
-from evdemand.errors import EvDemandError, UnknownTarget
+from evdemand.errors import EvDemandError, NonFiniteMagnitude, UnknownTarget
 from evdemand.quantities import quantity
 from evdemand.report import (
     TARGET_IDS,
@@ -92,6 +93,17 @@ class TestRenderAssessment:
     def test_unknown_format(self, a2005):
         with pytest.raises(ValueError):
             render(a2005, "yaml")
+
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_text_refuses_a_figure_with_no_digits(self, a2005, x):
+        hand_built = [a2005._replace(deficit=a2005.deficit._replace(ratio_to_baseline=x))]
+        if x != math.inf:  # the conversion row prints min(fraction, 1)
+            hand_built.append(a2005._replace(conversion_fraction=x))
+        for a in hand_built:
+            for digits in (None, *range(1, 18)):
+                with pytest.raises(NonFiniteMagnitude, match=f"cannot print {x!r}"):
+                    render(a, "text", digits)
 
 
 class TestRenderSweep:

@@ -7,8 +7,8 @@ text that file syntax cannot quote, and ``render_scenario`` raises
 Each scalar is drawn from its ``FIELDS`` entry (dimension, floor and tokens)
 and passes that field's own ``coerce``; the shapes chosen by hand (fleet
 basis, EV reference, chemistry, method, convention, water pairs and sweep)
-have a strategy each. Names, years and dataset ids are free text, the empty
-string included.
+have a strategy each. Names, years, dataset ids, mix sources, water fuels
+and a custom chemistry's labels are free text, the empty string included.
 """
 
 import math
@@ -46,8 +46,14 @@ from evdemand.scenario import (
 )
 
 # a [mix] or [water] key, and an identifier value (a custom chemistry's name)
+_KEY, _IDENT = r"[A-Za-z_][A-Za-z0-9_-]*", r"[A-Za-z_][A-Za-z0-9_.-]*"
 _KEYS = st.from_regex(r"[A-Za-z_][A-Za-z0-9_-]{0,11}", fullmatch=True)
 _IDENTS = st.from_regex(r"[A-Za-z_][A-Za-z0-9_.-]{0,11}", fullmatch=True)
+_USER_SUPPLIED = "user supplied"  # both notes of a chemistry built from pack fields
+
+
+def _not_key(name: str) -> bool:
+    return not re.fullmatch(_KEY, name)
 
 
 def _magnitudes(dim):
@@ -79,7 +85,7 @@ def _owned(owner, **fixed):
 
 @st.composite
 def _mix(draw):
-    sources = draw(st.lists(_KEYS, min_size=1, max_size=6, unique=True))
+    sources = draw(st.lists(_KEYS | st.text(), min_size=1, max_size=6, unique=True))
     weights = draw(st.lists(st.integers(0, 100), min_size=len(sources),
                             max_size=len(sources)).filter(any))
     entries = tuple((name, w / sum(weights)) for name, w in zip(sources, weights))
@@ -103,19 +109,22 @@ def inline_datasets(draw):
 
 @st.composite
 def _custom_chemistry(draw):
-    """A chemistry as the loader builds one from pack fields: its name for a
-    display name, "user supplied" notes, and a capacity that agrees with
-    density x mass. The name is an identifier, or any text, which a file
-    cannot name a chemistry by unless it is one."""
+    """A chemistry with a capacity that agrees with density x mass. The name
+    is an identifier, or any text, which a file cannot name a chemistry by
+    unless it is one; the display name and the notes are those the loader
+    gives a chemistry built from pack fields (its name and "user supplied"),
+    or any text, which a file cannot state."""
     name = draw((_IDENTS | st.text()).filter(lambda n: n not in chemistry_names()))
+    display_name = draw(st.just(name) | st.text())
+    notes = draw(st.lists(st.just(_USER_SUPPLIED) | st.text(), min_size=2, max_size=2))
     density = Quantity(draw(st.floats(1e-3, 1e4)), Dimension.ENERGY_DENSITY)
     mass = Quantity(draw(st.floats(1e-6, 1e3)), Dimension.MASS)
     capacity = density.canonical * mass.in_unit("kg") * draw(st.floats(0.99, 1.01))
     manufacture = draw(_quantities(Dimension.ENERGY).filter(lambda q: q.canonical > 0))
-    return BatteryChemistry(name=name, display_name=name, energy_density=density,
+    return BatteryChemistry(name=name, display_name=display_name, energy_density=density,
                             pack_mass=mass, pack_capacity=Quantity(capacity, Dimension.ENERGY),
-                            manufacture_energy=manufacture, emissions_note="user supplied",
-                            recycling_note="user supplied")
+                            manufacture_energy=manufacture, emissions_note=notes[0],
+                            recycling_note=notes[1])
 
 
 def _sweep_value(dim):
@@ -146,7 +155,10 @@ def scenarios(draw):
     dataset = draw(st.sampled_from([builtin_dataset(i) for i in dataset_ids()])
                    | inline_datasets())
     if dataset.id in dataset_ids() and builtin_dataset(dataset.id) == dataset:
-        water = draw(_water(dataset.mix.sources()))
+        # its sources, or fuels no file can name (a fuel that is a key but not
+        # a source is a scenario that does not assess)
+        others = draw(st.lists(st.text().filter(_not_key), max_size=2))
+        water = draw(_water([*dataset.mix.sources(), *others]))
     else:  # an inline dataset's [water] section is its water intensities
         water = tuple(dataset.water_intensity.items())
     basis = draw(st.one_of(_owned(SharesBasis), _owned(GallonsBasis)))
@@ -184,11 +196,23 @@ def _has_no_literal(v) -> bool:
     return math.isnan(v)
 
 
+def _unwritable_dataset(ds: ReferenceDataset) -> bool:
+    """Whether a file cannot hold ``ds`` inline: a mix source or water fuel
+    is not a key."""
+    return any(map(_not_key, [*ds.mix.sources(), *ds.water_intensity]))
+
+
 def _unwritable(s: Scenario) -> bool:
-    """Whether no file can hold ``s``: a custom chemistry whose name is not
-    an identifier, or a sweep value with no literal."""
-    spec = s.sweep_spec
-    return (not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_.-]*", s.chemistry.name)
+    """Whether no file can hold ``s``: a mix source or water fuel that is not
+    a key, a custom chemistry whose name is not an identifier or whose
+    display name and notes are not those the loader gives it, or a sweep
+    value with no literal."""
+    c, spec = s.chemistry, s.sweep_spec
+    return (any(_not_key(fuel) for fuel, _ in s.water) or _unwritable_dataset(s.dataset)
+            or not re.fullmatch(_IDENT, c.name)
+            or c.name not in chemistry_names()
+            and (c.display_name, c.emissions_note, c.recycling_note)
+            != (c.name, _USER_SUPPLIED, _USER_SUPPLIED)
             or spec is not None and spec.values is not None
             and any(map(_has_no_literal, spec.values)))
 
@@ -218,4 +242,8 @@ def test_a_written_dataset_reloads_equal(ds):
     except UnquotableText:
         assert _unquotable(*_texts(ds))
         return
+    except UnwritableScenario:
+        assert _unwritable_dataset(ds)
+        return
+    assert not _unwritable_dataset(ds)
     assert parse_scenario(text).dataset == ds

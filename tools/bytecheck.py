@@ -4,13 +4,15 @@ that two source trees can be compared byte for byte.
 Usage::
 
     python tools/bytecheck.py <src-dir> <out.json>
+    python tools/bytecheck.py --diff <a.json> <b.json>
 
 ``<src-dir>`` is the ``src`` directory of the tree to check; its
 ``evdemand`` package is imported ahead of any other. The inputs come from
 ``perfbench.gen`` beside this script, so they are the same whichever tree is
 checked. Each output is stored under a key that names the call; a call that
 raises stores ``"<error class>: <message>"`` instead. Run the script once
-per tree and compare the two files, for example with ``diff``.
+per tree, then compare the two files with ``--diff``, which prints each key
+whose output differs or that one file lacks, and exits 1 if there is any.
 
 The calls:
 
@@ -65,6 +67,14 @@ The calls:
 * ``render_scenario`` of scenarios whose sweep values are infinite, a NaN,
   or an int a float does not hold (``2**1100``, ``2**53 + 1``), and of one
   whose custom chemistry is named ``my pack``, which is not an identifier;
+* write-back of names and labels a file would not read back: ``render_dataset``
+  of a mix source ``gas wet``, ``render_scenario`` of a built-in scenario
+  with the water fuel ``coal x``, and of a custom chemistry with its own
+  display name, its own notes, or both as the loader gives them;
+* figures with no digits: ``format_quantity`` at every digit count of a mass
+  that overflows in ``kg``, ``_format_sig`` of a NaN and of both infinities,
+  and ``render`` text of assessments whose conversion fraction or ratio to
+  the baseline is a NaN or an infinity;
 * ``format_quantity`` at every digit count from 1 to 17 of magnitudes at
   the edges of the plain range: 1e-4, 1e15 and 1e16, the floats beside
   them and values just below them that round up to them, the two printed
@@ -201,7 +211,7 @@ SIG_MAGNITUDES = sorted(
 
 def _outputs(evdemand, gen) -> dict[str, str]:
     from evdemand.errors import EvDemandError
-    from evdemand.quantities import Dimension, Quantity, quantity
+    from evdemand.quantities import Dimension, Quantity, _format_sig, quantity
     from evdemand.report import TARGET_IDS
     from evdemand.scenario import (
         BUILTIN_SCENARIOS,
@@ -392,6 +402,30 @@ def _outputs(evdemand, gen) -> dict[str, str]:
             sweep_spec=SweepSpec("battery.batteries_per_ev", [2.0, value]))))
     probe("write-back chemistry my pack", lambda: render_scenario(fixture._replace(
         chemistry=fixture.chemistry._replace(name="my pack", display_name="my pack"))))
+    mix = ds.mix._replace(entries=(("gas wet", ds.mix.entries[0][1]), *ds.mix.entries[1:]))
+    probe("write-back mix source gas wet", lambda: render_dataset(ds._replace(id="mine", mix=mix)))
+    probe("write-back water fuel coal x", lambda: render_scenario(fixture._replace(
+        water=(("coal x", quantity(1, "gal/MWh")),))))
+    mine = fixture.chemistry._replace(name="mine", display_name="mine",
+                                      emissions_note="user supplied",
+                                      recycling_note="user supplied")
+    for name, chemistry in (("as loaded", mine),
+                            ("display name", mine._replace(display_name="My pack")),
+                            ("notes", mine._replace(recycling_note="recycled"))):
+        probe(f"write-back chemistry labels {name}",
+              lambda: render_scenario(fixture._replace(chemistry=chemistry)))
+    probe("no digits format_quantity 1e308 t in kg", lambda: "\n".join(
+        evdemand.format_quantity(Quantity(1e308, Dimension.MASS), "kg", digits)
+        for digits in range(1, 18)))
+    for x in (NAN, inf, -inf):
+        probe(f"no digits _format_sig {x!r}", lambda: "\n".join(
+            _format_sig(x, digits) for digits in range(1, 18)))
+        for name, hand in (("conversion_fraction", a._replace(conversion_fraction=x)),
+                           ("ratio_to_baseline", a._replace(
+                               deficit=a.deficit._replace(ratio_to_baseline=x)))):
+            for digits in DIGITS:
+                probe(f"no digits render {name} {x!r} {digits}",
+                      lambda: evdemand.render(hand, "text", digits))
     for m in SIG_MAGNITUDES:
         probe(f"format_quantity {m!r}", lambda: "\n".join(
             evdemand.format_quantity(Quantity(m, Dimension.ENERGY), "Wh", digits)
@@ -399,9 +433,25 @@ def _outputs(evdemand, gen) -> dict[str, str]:
     return out
 
 
+def diff(a_path: str, b_path: str) -> int:
+    """Print each key whose output differs between two output files, or that
+    one of them lacks; 1 if there is any, else 0."""
+    a, b = (json.loads(Path(p).read_text(encoding="utf-8")) for p in (a_path, b_path))
+    both = a.keys() & b.keys()
+    differ = sorted(k for k in a.keys() | b.keys() if k not in both or a[k] != b[k])
+    for key in differ:
+        where = "differs" if key in both else f"only in {a_path if key in a else b_path}"
+        print(f"{where}: {key}")
+    print(f"{len(differ)} of {len(a.keys() | b.keys())} keys differ")
+    return 1 if differ else 0
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) != 2:
-        print("usage: python tools/bytecheck.py <src-dir> <out.json>", file=sys.stderr)
+    if len(argv) == 3 and argv[0] == "--diff":
+        return diff(argv[1], argv[2])
+    if len(argv) != 2 or argv[0].startswith("-"):
+        print("usage: python tools/bytecheck.py <src-dir> <out.json>\n"
+              "       python tools/bytecheck.py --diff <a.json> <b.json>", file=sys.stderr)
         return 2
     src_dir, out_path = argv
     sys.path[:0] = [str(Path(src_dir).resolve()), str(Path(__file__).resolve().parents[1])]
