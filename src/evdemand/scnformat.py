@@ -268,8 +268,7 @@ def write_document(sections: list[tuple[str, list[tuple[str, str]]]],
                 lines.append("")
         lines.append(f"[{name}]")
         for key, value in entries:
-            # an ASCII identifier is a key, and cheaper to tell than by the pattern
-            if not (key.isascii() and key.isidentifier()) and not _KEY_RE.fullmatch(key):
+            if not _KEY_RE.fullmatch(key):
                 raise UnwritableScenario(f"[{name}] {key!r} is not a key a file reads back")
             lines.append(f"{key} = {value}")
     lines.append("")
