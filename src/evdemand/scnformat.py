@@ -23,7 +23,7 @@ This module reads and writes the syntax, one value at a time included
 """
 
 import re
-from typing import NamedTuple, NoReturn, Union
+from typing import NamedTuple, Union
 
 from .errors import EvDemandError, ParseError, UnquotableText, UnwritableScenario
 from .quantities import (CANONICAL_UNIT, CATALOG, NUMBER_RE, PARSE_UNITS, Dimension, Quantity,
@@ -35,16 +35,15 @@ __all__ = ["RawValue", "Entry", "Section", "Document", "parse_document", "number
 _NAME = "[A-Za-z_][A-Za-z0-9_-]*"
 _IDENT = "[A-Za-z_][A-Za-z0-9_.-]*"  # identifier values may carry dots (sweep paths)
 _KEY_RE, _IDENT_RE = re.compile(_NAME), re.compile(_IDENT)
+# A scalar value: a number with an optional unit, a string, or an identifier.
+_SCALAR = rf"""(?P<number>{NUMBER_RE.pattern})(?:\s*(?P<unit>[^\s"\#]+))?
+  | "(?P<string>[^"]*)" | (?P<ident>{_IDENT})"""
+_ITEM = re.compile(_SCALAR, re.VERBOSE).fullmatch
 # One line, matched whole: blank or a comment, a section, or an entry whose
-# value is a number with an optional unit, a string, an identifier, or other
-# text with no comment in it (lists, malformed values) for ``_parse_value``.
+# value is a scalar; ``_read_entry`` reads every other line.
 _LINE = re.compile(rf"""\s*(?:(?:
     \[(?P<section>{_NAME})\]
-  | (?P<key>{_NAME})\s*=\s*(?P<value>
-        (?P<number>{NUMBER_RE.pattern})(?:\s*(?P<unit>[^\s"\#]+))?
-      | "(?P<string>[^"]*)"
-      | (?P<ident>{_IDENT})
-      | (?:[^\s"\#]|"[^"]*")(?:[^\s"\#]|"[^"]*"|\s+(?=[^\s\#]))*)
+  | (?P<key>{_NAME})\s*=\s*(?P<value>{_SCALAR})
 )\s*)?(?:\#.*)?""", re.VERBOSE).fullmatch
 # what precedes a comment: a ``#`` in a string, open or closed, is kept
 _BEFORE_COMMENT = re.compile(r'(?:[^"#]|"[^"]*"?)*').match
@@ -92,46 +91,31 @@ class Document(NamedTuple):
     sections: tuple[Section, ...]
 
 
-def _parse_value(text: str, line_no: int, column: int) -> RawValue:
-    if "," in text and not text.startswith('"'):
-        items = []
-        offset = 0
-        for piece in text.split(","):
-            stripped = piece.strip()
-            if not stripped:
-                raise ParseError("empty item in value list", line=line_no,
-                                 column=column + offset)
-            lead = len(piece) - len(piece.lstrip())
-            items.append(_parse_value(stripped, line_no, column + offset + lead))
-            offset += len(piece) + 1
-        return RawValue("list", text, tuple(items), line_no, column)
-    if text.startswith('"'):
-        if len(text) < 2 or not text.endswith('"') or text.count('"') != 2:
-            raise ParseError(f"unterminated or malformed string {text!r}",
-                             line=line_no, column=column)
-        return RawValue("string", text, text[1:-1], line_no, column)
-    number = NUMBER_RE.match(text)
-    if number and number.end() == len(text):
-        return RawValue("number", text, float(text), line_no, column)
-    if number:
+def _scalar(number: str | None, unit: str | None, string: str | None, ident: str | None,
+            text: str, line_no: int, column: int) -> RawValue | None:
+    """The value of a ``_SCALAR`` match's groups; None for a unit no file reads."""
+    if number is not None:
+        if unit is None:
+            return _new(RawValue, ("number", text, float(number), line_no, column))
+        if (u := _UNITS.get(unit)) is None:
+            return None
         try:
-            q = parse_quantity(text)
+            q = Quantity(u.to_canonical(float(number)), u.dimension)
         except EvDemandError as exc:
             raise ParseError(f"bad quantity literal {text!r}: {exc}",
                              line=line_no, column=column) from exc
-        return RawValue("quantity", text, q, line_no, column)
-    if _IDENT_RE.fullmatch(text):
-        return RawValue("ident", text, text, line_no, column)
-    raise ParseError(f"unrecognized value {text!r}", line=line_no, column=column)
+        return _new(RawValue, ("quantity", text, q, line_no, column))
+    if string is not None:
+        return _new(RawValue, ("string", text, string, line_no, column))
+    return _new(RawValue, ("ident", text, ident, line_no, column))
 
 
-def _reject(raw_line: str, line_no: int, in_section: bool) -> NoReturn:
-    """Raise the :class:`ParseError` for an entry before any section, or for
-    a line ``_LINE`` does not match: one with no ``=``, a bad key, no value,
-    or a string left open."""
+def _read_entry(raw_line: str, line_no: int, in_section: bool) -> tuple[str, RawValue]:
+    """The key and list of a line ``_LINE`` and ``_scalar`` do not read; else :class:`ParseError`
+    for its missing ``=``, bad key, missing section or value, or bad value or item."""
     line = _BEFORE_COMMENT(raw_line).group().strip()
-    key, eq, value_text = line.partition("=")
-    key, value_text = key.strip(), value_text.strip()
+    key, eq, text = line.partition("=")
+    key, text = key.strip(), text.strip()
     if not eq:
         raise ParseError(f"expected 'key = value' or '[section]', got {line!r}",
                          line=line_no, column=1)
@@ -139,10 +123,28 @@ def _reject(raw_line: str, line_no: int, in_section: bool) -> NoReturn:
         raise ParseError(f"bad key {key!r}", line=line_no, column=1)
     if not in_section:
         raise ParseError(f"entry {key!r} appears before any section", line=line_no, column=1)
-    if not value_text:
+    if not text:
         raise ParseError(f"missing value for key {key!r}", line=line_no, column=1)
-    _parse_value(value_text, line_no, raw_line.find(value_text, raw_line.index("=") + 1) + 1)
-    raise AssertionError(f"line {line_no} parses but does not match the line pattern")
+    column = raw_line.find(text, raw_line.index("=") + 1) + 1
+    items, offset = [], 0
+    for piece in [text] if text.startswith('"') else text.split(","):  # a string is no list
+        if not (item := piece.strip()):
+            raise ParseError("empty item in value list", line=line_no, column=column + offset)
+        at = column + offset + len(piece) - len(piece.lstrip())
+        if not (m := _ITEM(item)) or not (value := _scalar(*m.groups(), item, line_no, at)):
+            if item.startswith('"'):
+                raise ParseError(f"unterminated or malformed string {item!r}",
+                                 line=line_no, column=at)
+            if NUMBER_RE.match(item):
+                try:
+                    parse_quantity(item)
+                except EvDemandError as exc:
+                    raise ParseError(f"bad quantity literal {item!r}: {exc}",
+                                     line=line_no, column=at) from exc
+            raise ParseError(f"unrecognized value {item!r}", line=line_no, column=at)
+        items.append(value)
+        offset += len(piece) + 1
+    return key, RawValue("list", text, tuple(items), line_no, column)
 
 
 def parse_document(text: str) -> Document:
@@ -159,36 +161,22 @@ def parse_document(text: str) -> Document:
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         m = _LINE(raw_line)
         if m is None:
-            _reject(raw_line, line_no, bool(sections))
-        name, key, value_text, number, unit, string, ident = m.groups()
-        if key is None:
-            if name is not None:
-                if name in seen_sections:
-                    raise ParseError(f"duplicate section [{name}]", line=line_no, column=1)
-                seen_sections.add(name)
-                seen_keys = set()
-                entries: list[Entry] = []
-                sections.append((name, line_no, entries))
-            continue
-        if not sections:
-            _reject(raw_line, line_no, False)
-        column = m.start(3) + 1
-        if number is not None and unit is None:
-            value = _new(RawValue, ("number", value_text, float(number), line_no, column))
-        elif unit in _UNITS:
-            u = _UNITS[unit]
-            try:
-                q = Quantity(u.to_canonical(float(number)), u.dimension)
-            except EvDemandError as exc:
-                raise ParseError(f"bad quantity literal {value_text!r}: {exc}",
-                                 line=line_no, column=column) from exc
-            value = _new(RawValue, ("quantity", value_text, q, line_no, column))
-        elif string is not None:
-            value = _new(RawValue, ("string", value_text, string, line_no, column))
-        elif ident is not None:
-            value = _new(RawValue, ("ident", value_text, ident, line_no, column))
-        else:  # a list, a number with a unit it does not know, or a malformed value
-            value = _parse_value(value_text, line_no, column)
+            key, value = _read_entry(raw_line, line_no, bool(sections))
+        else:
+            name, key, value_text, number, unit, string, ident = m.groups()
+            if key is None:
+                if name is not None:
+                    if name in seen_sections:
+                        raise ParseError(f"duplicate section [{name}]", line=line_no, column=1)
+                    seen_sections.add(name)
+                    seen_keys = set()
+                    entries: list[Entry] = []
+                    sections.append((name, line_no, entries))
+                continue
+            value = sections and _scalar(number, unit, string, ident, value_text, line_no,
+                                         m.start(3) + 1)
+            if not value:  # no section above it, or a number with a unit no file reads
+                key, value = _read_entry(raw_line, line_no, bool(sections))
         if key in seen_keys:
             raise ParseError(f"duplicate key {key!r} in section [{sections[-1][0]}]",
                              line=line_no, column=1)
