@@ -208,7 +208,7 @@ def quantity(value: float, unit: str) -> Quantity:
 
 
 # Literal grammar: NUMBER WS? UNIT, decimal number with optional exponent.
-NUMBER_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+NUMBER_RE = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
 
 def parse_quantity(text: str) -> Quantity:

@@ -544,6 +544,12 @@ def _pairs(section: Section | None, dim: Dimension,
     return pairs
 
 
+def _stray_fuels(pairs, mix: GridMix) -> list[str]:
+    """The problem of each water fuel in ``pairs`` that is not a source of ``mix``."""
+    return [f"water fuel {fuel!r} is not a source in the grid mix"
+            for fuel, _ in pairs if fuel not in mix.sources()]
+
+
 def _resolve_dataset(sections: dict[str, Section],
                      problems: _Problems) -> ReferenceDataset | None:
     """Build a ReferenceDataset from inline [dataset], [mix] and [water]; a
@@ -739,9 +745,8 @@ def parse_scenario(text: str, *, default_name: str | None = None) -> Scenario:
         water_pairs = tuple(ds.water_intensity.items()) if ds is not None else ()
     else:
         water_pairs = tuple(_pairs(sections["water"], Dimension.WATER_INTENSITY, problems))
-    for fuel, _ in water_pairs:
-        if ds is not None and fuel not in ds.mix.sources():
-            problems.add(f"water fuel {fuel!r} is not a source in the grid mix")
+    for problem in _stray_fuels(water_pairs, ds.mix) if ds is not None else ():
+        problems.add(problem)
 
     sweep_spec = _resolve_sweep(sections.get("sweep"), fleet_basis, problems)
 
@@ -1002,12 +1007,35 @@ def sweep(s: Scenario, spec: SweepSpec) -> list[SweepPoint]:
 # --- rendering ---------------------------------------------------------------
 
 def _entries(obj, section: str | None = None) -> list[tuple[str, str]]:
-    """File entries for the table fields ``obj`` owns (in ``section`` only, if given)."""
-    return [(f.key, literal(getattr(obj, f.attr))) for f in _OWNED[type(obj)]
-            if section is None or f.section == section]
+    """File entries for the table fields ``obj`` owns (in ``section`` only, if
+    given); :class:`UnwritableScenario` for a value that ``coerce``, the gate a
+    file value passes, refuses or changes."""
+    entries = []
+    for f in _OWNED[type(obj)]:
+        if section is None or f.section == section:
+            value = getattr(obj, f.attr)
+            entries.append((f.key, literal(value)))  # which refuses a count quantity
+            try:
+                if f.coerce(value) != value:  # a bare number for a quantity
+                    raise UnknownParameter(f"{f.path} takes a {f.dim.value} quantity, "
+                                           f"got {value!r}")
+            except EvDemandError as exc:
+                raise UnwritableScenario(f"{exc}, which no file holds") from exc
+    return entries
+
+
+def _water_section(pairs) -> tuple[str, list[tuple[str, str]]]:
+    """``[water]`` of ``pairs``; :class:`UnwritableScenario` for a value that
+    is not a water intensity."""
+    for fuel, wi in pairs:
+        if type(wi) is not Quantity or wi.dimension is not Dimension.WATER_INTENSITY:
+            raise UnwritableScenario(f"water fuel {fuel!r} takes a gal/MWh quantity, got {wi}")
+    return "water", [(fuel, literal(wi)) for fuel, wi in pairs]
 
 
 def _dataset_sections(ds: ReferenceDataset) -> list[tuple[str, list[tuple[str, str]]]]:
+    if violations := validate_mix(ds.mix):
+        raise UnwritableScenario(f"[mix] {violations[0]}")
     return [
         ("dataset", [
             ("id", text_literal(ds.id)),
@@ -1017,14 +1045,23 @@ def _dataset_sections(ds: ReferenceDataset) -> list[tuple[str, list[tuple[str, s
             *_entries(ds),
         ]),
         ("mix", [(name, f"{share!r} frac") for name, share in ds.mix.entries]),
-        ("water", [(fuel, literal(wi)) for fuel, wi in ds.water_intensity.items()]),
+        _water_section(ds.water_intensity.items()),
     ]
+
+
+def _write(sections: list, water, mix: GridMix, comments: list[str] | None = None) -> str:
+    """``sections`` as file text; :class:`UnwritableScenario` for a key a file
+    does not read back, then for a ``water`` fuel that is not a source of ``mix``."""
+    text = write_document(sections, header_comments=comments)
+    if strays := _stray_fuels(water, mix):
+        raise UnwritableScenario(strays[0])
+    return text
 
 
 def render_dataset(ds: ReferenceDataset, *, comments: list[str] | None = None) -> str:
     """Dataset in file syntax; loads back to identical data. Raises
     :class:`UnwritableScenario` where no file could."""
-    return write_document(_dataset_sections(ds), header_comments=comments)
+    return _write(_dataset_sections(ds), ds.water_intensity.items(), ds.mix, comments)
 
 
 def render_scenario(s: Scenario) -> str:
@@ -1067,15 +1104,19 @@ def render_scenario(s: Scenario) -> str:
     sections += [("battery", battery), ("strategy", _entries(s, "strategy"))]
 
     if builtin:
-        sections.append(("water", [(fuel, literal(wi)) for fuel, wi in s.water]))
+        sections.append(_water_section(s.water))
     spec = s.sweep_spec
     if spec is not None:
+        try:
+            _check_basis(OVERRIDE_PATHS[spec.path], s.fleet_basis)
+        except UnknownParameter as exc:
+            raise UnwritableScenario(f"[sweep] {exc}") from exc
         if spec.values is None:
             entries = list(zip(("from", "to", "step"), map(literal, spec[2:])))
         else:
             entries = [("values", ", ".join(map(literal, spec.values)))]
         sections.append(("sweep", [("path", spec.path), *entries]))
-    return write_document(sections)
+    return _write(sections, s.water, s.dataset.mix)
 
 
 def _echo(obj) -> dict:

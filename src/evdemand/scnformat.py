@@ -11,8 +11,8 @@ and a section or entry line may end in a comment. A name or key is
 characters ``str.strip`` removes, and may stand around every part of a line.
 A value is one of:
 
-* a quantity literal (``4055 TWh``, ``61 %``): a decimal number with an
-  optional exponent, optional whitespace, and a unit;
+* a quantity literal (``4055 TWh``, ``61 %``): a decimal number (digits
+  ``0-9``) with an optional exponent, optional whitespace, and a unit;
 * a bare decimal (dimensionless);
 * a double-quoted string (no escapes; a ``#`` inside it is kept);
 * an identifier (``shares``, ``catalog-median``, ``fleet.fuel_share``), or
@@ -244,7 +244,8 @@ def literal(value: float | Quantity) -> str:
 def write_document(sections: list[tuple[str, list[tuple[str, str]]]],
                    header_comments: list[str] | None = None) -> str:
     """Render sections back to file text. Values must be pre-rendered strings;
-    a key the reader would not read back raises :class:`UnwritableScenario`."""
+    a key the reader would not read back, or one given twice within a section,
+    raises :class:`UnwritableScenario`."""
     lines: list[str] = []
     for comment in header_comments or []:
         lines.append(f"# {comment}" if comment else "#")
@@ -255,9 +256,14 @@ def write_document(sections: list[tuple[str, list[tuple[str, str]]]],
             if lines and lines[-1] != "":
                 lines.append("")
         lines.append(f"[{name}]")
+        seen = set()
         for key, value in entries:
             if not _KEY_RE.fullmatch(key):
                 raise UnwritableScenario(f"[{name}] {key!r} is not a key a file reads back")
+            if key in seen:
+                raise UnwritableScenario(f"[{name}] {key!r} is given twice, and a file "
+                                         f"reads each key once")
+            seen.add(key)
             lines.append(f"{key} = {value}")
     lines.append("")
     return "\n".join(lines)

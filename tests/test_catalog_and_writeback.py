@@ -8,13 +8,15 @@ import evdemand.scenario as scenario_mod
 from evdemand.engine import GallonsBasis, SharesBasis
 from evdemand.errors import EvDemandError, UnwritableScenario
 from evdemand.quantities import Dimension, Quantity, quantity
-from evdemand.refdata import builtin_chemistry
+from evdemand.refdata import ReferenceDataset, builtin_chemistry
 from evdemand.scenario import (
     OVERRIDE_PATHS,
+    ExplicitPerEv,
     SweepSpec,
     assess,
     load_builtin_scenario,
     parse_scenario,
+    render_dataset,
     render_scenario,
 )
 
@@ -110,3 +112,49 @@ def test_a_scenario_no_file_can_hold_is_refused(s, part):
     with pytest.raises(UnwritableScenario, match=f"^{part}") as exc:
         render_scenario(s)
     assert isinstance(exc.value, EvDemandError) and isinstance(exc.value, ValueError)
+
+
+_DATASET = _PAPER_2005.dataset._replace(id="mine")  # written inline
+_SHARES = _DATASET.mix.entries
+
+
+def _inline_mix(*entries):
+    return _DATASET._replace(mix=_DATASET.mix._replace(entries=entries))
+
+
+# each was once written, and the file failed to reload or reloaded unequal
+@pytest.mark.parametrize("obj, part", [
+    (_PAPER_2005._replace(water=(("wind", quantity(1, "gal/MWh")),)),
+     "water fuel 'wind' is not a source in the grid mix"),
+    (_PAPER_2005._replace(water=(("coal", quantity(1, "gal/MWh")),) * 2),
+     r"\[water\] 'coal' is given twice"),
+    (_DATASET._replace(water_intensity={"wind": quantity(1, "gal/MWh")}),
+     "water fuel 'wind' is not a source in the grid mix"),
+    (_PAPER_2005._replace(water=(("coal", quantity(1, "kWh")),)),
+     "water fuel 'coal' takes a gal/MWh quantity, got 1000.0 Wh"),
+    (_inline_mix((_SHARES[0][0], 1.5), *_SHARES[1:]), r"\[mix\] share for 'coal' out of range"),
+    (_inline_mix((_SHARES[0][0], _SHARES[0][1] - 0.1), *_SHARES[1:]),
+     r"\[mix\] shares sum to 0.9"),
+    (_inline_mix(*_SHARES, _SHARES[0]), r"\[mix\] duplicate source 'coal'"),
+    (_PAPER_2005._replace(batteries_per_ev=0.5), r"battery.batteries_per_ev must be >= 1"),
+    (_PAPER_2005._replace(fleet_basis=_PAPER_2005.fleet_basis._replace(
+        total_energy=quantity(1, "t"))), "fleet.total_energy takes energy, got mass"),
+    (_PAPER_2005._replace(ev_reference=ExplicitPerEv(per_ev=quantity(1, "kW"))),
+     "ev.per_ev_energy takes energy, got power"),
+    (_PAPER_2005._replace(renewable_share=quantity(1, "TWh")),
+     "strategy.renewable_share takes fraction, got energy"),
+    # a bare number reloads as a fraction quantity, unequal
+    (_PAPER_2005._replace(renewable_share=0.3),
+     "strategy.renewable_share takes a fraction quantity, got 0.3"),
+    (_DATASET._replace(co2_total=quantity(1, "TWh")), "dataset.co2_total takes mass, got energy"),
+    (_PAPER_2005._replace(sweep_spec=SweepSpec("fleet.gallons", [1e9])),
+     r"\[sweep\] fleet.gallons applies to the gallons basis only"),
+], ids=["water-fuel-not-a-source", "water-fuel-twice", "inline-water-fuel-not-a-source",
+        "water-intensity-in-kWh", "mix-share-1.5", "mix-sums-to-0.9", "mix-source-twice",
+        "batteries-per-ev-0.5", "total-energy-in-t", "per-ev-energy-in-kW",
+        "renewable-share-in-TWh", "renewable-share-bare", "co2-total-in-TWh",
+        "sweep-gallons-on-shares"])
+def test_what_the_loader_refuses_is_not_written(obj, part):
+    render = render_dataset if isinstance(obj, ReferenceDataset) else render_scenario
+    with pytest.raises(UnwritableScenario, match=f"^{part}"):
+        render(obj)

@@ -7,7 +7,10 @@ from pathlib import Path
 import pytest
 
 from evdemand.cli import main
+from evdemand.errors import ParseError
+from evdemand.quantities import parse_quantity
 from evdemand.scenario import FIELDS, OVERRIDE_PATHS, builtin_scenario_text
+from evdemand.scnformat import parse_document
 
 DATA = Path(__file__).parent / "data"
 SWEEP_FLAGS = ["--path", "strategy.renewable_share", "--values", "0.1,0.2"]
@@ -286,7 +289,7 @@ def _progression(flag, bound):
 
 # each progression bound is read as a [sweep] bound reads a bare number
 @pytest.mark.parametrize("flag", ["from", "to", "step"])
-@pytest.mark.parametrize("bound", ["1_0", "infinity", ""])
+@pytest.mark.parametrize("bound", ["1_0", "infinity", "", "\u0661"])
 def test_a_bound_a_file_rejects_is_a_usage_error(capsys, tmp_path, flag, bound):
     flags, entries = _progression(flag, bound)
     code, out, err = _run(capsys, "sweep", "paper-2005",
@@ -298,15 +301,30 @@ def test_a_bound_a_file_rejects_is_a_usage_error(capsys, tmp_path, flag, bound):
     assert len(err.splitlines()) == 1
 
 
-# a file reads any Unicode decimal digit, so the flags do too
 @pytest.mark.parametrize("flag", ["from", "to", "step"])
-@pytest.mark.parametrize("bound", ["\u0661", " .5 ", "+1e0"])
+@pytest.mark.parametrize("bound", [" .5 ", "+1e0"])
 def test_a_bound_a_file_accepts_sweeps_as_in_the_file(capsys, tmp_path, flag, bound):
     flags, entries = _progression(flag, bound)
     code, out, err = _run(capsys, "sweep", "paper-2005",
                           "--path", "strategy.renewable_share", *flags)
     assert (code, out, err) == _run(capsys, "sweep", _sweep_file(tmp_path, entries))
     assert code == 0
+
+
+# a digit is ASCII 0-9: another script's digit is no number in a file value,
+# a list item, a --values item or a quantity literal
+@pytest.mark.parametrize("digit", ["\u0661", "\u0663", "\uff11"])
+def test_a_digit_is_ascii(capsys, digit):
+    for value, column in ((digit, 5), (f"1, {digit}", 8), (f"{digit} TWh", 5)):
+        with pytest.raises(ParseError) as exc:
+            parse_document(f"[a]\nx = {value}\n")
+        assert (exc.value.line, exc.value.column) == (2, column)
+    with pytest.raises(ParseError):
+        parse_quantity(f"{digit} TWh")
+    code, out, err = _run(capsys, "sweep", "paper-2005",
+                          "--path", "strategy.baseline_generation", "--values", f"1, {digit}")
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("command", ["validate", "run", "sweep"])

@@ -10,7 +10,9 @@ basis, EV reference, chemistry, method, convention, water pairs and sweep)
 have a strategy each. Names, years and dataset ids are free text, the empty
 string included. Mix sources, water fuels and a custom chemistry's labels
 are those a file holds, with one name or label of free text about one draw
-in four, so most draws still reach the reload. Each example records whether
+in four, and a built-in scenario's water fuels are its sources, with one
+fuel that is not a key, not a source, or given twice about one draw in four,
+so most draws still reach the reload. Each example records whether
 it was written or refused (``--hypothesis-show-statistics`` shows the share).
 """
 
@@ -168,10 +170,15 @@ def scenarios(draw):
     dataset = draw(st.sampled_from([builtin_dataset(i) for i in dataset_ids()])
                    | inline_datasets())
     if dataset.id in dataset_ids() and builtin_dataset(dataset.id) == dataset:
-        # its sources, or fuels no file can name (a fuel that is a key but not
-        # a source is a scenario that does not assess)
-        others = draw(_sometimes(st.text().filter(_not_key)))
-        water = draw(_water([*dataset.mix.sources(), *others]))
+        # its sources, and about one time in four a fuel no file can hold: one
+        # that is not a key, a key that is not a source, or a fuel given twice
+        sources = dataset.mix.sources()
+        water = draw(_water(sources))
+        stray = st.text().filter(_not_key) | _KEYS.filter(lambda k: k not in sources)
+        if water:
+            stray |= st.sampled_from([fuel for fuel, _ in water])
+        water += tuple((fuel, draw(_quantities(Dimension.WATER_INTENSITY)))
+                       for fuel in draw(_sometimes(stray)))
     else:  # an inline dataset's [water] section is its water intensities
         water = tuple(dataset.water_intensity.items())
     basis = draw(st.one_of(_owned(SharesBasis), _owned(GallonsBasis)))
@@ -217,11 +224,12 @@ def _unwritable_dataset(ds: ReferenceDataset) -> bool:
 
 def _unwritable(s: Scenario) -> bool:
     """Whether no file can hold ``s``: a mix source or water fuel that is not
-    a key, a custom chemistry whose name is not an identifier or whose
-    display name and notes are not those the loader gives it, or a sweep
-    value with no literal."""
-    c, spec = s.chemistry, s.sweep_spec
-    return (any(_not_key(fuel) for fuel, _ in s.water) or _unwritable_dataset(s.dataset)
+    a key, a water fuel that is not a source or is given twice, a custom
+    chemistry whose name is not an identifier or whose display name and
+    notes are not those the loader gives it, or a sweep value with no literal."""
+    c, spec, fuels = s.chemistry, s.sweep_spec, [fuel for fuel, _ in s.water]
+    return (any(map(_not_key, fuels)) or _unwritable_dataset(s.dataset)
+            or not set(fuels) <= set(s.dataset.mix.sources()) or len(set(fuels)) < len(fuels)
             or not re.fullmatch(_IDENT, c.name)
             or c.name not in chemistry_names()
             and (c.display_name, c.emissions_note, c.recycling_note)

@@ -71,6 +71,15 @@ The calls:
   of a mix source ``gas wet``, ``render_scenario`` of a built-in scenario
   with the water fuel ``coal x``, and of a custom chemistry with its own
   display name, its own notes, or both as the loader gives them;
+* write-back of what the loader refuses: a built-in scenario's water fuel
+  ``wind``, ``coal`` twice, or an intensity in ``kWh``; an inline water fuel
+  ``wind``; a mix share of 1.5, shares that sum to 0.9, a source twice;
+  ``batteries_per_ev`` 0.5, ``fleet.total_energy`` in ``t``, a per-EV energy
+  in ``kW``, ``renewable_share`` in ``TWh`` or bare, ``co2_total`` in
+  ``TWh``; and a sweep over ``fleet.gallons`` on the shares basis;
+* digits other than ASCII ``0-9`` (Arabic-Indic one and three, fullwidth
+  one) in a file value, a list item and a quantity literal, and through
+  ``parse_quantity`` and ``scnformat.number``, which reads the sweep flags;
 * figures with no digits: ``format_quantity`` at every digit count of a mass
   that overflows in ``kg``, ``_format_sig`` of a NaN and of both infinities,
   and ``render`` text of assessments whose conversion fraction or ratio to
@@ -211,11 +220,12 @@ SIG_MAGNITUDES = sorted(
 
 def _outputs(evdemand, gen) -> dict[str, str]:
     from evdemand.errors import EvDemandError
-    from evdemand.quantities import Dimension, Quantity, _format_sig, quantity
+    from evdemand.quantities import Dimension, Quantity, _format_sig, parse_quantity, quantity
     from evdemand.report import TARGET_IDS
     from evdemand.scenario import (
         BUILTIN_SCENARIOS,
         Convention,
+        ExplicitPerEv,
         Method,
         SweepPoint,
         SweepSpec,
@@ -228,7 +238,7 @@ def _outputs(evdemand, gen) -> dict[str, str]:
         render_scenario,
         sweep,
     )
-    from evdemand.scnformat import parse_document
+    from evdemand.scnformat import number, parse_document
 
     out: dict[str, str] = {}
 
@@ -414,6 +424,40 @@ def _outputs(evdemand, gen) -> dict[str, str]:
                             ("notes", mine._replace(recycling_note="recycled"))):
         probe(f"write-back chemistry labels {name}",
               lambda: render_scenario(fixture._replace(chemistry=chemistry)))
+    inline, shares = ds._replace(id="mine"), ds.mix.entries
+
+    def with_mix(*entries):
+        return inline._replace(mix=ds.mix._replace(entries=entries))
+
+    refused = {
+        "water fuel wind": fixture._replace(water=(("wind", quantity(1, "gal/MWh")),)),
+        "water fuel coal twice": fixture._replace(water=(("coal", quantity(1, "gal/MWh")),) * 2),
+        "inline water fuel wind": inline._replace(
+            water_intensity={"wind": quantity(1, "gal/MWh")}),
+        "water intensity in kWh": fixture._replace(water=(("coal", quantity(1, "kWh")),)),
+        "mix share 1.5": with_mix((shares[0][0], 1.5), *shares[1:]),
+        "mix sums to 0.9": with_mix((shares[0][0], shares[0][1] - 0.1), *shares[1:]),
+        "mix source twice": with_mix(*shares, shares[0]),
+        "batteries_per_ev 0.5": fixture._replace(batteries_per_ev=0.5),
+        "fleet.total_energy in t": fixture._replace(fleet_basis=fixture.fleet_basis._replace(
+            total_energy=quantity(1, "t"))),
+        "per-EV energy in kW": fixture._replace(ev_reference=ExplicitPerEv(quantity(1, "kW"))),
+        "renewable_share in TWh": fixture._replace(renewable_share=quantity(1, "TWh")),
+        "renewable_share bare": fixture._replace(renewable_share=0.3),
+        "co2_total in TWh": inline._replace(co2_total=quantity(1, "TWh")),
+        "sweep fleet.gallons on shares": fixture._replace(
+            sweep_spec=SweepSpec("fleet.gallons", [1e9])),
+    }
+    for name, obj in refused.items():
+        render = render_scenario if type(obj) is type(fixture) else render_dataset
+        probe(f"write-back refused {name}", lambda: render(obj))
+    for digit in ("\u0661", "\u0663", "\uff11"):
+        for value in (digit, f"1, {digit}", f"{digit} TWh"):
+            probe(f"ascii digits document {value!r}",
+                  lambda: repr(parse_document(f"[a]\nx = {value}\n")))
+        probe(f"ascii digits parse_quantity {digit!r}",
+              lambda: repr(parse_quantity(f"{digit} TWh")))
+        probe(f"ascii digits number {digit!r}", lambda: repr(number(digit)))
     probe("no digits format_quantity 1e308 t in kg", lambda: "\n".join(
         evdemand.format_quantity(Quantity(1e308, Dimension.MASS), "kg", digits)
         for digits in range(1, 18)))
