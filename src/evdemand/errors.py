@@ -129,15 +129,8 @@ class UnquotableText(EvDemandError, ValueError):
 
 
 class UnwritableScenario(EvDemandError, ValueError):
-    """A scenario or dataset no file can hold: a mix source or water fuel that
-    is not a key, or a key given twice in a section; a mix ``validate_mix``
-    rejects; a water fuel that is not a mix source, or an intensity that is
-    not a water intensity; a field value its field's ``coerce`` refuses or
-    changes; a sweep path off the fleet basis; a chemistry that differs from
-    the built-in of its name or whose name is not an identifier; a custom
-    chemistry's own display name or notes; water pairs that differ from its
-    inline dataset's water intensities; or a sweep value that is a count
-    quantity, a NaN or an int no float holds."""
+    """A scenario or dataset whose file would not reload (the loader's error is the
+    cause) or would reload unequal; or a value, key or comment no file can spell."""
 
 
 class UnknownScenario(EvDemandError, KeyError):

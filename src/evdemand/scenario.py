@@ -81,8 +81,8 @@ from .refdata import (
     dataset_ids,
     validate_mix,
 )
-from .scnformat import (RawValue, Section, is_ident, literal, parse_document, quoted,
-                        text_literal, write_document)
+from .scnformat import (RawValue, Section, literal, parse_document, quoted, text_literal,
+                        write_document)
 
 __all__ = [
     "Method",
@@ -470,7 +470,6 @@ _ALLOWED = {section: frozenset(keys | {f.key for f in FIELDS if f.section == sec
 _FLEET_ALLOWED = {owner: _KEYS[owner] | {"basis"} for owner in _BASES.values()}
 
 _SCENARIO_SECTIONS = {*_HAND_KEYS, "mix", "fleet", "water"}
-_USER_SUPPLIED = "user supplied"  # both notes of a chemistry built from pack fields
 
 
 # --- loading --------------------------------------------------------------
@@ -542,12 +541,6 @@ def _pairs(section: Section | None, dim: Dimension,
         if q is not None:
             pairs.append((entry.key, q))
     return pairs
-
-
-def _stray_fuels(pairs, mix: GridMix) -> list[str]:
-    """The problem of each water fuel in ``pairs`` that is not a source of ``mix``."""
-    return [f"water fuel {fuel!r} is not a source in the grid mix"
-            for fuel, _ in pairs if fuel not in mix.sources()]
 
 
 def _resolve_dataset(sections: dict[str, Section],
@@ -637,8 +630,8 @@ def _resolve_chemistry(sections: dict[str, Section],
     if values is None:
         return None
     try:
-        return BatteryChemistry(name=name, display_name=name, emissions_note=_USER_SUPPLIED,
-                                recycling_note=_USER_SUPPLIED, **values)
+        return BatteryChemistry(name=name, display_name=name, emissions_note="user supplied",
+                                recycling_note="user supplied", **values)
     except EvDemandError as exc:
         problems.add(str(exc))
         return None
@@ -745,8 +738,9 @@ def parse_scenario(text: str, *, default_name: str | None = None) -> Scenario:
         water_pairs = tuple(ds.water_intensity.items()) if ds is not None else ()
     else:
         water_pairs = tuple(_pairs(sections["water"], Dimension.WATER_INTENSITY, problems))
-    for problem in _stray_fuels(water_pairs, ds.mix) if ds is not None else ():
-        problems.add(problem)
+    for fuel, _ in water_pairs if ds is not None else ():
+        if fuel not in ds.mix.sources():
+            problems.add(f"water fuel {fuel!r} is not a source in the grid mix")
 
     sweep_spec = _resolve_sweep(sections.get("sweep"), fleet_basis, problems)
 
@@ -1007,35 +1001,12 @@ def sweep(s: Scenario, spec: SweepSpec) -> list[SweepPoint]:
 # --- rendering ---------------------------------------------------------------
 
 def _entries(obj, section: str | None = None) -> list[tuple[str, str]]:
-    """File entries for the table fields ``obj`` owns (in ``section`` only, if
-    given); :class:`UnwritableScenario` for a value that ``coerce``, the gate a
-    file value passes, refuses or changes."""
-    entries = []
-    for f in _OWNED[type(obj)]:
-        if section is None or f.section == section:
-            value = getattr(obj, f.attr)
-            entries.append((f.key, literal(value)))  # which refuses a count quantity
-            try:
-                if f.coerce(value) != value:  # a bare number for a quantity
-                    raise UnknownParameter(f"{f.path} takes a {f.dim.value} quantity, "
-                                           f"got {value!r}")
-            except EvDemandError as exc:
-                raise UnwritableScenario(f"{exc}, which no file holds") from exc
-    return entries
-
-
-def _water_section(pairs) -> tuple[str, list[tuple[str, str]]]:
-    """``[water]`` of ``pairs``; :class:`UnwritableScenario` for a value that
-    is not a water intensity."""
-    for fuel, wi in pairs:
-        if type(wi) is not Quantity or wi.dimension is not Dimension.WATER_INTENSITY:
-            raise UnwritableScenario(f"water fuel {fuel!r} takes a gal/MWh quantity, got {wi}")
-    return "water", [(fuel, literal(wi)) for fuel, wi in pairs]
+    """File entries for the table fields ``obj`` owns (in ``section`` only, if given)."""
+    return [(f.key, literal(getattr(obj, f.attr))) for f in _OWNED[type(obj)]
+            if section is None or f.section == section]
 
 
 def _dataset_sections(ds: ReferenceDataset) -> list[tuple[str, list[tuple[str, str]]]]:
-    if violations := validate_mix(ds.mix):
-        raise UnwritableScenario(f"[mix] {violations[0]}")
     return [
         ("dataset", [
             ("id", text_literal(ds.id)),
@@ -1045,37 +1016,37 @@ def _dataset_sections(ds: ReferenceDataset) -> list[tuple[str, list[tuple[str, s
             *_entries(ds),
         ]),
         ("mix", [(name, f"{share!r} frac") for name, share in ds.mix.entries]),
-        _water_section(ds.water_intensity.items()),
+        ("water", [(fuel, literal(wi)) for fuel, wi in ds.water_intensity.items()]),
     ]
 
 
-def _write(sections: list, water, mix: GridMix, comments: list[str] | None = None) -> str:
-    """``sections`` as file text; :class:`UnwritableScenario` for a key a file
-    does not read back, then for a ``water`` fuel that is not a source of ``mix``."""
-    text = write_document(sections, header_comments=comments)
-    if strays := _stray_fuels(water, mix):
-        raise UnwritableScenario(strays[0])
+def _reloaded(text: str, obj: Scenario | ReferenceDataset) -> str:
+    """``text`` if it reloads to ``obj``; else :class:`UnwritableScenario`."""
+    try:
+        back = parse_scenario(text)
+    except EvDemandError as exc:
+        raise UnwritableScenario(f"the file would not reload: {exc}") from exc
+    back = back.dataset if type(obj) is ReferenceDataset else back
+    if back != obj:
+        field = next(name for name, a, b in zip(obj._fields, obj, back) if a != b)
+        raise UnwritableScenario(f"its {field} would reload as another value")
     return text
 
 
 def render_dataset(ds: ReferenceDataset, *, comments: list[str] | None = None) -> str:
-    """Dataset in file syntax; loads back to identical data. Raises
-    :class:`UnwritableScenario` where no file could."""
-    return _write(_dataset_sections(ds), ds.water_intensity.items(), ds.mix, comments)
+    """Dataset in file syntax, checked to load back to identical data;
+    :class:`UnwritableScenario` where it would not."""
+    return _reloaded(write_document(_dataset_sections(ds), header_comments=comments), ds)
 
 
 def render_scenario(s: Scenario) -> str:
-    """Scenario in file syntax; loads back to an equal Scenario. Raises
-    :class:`UnwritableScenario` where no file could."""
+    """Scenario in file syntax, checked to load back to an equal Scenario;
+    :class:`UnwritableScenario` where it would not."""
     meta = [("name", quoted(s.name))]
     builtin = s.dataset.id in dataset_ids() and builtin_dataset(s.dataset.id) == s.dataset
     if builtin:
         sections = [("meta", [*meta, ("dataset", s.dataset.id)])]
-    elif s.water != tuple(s.dataset.water_intensity.items()):
-        raise UnwritableScenario(f"water pairs differ from the water intensities of inline "
-                                 f"dataset {s.dataset.id!r}, and a file holds one [water] section")
-    else:
-        # the inline dataset brings its own [water] section
+    else:  # the inline dataset brings its own [water] section
         sections = [("meta", meta), *_dataset_sections(s.dataset)]
 
     sections.append(("fleet", [("basis", _BASIS_NAMES[type(s.fleet_basis)]),
@@ -1086,37 +1057,22 @@ def render_scenario(s: Scenario) -> str:
         sections.append(("ev", _entries(s.ev_reference)))
 
     battery = [("chemistry", s.chemistry.name)]
-    if not is_ident(s.chemistry.name):  # which no built-in name is
-        raise UnwritableScenario(f"chemistry {s.chemistry.name!r} is not an identifier, and a "
-                                 f"file names a chemistry by one")
     if s.chemistry.name not in chemistry_names():
-        c = s.chemistry  # labelled as the loader labels one, or it reloads unequal
-        if c.display_name != c.name or {c.emissions_note, c.recycling_note} != {_USER_SUPPLIED}:
-            raise UnwritableScenario(f"chemistry {c.name!r} has its own display name or notes, "
-                                     f"and a file labels a custom chemistry by its name, "
-                                     f"with {_USER_SUPPLIED!r} notes")
         battery += _entries(s.chemistry)
-    elif s.chemistry != builtin_chemistry(s.chemistry.name):
-        raise UnwritableScenario(f"chemistry {s.chemistry.name!r} differs from the built-in of "
-                                 f"that name, and a file can only name the built-in")
     battery += [*_entries(s, "battery"), ("method", s.method.value),
                 ("convention", s.convention.value)]
     sections += [("battery", battery), ("strategy", _entries(s, "strategy"))]
 
     if builtin:
-        sections.append(_water_section(s.water))
+        sections.append(("water", [(fuel, literal(wi)) for fuel, wi in s.water]))
     spec = s.sweep_spec
     if spec is not None:
-        try:
-            _check_basis(OVERRIDE_PATHS[spec.path], s.fleet_basis)
-        except UnknownParameter as exc:
-            raise UnwritableScenario(f"[sweep] {exc}") from exc
         if spec.values is None:
             entries = list(zip(("from", "to", "step"), map(literal, spec[2:])))
         else:
             entries = [("values", ", ".join(map(literal, spec.values)))]
         sections.append(("sweep", [("path", spec.path), *entries]))
-    return _write(sections, s.water, s.dataset.mix)
+    return _reloaded(write_document(sections), s)
 
 
 def _echo(obj) -> dict:

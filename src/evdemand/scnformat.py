@@ -199,10 +199,15 @@ def number(text: str) -> float:
 def quoted(text: str) -> str:
     """``text`` as a double-quoted string value. Strings have no escapes, so
     text with a ``"`` or a line break raises :class:`UnquotableText`."""
-    if '"' in text or len(f"{text}.".splitlines()) > 1:
+    if '"' in text or _breaks_line(text):
         raise UnquotableText(f"cannot write {text!r} as a quoted string: "
                              "it holds a '\"' or a line break")
     return f'"{text}"'
+
+
+def _breaks_line(text: str) -> bool:
+    """Whether ``text`` holds a line break, as the reader splits lines."""
+    return len(f"{text}.".splitlines()) > 1
 
 
 def text_literal(text: str) -> str:
@@ -244,10 +249,13 @@ def literal(value: float | Quantity) -> str:
 def write_document(sections: list[tuple[str, list[tuple[str, str]]]],
                    header_comments: list[str] | None = None) -> str:
     """Render sections back to file text. Values must be pre-rendered strings;
-    a key the reader would not read back, or one given twice within a section,
-    raises :class:`UnwritableScenario`."""
+    a comment of more than one line, a key the reader would not read back, or
+    one given twice within a section, raises :class:`UnwritableScenario`."""
     lines: list[str] = []
     for comment in header_comments or []:
+        if _breaks_line(comment):
+            raise UnwritableScenario(f"comment {comment!r} holds a line break, and a "
+                                     "comment is one line")
         lines.append(f"# {comment}" if comment else "#")
     if header_comments:
         lines.append("")

@@ -6,9 +6,9 @@ import pytest
 
 import evdemand.scenario as scenario_mod
 from evdemand.engine import GallonsBasis, SharesBasis
-from evdemand.errors import EvDemandError, UnwritableScenario
+from evdemand.errors import EvDemandError, ParseError, UnwritableScenario, ValidationError
 from evdemand.quantities import Dimension, Quantity, quantity
-from evdemand.refdata import ReferenceDataset, builtin_chemistry
+from evdemand.refdata import ReferenceDataset, builtin_chemistry, builtin_dataset
 from evdemand.scenario import (
     OVERRIDE_PATHS,
     ExplicitPerEv,
@@ -93,10 +93,12 @@ _PAPER_2005 = load_builtin_scenario("paper-2005")
 @pytest.mark.parametrize("s, part", [
     # a file names a built-in chemistry only, so this would reload with 7,176 kWh
     (_PAPER_2005._replace(chemistry=builtin_chemistry("nimh")._replace(
-        manufacture_energy=quantity(1, "kWh"))), "chemistry 'nimh' differs"),
+        manufacture_energy=quantity(1, "kWh"))),
+     "its chemistry would reload as another value"),
     # an inline dataset's [water] section is its intensities: coal 480, gas 180
     (_PAPER_2005._replace(dataset=_PAPER_2005.dataset._replace(id="mine"),
-                          water=(("coal", quantity(1, "gal/MWh")),)), "water pairs differ"),
+                          water=(("coal", quantity(1, "gal/MWh")),)),
+     "its water would reload as another value"),
     # a file writes a count bare, and a bare number reloads as a float
     (_PAPER_2005._replace(sweep_spec=SweepSpec("battery.batteries_per_ev", [
         2.0, Quantity(3.0, Dimension.COUNT)])), "count quantity 3.0 has no literal"),
@@ -105,7 +107,8 @@ _PAPER_2005 = load_builtin_scenario("paper-2005")
        f"number {v!r} has no literal") for v in (float("nan"), 2**1100, 2**53 + 1)),
     # a file names a chemistry by an identifier
     (_PAPER_2005._replace(chemistry=builtin_chemistry("nimh")._replace(
-        name="my pack", display_name="my pack")), "chemistry 'my pack' is not an identifier"),
+        name="my pack", display_name="my pack")),
+     "the file would not reload: unrecognized value 'my pack'"),
 ], ids=["builtin-chemistry-changed", "inline-water-differs", "count-sweep-value",
         "nan-sweep-value", "int-beyond-floats", "int-between-floats", "chemistry-not-an-ident"])
 def test_a_scenario_no_file_can_hold_is_refused(s, part):
@@ -125,30 +128,34 @@ def _inline_mix(*entries):
 # each was once written, and the file failed to reload or reloaded unequal
 @pytest.mark.parametrize("obj, part", [
     (_PAPER_2005._replace(water=(("wind", quantity(1, "gal/MWh")),)),
-     "water fuel 'wind' is not a source in the grid mix"),
+     "the file would not reload: water fuel 'wind' is not a source in the grid mix"),
     (_PAPER_2005._replace(water=(("coal", quantity(1, "gal/MWh")),) * 2),
      r"\[water\] 'coal' is given twice"),
     (_DATASET._replace(water_intensity={"wind": quantity(1, "gal/MWh")}),
-     "water fuel 'wind' is not a source in the grid mix"),
+     "the file would not reload: water fuel 'wind' is not a source in the grid mix"),
     (_PAPER_2005._replace(water=(("coal", quantity(1, "kWh")),)),
-     "water fuel 'coal' takes a gal/MWh quantity, got 1000.0 Wh"),
-    (_inline_mix((_SHARES[0][0], 1.5), *_SHARES[1:]), r"\[mix\] share for 'coal' out of range"),
+     r"the file would not reload: line \d+: coal must be water_intensity, got energy"),
+    (_inline_mix((_SHARES[0][0], 1.5), *_SHARES[1:]),
+     "the file would not reload: bad quantity literal '1.5 frac'"),
     (_inline_mix((_SHARES[0][0], _SHARES[0][1] - 0.1), *_SHARES[1:]),
-     r"\[mix\] shares sum to 0.9"),
-    (_inline_mix(*_SHARES, _SHARES[0]), r"\[mix\] duplicate source 'coal'"),
-    (_PAPER_2005._replace(batteries_per_ev=0.5), r"battery.batteries_per_ev must be >= 1"),
+     r"the file would not reload: \[mix\] shares sum to 0.9"),
+    (_inline_mix(*_SHARES, _SHARES[0]), r"\[mix\] 'coal' is given twice"),
+    (_PAPER_2005._replace(batteries_per_ev=0.5),
+     r"the file would not reload: line \d+: battery.batteries_per_ev must be >= 1"),
     (_PAPER_2005._replace(fleet_basis=_PAPER_2005.fleet_basis._replace(
-        total_energy=quantity(1, "t"))), "fleet.total_energy takes energy, got mass"),
+        total_energy=quantity(1, "t"))),
+     r"the file would not reload: line \d+: total_energy must be energy, got mass"),
     (_PAPER_2005._replace(ev_reference=ExplicitPerEv(per_ev=quantity(1, "kW"))),
-     "ev.per_ev_energy takes energy, got power"),
+     r"the file would not reload: line \d+: per_ev_energy must be energy, got power"),
     (_PAPER_2005._replace(renewable_share=quantity(1, "TWh")),
-     "strategy.renewable_share takes fraction, got energy"),
+     r"the file would not reload: line \d+: renewable_share must be fraction, got energy"),
     # a bare number reloads as a fraction quantity, unequal
     (_PAPER_2005._replace(renewable_share=0.3),
-     "strategy.renewable_share takes a fraction quantity, got 0.3"),
-    (_DATASET._replace(co2_total=quantity(1, "TWh")), "dataset.co2_total takes mass, got energy"),
+     "its renewable_share would reload as another value"),
+    (_DATASET._replace(co2_total=quantity(1, "TWh")),
+     r"the file would not reload: line \d+: co2_total must be mass, got energy"),
     (_PAPER_2005._replace(sweep_spec=SweepSpec("fleet.gallons", [1e9])),
-     r"\[sweep\] fleet.gallons applies to the gallons basis only"),
+     r"the file would not reload: \[sweep\] fleet.gallons applies to the gallons basis only"),
 ], ids=["water-fuel-not-a-source", "water-fuel-twice", "inline-water-fuel-not-a-source",
         "water-intensity-in-kWh", "mix-share-1.5", "mix-sums-to-0.9", "mix-source-twice",
         "batteries-per-ev-0.5", "total-energy-in-t", "per-ev-energy-in-kW",
@@ -158,3 +165,42 @@ def test_what_the_loader_refuses_is_not_written(obj, part):
     render = render_dataset if isinstance(obj, ReferenceDataset) else render_scenario
     with pytest.raises(UnwritableScenario, match=f"^{part}"):
         render(obj)
+
+
+# each file fails to reload, and the loader's error is kept as the cause
+@pytest.mark.parametrize("obj", [
+    _PAPER_2005._replace(chemistry=builtin_chemistry("nimh")._replace(
+        name="my pack", display_name="my pack")),
+    _PAPER_2005._replace(water=(("wind", quantity(1, "gal/MWh")),)),
+    _DATASET._replace(water_intensity={"wind": quantity(1, "gal/MWh")}),
+    _PAPER_2005._replace(water=(("coal", quantity(1, "kWh")),)),
+    _inline_mix((_SHARES[0][0], 1.5), *_SHARES[1:]),
+    _inline_mix((_SHARES[0][0], _SHARES[0][1] - 0.1), *_SHARES[1:]),
+    _PAPER_2005._replace(batteries_per_ev=0.5),
+    _PAPER_2005._replace(fleet_basis=_PAPER_2005.fleet_basis._replace(
+        total_energy=quantity(1, "t"))),
+    _PAPER_2005._replace(ev_reference=ExplicitPerEv(per_ev=quantity(1, "kW"))),
+    _PAPER_2005._replace(renewable_share=quantity(1, "TWh")),
+    _DATASET._replace(co2_total=quantity(1, "TWh")),
+    _PAPER_2005._replace(sweep_spec=SweepSpec("fleet.gallons", [1e9])),
+], ids=["chemistry-not-an-ident", "water-fuel-not-a-source", "inline-water-fuel-not-a-source",
+        "water-intensity-in-kWh", "mix-share-1.5", "mix-sums-to-0.9", "batteries-per-ev-0.5",
+        "total-energy-in-t", "per-ev-energy-in-kW", "renewable-share-in-TWh",
+        "co2-total-in-TWh", "sweep-gallons-on-shares"])
+def test_a_file_that_would_not_reload_is_refused_with_the_loader_error(obj):
+    render = render_dataset if isinstance(obj, ReferenceDataset) else render_scenario
+    with pytest.raises(UnwritableScenario, match="^the file would not reload: ") as exc:
+        render(obj)
+    assert type(exc.value.__cause__) in (ParseError, ValidationError)
+    assert str(exc.value) == f"the file would not reload: {exc.value.__cause__}"
+
+
+# the first would reload to an equal dataset, with a [fleet] section written
+# into the file; the others would not reload, as the reader splits lines at
+# each of these breaks
+@pytest.mark.parametrize("comment", ["x\n[fleet]\nbasis = gallons", "x\nnot a comment",
+                                     "x\rnot a comment", "x\u2028not a comment"])
+def test_a_comment_of_more_than_one_line_is_refused(comment):
+    with pytest.raises(UnwritableScenario, match="^comment .* holds a line break"):
+        render_dataset(builtin_dataset("us2005"), comments=[comment])
+

@@ -77,6 +77,8 @@ The calls:
   ``batteries_per_ev`` 0.5, ``fleet.total_energy`` in ``t``, a per-EV energy
   in ``kW``, ``renewable_share`` in ``TWh`` or bare, ``co2_total`` in
   ``TWh``; and a sweep over ``fleet.gallons`` on the shares basis;
+* ``render_dataset`` with a header comment of two lines, one of which is not
+  a comment, and of three, which write a ``[fleet]`` section;
 * digits other than ASCII ``0-9`` (Arabic-Indic one and three, fullwidth
   one) in a file value, a list item and a quantity literal, and through
   ``parse_quantity`` and ``scnformat.number``, which reads the sweep flags;
@@ -451,6 +453,9 @@ def _outputs(evdemand, gen) -> dict[str, str]:
     for name, obj in refused.items():
         render = render_scenario if type(obj) is type(fixture) else render_dataset
         probe(f"write-back refused {name}", lambda: render(obj))
+    for name, comment in (("not a comment", "x\nnot a comment"),
+                          ("fleet section", "x\n[fleet]\nbasis = gallons")):
+        probe(f"write-back comment {name}", lambda: render_dataset(ds, comments=[comment]))
     for digit in ("\u0661", "\u0663", "\uff11"):
         for value in (digit, f"1, {digit}", f"{digit} TWh"):
             probe(f"ascii digits document {value!r}",
