@@ -14,12 +14,9 @@ intensity, so the cell passes by carrying the erratum flag rather than by
 matching.
 """
 
-import csv
 import io
-import json
 import math
 import operator
-from json.encoder import encode_basestring_ascii as _json_str
 from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 
 from . import engine
@@ -48,6 +45,7 @@ def _unknown_format(fmt: str) -> InvalidRenderOption:
 
 
 def _csv(header, rows) -> str:
+    import csv
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -157,6 +155,7 @@ def render(a: Assessment, fmt: str = "text", digits: int | None = None) -> str:
         return "\n".join(lines)
     if fmt == "csv":
         # the csv module quotes a row with a note or a key holding a fuel's name
+        import csv
         buf = io.StringIO()
         quote = csv.writer(buf, lineterminator="\n").writerow
         buf.write("key,value,unit,note\n")
@@ -169,13 +168,14 @@ def render(a: Assessment, fmt: str = "text", digits: int | None = None) -> str:
     if fmt == "json":
         # the bytes json.dumps(..., indent=2, sort_keys=True) writes for the echo
         # and one object per key (the last row of a key wins); a unit needs no escape
-        echo = json.dumps(scenario_echo(a.scenario), indent=2, sort_keys=True)
+        from json.encoder import encode_basestring_ascii as quote
+        echo = _json_value(scenario_echo(a.scenario), quote, "  ")
         values = ",\n".join(
-            f"    {_json_str(key)}: {{\n"
-            + (f'      "note": {_json_str(note)},\n' if note else "")
+            f"    {quote(key)}: {{\n"
+            + (f'      "note": {quote(note)},\n' if note else "")
             + f'      "unit": "{unit}",\n      "value": {_json_number(value)}\n    }}'
             for key, (_, _, value, unit, _, note) in sorted({r.key: r for r in rows}.items()))
-        return ('{\n  "scenario": ' + echo.replace("\n", "\n  ")
+        return ('{\n  "scenario": ' + echo
                 + ',\n  "values": {\n' + values + "\n  }\n}\n")
     raise _unknown_format(fmt)
 
@@ -222,7 +222,32 @@ def _sweep_cells(points: Iterable[SweepPoint],
 def _json_number(x: float) -> str:
     """``x`` as a float, spelled as ``json.dumps`` spells it."""
     x = float(x)
-    return repr(x) if math.isfinite(x) else json.dumps(x)
+    if math.isfinite(x):
+        return repr(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+def _json_value(x, quote: Callable[[str], str], indent: str = "") -> str:
+    """``x`` as ``json.dumps(x, indent=2, sort_keys=True)`` writes it, each line
+    after the first indented by ``indent``: a str, float, int, bool or None, or a
+    dict or list of them, nested to any depth; ``quote`` spells a string."""
+    if isinstance(x, str):
+        return quote(x)
+    if isinstance(x, float):
+        return _json_number(x)
+    if x is None or x is True or x is False:
+        return "null" if x is None else "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    inner = indent + "  "
+    if isinstance(x, dict):
+        items = [f"{quote(k)}: {_json_value(v, quote, inner)}" for k, v in sorted(x.items())]
+    else:
+        items = [_json_value(v, quote, inner) for v in x]
+    start, end = "{}" if isinstance(x, dict) else "[]"
+    if not items:
+        return start + end
+    return f"{start}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{end}"
 
 
 def _json_point(failed: bool) -> tuple[str, Callable]:
@@ -231,7 +256,7 @@ def _json_point(failed: bool) -> tuple[str, Callable]:
     sorted key order; a failed point's columns are ""."""
     keys = sorted(_SWEEP_HEADER)
     slots = [k for k in keys if not (failed and k in _SWEEP_COLUMNS)]
-    fields = (f"      {json.dumps(k)}: " + ("%s" if k in slots else '""') for k in keys)
+    fields = (f'      "{k}": ' + ("%s" if k in slots else '""') for k in keys)
     return ("    {\n" + ",\n".join(fields) + "\n    }",
             operator.itemgetter(*map(_SWEEP_HEADER.index, slots)))
 
@@ -249,6 +274,7 @@ def write_sweep(out: TextIO, path: str, points: Iterable[SweepPoint],
     if fmt == "csv":
         # no cell but the error can need quoting, and the csv module's rules for it
         # differ between Python versions; alone in a row, "" would be quoted
+        import csv
         quote = csv.writer(out, lineterminator="\n").writerow
         out.write(",".join(_SWEEP_HEADER) + "\n")
         for cells in _sweep_cells(points, repr):
@@ -258,10 +284,11 @@ def write_sweep(out: TextIO, path: str, points: Iterable[SweepPoint],
             else:
                 out.write(",".join(cells) + "\n")
     elif fmt == "json":
-        out.write(f'{{\n  "path": {json.dumps(path)},\n  "points": [')
+        from json.encoder import encode_basestring_ascii as quote
+        out.write(f'{{\n  "path": {quote(path)},\n  "points": [')
         sep, tail = "\n", "]\n}\n"  # no points: "[]"
         for cells in _sweep_cells(points, _json_number):
-            cells[-1] = json.dumps(cells[-1]) if cells[-1] else '""'
+            cells[-1] = quote(cells[-1])
             template, pick = _JSON_POINT if cells[2] else _JSON_FAILED_POINT
             out.write(sep + template % pick(cells))
             sep, tail = ",\n", "\n  ]\n}\n"
@@ -491,16 +518,31 @@ def render_comparisons(results: list[ComparisonResult], fmt: str = "text",
     figures take ``digits`` significant digits, 6 when it is None."""
     digits = _DIGITS["compare"] if digits is None else check_sig_digits(digits)
     if fmt == "json":
-        payload = [
-            {"target": r.target_id, "title": r.title, "passed": r.passed,
-             "notes": list(r.notes),
-             "cells": [{"label": c.label, "computed": c.computed, "expected": c.expected,
-                        "unit": c.unit, "rel_err": c.rel_err, "status": c.status,
-                        "anchor": c.anchor, **({"note": c.note} if c.note else {})}
-                       for c in r.cells]}
-            for r in results
-        ]
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        # the bytes json.dumps(..., indent=2, sort_keys=True) writes for a list of
+        # one object per result, each holding one object per cell; a status needs
+        # no escape
+        from json.encoder import encode_basestring_ascii as quote
+
+        def cell(c: CellResult) -> str:
+            return (f'      {{\n        "anchor": {quote(c.anchor)},\n'
+                    f'        "computed": {_json_value(c.computed, quote)},\n'
+                    f'        "expected": {_json_value(c.expected, quote)},\n'
+                    f'        "label": {quote(c.label)},\n'
+                    + (f'        "note": {quote(c.note)},\n' if c.note else "")
+                    + f'        "rel_err": {_json_value(c.rel_err, quote)},\n'
+                    f'        "status": "{c.status}",\n'
+                    f'        "unit": {quote(c.unit)}\n      }}')
+
+        def result(r: ComparisonResult) -> str:
+            cells = ",\n".join(map(cell, r.cells))
+            return ('  {\n    "cells": ' + (f"[\n{cells}\n    ]" if cells else "[]")
+                    + f',\n    "notes": {_json_value(list(r.notes), quote, "    ")},\n'
+                    f'    "passed": {"true" if r.passed else "false"},\n'
+                    f'    "target": {quote(r.target_id)},\n'
+                    f'    "title": {quote(r.title)}\n  }}')
+
+        body = ",\n".join(map(result, results))
+        return f"[\n{body}\n]\n" if body else "[]\n"
     if fmt == "csv":
         return _csv(["target", "cell", "computed", "expected", "unit", "rel_err", "status",
                      "anchor"],

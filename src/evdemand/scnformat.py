@@ -223,9 +223,12 @@ def is_ident(text: str) -> bool:
 
 def literal(value: float | Quantity) -> str:
     """A number (an infinity as ``1e400``) or the shortest quantity literal that reads
-    back bit-identical; :class:`UnwritableScenario` for a NaN, an int no float
-    holds, or a count quantity, which a file writes bare."""
+    back bit-identical; :class:`UnwritableScenario` for what is not an int, a float
+    or a Quantity (a bool included), a NaN, an int no float holds, or a count
+    quantity, which a file writes bare."""
     if not isinstance(value, Quantity):
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
+            raise UnwritableScenario(f"{value!r} is not a number")
         try:
             if float(value) == value:  # not a NaN, nor an int a float does not hold
                 return repr(float(value)).replace("inf", "1e400")

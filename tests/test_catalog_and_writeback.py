@@ -2,6 +2,8 @@
 as it was written (a progression as its from/to/step, values as values), and
 a scenario no file can hold is refused rather than written."""
 
+import re
+
 import pytest
 
 import evdemand.scenario as scenario_mod
@@ -9,6 +11,7 @@ from evdemand.engine import GallonsBasis, SharesBasis
 from evdemand.errors import EvDemandError, ParseError, UnwritableScenario, ValidationError
 from evdemand.quantities import Dimension, Quantity, quantity
 from evdemand.refdata import ReferenceDataset, builtin_chemistry, builtin_dataset
+from evdemand.scnformat import literal
 from evdemand.scenario import (
     OVERRIDE_PATHS,
     ExplicitPerEv,
@@ -204,3 +207,17 @@ def test_a_comment_of_more_than_one_line_is_refused(comment):
     with pytest.raises(UnwritableScenario, match="^comment .* holds a line break"):
         render_dataset(builtin_dataset("us2005"), comments=[comment])
 
+
+
+# a value that is not an int or a float (a bool included, as FieldSpec.coerce and
+# Quantity refuse it) has no literal, in a bare field or a quantity field alike
+@pytest.mark.parametrize("value", [None, "abc", "1", b"1", [1.0], 1 + 2j, True],
+                         ids=["None", "str", "digit-str", "bytes", "list", "complex", "bool"])
+@pytest.mark.parametrize("write", [
+    literal,
+    lambda v: render_scenario(_PAPER_2005._replace(batteries_per_ev=v)),
+    lambda v: render_dataset(builtin_dataset("us2005")._replace(co2_total=v)),
+], ids=["literal", "render_scenario", "render_dataset"])
+def test_a_value_that_is_not_a_number_has_no_literal(write, value):
+    with pytest.raises(UnwritableScenario, match=f"^{re.escape(repr(value))} is not a number$"):
+        write(value)

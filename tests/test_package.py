@@ -1,5 +1,6 @@
-"""Package-level guarantees: every exported name exists, and starting the CLI
-imports nothing that only the tests need."""
+"""Package-level guarantees: every exported name exists, starting the CLI
+imports nothing that only the tests need, and a call imports json or csv only
+to write that format."""
 
 import importlib
 import os
@@ -31,6 +32,41 @@ def test_cli_start_does_not_import_statistics():
         env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True, text=True, check=True).stdout
     assert out == "False\n"
+
+
+_FORMAT_MODULES = "print(sorted(m for m in ('json', 'csv') if m in sys.modules))"
+
+
+def _format_modules(code: str) -> str:
+    """Which of json and csv are loaded after ``code`` runs in a fresh interpreter."""
+    return subprocess.run(
+        [sys.executable, "-c", f"import sys\n{code}\n{_FORMAT_MODULES}"],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, check=True).stdout
+
+
+def _cli_call(*argv: str) -> str:
+    """Code that runs the CLI on ``argv``, its stdout discarded."""
+    return ("import contextlib, io\nfrom evdemand.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert main({list(argv)!r}) == 0")
+
+
+# a site hook may import either module, so the bare interpreter is the reference
+@pytest.mark.parametrize("code", [
+    "import evdemand.cli",
+    _cli_call("run", "paper-2005"),
+    _cli_call("validate", "paper-2005"),
+    _cli_call("reproduce", "--all"),
+    _cli_call("export-dataset", "us2005", "-"),
+], ids=["import", "run", "validate", "reproduce", "export-dataset"])
+def test_a_text_call_imports_neither_json_nor_csv(code):
+    assert _format_modules(code) == _format_modules("pass")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_call_that_writes_a_format_imports_its_module(fmt):
+    assert f"'{fmt}'" in _format_modules(_cli_call("run", "paper-2005", "--format", fmt))
 
 
 def test_cli_start_does_not_import_dataclasses_or_inspect():

@@ -13,6 +13,8 @@ from evdemand.errors import EvDemandError, NonFiniteMagnitude, UnknownTarget
 from evdemand.quantities import quantity
 from evdemand.report import (
     TARGET_IDS,
+    CellResult,
+    ComparisonResult,
     _assessment_rows,
     render,
     render_comparisons,
@@ -211,6 +213,40 @@ def _json_as_dumps(a):
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _comparisons_as_dumps(results):
+    """The reproduction JSON as one ``json.dumps(..., indent=2)`` call writes it."""
+    payload = [{"target": r.target_id, "title": r.title, "passed": r.passed,
+                "notes": list(r.notes),
+                "cells": [{"label": c.label, "computed": c.computed, "expected": c.expected,
+                           "unit": c.unit, "rel_err": c.rel_err, "status": c.status,
+                           "anchor": c.anchor, **({"note": c.note} if c.note else {})}
+                          for c in r.cells]}
+               for r in results]
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+# text json escapes: a quote, a backslash, control characters, non-ASCII text
+_ODD = ('say "no"', "back\\slash", "tab\there\x00\x1f\x7f", "é ☃ \U0001f600", "")
+_SYNTHETIC = [
+    ComparisonResult("odd", 'title "é"', tuple(
+        CellResult(label, computed, 2.0, "TWh", rule, 0.1, anchor, note)
+        for label, anchor, note in zip(_ODD, reversed(_ODD), _ODD[2:] + _ODD[:2])
+        for computed in (1.5, math.inf, -math.inf, math.nan)
+        for rule in ("rel", "erratum")), ("a note", *_ODD)),
+    ComparisonResult("no-notes", "T", (CellResult("x", 0.0, 0.0, "frac", "exact", 0.0, "y"),)),
+    ComparisonResult("no-cells", "", (), ("n",)),
+]
+
+
+@pytest.mark.parametrize("results", [
+    None, *([t] for t in TARGET_IDS), [], _SYNTHETIC, *([r] for r in _SYNTHETIC)],
+    ids=["all", *TARGET_IDS, "none", "synthetic", *(r.target_id for r in _SYNTHETIC)])
+def test_comparisons_json_is_what_json_dumps_writes(results):
+    results = reproduce(results) if results is None or results and type(results[0]) is str \
+        else results
+    assert render_comparisons(results, "json") == _comparisons_as_dumps(results)
+
+
 def _csv_as_writer(a):
     """The assessment csv as one ``csv.writer`` writes it."""
     buf = io.StringIO()
@@ -251,3 +287,12 @@ def test_fuel_names_lay_out_as_the_library_writers_do(fuels):
     a = assess(_with_fuels(load_builtin_scenario("paper-2005"), *fuels))
     assert render(a, "json") == _json_as_dumps(a)
     assert render(a, "csv") == _csv_as_writer(a)
+
+
+@pytest.mark.parametrize("change", [
+    {"batteries_per_ev": 4},  # an int echoes as json.dumps writes it, not as 4.0
+    {"water": ()},  # an empty list
+], ids=["int", "no-water"])
+def test_echo_lays_out_as_json_dumps_does(change):
+    a = assess(load_builtin_scenario("paper-2005")._replace(**change))
+    assert render(a, "json") == _json_as_dumps(a)

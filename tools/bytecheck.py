@@ -42,6 +42,11 @@ The calls:
   one without its ``[dataset]`` or ``[mix]`` section;
 * ``render_comparisons`` of every target alone and of all targets together,
   in every format;
+* ``render_comparisons`` in every format of hand-built results, each alone,
+  all together, and none: cells whose label, anchor or note holds a quote, a
+  backslash, control characters or non-ASCII text, with and without a note,
+  computed as a number, an infinity or a NaN; results with and without notes,
+  and one with no cells;
 * ``render_sweep`` in every format, and the ``repr`` of every point, of
   ``paper-2005`` under every method and convention with a zero baseline
   generation or a zero per-EV energy, so the base fails to assess and each
@@ -201,6 +206,8 @@ PROBLEM_TEXTS = (
     "[mix]\ncoal = x\n[water]\ncoal = 3 kWh\n",
     "[dataset]\ntotal_generation = 1 kg\ncolour = 1\n[water]\ncoal = 3 kWh\n",
 )
+# text a JSON string escapes: a quote, a backslash, control characters, non-ASCII
+ODD_TEXTS = ('say "no"', "back\\slash", "tab\there\x00\x1f\x7f", "é ☃ \U0001f600", "")
 # the API's number gates: digits that are not an int, override values that
 # are not a number or a quantity, and ints too large for a float
 GATE_DIGITS = (3.5, 2.0, 4.0, "3", True, 0, 18)
@@ -223,7 +230,7 @@ SIG_MAGNITUDES = sorted(
 def _outputs(evdemand, gen) -> dict[str, str]:
     from evdemand.errors import EvDemandError
     from evdemand.quantities import Dimension, Quantity, _format_sig, parse_quantity, quantity
-    from evdemand.report import TARGET_IDS
+    from evdemand.report import TARGET_IDS, CellResult, ComparisonResult
     from evdemand.scenario import (
         BUILTIN_SCENARIOS,
         Convention,
@@ -326,6 +333,25 @@ def _outputs(evdemand, gen) -> dict[str, str]:
         for fmt in FORMATS:
             record(f"comparisons {targets or 'all'} {fmt}",
                    lambda: evdemand.render_comparisons(evdemand.reproduce(targets), fmt))
+
+    odd = ODD_TEXTS
+    hand_results = {
+        "odd": ComparisonResult("odd", 'title "\xe9"', tuple(
+            CellResult(label, 1.5, 2.0, "TWh", rule, 0.1, anchor, note)
+            for label, anchor, note in zip(odd, reversed(odd), odd[2:] + odd[:2])
+            for rule in ("rel", "erratum")), ("a note", *odd)),
+        "non-finite": ComparisonResult("non-finite", "T", tuple(
+            CellResult("x", computed, 2.0, "TWh", "rel", 0.1, "y")
+            for computed in (math.inf, -math.inf, math.nan))),
+        "no notes": ComparisonResult("no-notes", "T", (
+            CellResult("x", 0.0, 0.0, "frac", "exact", 0.0, "y"),)),
+        "no cells": ComparisonResult("no-cells", "", (), ("n",)),
+    }
+    for name, results in ({k: [r] for k, r in hand_results.items()}
+                          | {"all": [*hand_results.values()], "none": []}).items():
+        for fmt in FORMATS:
+            record(f"comparisons hand-built {name} {fmt}",
+                   lambda: evdemand.render_comparisons(results, fmt), Exception)
 
     fixture = load_builtin_scenario("paper-2005")
     for name, base_path, base_value, edge_sweeps in EDGE_BASES:
