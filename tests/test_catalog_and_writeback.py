@@ -208,7 +208,6 @@ def test_a_comment_of_more_than_one_line_is_refused(comment):
         render_dataset(builtin_dataset("us2005"), comments=[comment])
 
 
-
 # a value that is not an int or a float (a bool included, as FieldSpec.coerce and
 # Quantity refuse it) has no literal, in a bare field or a quantity field alike
 @pytest.mark.parametrize("value", [None, "abc", "1", b"1", [1.0], 1 + 2j, True],
