@@ -44,15 +44,6 @@ def _unknown_format(fmt: str) -> InvalidRenderOption:
     return InvalidRenderOption(f"unknown format {fmt!r}; expected one of {FORMATS}")
 
 
-def _csv(header, rows) -> str:
-    import csv
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 # display suffix of a row's unit; any other unit follows the digits after a space
 _SUFFIX = {"1e9": "e9", "1e12 gal": "e12 gal", "frac": "", "ratio": ""}
 # significant digits when none are asked for: a row's by its unit ("other" for
@@ -204,15 +195,17 @@ def _sweep_cells(points: Iterable[SweepPoint],
                  number: Callable[[float], str]) -> Iterator[list[str]]:
     """Each point's row as text: index, swept value, one cell per column ("" for
     a failed point), error. A column is scaled and spelled by ``number`` again
-    only when its value differs from the previous evaluated point's, or is a
-    zero or NaN float, so 0.0 and -0.0 never share a cell; a Quantity is never
-    -0.0 or NaN, so an equal one always reuses the text."""
+    only when its value differs from the previous evaluated point's, in value
+    or in type, or is a zero or NaN float, so neither 0.0 and -0.0 nor 1.0 and
+    1 share a cell; a Quantity is never -0.0 or NaN, so an equal one always
+    reuses the text."""
     values, texts = _FAILED_VALUES, _FAILED_VALUES
     for i, p in enumerate(points):
         a, value = p.assessment, p.value
         if a is not None:
             new = _SWEEP_VALUES(a)
-            texts = [text if v == old and v else number(_scaled(v, unit))
+            texts = [text if v == old and v and type(v) is type(old)
+                     else number(_scaled(v, unit))
                      for v, old, text, unit in zip(new, values, texts, _SWEEP_UNITS)]
             values = new
         yield [str(i), number(value.canonical if isinstance(value, Quantity) else value),
@@ -220,8 +213,12 @@ def _sweep_cells(points: Iterable[SweepPoint],
 
 
 def _json_number(x: float) -> str:
-    """``x`` as a float, spelled as ``json.dumps`` spells it."""
-    x = float(x)
+    """``x`` as ``json.dumps`` spells it: an int as an int, anything else as
+    the float it converts to."""
+    if type(x) is not float:
+        if isinstance(x, int):
+            return int.__repr__(x)
+        x = float(x)
     if math.isfinite(x):
         return repr(x)
     return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
@@ -233,12 +230,10 @@ def _json_value(x, quote: Callable[[str], str], indent: str = "") -> str:
     dict or list of them, nested to any depth; ``quote`` spells a string."""
     if isinstance(x, str):
         return quote(x)
-    if isinstance(x, float):
-        return _json_number(x)
     if x is None or x is True or x is False:
         return "null" if x is None else "true" if x else "false"
-    if isinstance(x, int):
-        return int.__repr__(x)
+    if isinstance(x, (int, float)):
+        return _json_number(x)
     inner = indent + "  "
     if isinstance(x, dict):
         items = [f"{quote(k)}: {_json_value(v, quote, inner)}" for k, v in sorted(x.items())]
@@ -250,18 +245,12 @@ def _json_value(x, quote: Callable[[str], str], indent: str = "") -> str:
     return f"{start}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{end}"
 
 
-def _json_point(failed: bool) -> tuple[str, Callable]:
-    """A ``%`` template of a point as ``json.dumps(..., indent=2, sort_keys=True)``
-    writes it at depth 2, and what picks its slots from a row's cells in
-    sorted key order; a failed point's columns are ""."""
-    keys = sorted(_SWEEP_HEADER)
-    slots = [k for k in keys if not (failed and k in _SWEEP_COLUMNS)]
-    fields = (f'      "{k}": ' + ("%s" if k in slots else '""') for k in keys)
-    return ("    {\n" + ",\n".join(fields) + "\n    }",
-            operator.itemgetter(*map(_SWEEP_HEADER.index, slots)))
-
-
-_JSON_POINT, _JSON_FAILED_POINT = _json_point(False), _json_point(True)
+# a point as json.dumps(..., indent=2, sort_keys=True) writes it at depth 2, what
+# picks its slots from a row's cells in sorted key order, and a failed point's columns
+_JSON_POINT = ("    {\n" + ",\n".join(f'      "{k}": %s' for k in sorted(_SWEEP_HEADER))
+               + "\n    }")
+_JSON_PICK = operator.itemgetter(*map(_SWEEP_HEADER.index, sorted(_SWEEP_HEADER)))
+_JSON_FAILED_VALUES = ('""',) * len(_SWEEP_COLUMNS)
 
 
 def write_sweep(out: TextIO, path: str, points: Iterable[SweepPoint],
@@ -289,8 +278,9 @@ def write_sweep(out: TextIO, path: str, points: Iterable[SweepPoint],
         sep, tail = "\n", "]\n}\n"  # no points: "[]"
         for cells in _sweep_cells(points, _json_number):
             cells[-1] = quote(cells[-1])
-            template, pick = _JSON_POINT if cells[2] else _JSON_FAILED_POINT
-            out.write(sep + template % pick(cells))
+            if not cells[2]:
+                cells[2:-1] = _JSON_FAILED_VALUES
+            out.write(sep + _JSON_POINT % _JSON_PICK(cells))
             sep, tail = ",\n", "\n  ]\n}\n"
         out.write(tail)
     else:
@@ -525,11 +515,11 @@ def render_comparisons(results: list[ComparisonResult], fmt: str = "text",
 
         def cell(c: CellResult) -> str:
             return (f'      {{\n        "anchor": {quote(c.anchor)},\n'
-                    f'        "computed": {_json_value(c.computed, quote)},\n'
-                    f'        "expected": {_json_value(c.expected, quote)},\n'
+                    f'        "computed": {_json_number(c.computed)},\n'
+                    f'        "expected": {_json_number(c.expected)},\n'
                     f'        "label": {quote(c.label)},\n'
                     + (f'        "note": {quote(c.note)},\n' if c.note else "")
-                    + f'        "rel_err": {_json_value(c.rel_err, quote)},\n'
+                    + f'        "rel_err": {_json_number(c.rel_err)},\n'
                     f'        "status": "{c.status}",\n'
                     f'        "unit": {quote(c.unit)}\n      }}')
 
@@ -544,11 +534,15 @@ def render_comparisons(results: list[ComparisonResult], fmt: str = "text",
         body = ",\n".join(map(result, results))
         return f"[\n{body}\n]\n" if body else "[]\n"
     if fmt == "csv":
-        return _csv(["target", "cell", "computed", "expected", "unit", "rel_err", "status",
-                     "anchor"],
-                    ([r.target_id, c.label, c.computed, c.expected, c.unit,
-                      f"{c.rel_err:.3e}", c.status, c.anchor]
-                     for r in results for c in r.cells))
+        import csv
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(("target", "cell", "computed", "expected", "unit", "rel_err", "status",
+                         "anchor"))
+        writer.writerows((r.target_id, c.label, c.computed, c.expected, c.unit,
+                          f"{c.rel_err:.3e}", c.status, c.anchor)
+                         for r in results for c in r.cells)
+        return buf.getvalue()
     if fmt == "text":
         lines: list[str] = []
         total = passed = 0
@@ -557,7 +551,7 @@ def render_comparisons(results: list[ComparisonResult], fmt: str = "text",
             total, passed = total + len(r.cells), passed + k
             lines.append(f"{r.target_id}: {k}/{len(r.cells)} within tolerance")
             lines += [f"  note: {note}" for note in r.notes]
-            label_w = max(len(c.label) for c in r.cells)
+            label_w = max((len(c.label) for c in r.cells), default=0)
             for c in r.cells:
                 computed = _sig(c.computed, digits)
                 expected = _sig(c.expected, digits)

@@ -250,6 +250,18 @@ def test_hand_built_comparisons_json_is_what_json_dumps_writes(results):
     assert render_comparisons(results, "json") == _comparisons_as_dumps(results)
 
 
+_NO_CELLS_TEXT = "no-cells: 0/0 within tolerance\n  note: n\n"
+
+
+def test_a_result_with_no_cells_renders_as_text():
+    no_cells = _SYNTHETIC[-1]
+    assert render_comparisons([no_cells], "text") == (
+        _NO_CELLS_TEXT + "\ntargets passed: 1/1; cells within tolerance: 0/0\n")
+    # the others but the odd result, whose infinities and NaNs have no digits to print
+    assert render_comparisons(_SYNTHETIC[1:], "text").endswith(
+        "\n\n" + _NO_CELLS_TEXT + "\ntargets passed: 2/2; cells within tolerance: 1/1\n")
+
+
 def _csv_as_writer(a):
     """The assessment csv as one ``csv.writer`` writes it."""
     buf = io.StringIO()
@@ -300,3 +312,16 @@ def test_fuel_names_lay_out_as_the_library_writers_do(fuels):
 def test_echo_lays_out_as_json_dumps_does(change):
     a = assess(load_builtin_scenario("paper-2005")._replace(**change))
     assert render(a, "json") == _json_as_dumps(a)
+
+
+_A2005 = assess(load_builtin_scenario("paper-2005"))
+
+
+@pytest.mark.parametrize("a", [
+    _A2005._replace(conversion_fraction=0),
+    _A2005._replace(deficit=_A2005.deficit._replace(ratio_to_baseline=2)),
+], ids=["fraction", "ratio"])
+def test_int_figures_lay_out_as_the_library_writers_do(a):
+    # json.dumps writes an int as an int, 0 and not 0.0
+    assert render(a, "json") == _json_as_dumps(a)
+    assert render(a, "csv") == _csv_as_writer(a)

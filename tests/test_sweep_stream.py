@@ -19,7 +19,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_golden import _interpreter
 
@@ -70,7 +70,7 @@ def _row(i, p):
 def _json_as_dumps(path, points):
     """The sweep JSON as one ``json.dumps(..., indent=2)`` call writes it."""
     rows = [_row(i, p) for i, p in enumerate(points)]
-    payload = [{**dict(zip(_SWEEP_HEADER, row)), "value": float(row[1])} for row in rows]
+    payload = [dict(zip(_SWEEP_HEADER, row)) for row in rows]
     return json.dumps({"path": path, "points": payload}, indent=2, sort_keys=True) + "\n"
 
 
@@ -80,9 +80,9 @@ swept_values = st.one_of(
     st.builds(quantity, st.floats(0, 1e30), st.sampled_from(["TWh", "kWh", "gal"])),
     st.builds(quantity, st.floats(0, 1), st.just("frac")),
 )
-# assessments, some with a NaN or infinite column
+# assessments, some with a NaN, infinite or int column
 assessments = st.builds(lambda a, f: a if f is None else a._replace(conversion_fraction=f),
-                        st.sampled_from(ASSESSMENTS), st.none() | st.floats())
+                        st.sampled_from(ASSESSMENTS), st.none() | st.floats() | st.integers())
 # errors with commas, quotes, backslashes, line breaks, control and non-ASCII
 # characters, and the empty error
 ERRORS = ['say "no"', "back\\slash", "tab\tnew\nline\x00\x1f", "é ☃ 𝄞",
@@ -121,8 +121,9 @@ def _csv_reference(points):
 
 
 # runs of one assessment, failed points between them, and conversion fractions
-# that equal the previous one's without sharing its text: 0.0 after -0.0, NaN
-fractions = st.sampled_from([0.0, -0.0, math.nan, 0.25]) | st.floats()
+# that equal the previous one's without sharing its text: 0.0 after -0.0, NaN,
+# 1 after 1.0
+fractions = st.sampled_from([0.0, -0.0, math.nan, 0.25, 1.0, 1, 0]) | st.floats()
 repeating = st.lists(st.one_of(
     st.builds(SweepPoint, swept_values,
               st.builds(lambda a, f: a if f is None else a._replace(conversion_fraction=f),
@@ -135,6 +136,7 @@ repeating = st.lists(st.one_of(
 
 @settings(max_examples=200, deadline=None)
 @given(pts=repeating)
+@example(pts=[SweepPoint(0.5, ASSESSMENTS[0]._replace(conversion_fraction=f)) for f in (1.0, 1)])
 def test_reused_cells_write_what_a_writer_that_reuses_nothing_writes(pts):
     path = "strategy.renewable_share"
     assert render_sweep(path, pts, "text") == _text_reference(path, pts)

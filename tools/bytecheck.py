@@ -56,6 +56,9 @@ The calls:
   whose errors hold commas, quotes, line breaks or nothing, an evaluated
   point that carries an error, NaN, infinite and -0.0 conversion fractions,
   and int and quantity swept values, each list alone and all of them in one;
+* ``render`` in every format of ``paper-2005`` with an int conversion
+  fraction of 0, ``render_sweep`` json of one point of it, and
+  ``render_sweep`` in every format of a conversion fraction of 1.0 and then 1;
 * the ``repr`` of ``parse_document``, or its error with line and column, of
   the pool texts above, the packaged fixtures, every ``tests/**/*.scn`` file,
   and 800 texts made from those files by changing one to three of their
@@ -380,6 +383,14 @@ def _outputs(evdemand, gen) -> dict[str, str]:
         for fmt in FORMATS:
             record(f"hand-built {name} {fmt}",
                    lambda: evdemand.render_sweep("strategy.renewable_share", points, fmt))
+    int_figure = a._replace(conversion_fraction=0)
+    int_after_float = [SweepPoint(0.5, a._replace(conversion_fraction=f)) for f in (1.0, 1)]
+    for fmt in FORMATS:
+        record(f"int figure render {fmt}", lambda: evdemand.render(int_figure, fmt))
+        record(f"int after float sweep {fmt}",
+               lambda: evdemand.render_sweep("strategy.renewable_share", int_after_float, fmt))
+    record("int column sweep json", lambda: evdemand.render_sweep(
+        "strategy.renewable_share", [SweepPoint(0.5, int_figure)], "json"))
 
     tests = Path(__file__).resolve().parents[1] / "tests"
     files = {name: builtin_scenario_text(name) for name in BUILTIN_SCENARIOS}
