@@ -4,14 +4,16 @@ Commands: ``reproduce``, ``run``, ``validate``, ``sweep``,
 ``export-dataset``. Data goes to stdout, diagnostics to stderr. Exit codes:
 0 success, 1 domain or comparison failure, 2 usage or file errors. There is
 no configuration file and no environment input; runs are reproducible from
-the command line alone.
+the command line alone. The grammar is one table, ``_COMMANDS``. A
+well-formed command line is read from it directly; argparse is imported and
+built from it only to read any other, print help or report a usage error.
 """
 
-import argparse
 import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
+from types import SimpleNamespace
 
 from .errors import (EvDemandError, InvalidRenderOption, ParseError, UnknownScenario,
                      ValidationError)
@@ -76,23 +78,25 @@ def _load_scenario_arg(spec: str) -> Scenario:
 
 
 def _sig_digits(text: str) -> int:
-    """argparse type of ``--sig-digits``."""
+    """Converter of ``--sig-digits``."""
     n = int(text)  # argparse reports a ValueError as an invalid value
     try:
         return check_sig_digits(n)
     except InvalidRenderOption:
+        import argparse
         raise argparse.ArgumentTypeError(f"expected an integer from 1 to 17, got {n}") from None
 
 
 def _number(text: str) -> float:
-    """argparse type of a sweep number: a bare number, as a file reads one."""
+    """Converter of a sweep number: a bare number, as a file reads one."""
     try:
         return number(text)
     except ParseError as exc:
+        import argparse
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _cmd_reproduce(args: argparse.Namespace) -> int:
+def _cmd_reproduce(args: SimpleNamespace) -> int:
     if not args.all and not args.targets:
         raise _UsageError("reproduce needs target ids or --all")
     with _argument_errors():
@@ -101,18 +105,18 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _cmd_run(args: SimpleNamespace) -> int:
     assessment = assess(_load_scenario_arg(args.scenario))
     sys.stdout.write(render(assessment, args.format, args.sig_digits))
     return 0
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
+def _cmd_validate(args: SimpleNamespace) -> int:
     print(f"scenario valid: {_load_scenario_arg(args.scenario).name}")
     return 0
 
 
-def _sweep_spec_from_args(args: argparse.Namespace, scenario: Scenario) -> SweepSpec:
+def _sweep_spec_from_args(args: SimpleNamespace, scenario: Scenario) -> SweepSpec:
     if args.path is None:
         if any(v is not None for v in (args.values, args.from_, args.to, args.step)):
             raise _UsageError("sweep overrides need --path")
@@ -123,7 +127,7 @@ def _sweep_spec_from_args(args: argparse.Namespace, scenario: Scenario) -> Sweep
         return SweepSpec(args.path, args.values, args.from_, args.to, args.step)
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: SimpleNamespace) -> int:
     scenario = _load_scenario_arg(args.scenario)
     spec = _sweep_spec_from_args(args, scenario)
     all_failed = True  # a spec has at least one point
@@ -141,7 +145,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_export_dataset(args: argparse.Namespace) -> int:
+def _cmd_export_dataset(args: SimpleNamespace) -> int:
     with _argument_errors():
         dataset = builtin_dataset(args.id)
     text = render_dataset(dataset, comments=_DATASET_EXPORT_COMMENTS)
@@ -155,70 +159,100 @@ def _cmd_export_dataset(args: argparse.Namespace) -> int:
     return 0
 
 
-class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as one stderr line, without the usage text;
-    the subcommand parsers inherit it."""
+_FORMAT = ("--format", dict(dest="format", choices=FORMATS, default="text",
+                            help="output format (default: text)"))
+_DIGITS = ("--sig-digits", dict(dest="sig_digits", type=_sig_digits, metavar="N",
+                                help="override significant digits for every value"))
 
-    def error(self, message: str):
-        self.exit(2, f"{self.prog}: error: {message}\n")
+# command -> (help, function, arguments). An argument is a positional's name or
+# an option's flag, with add_argument's keywords: nargs "*" takes any number of
+# values, and an option has a dest and choices, a type or action "store_true".
+_COMMANDS = {
+    "reproduce": ("compare computed values against the published figures", _cmd_reproduce, [
+        _FORMAT, _DIGITS, ("targets", dict(nargs="*", metavar="TARGET",
+                                           help=f"target ids ({', '.join(TARGET_IDS)})")),
+        ("--all", dict(dest="all", action="store_true", default=False, help="run every target"))]),
+    "run": ("evaluate one scenario", _cmd_run, [
+        ("scenario", dict(help="scenario file path or packaged fixture name "
+                               f"({', '.join(BUILTIN_SCENARIOS)})")), _FORMAT, _DIGITS]),
+    "validate": ("load and validate a scenario, then stop", _cmd_validate,
+                 [("scenario", dict(help="scenario file path or packaged fixture name"))]),
+    "sweep": ("evaluate a scenario over a parameter progression", _cmd_sweep, [
+        ("scenario", dict(help="scenario file path or packaged fixture name")), _FORMAT,
+        ("--path", dict(dest="path", metavar="PARAM",
+                        help="parameter path, e.g. strategy.renewable_share")),
+        ("--values", dict(dest="values", type=lambda text: [*map(_number, text.split(","))],
+                          metavar="V1,V2,...", help="explicit comma-separated values")),
+        ("--from", dict(dest="from_", type=_number)),
+        ("--to", dict(dest="to", type=_number)),
+        ("--step", dict(dest="step", type=_number))]),
+    "export-dataset": ("write a built-in dataset in scenario-file syntax", _cmd_export_dataset, [
+        ("id", dict(help=f"dataset id ({', '.join(dataset_ids())})")),
+        ("path", dict(help="output path, or - for stdout"))]),
+}
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument("--format", choices=FORMATS, default="text",
-                     help="output format (default: text)")
-    digits = argparse.ArgumentParser(add_help=False)
-    digits.add_argument("--sig-digits", type=_sig_digits, default=None, metavar="N",
-                        help="override significant digits for every value")
+def _build_parser():
+    """argparse's parser of ``_COMMANDS``: help, usage errors, any command line."""
+    import argparse
 
-    parser = _Parser(
+    class Parser(argparse.ArgumentParser):
+        """A usage error is one stderr line, with no usage; subcommand parsers inherit it."""
+
+        def error(self, message: str):
+            self.exit(2, f"{self.prog}: error: {message}\n")
+
+    parser = Parser(
         prog="evdemand",
         description="Deterministic energy accounting for EV fleet-conversion "
                     "scenarios, with reproduction checks against the published "
                     "study figures.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("reproduce", parents=[fmt, digits],
-                       help="compare computed values against the published figures")
-    p.add_argument("targets", nargs="*", metavar="TARGET",
-                   help=f"target ids ({', '.join(TARGET_IDS)})")
-    p.add_argument("--all", action="store_true", help="run every target")
-    p.set_defaults(func=_cmd_reproduce)
-
-    p = sub.add_parser("run", parents=[fmt, digits], help="evaluate one scenario")
-    p.add_argument("scenario", help="scenario file path or packaged fixture name "
-                                    f"({', '.join(BUILTIN_SCENARIOS)})")
-    p.set_defaults(func=_cmd_run)
-
-    p = sub.add_parser("validate", help="load and validate a scenario, then stop")
-    p.add_argument("scenario", help="scenario file path or packaged fixture name")
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("sweep", parents=[fmt],
-                       help="evaluate a scenario over a parameter progression")
-    p.add_argument("scenario", help="scenario file path or packaged fixture name")
-    p.add_argument("--path", default=None, metavar="PARAM",
-                   help="parameter path, e.g. strategy.renewable_share")
-    p.add_argument("--values", type=lambda text: [*map(_number, text.split(","))],
-                   default=None, metavar="V1,V2,...", help="explicit comma-separated values")
-    p.add_argument("--from", dest="from_", type=_number, default=None)
-    p.add_argument("--to", dest="to", type=_number, default=None)
-    p.add_argument("--step", dest="step", type=_number, default=None)
-    p.set_defaults(func=_cmd_sweep)
-
-    p = sub.add_parser("export-dataset",
-                       help="write a built-in dataset in scenario-file syntax")
-    p.add_argument("id", help=f"dataset id ({', '.join(dataset_ids())})")
-    p.add_argument("path", help="output path, or - for stdout")
-    p.set_defaults(func=_cmd_export_dataset)
-
+    for name, (help_, func, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_)
+        for argument, keywords in arguments:
+            p.add_argument(argument, **keywords)
+        p.set_defaults(func=func)
     return parser
+
+
+def _read_args(argv: list[str]) -> SimpleNamespace | None:
+    """argparse's namespace of ``argv`` when each token after the command is a
+    whole option flag, a value it accepts not starting with ``-``, or a
+    positional, and no option splits the positionals; else None."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, func, arguments = _COMMANDS[argv[0]]
+    options = {name: kw for name, kw in arguments if name.startswith("-")}
+    positionals = {name: kw.get("nargs") for name, kw in arguments if name not in options}
+    args = {kw["dest"]: kw.get("default") for kw in options.values()}
+    values, split, tokens = [], False, iter(argv[1:])
+    for token in tokens:
+        split = split or bool(values) and token in options  # an option after a positional
+        if (kw := options.get(token)) is None:
+            if split or token.startswith("-") and token != "-":
+                return None
+            values.append(token)
+        elif "action" in kw:  # store_true
+            args[kw["dest"]] = True
+        elif (text := next(tokens, "-")).startswith("-") or text not in kw.get("choices", [text]):
+            return None
+        else:
+            try:
+                args[kw["dest"]] = kw.get("type", str)(text)
+            except Exception:  # a ValueError or an ArgumentTypeError, which argparse reports
+                return None
+    values = [values] if "*" in positionals.values() else values  # "*" takes every value
+    if len(values) != len(positionals):
+        return None
+    return SimpleNamespace(command=argv[0], func=func, **args, **dict(zip(positionals, values)))
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run one command; the one place a failure becomes an exit code."""
     try:
-        args = _build_parser().parse_args(argv)  # usage errors exit 2 here
+        args = (_read_args(sys.argv[1:] if argv is None else argv)
+                or _build_parser().parse_args(argv, SimpleNamespace()))  # usage errors exit 2
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout fails here, not at exit
         return code

@@ -38,15 +38,15 @@ _KEY_RE, _IDENT_RE = re.compile(_NAME), re.compile(_IDENT)
 # A scalar value: a number with an optional unit, a string, or an identifier.
 _SCALAR = rf"""(?P<number>{NUMBER_RE.pattern})(?:\s*(?P<unit>[^\s"\#]+))?
   | "(?P<string>[^"]*)" | (?P<ident>{_IDENT})"""
-_ITEM = re.compile(_SCALAR, re.VERBOSE).fullmatch
 # One line, matched whole: blank or a comment, a section, or an entry whose
 # value is a scalar; ``_read_entry`` reads every other line.
 _LINE = re.compile(rf"""\s*(?:(?:
     \[(?P<section>{_NAME})\]
   | (?P<key>{_NAME})\s*=\s*(?P<value>{_SCALAR})
 )\s*)?(?:\#.*)?""", re.VERBOSE).fullmatch
-# what precedes a comment: a ``#`` in a string, open or closed, is kept
-_BEFORE_COMMENT = re.compile(r'(?:[^"#]|"[^"]*"?)*').match
+# what precedes a comment: a ``#`` in a string, open or closed, is kept. Only
+# ``_read_entry`` matches it or a lone _SCALAR, so ``re`` compiles them on first use.
+_BEFORE_COMMENT = r'(?:[^"#]|"[^"]*"?)*'
 _UNITS = {name: CATALOG.units[name] for name in PARSE_UNITS}
 # units written in preference to the canonical one, when they reparse exactly
 _PRETTY_UNITS = {Dimension.ENERGY: ("TWh", "kWh"), Dimension.POWER: ("kW",),
@@ -113,7 +113,7 @@ def _scalar(number: str | None, unit: str | None, string: str | None, ident: str
 def _read_entry(raw_line: str, line_no: int, in_section: bool) -> tuple[str, RawValue]:
     """The key and list of a line ``_LINE`` and ``_scalar`` do not read; else :class:`ParseError`
     for its missing ``=``, bad key, missing section or value, or bad value or item."""
-    line = _BEFORE_COMMENT(raw_line).group().strip()
+    line = re.match(_BEFORE_COMMENT, raw_line).group().strip()
     key, eq, text = line.partition("=")
     key, text = key.strip(), text.strip()
     if not eq:
@@ -131,7 +131,8 @@ def _read_entry(raw_line: str, line_no: int, in_section: bool) -> tuple[str, Raw
         if not (item := piece.strip()):
             raise ParseError("empty item in value list", line=line_no, column=column + offset)
         at = column + offset + len(piece) - len(piece.lstrip())
-        if not (m := _ITEM(item)) or not (value := _scalar(*m.groups(), item, line_no, at)):
+        if (not (m := re.fullmatch(_SCALAR, item, re.VERBOSE))
+                or not (value := _scalar(*m.groups(), item, line_no, at))):
             if item.startswith('"'):
                 raise ParseError(f"unterminated or malformed string {item!r}",
                                  line=line_no, column=at)

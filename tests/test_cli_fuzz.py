@@ -1,7 +1,8 @@
 """Fuzz the command line in-process: any generated argv, over scenario texts
 mutated from the packaged fixtures, ends in exit 0, 1 or 2 with no
-traceback, and running it twice gives the same output; and a file that
-``validate`` accepts never makes a flag-less ``sweep`` a usage error."""
+traceback, and running it twice gives the same output; a file that
+``validate`` accepts never makes a flag-less ``sweep`` a usage error; and the
+quick reader of a command line agrees with argparse on every argv it reads."""
 
 import io
 from contextlib import redirect_stderr, redirect_stdout
@@ -10,7 +11,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
-from evdemand.cli import main
+from evdemand.cli import _build_parser, _read_args, main
 from evdemand.report import FORMATS, TARGET_IDS
 from evdemand.scenario import BUILTIN_SCENARIOS, OVERRIDE_PATHS, builtin_scenario_text
 
@@ -114,6 +115,57 @@ def argvs(draw):
         argv.append("--sig-digits=" + draw(st.sampled_from(
             ["0", "1", "3", "17", "18", "-2", "x", str(2**31), str(10**20)])))
     return argv
+
+
+# tokens argparse alone reads: help, the end of options, an abbreviation, a
+# bare flag, an option and its value in one token, a value starting with -
+ODD_TOKENS = ["-h", "--help", "--", "--form", "--sig", "--format", "--all", "--path",
+              "--format=csv", "-1", "-", "-x", "json", "3", "us2005"]
+
+
+@st.composite
+def mutated_argvs(draw):
+    """``argvs()`` with most ``--opt=value`` tokens split in two, then options
+    moved before the positional or repeated, odd tokens put in, and a target
+    put last, after any options."""
+    argv = []
+    for token in draw(argvs()):
+        flag, eq, value = token.partition("=")
+        argv += [flag, value] if eq and draw(st.integers(0, 3)) else [token]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(1, len(argv)))  # after the command
+        kind = draw(st.sampled_from(["front", "repeat", "insert", "last"]))
+        if kind == "front":  # a token and the next, say an option and its value
+            pair, argv[i:i + 2] = argv[i:i + 2], []
+            argv[1:1] = pair
+        elif kind == "repeat":
+            argv[i:i] = argv[i:i + 2]
+        elif kind == "insert":
+            argv.insert(i, draw(st.sampled_from(ODD_TOKENS)))
+        else:
+            argv.append(draw(st.sampled_from(TARGET_IDS)))
+    return argv
+
+
+def _parse_args(argv):
+    """argparse's namespace of ``argv`` as a dict, or None where it exits."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return vars(_build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+@settings(max_examples=500, deadline=None)
+@given(argv=mutated_argvs())
+def test_the_quick_reader_agrees_with_argparse(argv):
+    args = _read_args(argv)
+    event(f"{argv[0]} read by {'argparse' if args is None else 'the quick reader'}")
+    parsed = _parse_args(argv)
+    if args is not None:
+        assert vars(args) == parsed
+    if parsed is None:
+        assert args is None
 
 
 def _main(argv):

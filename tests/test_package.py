@@ -1,6 +1,6 @@
 """Package-level guarantees: every exported name exists, starting the CLI
-imports nothing that only the tests need, and a call imports json or csv only
-to write that format."""
+imports nothing that only the tests need, a call imports json or csv only
+to write that format, and argparse only for help or a usage error."""
 
 import importlib
 import os
@@ -34,13 +34,11 @@ def test_cli_start_does_not_import_statistics():
     assert out == "False\n"
 
 
-_FORMAT_MODULES = "print(sorted(m for m in ('json', 'csv') if m in sys.modules))"
-
-
-def _format_modules(code: str) -> str:
-    """Which of json and csv are loaded after ``code`` runs in a fresh interpreter."""
+def _loaded(code: str, modules: tuple[str, ...] = ("json", "csv")) -> str:
+    """Which of ``modules`` are loaded after ``code`` runs in a fresh interpreter."""
     return subprocess.run(
-        [sys.executable, "-c", f"import sys\n{code}\n{_FORMAT_MODULES}"],
+        [sys.executable, "-c",
+         f"import sys\n{code}\nprint(sorted(m for m in {modules!r} if m in sys.modules))"],
         env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True, text=True, check=True).stdout
 
@@ -61,12 +59,40 @@ def _cli_call(*argv: str) -> str:
     _cli_call("export-dataset", "us2005", "-"),
 ], ids=["import", "run", "validate", "reproduce", "export-dataset"])
 def test_a_text_call_imports_neither_json_nor_csv(code):
-    assert _format_modules(code) == _format_modules("pass")
+    assert _loaded(code) == _loaded("pass")
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_a_call_that_writes_a_format_imports_its_module(fmt):
-    assert f"'{fmt}'" in _format_modules(_cli_call("run", "paper-2005", "--format", fmt))
+    assert f"'{fmt}'" in _loaded(_cli_call("run", "paper-2005", "--format", fmt))
+
+
+_ARGPARSE = ("argparse", "gettext", "locale")
+
+
+@pytest.mark.parametrize("argv", [
+    ("run", "paper-2005"),
+    ("run", "paper-2005", "--format", "csv"),
+    ("run", "--format", "json", "paper-2001", "--sig-digits", "3"),
+    ("validate", "paper-2005"),
+    ("reproduce", "--all"),
+    ("export-dataset", "us2005", "-"),
+    ("sweep", "paper-2005", "--path", "strategy.renewable_share", "--from", "0", "--to", "1",
+     "--step", "0.5"),
+    ("sweep", "paper-2005", "--values", "1,4", "--path", "battery.batteries_per_ev"),
+], ids=["run", "run-csv", "run-json", "validate", "reproduce", "export-dataset", "sweep-from",
+        "sweep-values"])
+def test_a_well_formed_call_imports_no_argparse(argv):
+    assert _loaded(_cli_call(*argv), _ARGPARSE) == _loaded("pass", _ARGPARSE)
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["run", "-h"]])
+def test_help_still_exits_0_with_the_usage(argv):
+    done = subprocess.run([sys.executable, "-m", "evdemand", *argv],
+                          env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True,
+                          text=True)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith(" ".join(["usage: evdemand", *argv[:-1], "[-h]"]))
 
 
 def test_cli_start_does_not_import_dataclasses_or_inspect():

@@ -97,16 +97,25 @@ The calls:
 * ``format_quantity`` at every digit count from 1 to 17 of magnitudes at
   the edges of the plain range: 1e-4, 1e15 and 1e16, the floats beside
   them and values just below them that round up to them, the two printed
-  figures on a rounding tie, ``5e-324`` and the largest float.
+  figures on a rounding tie, ``5e-324`` and the largest float;
+* the exit code, stdout and stderr of in-process ``cli.main`` calls, help
+  wrapped to 80 columns: well-formed command lines with options before or
+  after the positional and repeated, and the forms only argparse reads,
+  ``--opt=value``, an abbreviation, ``--``, a value starting with ``-``,
+  targets split by an option and ``-h``, beside usage errors of each kind.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
+import os
 import random
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 SEEDS = range(1, 6)
 N_VALID, N_INVALID, N_SWEPT = 36, 30, 10
@@ -228,6 +237,67 @@ SIG_MAGNITUDES = sorted(
      for v in (edge, math.nextafter(edge, 0), math.nextafter(edge, math.inf),
                *(edge * (1 - 5 * 10.0**-k) for k in range(1, 18)))}
     | {2899.3250000000003, 172.47750000000005, 5e-324, sys.float_info.max})
+
+RENEWABLE_FLAG = ("--path", "strategy.renewable_share")
+# command lines for cli.main; "<t0>" and "<t1>" stand for the first two target ids
+CLI_ARGVS = (
+    ("run", "paper-2005", "--format", "json"),
+    ("run", "paper-2005", "--format=json"),
+    ("run", "paper-2005", "--form", "json"),
+    ("run", "--format", "csv", "paper-2001"),
+    ("run", "paper-2005", "--format", "csv", "--format", "text", "--sig-digits", "3"),
+    ("run", "--", "paper-2005"),
+    ("run", "paper-2005", "--sig-digits", "0"),
+    ("run", "paper-2005", "--sig-digits", "x"),
+    ("run", "paper-2005", "--format", "xml"),
+    ("run", "paper-2005", "--format"),
+    ("run",),
+    ("run", "paper-2005", "paper-2001"),
+    ("run", "missing.scn"),
+    ("validate", "paper-2001"),
+    ("validate", "paper-2005", "--format", "json"),
+    ("reproduce", "--all"),
+    ("reproduce", "--all", "--format", "csv"),
+    ("reproduce", "<t0>", "<t1>", "--format", "json"),
+    ("reproduce", "<t0>", "--all", "<t1>"),
+    ("reproduce",),
+    ("reproduce", "no-such-target"),
+    ("export-dataset", "us2005", "-"),
+    ("export-dataset", "us1999", "-"),
+    ("sweep", "paper-2005", *RENEWABLE_FLAG, "--values", "0.1,0.5"),
+    ("sweep", "--path=strategy.renewable_share", "paper-2005", "--from", "0", "--to", "1",
+     "--step", "0.25"),
+    ("sweep", "paper-2005", *RENEWABLE_FLAG, "--from", "-1", "--to", "1", "--step", "1"),
+    ("sweep", "paper-2005", *RENEWABLE_FLAG, "--values", "x"),
+    ("sweep", "paper-2005", "--from", "1"),
+    (),
+    ("bogus",),
+    ("-h",),
+    ("--help",),
+    ("run", "-h"),
+    ("reproduce", "-h"),
+    ("validate", "--help"),
+    ("sweep", "-h"),
+    ("export-dataset", "-h"),
+)
+
+
+def _cli_outputs(evdemand) -> dict[str, str]:
+    """The exit code, stdout and stderr of ``cli.main`` on each of ``CLI_ARGVS``."""
+    from evdemand.cli import main
+    from evdemand.report import TARGET_IDS
+
+    places = {"<t0>": TARGET_IDS[0], "<t1>": TARGET_IDS[1]}
+    out = {}
+    for argv in CLI_ARGVS:
+        argv = [places.get(a, a) for a in argv]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with mock.patch.dict(os.environ, COLUMNS="80"), redirect_stdout(stdout), \
+                redirect_stderr(stderr):
+            code = main(argv)
+        out[f"cli {' '.join(argv)}"] = (f"exit {code}\n--- stdout\n{stdout.getvalue()}"
+                                        f"--- stderr\n{stderr.getvalue()}")
+    return out
 
 
 def _outputs(evdemand, gen) -> dict[str, str]:
@@ -516,7 +586,7 @@ def _outputs(evdemand, gen) -> dict[str, str]:
         probe(f"format_quantity {m!r}", lambda: "\n".join(
             evdemand.format_quantity(Quantity(m, Dimension.ENERGY), "Wh", digits)
             for digits in range(1, 18)))
-    return out
+    return out | _cli_outputs(evdemand)
 
 
 def diff(a_path: str, b_path: str) -> int:
