@@ -239,7 +239,7 @@ SIG_MAGNITUDES = sorted(
     | {2899.3250000000003, 172.47750000000005, 5e-324, sys.float_info.max})
 
 RENEWABLE_FLAG = ("--path", "strategy.renewable_share")
-# command lines for cli.main; "<t0>" and "<t1>" stand for the first two target ids
+# command lines for cli.main
 CLI_ARGVS = (
     ("run", "paper-2005", "--format", "json"),
     ("run", "paper-2005", "--format=json"),
@@ -258,8 +258,8 @@ CLI_ARGVS = (
     ("validate", "paper-2005", "--format", "json"),
     ("reproduce", "--all"),
     ("reproduce", "--all", "--format", "csv"),
-    ("reproduce", "<t0>", "<t1>", "--format", "json"),
-    ("reproduce", "<t0>", "--all", "<t1>"),
+    ("reproduce", "table3", "sec6-co2", "--format", "json"),
+    ("reproduce", "table3", "--all", "sec6-co2"),
     ("reproduce",),
     ("reproduce", "no-such-target"),
     ("export-dataset", "us2005", "-"),
@@ -282,15 +282,12 @@ CLI_ARGVS = (
 )
 
 
-def _cli_outputs(evdemand) -> dict[str, str]:
+def _cli_outputs() -> dict[str, str]:
     """The exit code, stdout and stderr of ``cli.main`` on each of ``CLI_ARGVS``."""
     from evdemand.cli import main
-    from evdemand.report import TARGET_IDS
 
-    places = {"<t0>": TARGET_IDS[0], "<t1>": TARGET_IDS[1]}
     out = {}
     for argv in CLI_ARGVS:
-        argv = [places.get(a, a) for a in argv]
         stdout, stderr = io.StringIO(), io.StringIO()
         with mock.patch.dict(os.environ, COLUMNS="80"), redirect_stdout(stdout), \
                 redirect_stderr(stderr):
@@ -586,7 +583,7 @@ def _outputs(evdemand, gen) -> dict[str, str]:
         probe(f"format_quantity {m!r}", lambda: "\n".join(
             evdemand.format_quantity(Quantity(m, Dimension.ENERGY), "Wh", digits)
             for digits in range(1, 18)))
-    return out | _cli_outputs(evdemand)
+    return out | _cli_outputs()
 
 
 def diff(a_path: str, b_path: str) -> int:
