@@ -9,6 +9,7 @@ well-formed command line is read from it directly; argparse is imported and
 built from it only to read any other, print help or report a usage error.
 """
 
+import gc
 import os
 import sys
 from contextlib import contextmanager
@@ -279,4 +280,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
+    # the process ends with the command: what the imports built is never garbage,
+    # so no collection, shutdown's included, traverses it again
+    gc.freeze()
     raise SystemExit(main())

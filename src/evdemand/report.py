@@ -261,17 +261,15 @@ def write_sweep(out: TextIO, path: str, points: Iterable[SweepPoint],
     if fmt not in FORMATS:
         raise _unknown_format(fmt)
     if fmt == "csv":
-        # no cell but the error can need quoting, and the csv module's rules for it
-        # differ between Python versions; alone in a row, "" would be quoted
-        import csv
-        quote = csv.writer(out, lineterminator="\n").writerow
+        # no cell but the error can need quoting: quoted as 3.11's csv.writer quotes
+        # it, on every Python (3.10's refuses a NUL, 3.13's quotes a lone "\r"), so an
+        # error holding a lone "\r" stays unquoted and its row does not read back as csv
         out.write(",".join(_SWEEP_HEADER) + "\n")
         for cells in _sweep_cells(points, repr):
-            if cells[-1]:
-                out.write(",".join(cells[:-1]) + ",")
-                quote(cells[-1:])
-            else:
-                out.write(",".join(cells) + "\n")
+            error = cells[-1]
+            if '"' in error or "," in error or "\n" in error:
+                cells[-1] = '"' + error.replace('"', '""') + '"'
+            out.write(",".join(cells) + "\n")
     elif fmt == "json":
         from json.encoder import encode_basestring_ascii as quote
         out.write(f'{{\n  "path": {quote(path)},\n  "points": [')

@@ -1,7 +1,10 @@
 """Package-level guarantees: every exported name exists, starting the CLI
 imports nothing that only the tests need, a call imports json or csv only
-to write that format, and argparse only for help or a usage error."""
+to write that format, and argparse only for help or a usage error. The CLI
+entry point freezes what its imports built and keeps the collector on;
+``main`` leaves the collector as it found it."""
 
+import gc
 import importlib
 import os
 import pkgutil
@@ -12,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import evdemand
+from evdemand.cli import main
 
 SRC = Path(evdemand.__file__).resolve().parent.parent
 # every module but __main__, which runs the CLI when imported
@@ -84,6 +88,28 @@ _ARGPARSE = ("argparse", "gettext", "locale")
         "sweep-values"])
 def test_a_well_formed_call_imports_no_argparse(argv):
     assert _loaded(_cli_call(*argv), _ARGPARSE) == _loaded("pass", _ARGPARSE)
+
+
+def test_the_entry_point_freezes_the_imports_and_keeps_collecting():
+    # the hook runs at exit, after the command, and reads the collector's state there
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import atexit, gc, sys\n"
+         "atexit.register(lambda: print(gc.get_freeze_count() > 0, gc.isenabled(),\n"
+         "                              file=sys.stderr))\n"
+         "sys.argv = ['evdemand', 'validate', 'paper-2005']\n"
+         "from evdemand.cli import entry\n"
+         "entry()\n"],
+        env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        0, "scenario valid: paper-2005\n", "True True\n")
+
+
+def test_main_leaves_the_collector_as_it_found_it(capsys):
+    frozen = gc.get_freeze_count()
+    assert main(["validate", "paper-2005"]) == 0
+    assert capsys.readouterr().out == "scenario valid: paper-2005\n"
+    assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, True)
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["run", "-h"]])

@@ -5,9 +5,9 @@ grows, and the CLI survives a reader that closes stdout early. A sweep row's
 cells, read through the report-unit table, equal the ones ``in_unit`` gives,
 and the table keeps every dimension check. A row reuses a column's text while
 its value repeats, and writes the bytes of a writer that reuses nothing. A
-csv sweep quotes an error as the csv module of each interpreter quotes it."""
+csv sweep quotes an error as Python 3.11's csv module does, under every
+interpreter."""
 
-import csv
 import io
 import json
 import math
@@ -112,12 +112,16 @@ def _text_reference(path, points):
         for row in (_SWEEP_HEADER, *cells))
 
 
+def _csv_cell(cell):
+    """A cell as Python 3.11's ``csv.writer(lineterminator="\\n")`` writes it:
+    quoted, each ``"`` doubled, when it holds ``"``, ``,`` or a line feed."""
+    cell = str(cell)
+    return '"' + cell.replace('"', '""') + '"' if any(c in cell for c in '",\n') else cell
+
+
 def _csv_reference(points):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_SWEEP_HEADER)
-    writer.writerows(_row(i, p) for i, p in enumerate(points))
-    return buf.getvalue()
+    rows = [_SWEEP_HEADER, *(_row(i, p) for i, p in enumerate(points))]
+    return "".join(",".join(map(_csv_cell, row)) + "\n" for row in rows)
 
 
 # runs of one assessment, failed points between them, and conversion fractions
@@ -144,29 +148,39 @@ def test_reused_cells_write_what_a_writer_that_reuses_nothing_writes(pts):
     assert render_sweep(path, pts, "json") == _json_as_dumps(path, pts)
 
 
-# The csv module quotes a lone "\r" under 3.13 and not under 3.10-3.12, and the
-# Hypothesis tests run under one interpreter: each other one checks that a csv
-# sweep quotes its errors as that interpreter's csv.writer does.
-CSV_QUOTING = """
-import csv, io
-from evdemand.report import _SWEEP_HEADER, render_sweep
+# Failed points whose errors need quoting, or hold a "\r", a tab or a NUL, and
+# the bytes Python 3.11.7's csv.writer(lineterminator="\n") writes for them.
+# Under 3.13 that writer also quotes a lone "\r", and under 3.10 it raises on
+# the NUL; the sweep writes these bytes under every interpreter.
+CSV_ERRORS = ("a,b", "cr\rlf", "\r\n", 'say "no"', "tab\tx\x00")
+CSV_BYTES = (
+    "index,value,fleet_energy_twh,per_ev_energy_kwh,battery_count_e9,battery_energy_twh,"
+    "total_additional_twh,additional_co2_mt,conversion_fraction,total_vs_baseline_ratio,"
+    "capacity_deficit_twh,error\n"
+    '0,0.5,,,,,,,,,,"a,b"\n'
+    "1,0.5,,,,,,,,,,cr\rlf\n"
+    '2,0.5,,,,,,,,,,"\r\n"\n'
+    '3,0.5,,,,,,,,,,"say ""no"""\n'
+    "4,0.5,,,,,,,,,,tab\tx\x00\n")
+CSV_CHECK = f"""
+from evdemand.report import render_sweep
 from evdemand.scenario import SweepPoint
-errors = ("a,b", 'say "no"', "lf\\nonly", "cr\\rlf", "\\r", "\\n", ",", '"', "\\r\\n")
-points = [SweepPoint(0.5, None, e) for e in errors]
-buf = io.StringIO()
-writer = csv.writer(buf, lineterminator="\\n")
-writer.writerow(_SWEEP_HEADER)
-writer.writerows([i, 0.5, *[""] * (len(_SWEEP_HEADER) - 3), e] for i, e in enumerate(errors))
-assert render_sweep("strategy.renewable_share", points, "csv") == buf.getvalue()
+points = [SweepPoint(0.5, None, e) for e in {CSV_ERRORS!r}]
+assert render_sweep("strategy.renewable_share", points, "csv") == {CSV_BYTES!r}
 """
 
 
+def test_csv_errors_are_quoted_as_python_3_11_quotes_them():
+    points = [SweepPoint(0.5, None, e) for e in CSV_ERRORS]
+    assert render_sweep("strategy.renewable_share", points, "csv") == CSV_BYTES
+
+
 @pytest.mark.parametrize("minor", [10, 12, 13])
-def test_csv_errors_are_quoted_as_each_interpreters_csv_module_quotes_them(minor):
+def test_csv_errors_are_quoted_alike_under_other_interpreters(minor):
     exe = _interpreter(minor)
     if exe is None:
         pytest.skip(f"no python3.{minor} starts here")
-    proc = subprocess.run([exe, "-B", "-c", CSV_QUOTING], capture_output=True, text=True,
+    proc = subprocess.run([exe, "-B", "-c", CSV_CHECK], capture_output=True, text=True,
                           timeout=60, env={**os.environ, "PYTHONPATH": str(SRC)})
     assert proc.stdout + proc.stderr == ""  # a traceback, the assertion's among them
     assert proc.returncode == 0
