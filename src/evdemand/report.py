@@ -1,7 +1,7 @@
 """Deterministic rendering of assessments, sweeps, and reproduction reports.
 
-Text output is column-aligned; CSV is RFC-4180-style with minimal quoting
-and LF line endings; JSON is two-space indented with sorted keys and
+Text output is column-aligned; CSV quotes each cell by one rule, ``_csv``,
+and ends lines with LF; JSON is two-space indented with sorted keys and
 shortest round-trip numbers. Rendering the same inputs twice yields
 identical bytes.
 
@@ -42,6 +42,17 @@ FORMATS = ("text", "csv", "json")
 
 def _unknown_format(fmt: str) -> InvalidRenderOption:
     return InvalidRenderOption(f"unknown format {fmt!r}; expected one of {FORMATS}")
+
+
+def _csv(cell: str) -> str:
+    """``cell`` as one csv field, by RFC 4180's rule as Python 3.11's ``csv.writer``
+    applies it: quoted, each ``"`` doubled, if it holds ``"``, ``,`` or a line
+    feed, else as is. A lone ``"\\r"`` stays unquoted on purpose, to keep 3.11's
+    bytes on every Python (3.13's writer quotes it, 3.10's refuses a NUL), so a
+    row holding one does not read back through ``csv.reader``."""
+    if '"' in cell or "," in cell or "\n" in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
 
 
 # display suffix of a row's unit; any other unit follows the digits after a space
@@ -145,17 +156,9 @@ def render(a: Assessment, fmt: str = "text", digits: int | None = None) -> str:
         lines.append("")
         return "\n".join(lines)
     if fmt == "csv":
-        # the csv module quotes a row with a note or a key holding a fuel's name
-        import csv
-        buf = io.StringIO()
-        quote = csv.writer(buf, lineterminator="\n").writerow
-        buf.write("key,value,unit,note\n")
-        for key, _, value, unit, _, note in rows:
-            if note or not key.isidentifier():
-                quote((key, value, unit, note))
-            else:
-                buf.write(f"{key},{value!r},{unit},\n")
-        return buf.getvalue()
+        return "key,value,unit,note\n" + "".join(
+            f"{_csv(key)},{value!r},{unit},{_csv(note)}\n"
+            for key, _, value, unit, _, note in rows)
     if fmt == "json":
         # the bytes json.dumps(..., indent=2, sort_keys=True) writes for the echo
         # and one object per key (the last row of a key wins); a unit needs no escape
@@ -257,18 +260,14 @@ def write_sweep(out: TextIO, path: str, points: Iterable[SweepPoint],
                 fmt: str = "text") -> None:
     """Write sweep results to ``out`` in evaluation order. csv and json write
     each row as its point arrives; text keeps the formatted cells until the
-    end, since its column widths need every row."""
+    end, since its column widths need every row. In csv no cell but the error
+    can need quoting."""
     if fmt not in FORMATS:
         raise _unknown_format(fmt)
     if fmt == "csv":
-        # no cell but the error can need quoting: quoted as 3.11's csv.writer quotes
-        # it, on every Python (3.10's refuses a NUL, 3.13's quotes a lone "\r"), so an
-        # error holding a lone "\r" stays unquoted and its row does not read back as csv
         out.write(",".join(_SWEEP_HEADER) + "\n")
         for cells in _sweep_cells(points, repr):
-            error = cells[-1]
-            if '"' in error or "," in error or "\n" in error:
-                cells[-1] = '"' + error.replace('"', '""') + '"'
+            cells[-1] = _csv(cells[-1])
             out.write(",".join(cells) + "\n")
     elif fmt == "json":
         from json.encoder import encode_basestring_ascii as quote
@@ -532,15 +531,10 @@ def render_comparisons(results: list[ComparisonResult], fmt: str = "text",
         body = ",\n".join(map(result, results))
         return f"[\n{body}\n]\n" if body else "[]\n"
     if fmt == "csv":
-        import csv
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(("target", "cell", "computed", "expected", "unit", "rel_err", "status",
-                         "anchor"))
-        writer.writerows((r.target_id, c.label, c.computed, c.expected, c.unit,
-                          f"{c.rel_err:.3e}", c.status, c.anchor)
-                         for r in results for c in r.cells)
-        return buf.getvalue()
+        return "target,cell,computed,expected,unit,rel_err,status,anchor\n" + "".join(
+            f"{_csv(r.target_id)},{_csv(c.label)},{c.computed!s},{c.expected!s},"
+            f"{_csv(c.unit)},{c.rel_err:.3e},{c.status},{_csv(c.anchor)}\n"
+            for r in results for c in r.cells)
     if fmt == "text":
         lines: list[str] = []
         total = passed = 0

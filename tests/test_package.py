@@ -1,8 +1,8 @@
 """Package-level guarantees: every exported name exists, starting the CLI
-imports nothing that only the tests need, a call imports json or csv only
-to write that format, and argparse only for help or a usage error. The CLI
-entry point freezes what its imports built and keeps the collector on;
-``main`` leaves the collector as it found it."""
+imports nothing that only the tests need, a call imports json only to write
+json, no call imports csv, and argparse loads only for help or a usage
+error. The CLI entry point freezes what its imports built and keeps the
+collector on; ``main`` leaves the collector as it found it."""
 
 import gc
 import importlib
@@ -66,9 +66,19 @@ def test_a_text_call_imports_neither_json_nor_csv(code):
     assert _loaded(code) == _loaded("pass")
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("fmt", ["json"])
 def test_a_call_that_writes_a_format_imports_its_module(fmt):
     assert f"'{fmt}'" in _loaded(_cli_call("run", "paper-2005", "--format", fmt))
+
+
+@pytest.mark.parametrize("argv", [
+    ("run", "paper-2005", "--format", "csv"),
+    ("reproduce", "--all", "--format", "csv"),
+    ("sweep", "paper-2005", "--path", "strategy.renewable_share", "--values", "0.2,0.5",
+     "--format", "csv"),
+], ids=["run", "reproduce", "sweep"])
+def test_a_csv_call_imports_no_csv(argv):
+    assert _loaded(_cli_call(*argv), ("csv",)) == _loaded("pass", ("csv",))
 
 
 _ARGPARSE = ("argparse", "gettext", "locale")

@@ -5,8 +5,8 @@ grows, and the CLI survives a reader that closes stdout early. A sweep row's
 cells, read through the report-unit table, equal the ones ``in_unit`` gives,
 and the table keeps every dimension check. A row reuses a column's text while
 its value repeats, and writes the bytes of a writer that reuses nothing. A
-csv sweep quotes an error as Python 3.11's csv module does, under every
-interpreter."""
+csv sweep quotes an error, and every csv writer its cells, as Python 3.11's
+csv module does, under every interpreter."""
 
 import io
 import json
@@ -151,7 +151,9 @@ def test_reused_cells_write_what_a_writer_that_reuses_nothing_writes(pts):
 # Failed points whose errors need quoting, or hold a "\r", a tab or a NUL, and
 # the bytes Python 3.11.7's csv.writer(lineterminator="\n") writes for them.
 # Under 3.13 that writer also quotes a lone "\r", and under 3.10 it raises on
-# the NUL; the sweep writes these bytes under every interpreter.
+# the NUL; the sweep writes these bytes under every interpreter. So do render,
+# for paper-2005 with odd water fuels, and render_comparisons, for a cell whose
+# label holds a "\r" and whose anchor holds a NUL.
 CSV_ERRORS = ("a,b", "cr\rlf", "\r\n", 'say "no"', "tab\tx\x00")
 CSV_BYTES = (
     "index,value,fleet_energy_twh,per_ev_energy_kwh,battery_count_e9,battery_energy_twh,"
@@ -162,17 +164,51 @@ CSV_BYTES = (
     '2,0.5,,,,,,,,,,"\r\n"\n'
     '3,0.5,,,,,,,,,,"say ""no"""\n'
     "4,0.5,,,,,,,,,,tab\tx\x00\n")
+CSV_FUELS = ("co\x00al", "cr\rgas", 'q"x,y')
+_PUBLISHED = ("TWh,printed-table convention: published production energies equal the "
+              "unit-consistent values divided by 10^3\n")
+_WATER = (',1181.6353920000001,1e12 gal,"published water accounting treats 1 TWh as 10^9 MWh '
+          '(strictly 10^6), so volumes exceed strict unit algebra by 10^3"\n')
+CSV_RENDER_BYTES = (
+    "key,value,unit,note\n"
+    "fleet_energy,4953.200000000001,TWh,\n"
+    "per_ev_energy,114.87179487179486,kWh,\n"
+    "ev_count_a,43.11937500000001,1e9,\n"
+    "battery_count_a,172.47750000000005,1e9,\n"
+    "production_consistent_a,1237698.5400000005,TWh,\n"
+    "production_published_a,1237.6985400000005," + _PUBLISHED
+    + "battery_count_b,198.12800000000004,1e9,\n"
+    "production_consistent_b,1421766.5280000002,TWh,\n"
+    "production_published_b,1421.7665280000003," + _PUBLISHED
+    + 'battery_energy_for_totals,1421.7665280000003,TWh,"method B, published convention"\n'
+    "total_additional_energy,6374.966528000001,TWh,\n"
+    "carbon_intensity,0.6115906288532675,Mt/TWh,\n"
+    "additional_co2,3898.869787778052,Mt,\n"
+    "water_co\x00al" + _WATER + "water_cr\rgas" + _WATER + '"water_q""x,y"' + _WATER
+    + "renewable_supply,1216.5,TWh,\n"
+    "conversion_fraction,0.2455988048130501,frac,\n"
+    "baseline_generation,4055.0,TWh,\n"
+    "total_vs_baseline_ratio,1.572124914426634,ratio,\n"
+    "capacity_deficit,2319.966528000001,TWh,\n")
+CSV_CELL = ("cr\rlf", 1.5, 2.0, "TWh", "rel", 0.1, "nul\x00")
+CSV_COMPARISON_BYTES = ("target,cell,computed,expected,unit,rel_err,status,anchor\n"
+                        "t,cr\rlf,1.5,2.0,TWh,2.500e-01,FAIL,nul\x00\n")
 CSV_CHECK = f"""
-from evdemand.report import render_sweep
-from evdemand.scenario import SweepPoint
+from evdemand.report import (CellResult, ComparisonResult, render, render_comparisons,
+                             render_sweep)
+from evdemand.scenario import SweepPoint, assess, load_builtin_scenario
 points = [SweepPoint(0.5, None, e) for e in {CSV_ERRORS!r}]
 assert render_sweep("strategy.renewable_share", points, "csv") == {CSV_BYTES!r}
+a = assess(load_builtin_scenario("paper-2005"))
+a = a._replace(water=tuple((fuel, a.water[0][1]) for fuel in {CSV_FUELS!r}))
+assert render(a, "csv") == {CSV_RENDER_BYTES!r}
+results = [ComparisonResult("t", "T", (CellResult(*{CSV_CELL!r}),))]
+assert render_comparisons(results, "csv") == {CSV_COMPARISON_BYTES!r}
 """
 
 
 def test_csv_errors_are_quoted_as_python_3_11_quotes_them():
-    points = [SweepPoint(0.5, None, e) for e in CSV_ERRORS]
-    assert render_sweep("strategy.renewable_share", points, "csv") == CSV_BYTES
+    exec(CSV_CHECK, {})
 
 
 @pytest.mark.parametrize("minor", [10, 12, 13])

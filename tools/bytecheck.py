@@ -46,7 +46,8 @@ The calls:
   all together, and none: cells whose label, anchor or note holds a quote, a
   backslash, control characters or non-ASCII text, with and without a note,
   computed as a number, an infinity or a NaN; results with and without notes,
-  and one with no cells;
+  and one with no cells; and, apart, one cell whose label holds a lone
+  carriage return and whose anchor a NUL;
 * ``render_sweep`` in every format, and the ``repr`` of every point, of
   ``paper-2005`` under every method and convention with a zero baseline
   generation or a zero per-EV energy, so the base fails to assess and each
@@ -56,7 +57,8 @@ The calls:
   whose errors hold commas, quotes, line breaks or nothing, an evaluated
   point that carries an error, NaN, infinite and -0.0 conversion fractions,
   and int and quantity swept values, each list alone and all of them in one;
-* ``render`` in every format of ``paper-2005`` with an int conversion
+* ``render`` in every format of ``paper-2005`` with the water fuels
+  ``co<NUL>al``, ``cr<CR>gas`` and ``q"x,y``, and with an int conversion
   fraction of 0, ``render_sweep`` json of one point of it, and
   ``render_sweep`` in every format of a conversion fraction of 1.0 and then 1;
 * the ``repr`` of ``parse_document``, or its error with line and column, of
@@ -422,6 +424,11 @@ def _outputs(evdemand, gen) -> dict[str, str]:
         for fmt in FORMATS:
             record(f"comparisons hand-built {name} {fmt}",
                    lambda: evdemand.render_comparisons(results, fmt), Exception)
+    cr = [ComparisonResult("cr", "T", (CellResult("cr\rlf", 1.5, 2.0, "TWh", "rel", 0.1,
+                                                  "nul\x00"),))]
+    for fmt in FORMATS:
+        record(f"comparisons hand-built cr {fmt}",
+               lambda: evdemand.render_comparisons(cr, fmt), Exception)
 
     fixture = load_builtin_scenario("paper-2005")
     for name, base_path, base_value, edge_sweeps in EDGE_BASES:
@@ -450,6 +457,11 @@ def _outputs(evdemand, gen) -> dict[str, str]:
         for fmt in FORMATS:
             record(f"hand-built {name} {fmt}",
                    lambda: evdemand.render_sweep("strategy.renewable_share", points, fmt))
+    odd_fuels = a._replace(water=tuple((fuel, a.water[0][1])
+                                       for fuel in ("co\x00al", "cr\rgas", 'q"x,y')))
+    for fmt in FORMATS:
+        record(f"render hand-built odd fuels {fmt}", lambda: evdemand.render(odd_fuels, fmt),
+               Exception)
     int_figure = a._replace(conversion_fraction=0)
     int_after_float = [SweepPoint(0.5, a._replace(conversion_fraction=f)) for f in (1.0, 1)]
     for fmt in FORMATS:
