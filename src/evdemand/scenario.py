@@ -290,6 +290,10 @@ class _Problems:
             message = f"line {value.line}: {message}"
         self.items.append(message)
 
+    def wrong(self, value: RawValue, key: str, what: str) -> None:
+        """Record that ``key`` must be ``what``, quoting the text written."""
+        self.add(f"{key} must be {what}, got {value.text!r}", value)
+
 
 def _want_quantity(value: RawValue, dim: Dimension, key: str,
                    problems: _Problems) -> Quantity | None:
@@ -301,12 +305,11 @@ def _want_quantity(value: RawValue, dim: Dimension, key: str,
         return q
     if value.kind == "number" and dim is Dimension.FRACTION:
         try:
-            return Quantity(float(value.payload), Dimension.FRACTION)
+            return Quantity(value.payload, Dimension.FRACTION)
         except EvDemandError as exc:
             problems.add(f"{key}: {exc}", value)
             return None
-    problems.add(f"{key} must be a {dim.value} quantity literal, got {value.text!r}", value)
-    return None
+    return problems.wrong(value, key, f"a {dim.value} quantity literal")
 
 
 class FieldSpec(NamedTuple):
@@ -369,14 +372,12 @@ class FieldSpec(NamedTuple):
         """The value a file gives, or None once the problem is recorded."""
         if self.dim is None:
             if raw.kind != "number":
-                problems.add(f"{self.key} must be a bare number, got {raw.text!r}", raw)
-                return None
-            value = float(raw.payload)
+                return problems.wrong(raw, self.key, "a bare number")
+            value = raw.payload
         elif self.tokens and raw.kind == "ident":
             if raw.payload not in self.tokens:
-                problems.add(f"{self.key} must be {', '.join(self.tokens)}, or a "
-                             f"{CANONICAL_UNIT[self.dim]} quantity, got {raw.text!r}", raw)
-                return None
+                return problems.wrong(raw, self.key, f"{', '.join(self.tokens)}, or a "
+                                      f"{CANONICAL_UNIT[self.dim]} quantity")
             value = self.tokens[raw.payload]
         else:
             value = _want_quantity(raw, self.dim, self.key, problems)
@@ -477,8 +478,7 @@ _SCENARIO_SECTIONS = {*_HAND_KEYS, "mix", "fleet", "water"}
 def _want_ident(value: RawValue, key: str, problems: _Problems) -> str | None:
     if value.kind == "ident":
         return value.payload
-    problems.add(f"{key} must be an identifier, got {value.text!r}", value)
-    return None
+    return problems.wrong(value, key, "an identifier")
 
 
 def _text_or(section: Section, key: str, default: str | None,
@@ -489,9 +489,9 @@ def _text_or(section: Section, key: str, default: str | None,
     if v is None:
         return default
     if v.kind not in ("string", "ident"):
-        problems.add(f"{key} must be a string, got {v.text!r}", v)
+        problems.wrong(v, key, "a string")
         return default
-    return str(v.payload)
+    return v.payload
 
 
 def _pick(section: Section | None, key: str, choices: dict, default, problems: _Problems,
@@ -502,7 +502,7 @@ def _pick(section: Section | None, key: str, choices: dict, default, problems: _
     if v is None or (token := _want_ident(v, key, problems)) is None:
         return default
     if (choice := choices.get(token.lower() if fold else token)) is None:
-        problems.add(f"{key} must be one of {', '.join(choices)}, got {token!r}", v)
+        problems.wrong(v, key, f"one of {', '.join(choices)}")
         return default
     return choice
 
@@ -647,27 +647,19 @@ def _resolve_sweep(section: Section | None, fleet_basis: SharesBasis | GallonsBa
         return None
     if (path := _want_ident(path_v, "path", problems)) is None:
         return None
-    values: list[float | Quantity] | None = None
-    bad_item = False
+    values: list[float | Quantity | None] | None = None
     if (values_v := section.get("values")) is not None:
-        values = []
-        for item in values_v.payload if values_v.kind == "list" else [values_v]:
-            if item.kind == "number":
-                values.append(float(item.payload))
-            elif item.kind == "quantity":
-                values.append(item.payload)
-            else:
-                problems.add(f"sweep value must be a number or quantity, "
-                             f"got {item.text!r}", item)
-                bad_item = True
+        values = [item.payload if item.kind in ("number", "quantity")
+                  else problems.wrong(item, "sweep value", "a number or quantity")
+                  for item in (values_v.payload if values_v.kind == "list" else [values_v])]
     bounds = []
     for key in ("from", "to", "step"):
         v = section.get(key)
         if v is not None and v.kind != "number":
-            problems.add(f"sweep {key} must be a bare number, got {v.text!r}", v)
-            return None
-        bounds.append(None if v is None else float(v.payload))
-    if bad_item:  # each bad item is recorded once; what it leaves of the list is not checked
+            return problems.wrong(v, f"sweep {key}", "a bare number")
+        bounds.append(None if v is None else v.payload)
+    # each bad item is recorded once; what it leaves of the list is not checked
+    if values is not None and None in values:
         return None
     try:
         spec = SweepSpec(path, values, *bounds)

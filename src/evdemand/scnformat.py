@@ -57,7 +57,10 @@ _new = tuple.__new__  # builds a record from its fields in order, unchecked
 class RawValue(NamedTuple):
     """A parsed value: ``kind`` is quantity, number, string, ident, or list.
 
-    A list payload is a tuple of scalar RawValues (comma-separated source).
+    ``payload`` is already converted: a number's is a ``float``, a
+    quantity's a ``Quantity``, a string's (unquoted) or an identifier's a
+    ``str``, and a list's a tuple of scalar RawValues (comma-separated
+    source). ``text`` is the value as written.
     """
 
     kind: str

@@ -36,15 +36,22 @@ class TestReproduceCommand:
         assert out == ""
         assert "unknown target" in err
 
-    def test_no_targets_is_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "reproduce")
-        assert code == 2
-        assert "target" in err
-
     def test_byte_identical_across_runs(self, capsys):
         _, first, _ = run_cli(capsys, "reproduce", "--all", "--format", "text")
         _, second, _ = run_cli(capsys, "reproduce", "--all", "--format", "text")
         assert first.encode() == second.encode()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["reproduce"], "reproduce needs target ids or --all"),
+    (["sweep", "paper-2005", "--values", "0.1"], "sweep overrides need --path"),
+    (["sweep", "paper-2005"], "scenario has no [sweep] section and no sweep flags were given"),
+])
+def test_hand_raised_usage_errors_print_one_line(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.splitlines() == [f"evdemand: {message}"]
 
 
 class TestRunCommand:

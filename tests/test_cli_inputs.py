@@ -105,6 +105,25 @@ pack_mass = 100 kg
 colour = 1
 """
 
+# one problem at each loader site that quotes the text written, in the order found
+WRONG_KINDS = """[meta]
+name = 5
+dataset = "us2005"
+[fleet]
+basis = gallons
+btu_to_wh = approx
+[ev]
+per_ev_energy = 115
+[battery]
+chemistry = "nimh"
+batteries_per_ev = 4 kWh
+method = c
+[sweep]
+path = strategy.renewable_share
+values = 0.1, "x"
+from = "0"
+"""
+
 PROBLEM_LINES = [
     (TWO_PROBLEMS, ["unknown section [turbines]",
                     "line 5: unknown key 'renewable_shard' in [strategy]"]),
@@ -130,6 +149,15 @@ PROBLEM_LINES = [
                               "chemistries; 'nimh' is built-in"]),
     (BAD_CUSTOM_PACK, ["li_ion: pack capacity 25000.0 Wh disagrees with density x mass = "
                        "12500.0 Wh beyond 2%", "line 11: unknown key 'colour' in [strategy]"]),
+    (WRONG_KINDS, ["line 2: name must be a string, got '5'",
+                   "line 3: dataset must be an identifier, got '\"us2005\"'",
+                   "line 6: btu_to_wh must be exact, paper, or a Wh/Btu quantity, got 'approx'",
+                   "line 8: per_ev_energy must be a energy quantity literal, got '115'",
+                   "line 12: method must be one of a, b, both, got 'c'",
+                   "line 10: chemistry must be an identifier, got '\"nimh\"'",
+                   "line 11: batteries_per_ev must be a bare number, got '4 kWh'",
+                   "line 15: sweep value must be a number or quantity, got '\"x\"'",
+                   "line 16: sweep from must be a bare number, got '\"0\"'"]),
 ]
 
 

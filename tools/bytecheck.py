@@ -39,7 +39,8 @@ The calls:
 * the error of texts with several problems at once, an unknown chemistry or
   dataset among them, and of texts whose dataset is missing, unknown,
   malformed, a broken inline one beside other bad sections, or an inline
-  one without its ``[dataset]`` or ``[mix]`` section;
+  one without its ``[dataset]`` or ``[mix]`` section, and of one text with a
+  value of the wrong kind at each check that quotes the text written;
 * ``render_comparisons`` of every target alone and of all targets together,
   in every format;
 * ``render_comparisons`` in every format of hand-built results, each alone,
@@ -219,6 +220,10 @@ PROBLEM_TEXTS = (
     # an inline dataset without its [dataset] or its [mix] section
     "[mix]\ncoal = x\n[water]\ncoal = 3 kWh\n",
     "[dataset]\ntotal_generation = 1 kg\ncolour = 1\n[water]\ncoal = 3 kWh\n",
+    # a value of the wrong kind at each site that quotes the text written
+    '[meta]\nname = 5\ndataset = "us2005"\n[fleet]\nbasis = gallons\nbtu_to_wh = approx\n'
+    '[ev]\nper_ev_energy = 115\n[battery]\nchemistry = "nimh"\nbatteries_per_ev = 4 kWh\n'
+    'method = c\n[sweep]\npath = strategy.renewable_share\nvalues = 0.1, "x"\nfrom = "0"\n',
 )
 # text a JSON string escapes: a quote, a backslash, control characters, non-ASCII
 ODD_TEXTS = ('say "no"', "back\\slash", "tab\there\x00\x1f\x7f", "é ☃ \U0001f600", "")
