@@ -197,17 +197,16 @@ _FAILED_VALUES = ("",) * len(_SWEEP_COLUMNS)
 def _sweep_cells(points: Iterable[SweepPoint],
                  number: Callable[[float], str]) -> Iterator[list[str]]:
     """Each point's row as text: index, swept value, one cell per column ("" for
-    a failed point), error. A column is scaled and spelled by ``number`` again
-    only when its value differs from the previous evaluated point's, in value
-    or in type, or is a zero or NaN float, so neither 0.0 and -0.0 nor 1.0 and
-    1 share a cell; a Quantity is never -0.0 or NaN, so an equal one always
-    reuses the text."""
+    a failed point), error. A column keeps its text while its value is the
+    previous evaluated point's very object, or equals it in value and type and
+    is not a zero or NaN float, so neither 0.0 and -0.0 nor 1.0 and 1 share a
+    cell (a Quantity is never -0.0 or NaN); else ``number`` spells it scaled."""
     values, texts = _FAILED_VALUES, _FAILED_VALUES
     for i, p in enumerate(points):
         a, value = p.assessment, p.value
         if a is not None:
             new = _SWEEP_VALUES(a)
-            texts = [text if v == old and v and type(v) is type(old)
+            texts = [text if v is old or (v == old and v and type(v) is type(old))
                      else number(_scaled(v, unit))
                      for v, old, text, unit in zip(new, values, texts, _SWEEP_UNITS)]
             values = new

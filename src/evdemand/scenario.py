@@ -309,7 +309,8 @@ def _want_quantity(value: RawValue, dim: Dimension, key: str,
         except EvDemandError as exc:
             problems.add(f"{key}: {exc}", value)
             return None
-    return problems.wrong(value, key, f"a {dim.value} quantity literal")
+    article = "an" if dim.value[0] in "aeiou" else "a"
+    return problems.wrong(value, key, f"{article} {dim.value} quantity literal")
 
 
 class FieldSpec(NamedTuple):
@@ -935,16 +936,26 @@ def _check_basis(field: FieldSpec, basis: SharesBasis | GallonsBasis) -> None:
             f"{field.path} applies to the {_BASIS_NAMES[field.owner]} basis only")
 
 
+#: override path -> its index on ``Scenario``, and for a fleet basis field or the
+#: per-EV energy, its index on that record and the blank record it fills, if any
+_PLACES = {p: (Scenario._fields.index(f.attr), None, None) if f.owner is Scenario else
+           (Scenario._fields.index("ev_reference" if f.owner is ExplicitPerEv else "fleet_basis"),
+            f.owner._fields.index(f.attr), ExplicitPerEv(None) if f.owner is ExplicitPerEv else None)
+           for p, f in OVERRIDE_PATHS.items()}
+
+
 def apply_override(s: Scenario, path: str, value: float | Quantity) -> Scenario:
-    """Return a copy of ``s`` with one parameter replaced."""
+    """Return a copy of ``s`` with one parameter replaced, at its place in ``_PLACES``."""
     field = _override_field(path)
     coerced = field.coerce(value)
     _check_basis(field, s.fleet_basis)
-    if field.owner is Scenario:
-        return s._replace(**{field.attr: coerced})
-    if field.owner is ExplicitPerEv:
-        return s._replace(ev_reference=ExplicitPerEv(per_ev=coerced))
-    return s._replace(fleet_basis=s.fleet_basis._replace(**{field.attr: coerced}))
+    at, inner, blank = _PLACES[path]
+    if inner is not None:
+        record = blank or s[at]  # copied as ``_replace`` copies it: no owner overrides _make
+        coerced = tuple.__new__(type(record), (*record[:inner], coerced, *record[inner + 1:]))
+    fields = list(s)
+    fields[at] = coerced
+    return tuple.__new__(type(s), fields)
 
 
 def _reruns(path: str) -> tuple:
@@ -978,8 +989,8 @@ def iter_sweep(s: Scenario, spec: SweepSpec) -> Iterator[SweepPoint]:
         base, runs = {}, _STAGES
     for value in spec.points():
         try:
-            point = SweepPoint(value, _evaluate(apply_override(s, spec.path, value), runs,
-                                                dict(base)))
+            point = tuple.__new__(SweepPoint, (value, _evaluate(
+                apply_override(s, spec.path, value), runs, dict(base)), None))
         except EvDemandError as exc:
             point = SweepPoint(value, None, str(exc))
         yield point

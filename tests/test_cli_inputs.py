@@ -152,7 +152,7 @@ PROBLEM_LINES = [
     (WRONG_KINDS, ["line 2: name must be a string, got '5'",
                    "line 3: dataset must be an identifier, got '\"us2005\"'",
                    "line 6: btu_to_wh must be exact, paper, or a Wh/Btu quantity, got 'approx'",
-                   "line 8: per_ev_energy must be a energy quantity literal, got '115'",
+                   "line 8: per_ev_energy must be an energy quantity literal, got '115'",
                    "line 12: method must be one of a, b, both, got 'c'",
                    "line 10: chemistry must be an identifier, got '\"nimh\"'",
                    "line 11: batteries_per_ev must be a bare number, got '4 kWh'",

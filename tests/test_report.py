@@ -3,6 +3,7 @@ import io
 import itertools
 import json
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from evdemand.report import (
 from evdemand.scenario import (
     Convention,
     Method,
+    SweepPoint,
     SweepSpec,
     assess,
     load_builtin_scenario,
@@ -325,3 +327,11 @@ def test_int_figures_lay_out_as_the_library_writers_do(a):
     # json.dumps writes an int as an int, 0 and not 0.0
     assert render(a, "json") == _json_as_dumps(a)
     assert render(a, "csv") == _csv_as_writer(a)
+
+
+def test_a_sweep_cell_of_another_number_type_is_the_float_it_converts_to():
+    # ``_json_number`` writes anything neither an int nor a float as its float
+    a = _A2005._replace(conversion_fraction=Fraction(1, 4))
+    out = render_sweep("strategy.renewable_share", [SweepPoint(0.5, a)], "json")
+    assert '"conversion_fraction": 0.25,' in out
+    assert json.loads(out)["points"][0]["conversion_fraction"] == 0.25

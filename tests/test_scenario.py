@@ -121,6 +121,21 @@ class TestLoading:
                 r"pack_capacity, manufacture_energy, energy_density, pack_mass\)$")):
             _scn("\n[battery]\nchemistry = li_ion\n")
 
+    @pytest.mark.parametrize("extra, problem", [
+        ("\n[fleet]\nbasis = shares\ntotal_energy = 29000\n",
+         "line 7: total_energy must be an energy quantity literal, got '29000'"),
+        ("\n[battery]\nchemistry = mine\npack_capacity = 25 kWh\nmanufacture_energy = 1 MWh"
+         "\nenergy_density = 50\npack_mass = 500 kg\n",
+         "line 9: energy_density must be an energy_density quantity literal, got '50'"),
+        ("\n[ev]\npower = 5\nrange = 100 mi\nspeed = 50 mph\n",
+         "line 6: power must be a power quantity literal, got '5'"),
+    ], ids=["energy", "energy_density", "power"])
+    def test_a_bare_number_for_a_quantity_takes_the_article_of_its_dimension(self, extra,
+                                                                              problem):
+        with pytest.raises(ValidationError) as exc:
+            _scn(extra)
+        assert exc.value.problems == [problem]
+
     def test_unknown_key_is_error(self):
         with pytest.raises(ValidationError) as exc:
             _scn("\n[strategy]\nrenewable_shard = 30 %\n")

@@ -325,6 +325,21 @@ def test_reader_closing_stdout_early_ends_without_traceback():
     assert len(err.splitlines()) <= 1
 
 
+def test_reader_closing_stdout_after_the_header_is_a_write_failure():
+    # 10,001 rows fill the pipe long before the last, so a write meets the closed reader
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "evdemand", "sweep", "paper-2005",
+         "--path", "strategy.renewable_share", "--from", "0", "--to", "1",
+         "--step", "0.0001", "--format", "csv"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.stdout.readline().startswith(b"index,value,")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == "evdemand: cannot write output: [Errno 32] Broken pipe\n"
+
+
 # --- the report-unit table ----------------------------------------------------
 
 # each sweep column built per cell the long way, through in_unit or the pseudo-unit scale
