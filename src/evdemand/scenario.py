@@ -835,34 +835,43 @@ def _dataset_inputs(s: Scenario, r: dict) -> None:
                          for fuel, wi in s.water]
 
 
-@_stage("strategy.baseline_generation strategy.renewable_share", "baseline_wh share")
-def _strategy_inputs(s: Scenario, r: dict) -> None:
+@_stage("strategy.baseline_generation", "baseline_wh")
+def _baseline(s: Scenario, r: dict) -> None:
     r["baseline_wh"] = engine._expect(s.baseline_generation, Dimension.ENERGY,
                                       "baseline generation")
+
+
+@_stage("strategy.renewable_share", "share")
+def _share(s: Scenario, r: dict) -> None:
     r["share"] = engine._expect(s.renewable_share, Dimension.FRACTION, "renewable share")
 
 
-@_stage("fleet_wh per_ev_energy battery.batteries_per_ev battery.pack_capacity "
-        "battery.manufacture_energy",
-        "demand_a demand_b totals_demand battery_energy_for_totals total_additional_energy")
-def _demand(s: Scenario, r: dict) -> None:
-    fleet_wh = r["fleet_wh"]
-    demand_a = demand_b = None
-    if s.method in (Method.A, Method.BOTH):
-        demand_a = engine._battery_demand_method_a(fleet_wh, r["per_ev_energy"].canonical,
-                                                   s.batteries_per_ev, s.chemistry)
-    if s.method in (Method.B, Method.BOTH):
-        demand_b = engine._battery_demand_method_b(fleet_wh, s.chemistry)
-    r["demand_a"], r["demand_b"] = demand_a, demand_b
+@_stage("fleet_wh per_ev_energy battery.batteries_per_ev battery.manufacture_energy", "demand_a")
+def _demand_a(s: Scenario, r: dict) -> None:
+    r["demand_a"] = (engine._battery_demand_method_a(r["fleet_wh"], r["per_ev_energy"].canonical,
+                                                     s.batteries_per_ev, s.chemistry)
+                     if s.method in (Method.A, Method.BOTH) else None)
+
+
+@_stage("fleet_wh battery.pack_capacity battery.manufacture_energy", "demand_b")
+def _demand_b(s: Scenario, r: dict) -> None:
+    r["demand_b"] = (engine._battery_demand_method_b(r["fleet_wh"], s.chemistry)
+                     if s.method in (Method.B, Method.BOTH) else None)
+
+
+@_stage("fleet_wh demand_a demand_b",
+        "totals_demand battery_energy_for_totals total_additional_energy")
+def _totals(s: Scenario, r: dict) -> None:
     # the published total pairs the fleet demand with the pack-capacity
     # (method B) battery energy whenever that method is computed
-    r["totals_demand"] = totals_demand = demand_b if demand_b is not None else demand_a
+    demand_b = r["demand_b"]
+    r["totals_demand"] = totals_demand = demand_b if demand_b is not None else r["demand_a"]
     battery_energy = totals_demand.production_energy
     if s.convention is Convention.PUBLISHED:
         battery_energy = engine.printed_style(battery_energy)
     r["battery_energy_for_totals"] = battery_energy
     r["total_additional_energy"] = engine._total_additional_energy(
-        fleet_wh, battery_energy.canonical)
+        r["fleet_wh"], battery_energy.canonical)
 
 
 @_stage("emissions_t generation_wh", "carbon_intensity")
@@ -870,28 +879,35 @@ def _intensity(s: Scenario, r: dict) -> None:
     r["carbon_intensity"] = engine._carbon_intensity(r["emissions_t"], r["generation_wh"])
 
 
-@_stage("total_additional_energy carbon_intensity fleet_wh water_inputs",
-        "additional_co2 water")
-def _co2_and_water(s: Scenario, r: dict) -> None:
+# as the study computes them: CO2 from total additional energy, water from fleet energy
+@_stage("total_additional_energy carbon_intensity", "additional_co2")
+def _co2(s: Scenario, r: dict) -> None:
     r["additional_co2"] = engine._additional_co2(r["total_additional_energy"].canonical,
                                                  r["carbon_intensity"].canonical)
+
+
+@_stage("fleet_wh water_inputs", "water")
+def _water(s: Scenario, r: dict) -> None:
     fleet_wh = r["fleet_wh"]
     r["water"] = tuple([(fuel, engine._water_use(fleet_wh, share, gal_per_mwh))
                         for fuel, share, gal_per_mwh in r["water_inputs"]])
 
 
-@_stage("baseline_wh share fleet_wh total_additional_energy",
-        "renewable_supply conversion_fraction full_conversion deficit")
-def _strategy(s: Scenario, r: dict) -> None:
-    fleet_wh, baseline_wh = r["fleet_wh"], r["baseline_wh"]
-    r["renewable_supply"] = supply = engine._renewable_supply(baseline_wh, r["share"])
+@_stage("baseline_wh share fleet_wh", "renewable_supply conversion_fraction full_conversion")
+def _conversion(s: Scenario, r: dict) -> None:
+    fleet_wh = r["fleet_wh"]
+    r["renewable_supply"] = supply = engine._renewable_supply(r["baseline_wh"], r["share"])
     if fleet_wh == 0.0:
         fraction = 0.0
     else:
         fraction = engine._sustainable_conversion_fraction(supply.canonical, fleet_wh)
     r["conversion_fraction"], r["full_conversion"] = fraction, fraction >= 1.0
+
+
+@_stage("total_additional_energy baseline_wh", "deficit")
+def _deficit(s: Scenario, r: dict) -> None:
     r["deficit"] = engine._capacity_deficit(r["total_additional_energy"].canonical,
-                                            baseline_wh)
+                                            r["baseline_wh"])
 
 
 _FIELDS_OF = itemgetter(*Assessment._fields)
@@ -944,18 +960,30 @@ _PLACES = {p: (Scenario._fields.index(f.attr), None, None) if f.owner is Scenari
            for p, f in OVERRIDE_PATHS.items()}
 
 
-def apply_override(s: Scenario, path: str, value: float | Quantity) -> Scenario:
-    """Return a copy of ``s`` with one parameter replaced, at its place in ``_PLACES``."""
+def _overrider(s: Scenario, path: str) -> Callable[[float | Quantity], Scenario]:
+    """``apply_override`` of ``s`` at ``path`` as a function of the value. The
+    field, its place in ``_PLACES``, the record it fills and the fleet basis
+    are looked up once; each value is coerced, then the basis is checked."""
     field = _override_field(path)
-    coerced = field.coerce(value)
-    _check_basis(field, s.fleet_basis)
+    coerce, basis = field.coerce, s.fleet_basis
     at, inner, blank = _PLACES[path]
+    make, head, tail = type(s), s[:at], s[at + 1:]
     if inner is not None:
         record = blank or s[at]  # copied as ``_replace`` copies it: no owner overrides _make
-        coerced = tuple.__new__(type(record), (*record[:inner], coerced, *record[inner + 1:]))
-    fields = list(s)
-    fields[at] = coerced
-    return tuple.__new__(type(s), fields)
+        owner, before, after = type(record), record[:inner], record[inner + 1:]
+
+    def override(value):
+        coerced = coerce(value)
+        _check_basis(field, basis)
+        if inner is not None:
+            coerced = tuple.__new__(owner, (*before, coerced, *after))
+        return tuple.__new__(make, (*head, coerced, *tail))
+    return override
+
+
+def apply_override(s: Scenario, path: str, value: float | Quantity) -> Scenario:
+    """Return a copy of ``s`` with one parameter replaced, at its place in ``_PLACES``."""
+    return _overrider(s, path)(value)
 
 
 def _reruns(path: str) -> tuple:
@@ -976,21 +1004,22 @@ def iter_sweep(s: Scenario, spec: SweepSpec) -> Iterator[SweepPoint]:
     """Evaluate ``s`` at each sweep point in order, yielding each point as it
     is evaluated; a point that fails carries its error inline.
 
-    ``s`` is assessed once. A point reruns only the stages its path changes
-    and takes every other output from ``s``: those succeeded on the same
-    inputs, so the point equals a full ``assess`` of the overridden scenario,
-    error for error. If ``s`` fails, each point is assessed in full.
+    ``s`` is assessed, and its override at the path bound, once. A point
+    reruns only the stages its path changes and takes every other output
+    from ``s``: those succeeded on the same inputs, so the point equals a full
+    ``assess`` of the overridden scenario, error for error. If ``s`` fails,
+    each point is assessed in full.
     """
     base: dict = {}
-    runs = _RERUNS[spec.path]
+    override, runs = _overrider(s, spec.path), _RERUNS[spec.path]
     try:
         _evaluate(s, _STAGES, base)
     except EvDemandError:
         base, runs = {}, _STAGES
     for value in spec.points():
         try:
-            point = tuple.__new__(SweepPoint, (value, _evaluate(
-                apply_override(s, spec.path, value), runs, dict(base)), None))
+            point = tuple.__new__(SweepPoint, (value, _evaluate(override(value), runs,
+                                                               dict(base)), None))
         except EvDemandError as exc:
             point = SweepPoint(value, None, str(exc))
         yield point

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_assess_floats import FIXTURES, drawn_scenario, fractions, magnitudes
+from test_override import _reference_override
 
 from evdemand import engine
 from evdemand.errors import EvDemandError, InvalidSweep, UnknownParameter
@@ -88,6 +89,12 @@ def test_a_sweep_spec_copy_is_checked(change, error, message):
     ("battery.batteries_per_ev", "fleet_energy", 1),
     ("fleet.fuel_share", "_carbon_intensity", 1),
     ("fleet.fuel_share", "fleet_energy", 101),
+    # each stage writes only what depends on all it reads: the deficit does
+    # not read the renewable share, nor water or method B the batteries per EV
+    ("strategy.renewable_share", "_capacity_deficit", 1),
+    ("battery.batteries_per_ev", "_water_use", 2),  # paper-2005 has two water fuels
+    ("battery.batteries_per_ev", "_battery_demand_method_b", 1),
+    ("strategy.baseline_generation", "_renewable_supply", 101),
 ])
 def test_a_sweep_reruns_only_what_its_path_feeds(monkeypatch, path, counted, calls):
     """The base is assessed once; 100 points call ``counted`` again only if
@@ -121,3 +128,47 @@ def test_stages_read_fields_or_earlier_outputs_and_write_the_assessment():
         written += stage.writes
     assert len(written) == len(set(written))
     assert set(Assessment._fields) <= set(written)
+
+
+@pytest.mark.parametrize("path, good, bad", [
+    ("battery.batteries_per_ev", (2.0, 3.0), 0.5),  # fails in the override
+    ("fleet.total_energy", (2.9e16, 3.1e16), float("nan")),
+    ("ev.per_ev_energy", (25000.0, 30000.0), 0.0),  # fails in a stage
+])
+def test_a_failing_value_between_two_good_ones_leaves_their_scenarios_intact(path, good, bad):
+    """The override is bound once per sweep; no value leaves anything behind in it."""
+    before = repr(PAPER_2005)
+    points = list(iter_sweep(PAPER_2005, SweepSpec(path, [good[0], bad, good[1]])))
+    assert points[1].assessment is None and points[1].error
+    for point, value in zip(points[::2], good):
+        assert point.assessment.scenario == _reference_override(PAPER_2005, path, value)
+        assert point.assessment == assess(point.assessment.scenario)
+    assert points[0].assessment.scenario != points[2].assessment.scenario
+    assert repr(PAPER_2005) == before
+
+
+class _LoggedRecord(dict):
+    """A stage record that logs each key read from it."""
+
+    def __init__(self):
+        super().__init__()
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("name, method, convention", itertools.product(
+    ["paper-2005", "paper-2001"], Method, Convention))
+def test_each_stage_reads_only_the_outputs_it_declares(name, method, convention):
+    """A sweep point takes every output its path does not change from the
+    base, so an undeclared read would leave the point silently stale."""
+    s = load_builtin_scenario(name)._replace(method=method, convention=convention)
+    record = _LoggedRecord()
+    for stage in _STAGES:
+        record.read.clear()
+        had = set(record)
+        stage(s, record)
+        assert record.read <= stage.reads, stage.__name__
+        assert set(record) - had == set(stage.writes), stage.__name__

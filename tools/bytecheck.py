@@ -5,6 +5,7 @@ Usage::
 
     python tools/bytecheck.py <src-dir> <out.json>
     python tools/bytecheck.py --diff <a.json> <b.json>
+    python tools/bytecheck.py --digest
 
 ``<src-dir>`` is the ``src`` directory of the tree to check; its
 ``evdemand`` package is imported ahead of any other. The inputs come from
@@ -13,6 +14,12 @@ checked. Each output is stored under a key that names the call; a call that
 raises stores ``"<error class>: <message>"`` instead. Run the script once
 per tree, then compare the two files with ``--diff``, which prints each key
 whose output differs or that one file lacks, and exits 1 if there is any.
+
+The first two words of a key name its group. ``bytecheck.sha256`` beside
+this script holds one sha256 per group, of the outputs of the ``src``
+beside it; ``--digest`` rewrites that file, and ``tests/test_bytecheck.py``
+names each group whose outputs no longer match it. A change that alters
+outputs on purpose rewrites the file and says which groups moved.
 
 The calls:
 
@@ -110,6 +117,7 @@ The calls:
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import math
@@ -616,18 +624,49 @@ def diff(a_path: str, b_path: str) -> int:
     return 1 if differ else 0
 
 
-def main(argv: list[str]) -> int:
-    if len(argv) == 3 and argv[0] == "--diff":
-        return diff(argv[1], argv[2])
-    if len(argv) != 2 or argv[0].startswith("-"):
-        print("usage: python tools/bytecheck.py <src-dir> <out.json>\n"
-              "       python tools/bytecheck.py --diff <a.json> <b.json>", file=sys.stderr)
-        return 2
-    src_dir, out_path = argv
+DIGEST = Path(__file__).with_name("bytecheck.sha256")
+
+
+def group_digests(outputs: dict[str, str]) -> dict[str, str]:
+    """The sha256 of each key group's keys and outputs, in key order."""
+    groups: dict[str, dict[str, str]] = {}
+    for key in sorted(outputs):
+        groups.setdefault(" ".join(key.split()[:2]), {})[key] = outputs[key]
+    return {group: hashlib.sha256(json.dumps(members).encode()).hexdigest()
+            for group, members in groups.items()}
+
+
+def read_digests(path: Path = DIGEST) -> dict[str, str]:
+    """Group -> sha256, from lines ``<sha256>  <group>`` as ``--digest`` writes them."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    return {group: digest for digest, _, group in (line.partition("  ") for line in lines)}
+
+
+def _import(src_dir: str | Path):
+    """The ``evdemand`` package of ``src_dir``, and ``perfbench.gen`` beside this script."""
     sys.path[:0] = [str(Path(src_dir).resolve()), str(Path(__file__).resolve().parents[1])]
     import evdemand
     from perfbench import gen
 
+    return evdemand, gen
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "--diff":
+        return diff(argv[1], argv[2])
+    if argv == ["--digest"]:
+        digests = group_digests(_outputs(*_import(DIGEST.parents[1] / "src")))
+        DIGEST.write_text("".join(f"{digests[g]}  {g}\n" for g in sorted(digests)),
+                          encoding="utf-8")
+        print(f"{len(digests)} group digests written to {DIGEST}")
+        return 0
+    if len(argv) != 2 or argv[0].startswith("-"):
+        print("usage: python tools/bytecheck.py <src-dir> <out.json>\n"
+              "       python tools/bytecheck.py --diff <a.json> <b.json>\n"
+              "       python tools/bytecheck.py --digest", file=sys.stderr)
+        return 2
+    src_dir, out_path = argv
+    evdemand, gen = _import(src_dir)
     outputs = _outputs(evdemand, gen)
     Path(out_path).write_text(json.dumps(outputs, indent=1, sort_keys=True) + "\n",
                               encoding="utf-8")
