@@ -314,6 +314,6 @@ def capacity_deficit(fleet: Quantity, battery_energy: Quantity,
 def _capacity_deficit(total_wh: float, baseline_wh: float) -> CapacityDeficit:
     if baseline_wh == 0.0:
         raise ZeroBaseline("baseline generation must be positive")
-    return CapacityDeficit(_result(total_wh / baseline_wh, "total vs baseline ratio"),
-                           _result(max(0.0, total_wh - baseline_wh), "capacity deficit",
-                                   Dimension.ENERGY))
+    return _tuple_new(CapacityDeficit, (_result(total_wh / baseline_wh, "total vs baseline ratio"),
+                                        _result(max(0.0, total_wh - baseline_wh),
+                                                "capacity deficit", Dimension.ENERGY)))

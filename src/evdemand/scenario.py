@@ -664,8 +664,10 @@ def _resolve_sweep(section: Section | None, fleet_basis: SharesBasis | GallonsBa
         return None
     try:
         spec = SweepSpec(path, values, *bounds)
-        if fleet_basis is not None:  # else the [fleet] problems are recorded
-            _check_basis(OVERRIDE_PATHS[path], fleet_basis)
+        *_, basis, wrong_basis = _PLACES[path]
+        # without a fleet basis, the [fleet] problems are recorded
+        if fleet_basis is not None and not isinstance(fleet_basis, basis):
+            raise UnknownParameter(wrong_basis)
         return spec
     except EvDemandError as exc:
         problems.add(f"[sweep] {exc}")
@@ -790,19 +792,23 @@ _CATALOG_MEDIAN_PER_EV = engine.per_ev_energy(
 _STAGES: list = []  # the stage functions, in the order ``assess`` runs them
 
 
-def _stage(reads: str, writes: str):
+def _stage(reads: str | dict, writes: str):
     """Declares a stage of ``assess``: ``run(s, record)`` adds the keys in
     ``writes`` to the record, from the field paths and earlier outputs it
-    ``reads``; both are kept as attributes of ``run``."""
+    ``reads``, one string for every method or one per method; both are kept
+    as attributes of ``run``, ``reads`` as method -> frozenset."""
     def add(run):
-        run.reads, run.writes = frozenset(reads.split()), tuple(writes.split())
+        per_method = reads if isinstance(reads, dict) else dict.fromkeys(Method, reads)
+        run.reads = {m: frozenset(per_method[m].split()) for m in Method}
+        run.writes = tuple(writes.split())
         _STAGES.append(run)
         return run
     return add
 
 
-# A stage declares field paths and outputs only: the method, convention,
-# chemistry and water pairs are not fields, and no override replaces them.
+# A stage declares field paths and outputs only: the convention, chemistry and
+# water pairs are not fields, and no override replaces them; the method picks
+# what a demand or the totals stage reads.
 @_stage("fleet.total_energy fleet.transport_share fleet.fuel_share fleet.gallons "
         "fleet.heat_content fleet.btu_to_wh", "fleet_energy fleet_wh")
 def _fleet(s: Scenario, r: dict) -> None:
@@ -846,26 +852,30 @@ def _share(s: Scenario, r: dict) -> None:
     r["share"] = engine._expect(s.renewable_share, Dimension.FRACTION, "renewable share")
 
 
-@_stage("fleet_wh per_ev_energy battery.batteries_per_ev battery.manufacture_energy", "demand_a")
+_A_READS = "fleet_wh per_ev_energy battery.batteries_per_ev battery.manufacture_energy"
+_B_READS = "fleet_wh battery.pack_capacity battery.manufacture_energy"
+
+
+@_stage({Method.A: _A_READS, Method.B: "", Method.BOTH: _A_READS}, "demand_a")
 def _demand_a(s: Scenario, r: dict) -> None:
     r["demand_a"] = (engine._battery_demand_method_a(r["fleet_wh"], r["per_ev_energy"].canonical,
                                                      s.batteries_per_ev, s.chemistry)
                      if s.method in (Method.A, Method.BOTH) else None)
 
 
-@_stage("fleet_wh battery.pack_capacity battery.manufacture_energy", "demand_b")
+@_stage({Method.A: "", Method.B: _B_READS, Method.BOTH: _B_READS}, "demand_b")
 def _demand_b(s: Scenario, r: dict) -> None:
     r["demand_b"] = (engine._battery_demand_method_b(r["fleet_wh"], s.chemistry)
                      if s.method in (Method.B, Method.BOTH) else None)
 
 
-@_stage("fleet_wh demand_a demand_b",
+# the published total pairs the fleet demand with the pack-capacity (method B)
+# battery energy whenever that method is computed
+@_stage({Method.A: "fleet_wh demand_a", Method.B: "fleet_wh demand_b",
+         Method.BOTH: "fleet_wh demand_b"},
         "totals_demand battery_energy_for_totals total_additional_energy")
 def _totals(s: Scenario, r: dict) -> None:
-    # the published total pairs the fleet demand with the pack-capacity
-    # (method B) battery energy whenever that method is computed
-    demand_b = r["demand_b"]
-    r["totals_demand"] = totals_demand = demand_b if demand_b is not None else r["demand_a"]
+    r["totals_demand"] = totals_demand = r["demand_a" if s.method is Method.A else "demand_b"]
     battery_energy = totals_demand.production_energy
     if s.convention is Convention.PUBLISHED:
         battery_energy = engine.printed_style(battery_energy)
@@ -893,14 +903,19 @@ def _water(s: Scenario, r: dict) -> None:
                         for fuel, share, gal_per_mwh in r["water_inputs"]])
 
 
-@_stage("baseline_wh share fleet_wh", "renewable_supply conversion_fraction full_conversion")
+@_stage("baseline_wh share", "renewable_supply")
+def _supply(s: Scenario, r: dict) -> None:
+    r["renewable_supply"] = engine._renewable_supply(r["baseline_wh"], r["share"])
+
+
+@_stage("renewable_supply fleet_wh", "conversion_fraction full_conversion")
 def _conversion(s: Scenario, r: dict) -> None:
     fleet_wh = r["fleet_wh"]
-    r["renewable_supply"] = supply = engine._renewable_supply(r["baseline_wh"], r["share"])
     if fleet_wh == 0.0:
         fraction = 0.0
     else:
-        fraction = engine._sustainable_conversion_fraction(supply.canonical, fleet_wh)
+        fraction = engine._sustainable_conversion_fraction(r["renewable_supply"].canonical,
+                                                           fleet_wh)
     r["conversion_fraction"], r["full_conversion"] = fraction, fraction >= 1.0
 
 
@@ -945,40 +960,44 @@ def _override_field(path: str) -> FieldSpec:
     return OVERRIDE_PATHS[path]
 
 
-def _check_basis(field: FieldSpec, basis: SharesBasis | GallonsBasis) -> None:
-    """The fleet basis guard: a basis field applies to its own basis only."""
-    if field.owner in _BASIS_NAMES and not isinstance(basis, field.owner):
-        raise UnknownParameter(
-            f"{field.path} applies to the {_BASIS_NAMES[field.owner]} basis only")
+def _place(f: FieldSpec) -> tuple:
+    """What an override at ``f.path`` needs that the path alone decides: its
+    ``coerce``; its index on ``Scenario``; for a fleet basis field or the
+    per-EV energy, its index on that record, and the blank record it fills;
+    and the fleet basis it applies to (``object``: any), with the error a
+    scenario on the other basis raises."""
+    if f.owner is Scenario:
+        return f.coerce, Scenario._fields.index(f.attr), None, None, object, None
+    if f.owner is ExplicitPerEv:
+        return (f.coerce, Scenario._fields.index("ev_reference"), f.owner._fields.index(f.attr),
+                ExplicitPerEv(None), object, None)
+    return (f.coerce, Scenario._fields.index("fleet_basis"), f.owner._fields.index(f.attr), None,
+            f.owner, f"{f.path} applies to the {_BASIS_NAMES[f.owner]} basis only")
 
 
-#: override path -> its index on ``Scenario``, and for a fleet basis field or the
-#: per-EV energy, its index on that record and the blank record it fills, if any
-_PLACES = {p: (Scenario._fields.index(f.attr), None, None) if f.owner is Scenario else
-           (Scenario._fields.index("ev_reference" if f.owner is ExplicitPerEv else "fleet_basis"),
-            f.owner._fields.index(f.attr), ExplicitPerEv(None) if f.owner is ExplicitPerEv else None)
-           for p, f in OVERRIDE_PATHS.items()}
+_PLACES = {p: _place(f) for p, f in OVERRIDE_PATHS.items()}
 
 
 def _overrider(s: Scenario, path: str) -> Callable[[float | Quantity], Scenario]:
-    """``apply_override`` of ``s`` at ``path`` as a function of the value. The
-    field, its place in ``_PLACES``, the record it fills and the fleet basis
-    are looked up once; each value is coerced, then the basis is checked."""
-    field = _override_field(path)
-    coerce, basis = field.coerce, s.fleet_basis
-    at, inner, blank = _PLACES[path]
+    """``apply_override`` of ``s`` at ``path`` as a function of the value. Only
+    what ``s`` holds is bound here: the rest of the path's place comes from
+    ``_PLACES``, and whether ``s`` has the fleet basis the path needs is
+    decided once. Each value is coerced, then a wrong basis raises."""
+    if path not in _PLACES:
+        _override_field(path)  # raises UnknownParameter
+    coerce, at, inner, blank, basis, wrong_basis = _PLACES[path]
+    if not isinstance(s.fleet_basis, basis):
+        def refuse(value):
+            coerce(value)
+            raise UnknownParameter(wrong_basis)
+        return refuse
     make, head, tail = type(s), s[:at], s[at + 1:]
-    if inner is not None:
-        record = blank or s[at]  # copied as ``_replace`` copies it: no owner overrides _make
-        owner, before, after = type(record), record[:inner], record[inner + 1:]
-
-    def override(value):
-        coerced = coerce(value)
-        _check_basis(field, basis)
-        if inner is not None:
-            coerced = tuple.__new__(owner, (*before, coerced, *after))
-        return tuple.__new__(make, (*head, coerced, *tail))
-    return override
+    if inner is None:
+        return lambda value: tuple.__new__(make, (*head, coerce(value), *tail))
+    record = blank or s[at]  # copied as ``_replace`` copies it: no owner overrides _make
+    owner, before, after = type(record), record[:inner], record[inner + 1:]
+    return lambda value: tuple.__new__(make, (*head, tuple.__new__(
+        owner, (*before, coerce(value), *after)), *tail))
 
 
 def apply_override(s: Scenario, path: str, value: float | Quantity) -> Scenario:
@@ -986,18 +1005,19 @@ def apply_override(s: Scenario, path: str, value: float | Quantity) -> Scenario:
     return _overrider(s, path)(value)
 
 
-def _reruns(path: str) -> tuple:
-    """The stages an override at ``path`` changes, in ``assess`` order: those
-    that read it, and those that read what a changed stage wrote."""
+def _reruns(path: str, method: Method) -> tuple:
+    """The stages an override at ``path`` changes under ``method``, in
+    ``assess`` order: those that read it, and those that read what a changed
+    stage wrote."""
     changed, runs = {path}, []
     for stage in _STAGES:
-        if not changed.isdisjoint(stage.reads):
+        if not changed.isdisjoint(stage.reads[method]):
             changed.update(stage.writes)
             runs.append(stage)
     return tuple(runs)
 
 
-_RERUNS = {path: _reruns(path) for path in OVERRIDE_PATHS}
+_RERUNS = {(path, method): _reruns(path, method) for path in OVERRIDE_PATHS for method in Method}
 
 
 def iter_sweep(s: Scenario, spec: SweepSpec) -> Iterator[SweepPoint]:
@@ -1005,23 +1025,23 @@ def iter_sweep(s: Scenario, spec: SweepSpec) -> Iterator[SweepPoint]:
     is evaluated; a point that fails carries its error inline.
 
     ``s`` is assessed, and its override at the path bound, once. A point
-    reruns only the stages its path changes and takes every other output
-    from ``s``: those succeeded on the same inputs, so the point equals a full
-    ``assess`` of the overridden scenario, error for error. If ``s`` fails,
-    each point is assessed in full.
+    reruns only the stages its path changes under the scenario's method and
+    takes every other output from ``s``: those succeeded on the same inputs,
+    so the point equals a full ``assess`` of the overridden scenario, error
+    for error. If ``s`` fails, each point is assessed in full.
     """
     base: dict = {}
-    override, runs = _overrider(s, spec.path), _RERUNS[spec.path]
+    override, runs = _overrider(s, spec.path), _RERUNS[spec.path, s.method]
     try:
         _evaluate(s, _STAGES, base)
     except EvDemandError:
         base, runs = {}, _STAGES
+    new = tuple.__new__
     for value in spec.points():
         try:
-            point = tuple.__new__(SweepPoint, (value, _evaluate(override(value), runs,
-                                                               dict(base)), None))
+            point = new(SweepPoint, (value, _evaluate(override(value), runs, dict(base)), None))
         except EvDemandError as exc:
-            point = SweepPoint(value, None, str(exc))
+            point = new(SweepPoint, (value, None, str(exc)))
         yield point
 
 

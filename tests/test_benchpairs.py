@@ -1,6 +1,6 @@
 """The pair runner's pure summary, on hand-made benchmark records: medians,
-quartiles, pairs won, the parent's IQR, bounds, and the claim. No benchmark
-runs here."""
+quartiles, pairs won, the parent's IQR, bounds, and the claim; and its
+bytecheck digest check, on hand-made digests. No benchmark runs here."""
 
 import importlib.util
 from pathlib import Path
@@ -99,3 +99,15 @@ def test_launch_rounds_are_compared_round_by_round():
     assert times["parent_ms"] == {"runs": [50.0, 60.0, 40.0], "min": 40.0, "median": 50.0}
     assert times["median_paired_ratio"] == pytest.approx(0.9)
     assert (times["change_lower_rounds"], times["rounds"]) == (2, 3)
+
+
+def test_the_digest_check_names_each_moved_group_per_side_and_between_sides():
+    committed = {"cli": "c1", "seed 1": "s1", "seed 2": "s2"}
+    digests = {"parent": (committed, dict(committed)),
+               "change": ({**committed, "seed 2": "s2'"},
+                          {"cli": "c1", "seed 2": "s2'", "seed 3": "s3"})}
+    assert benchpairs.digest_check(digests) == {
+        "parent": [],
+        "change": ["added: seed 3", "gone: seed 1"],
+        "parent_to_change": ["differs: seed 2", "added: seed 3", "gone: seed 1"],
+    }

@@ -17,9 +17,7 @@ _SPEC.loader.exec_module(bytecheck)
 def test_every_bytecheck_group_matches_its_committed_digest():
     want = bytecheck.read_digests()
     got = bytecheck.group_digests(bytecheck._outputs(evdemand, gen))
-    moved = [f"differs: {g}" for g in sorted(want.keys() & got.keys()) if want[g] != got[g]]
-    moved += [f"added: {g}" for g in sorted(got.keys() - want.keys())]
-    moved += [f"gone: {g}" for g in sorted(want.keys() - got.keys())]
+    moved = bytecheck.moved_groups(want, got)
     assert not moved, ("bytecheck outputs moved; run tools/bytecheck.py on both trees and "
                        "--diff them to see the keys:\n" + "\n".join(moved))
 

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evdemand.errors import EvDemandError
+from evdemand.engine import GallonsBasis, SharesBasis
+from evdemand.errors import EvDemandError, UnknownParameter
 from evdemand.quantities import Dimension, Quantity, quantity
 from evdemand.scenario import (
     _PLACES,
@@ -21,12 +22,12 @@ from evdemand.scenario import (
     PowerRangeSpeed,
     Scenario,
     SweepPoint,
-    _check_basis,
     _override_field,
     apply_override,
     load_builtin_scenario,
 )
 
+BASES = {SharesBasis: "shares", GallonsBasis: "gallons"}
 FIXTURES = {"shares": load_builtin_scenario("paper-2005"),
             "gallons": load_builtin_scenario("paper-2001")}
 EV_REFERENCES = {
@@ -38,10 +39,12 @@ EV_REFERENCES = {
 
 
 def _reference_override(s, path, value):
-    """``apply_override`` as it was written, with one ``_replace`` per owner."""
+    """``apply_override`` as it was written, with one ``_replace`` per owner
+    and the fleet basis checked after ``coerce``."""
     field = _override_field(path)
     coerced = field.coerce(value)
-    _check_basis(field, s.fleet_basis)
+    if field.owner in BASES and not isinstance(s.fleet_basis, field.owner):
+        raise UnknownParameter(f"{path} applies to the {BASES[field.owner]} basis only")
     if field.owner is Scenario:
         return s._replace(**{field.attr: coerced})
     if field.owner is ExplicitPerEv:

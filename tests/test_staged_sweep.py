@@ -82,23 +82,36 @@ def test_a_sweep_spec_copy_is_checked(change, error, message):
         SweepSpec("strategy.renewable_share", [0.1, 0.2])._replace(**change)
 
 
-@pytest.mark.parametrize("path, counted, calls", [
-    ("strategy.renewable_share", "fleet_energy", 1),
-    ("strategy.renewable_share", "_carbon_intensity", 1),
-    ("strategy.baseline_generation", "_battery_demand_method_b", 1),
-    ("battery.batteries_per_ev", "fleet_energy", 1),
-    ("fleet.fuel_share", "_carbon_intensity", 1),
-    ("fleet.fuel_share", "fleet_energy", 101),
+BOTH, A, B = Method.BOTH, Method.A, Method.B
+
+
+@pytest.mark.parametrize("path, method, counted, calls", [
+    ("strategy.renewable_share", BOTH, "fleet_energy", 1),
+    ("strategy.renewable_share", BOTH, "_carbon_intensity", 1),
+    ("strategy.baseline_generation", BOTH, "_battery_demand_method_b", 1),
+    ("battery.batteries_per_ev", BOTH, "fleet_energy", 1),
+    ("fleet.fuel_share", BOTH, "_carbon_intensity", 1),
+    ("fleet.fuel_share", BOTH, "fleet_energy", 101),
     # each stage writes only what depends on all it reads: the deficit does
     # not read the renewable share, nor water or method B the batteries per EV
-    ("strategy.renewable_share", "_capacity_deficit", 1),
-    ("battery.batteries_per_ev", "_water_use", 2),  # paper-2005 has two water fuels
-    ("battery.batteries_per_ev", "_battery_demand_method_b", 1),
-    ("strategy.baseline_generation", "_renewable_supply", 101),
+    ("strategy.renewable_share", BOTH, "_capacity_deficit", 1),
+    ("battery.batteries_per_ev", BOTH, "_water_use", 2),  # paper-2005 has two water fuels
+    ("battery.batteries_per_ev", BOTH, "_battery_demand_method_b", 1),
+    ("strategy.baseline_generation", BOTH, "_renewable_supply", 101),
+    # the renewable supply has its own stage, which no fleet path feeds
+    ("fleet.fuel_share", BOTH, "_renewable_supply", 1),
+    # the totals read method B's demand whenever it is computed, so only
+    # under method A do the batteries or energy per EV reach them
+    ("battery.batteries_per_ev", BOTH, "_total_additional_energy", 1),
+    ("battery.batteries_per_ev", B, "_total_additional_energy", 1),
+    ("battery.batteries_per_ev", A, "_total_additional_energy", 101),
+    ("ev.per_ev_energy", BOTH, "_capacity_deficit", 1),
+    ("ev.per_ev_energy", B, "_capacity_deficit", 1),
+    ("ev.per_ev_energy", A, "_capacity_deficit", 101),
 ])
-def test_a_sweep_reruns_only_what_its_path_feeds(monkeypatch, path, counted, calls):
+def test_a_sweep_reruns_only_what_its_path_feeds(monkeypatch, path, method, counted, calls):
     """The base is assessed once; 100 points call ``counted`` again only if
-    their path feeds it."""
+    their path feeds it under the scenario's method."""
     real = getattr(engine, counted)
     made = []
 
@@ -108,23 +121,30 @@ def test_a_sweep_reruns_only_what_its_path_feeds(monkeypatch, path, counted, cal
 
     monkeypatch.setattr(engine, counted, counting)
     values = [k / 100 + (path == "battery.batteries_per_ev") for k in range(1, 101)]
-    points = list(iter_sweep(PAPER_2005, SweepSpec(path, values)))
+    points = list(iter_sweep(PAPER_2005._replace(method=method), SweepSpec(path, values)))
     assert all(p.assessment is not None for p in points)
     assert len(made) == calls
 
 
 def test_every_override_path_reaches_a_stage_that_reads_it():
+    """Each (path, method) plan holds every stage that reads the path under
+    that method, in ``assess`` order; every path is read under some method."""
+    assert set(_RERUNS) == set(itertools.product(OVERRIDE_PATHS, Method))
     for path in OVERRIDE_PATHS:
-        readers = [stage for stage in _STAGES if path in stage.reads]
-        assert readers, f"no stage reads {path}"
-        assert set(readers) <= set(_RERUNS[path])
+        assert any(path in stage.reads[m] for stage in _STAGES for m in Method), path
+        for method in Method:
+            plan = _RERUNS[path, method]
+            readers = [stage for stage in _STAGES if path in stage.reads[method]]
+            assert set(readers) <= set(plan), (path, method)
+            assert list(plan) == sorted(plan, key=_STAGES.index), (path, method)
 
 
 def test_stages_read_fields_or_earlier_outputs_and_write_the_assessment():
     fields = {f.path for f in FIELDS}
     written = ["scenario"]
     for stage in _STAGES:
-        assert stage.reads <= fields | set(written), stage.__name__
+        for method in Method:
+            assert stage.reads[method] <= fields | set(written), (stage.__name__, method)
         written += stage.writes
     assert len(written) == len(set(written))
     assert set(Assessment._fields) <= set(written)
@@ -163,12 +183,13 @@ class _LoggedRecord(dict):
     ["paper-2005", "paper-2001"], Method, Convention))
 def test_each_stage_reads_only_the_outputs_it_declares(name, method, convention):
     """A sweep point takes every output its path does not change from the
-    base, so an undeclared read would leave the point silently stale."""
+    base, so an undeclared read would leave the point silently stale; the
+    reads are checked against what the stage declares for the method."""
     s = load_builtin_scenario(name)._replace(method=method, convention=convention)
     record = _LoggedRecord()
     for stage in _STAGES:
         record.read.clear()
         had = set(record)
         stage(s, record)
-        assert record.read <= stage.reads, stage.__name__
+        assert record.read <= stage.reads[method], stage.__name__
         assert set(record) - had == set(stage.writes), stage.__name__

@@ -14,8 +14,11 @@ of both trees. Each of 10 pairs runs ``perfbench/run.py --workload all
 the parent first in odd pairs and the change first in even ones; 3 held-out
 seeds follow the pairs in the same alternation. Then each of 30 launch rounds times ``python -S -m evdemand
 run paper-2005`` and the same call with ``site`` in both trees, alternating
-which goes first. Every child runs without the caller's ``PYTHON*``
-variables.
+which goes first. Before the pairs, ``tools/bytecheck.py`` computes the
+group digests of each tree's outputs, and the file records, per side, each
+group that differs from that tree's committed ``tools/bytecheck.sha256``,
+was added or is gone, and the same from the parent's outputs to the
+change's. Every child runs without the caller's ``PYTHON*`` variables.
 
 The summary, ``summarize``, is pure: per workload and end-to-end metric, the
 median and quartiles (``statistics.quantiles``, n=4) of each side's runs,
@@ -32,6 +35,7 @@ import json
 import math
 import os
 import platform
+import runpy
 import statistics
 import subprocess
 import sys
@@ -49,6 +53,11 @@ STATISTIC = ("median and quartiles (statistics.quantiles, n=4) of the runs per s
              "change_worse_by is the median's relative change in the metric's worse "
              "direction; change_better_pairs counts the pairs the change won; parent_iqr "
              "is the distance between the parent's quartiles")
+# prints a tree's committed bytecheck group digests and those of its outputs
+# as JSON; it uses only the names every tree's ``tools/bytecheck.py`` has
+_DIGESTS = ("import json, runpy; b = runpy.run_path('tools/bytecheck.py'); "
+            "print(json.dumps([b['read_digests'](), "
+            "b['group_digests'](b['_outputs'](*b['_import']('src')))]))")
 _ALL_WELL = ("every end-to-end metric is within its bound, and every run of both sides was "
              "correct with no failed operation")
 
@@ -125,6 +134,16 @@ def claimed_gain(workloads: dict, held_out: dict, workload: str, metric: str,
     return block
 
 
+def digest_check(digests: dict[str, tuple[dict, dict]]) -> dict[str, list[str]]:
+    """``digests[side]`` is a tree's committed bytecheck group digests and
+    those of its outputs. Per side, the groups whose outputs moved from the
+    committed digests, and ``parent_to_change``: those that moved from the
+    parent's outputs to the change's; each as ``moved_groups`` names them."""
+    moved_groups = runpy.run_path(str(ROOT / "tools" / "bytecheck.py"))["moved_groups"]
+    return {**{side: moved_groups(*pair) for side, pair in digests.items()},
+            "parent_to_change": moved_groups(digests["parent"][1], digests["change"][1])}
+
+
 def paired_times(parent: list[float], change: list[float]) -> dict:
     """Wall times of alternating rounds: each side's runs, minimum and median,
     and the median of the change/parent ratios of the rounds."""
@@ -172,6 +191,16 @@ def _bench(tree: Path, seed: int, seconds: float) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def _digests(tree: Path) -> tuple[dict, dict]:
+    """``tree``'s committed bytecheck group digests, and those of its outputs."""
+    proc = subprocess.run([sys.executable, "-c", _DIGESTS], cwd=tree, env=_env(),
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"benchpairs: bytecheck in {tree} exited {proc.returncode}:\n"
+                         f"{proc.stderr[-2000:]}")
+    return tuple(json.loads(proc.stdout.strip().splitlines()[-1]))
+
+
 def _launch_ms(tree: Path, flags: list[str], cwd: str) -> float:
     t0 = time.perf_counter_ns()
     subprocess.run([sys.executable, *flags, *LAUNCH_ARGV], cwd=cwd, env=_env(tree),
@@ -206,6 +235,7 @@ def main(argv: list[str] | None = None) -> int:
         for tree in trees.values():
             subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench", "tools"],
                            cwd=tree, env=_env(), check=True, stdout=subprocess.DEVNULL)
+        bytecheck = digest_check({side: _digests(tree) for side, tree in trees.items()})
 
         def pairs(seed_list):
             runs = {"parent": [], "change": []}
@@ -246,7 +276,11 @@ def main(argv: list[str] | None = None) -> int:
                        "PYTHONPATH=<tree>/src: wall ms of python [-S] " + " ".join(LAUNCH_ARGV),
             **{name: paired_times(sides["parent"], sides["change"])
                for name, sides in launch.items()}},
-        "notes": notes(workloads, claim),
+        "bytecheck": {"command": "python tools/bytecheck.py's group digests of each tree's "
+                                 "outputs, against that tree's tools/bytecheck.sha256",
+                      **bytecheck},
+        "notes": notes(workloads, claim) + [f"bytecheck {side}: {len(moved)} groups moved"
+                                            for side, moved in bytecheck.items() if moved],
     }
     Path(args.out).write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
     print("\n".join(bench["notes"]))

@@ -18,7 +18,8 @@ whose output differs or that one file lacks, and exits 1 if there is any.
 The first two words of a key name its group. ``bytecheck.sha256`` beside
 this script holds one sha256 per group, of the outputs of the ``src``
 beside it; ``--digest`` rewrites that file, and ``tests/test_bytecheck.py``
-names each group whose outputs no longer match it. A change that alters
+names each group whose outputs no longer match it (``moved_groups``), as
+``tools/benchpairs.py`` does in both trees it compares. A change that alters
 outputs on purpose rewrites the file and says which groups moved.
 
 The calls:
@@ -640,6 +641,15 @@ def read_digests(path: Path = DIGEST) -> dict[str, str]:
     """Group -> sha256, from lines ``<sha256>  <group>`` as ``--digest`` writes them."""
     lines = path.read_text(encoding="utf-8").splitlines()
     return {group: digest for digest, _, group in (line.partition("  ") for line in lines)}
+
+
+def moved_groups(want: dict[str, str], got: dict[str, str]) -> list[str]:
+    """Each group whose digest in ``got`` differs from ``want``'s, or that
+    only one of them has: ``differs: <group>``, ``added: <group>`` (only in
+    ``got``) or ``gone: <group>``, each kind in group order."""
+    moved = [f"differs: {g}" for g in sorted(want.keys() & got.keys()) if want[g] != got[g]]
+    moved += [f"added: {g}" for g in sorted(got.keys() - want.keys())]
+    return moved + [f"gone: {g}" for g in sorted(want.keys() - got.keys())]
 
 
 def _import(src_dir: str | Path):
