@@ -198,16 +198,14 @@ def _sweep_cells(points: Iterable[SweepPoint],
                  number: Callable[[float], str]) -> Iterator[list[str]]:
     """Each point's row as text: index, swept value, one cell per column ("" for
     a failed point), error. A column keeps its text while its value is the
-    previous evaluated point's very object, or equals it in value and type and
-    is not a zero or NaN float, so neither 0.0 and -0.0 nor 1.0 and 1 share a
-    cell (a Quantity is never -0.0 or NaN); else ``number`` spells it scaled."""
+    previous evaluated point's very object (a sweep point shares with its base
+    every output it does not rerun); else ``number`` spells it scaled."""
     values, texts = _FAILED_VALUES, _FAILED_VALUES
     for i, p in enumerate(points):
         a, value = p.assessment, p.value
         if a is not None:
             new = _SWEEP_VALUES(a)
-            texts = [text if v is old or (v == old and v and type(v) is type(old))
-                     else number(_scaled(v, unit))
+            texts = [text if v is old else number(_scaled(v, unit))
                      for v, old, text, unit in zip(new, values, texts, _SWEEP_UNITS)]
             values = new
         yield [str(i), number(value.canonical if isinstance(value, Quantity) else value),

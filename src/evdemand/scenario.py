@@ -664,7 +664,7 @@ def _resolve_sweep(section: Section | None, fleet_basis: SharesBasis | GallonsBa
         return None
     try:
         spec = SweepSpec(path, values, *bounds)
-        *_, basis, wrong_basis = _PLACES[path]
+        *_, basis, wrong_basis = _override_field(path)
         # without a fleet basis, the [fleet] problems are recorded
         if fleet_basis is not None and not isinstance(fleet_basis, basis):
             raise UnknownParameter(wrong_basis)
@@ -937,11 +937,22 @@ def _evaluate(s: Scenario, runs: list | tuple, record: dict) -> Assessment:
     return tuple.__new__(Assessment, _FIELDS_OF(record))
 
 
+def _bad_choice(s: Scenario) -> str | None:
+    """What is wrong with ``s.method`` or ``s.convention`` if either is not a
+    member of its enum, as a record built by hand may hold; else None."""
+    for name, choice in (("method", Method), ("convention", Convention)):
+        if type(value := getattr(s, name)) is not choice:
+            return f"{name} must be one of {', '.join(map(str, choice))}, got {value!r}"
+    return None
+
+
 def assess(s: Scenario) -> Assessment:
     """Evaluate a scenario: fleet energy, demands, CO2, water, strategy, deficit.
 
     Deterministic and referentially transparent; runs every stage in order.
     """
+    if (problem := _bad_choice(s)) is not None:
+        raise ValidationError([problem])
     return _evaluate(s, _STAGES, {})
 
 
@@ -952,12 +963,13 @@ OVERRIDE_PATHS = MappingProxyType({f.path: f for f in FIELDS
                                    if f.owner in (Scenario, ExplicitPerEv, *_BASIS_NAMES)})
 
 
-def _override_field(path: str) -> FieldSpec:
-    """The field a sweep or override at ``path`` replaces."""
-    if path not in OVERRIDE_PATHS:
-        raise UnknownParameter(
-            f"unknown parameter path {path!r}; known: {', '.join(sorted(OVERRIDE_PATHS))}")
-    return OVERRIDE_PATHS[path]
+def _override_field(path: str) -> tuple:
+    """The place in ``_PLACES`` of the field an override at ``path`` replaces."""
+    try:
+        return _PLACES[path]
+    except (KeyError, TypeError):  # TypeError: a path that cannot be hashed
+        raise UnknownParameter(f"unknown parameter path {path!r}; known: "
+                               f"{', '.join(sorted(OVERRIDE_PATHS))}") from None
 
 
 def _place(f: FieldSpec) -> tuple:
@@ -983,9 +995,7 @@ def _overrider(s: Scenario, path: str) -> Callable[[float | Quantity], Scenario]
     what ``s`` holds is bound here: the rest of the path's place comes from
     ``_PLACES``, and whether ``s`` has the fleet basis the path needs is
     decided once. Each value is coerced, then a wrong basis raises."""
-    if path not in _PLACES:
-        _override_field(path)  # raises UnknownParameter
-    coerce, at, inner, blank, basis, wrong_basis = _PLACES[path]
+    coerce, at, inner, blank, basis, wrong_basis = _override_field(path)
     if not isinstance(s.fleet_basis, basis):
         def refuse(value):
             coerce(value)
@@ -1030,6 +1040,8 @@ def iter_sweep(s: Scenario, spec: SweepSpec) -> Iterator[SweepPoint]:
     so the point equals a full ``assess`` of the overridden scenario, error
     for error. If ``s`` fails, each point is assessed in full.
     """
+    if (problem := _bad_choice(s)) is not None:
+        raise ValidationError([problem])
     base: dict = {}
     override, runs = _overrider(s, spec.path), _RERUNS[spec.path, s.method]
     try:
@@ -1094,6 +1106,8 @@ def render_dataset(ds: ReferenceDataset, *, comments: list[str] | None = None) -
 def render_scenario(s: Scenario) -> str:
     """Scenario in file syntax, checked to load back to an equal Scenario;
     :class:`UnwritableScenario` where it would not."""
+    if (problem := _bad_choice(s)) is not None:
+        raise UnwritableScenario(problem)
     meta = [("name", quoted(s.name))]
     builtin = s.dataset.id in dataset_ids() and builtin_dataset(s.dataset.id) == s.dataset
     if builtin:

@@ -1,6 +1,7 @@
 """The pair runner's pure summary, on hand-made benchmark records: medians,
-quartiles, pairs won, the parent's IQR, bounds, and the claim; and its
-bytecheck digest check, on hand-made digests. No benchmark runs here."""
+quartiles, pairs won, the parent's IQR, bounds, and the claim; its
+bytecheck digest check, on hand-made digests; and its ``src/`` line count, on
+a temporary tree. No benchmark runs here."""
 
 import importlib.util
 from pathlib import Path
@@ -111,3 +112,17 @@ def test_the_digest_check_names_each_moved_group_per_side_and_between_sides():
         "change": ["added: seed 3", "gone: seed 1"],
         "parent_to_change": ["differs: seed 2", "added: seed 3", "gone: seed 1"],
     }
+
+
+def test_src_lines_counts_each_module_as_wc_does_and_the_total(tmp_path):
+    package = tmp_path / "src" / "pkg"
+    (package / "data").mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "a.py").write_text("x = 1\n\n# é\n")
+    (package / "data" / "b.py").write_text("y = 2\nz = 3")  # no final newline
+    (package / "data" / "c.scn").write_text("[meta]\n")
+    (package / "__pycache__").mkdir()
+    (package / "__pycache__" / "a.cpython-311.pyc").write_bytes(b"\n\n")
+    (tmp_path / "tools.py").write_text("\n")
+    assert benchpairs.src_lines(tmp_path) == {
+        "pkg/__init__.py": 0, "pkg/a.py": 3, "pkg/data/b.py": 1, "total": 4}

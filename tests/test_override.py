@@ -22,7 +22,6 @@ from evdemand.scenario import (
     PowerRangeSpeed,
     Scenario,
     SweepPoint,
-    _override_field,
     apply_override,
     load_builtin_scenario,
 )
@@ -41,7 +40,10 @@ EV_REFERENCES = {
 def _reference_override(s, path, value):
     """``apply_override`` as it was written, with one ``_replace`` per owner
     and the fleet basis checked after ``coerce``."""
-    field = _override_field(path)
+    if path not in OVERRIDE_PATHS:
+        raise UnknownParameter(
+            f"unknown parameter path {path!r}; known: {', '.join(sorted(OVERRIDE_PATHS))}")
+    field = OVERRIDE_PATHS[path]
     coerced = field.coerce(value)
     if field.owner in BASES and not isinstance(s.fleet_basis, field.owner):
         raise UnknownParameter(f"{path} applies to the {BASES[field.owner]} basis only")

@@ -1,4 +1,5 @@
 import json
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from evdemand.errors import (
     ParseError,
     UnknownParameter,
     UnknownScenario,
+    UnwritableScenario,
     ValidationError,
 )
 from evdemand.quantities import (
@@ -41,6 +43,7 @@ from evdemand.scenario import (
     apply_override,
     assess,
     builtin_scenario_text,
+    iter_sweep,
     load_builtin_scenario,
     load_scenario,
     parse_scenario,
@@ -313,6 +316,26 @@ class TestAssess:
         assert _row_notes(a)["conversion_fraction"] == \
             "full conversion: renewable supply covers the whole fleet"
 
+    @pytest.mark.parametrize("change, message", [
+        ({"method": "both"},
+         "method must be one of Method.A, Method.B, Method.BOTH, got 'both'"),
+        ({"method": None}, "method must be one of Method.A, Method.B, Method.BOTH, got None"),
+        ({"convention": "published"}, "convention must be one of Convention.CONSISTENT, "
+                                      "Convention.PUBLISHED, got 'published'"),
+    ])
+    def test_a_method_or_convention_that_is_no_member_is_a_typed_error(self, change, message):
+        """The loader builds only members; a record built by hand may hold any
+        value, and a string "published" must not pass for the consistent
+        convention."""
+        s = load_builtin_scenario("paper-2005")._replace(**change)
+        spec = SweepSpec("strategy.renewable_share", [0.1])
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            assess(s)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            next(iter_sweep(s, spec))
+        with pytest.raises(UnwritableScenario, match=f"^{re.escape(message)}$"):
+            render_scenario(s)
+
 
 class TestSweep:
     def test_renewable_share_points(self):
@@ -370,6 +393,16 @@ class TestSweep:
         s = load_builtin_scenario("paper-2005")
         with pytest.raises(UnknownParameter):
             sweep(s, SweepSpec.from_values("strategy.cloudiness", [0.1]))
+
+    @pytest.mark.parametrize("path", [["strategy.renewable_share"], {"a": 1}])
+    def test_an_unhashable_path_is_an_unknown_parameter(self, path):
+        """Spelled as for any other path that names no field, ``None`` or ``3``."""
+        message = f"unknown parameter path {path!r}; known: battery.batteries_per_ev, "
+        s = load_builtin_scenario("paper-2005")
+        with pytest.raises(UnknownParameter, match=f"^{re.escape(message)}"):
+            SweepSpec(path, [1.0])
+        with pytest.raises(UnknownParameter, match=f"^{re.escape(message)}"):
+            apply_override(s, path, 1.0)
 
     def test_per_point_failure_recorded_inline(self):
         s = load_builtin_scenario("paper-2005")

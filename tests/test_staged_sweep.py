@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from test_assess_floats import FIXTURES, drawn_scenario, fractions, magnitudes
 from test_override import _reference_override
 
-from evdemand import engine
+from evdemand import engine, scenario
 from evdemand.errors import EvDemandError, InvalidSweep, UnknownParameter
 from evdemand.scenario import (
     _RERUNS,
@@ -20,7 +20,9 @@ from evdemand.scenario import (
     OVERRIDE_PATHS,
     Assessment,
     Convention,
+    ExplicitPerEv,
     Method,
+    Scenario,
     SweepPoint,
     SweepSpec,
     apply_override,
@@ -137,6 +139,36 @@ def test_every_override_path_reaches_a_stage_that_reads_it():
             readers = [stage for stage in _STAGES if path in stage.reads[method]]
             assert set(readers) <= set(plan), (path, method)
             assert list(plan) == sorted(plan, key=_STAGES.index), (path, method)
+
+
+@pytest.mark.parametrize("name, method", itertools.product(["paper-2005", "paper-2001"], Method))
+def test_a_point_shares_every_output_its_plan_does_not_write_with_the_base(
+        monkeypatch, name, method):
+    """The sweep writer keeps a column's text only while its value is the
+    previous point's very object, so every ``Assessment`` field a plan does
+    not write must be the base assessment's own object."""
+    real, bases = scenario._evaluate, []
+
+    def recording(s, runs, record):
+        a = real(s, runs, record)
+        if runs is _STAGES:
+            bases.append(a)
+        return a
+
+    monkeypatch.setattr(scenario, "_evaluate", recording)
+    s = load_builtin_scenario(name)._replace(method=method)
+    for path, field in OVERRIDE_PATHS.items():
+        bases.clear()
+        values = [2, 3] if field.dim is None else [0.5, 0.25]  # in every field's domain
+        points = list(iter_sweep(s, SweepSpec(path, values)))
+        if field.owner not in (Scenario, ExplicitPerEv, type(s.fleet_basis)):
+            assert all(p.assessment is None for p in points), path  # the other basis
+            continue
+        [base] = bases
+        written = {"scenario"}.union(*(stage.writes for stage in _RERUNS[path, method]))
+        for point in points:
+            for f in set(Assessment._fields) - written:
+                assert getattr(point.assessment, f) is getattr(base, f), (path, f)
 
 
 def test_stages_read_fields_or_earlier_outputs_and_write_the_assessment():

@@ -3,8 +3,9 @@
 ``json.dumps(..., indent=2)`` gives, memory stays flat as the point count
 grows, and the CLI survives a reader that closes stdout early. A sweep row's
 cells, read through the report-unit table, equal the ones ``in_unit`` gives,
-and the table keeps every dimension check. A row reuses a column's text while
-its value repeats, and writes the bytes of a writer that reuses nothing. A
+and the table keeps every dimension check. A row reuses a column's text only
+while its value is the previous evaluated point's very object, and writes the
+bytes of a writer that reuses nothing. A
 csv sweep quotes an error, and every csv writer its cells, as Python 3.11's
 csv module does, under every interpreter."""
 

@@ -18,7 +18,9 @@ which goes first. Before the pairs, ``tools/bytecheck.py`` computes the
 group digests of each tree's outputs, and the file records, per side, each
 group that differs from that tree's committed ``tools/bytecheck.sha256``,
 was added or is gone, and the same from the parent's outputs to the
-change's. Every child runs without the caller's ``PYTHON*`` variables.
+change's. It also records each tree's ``src/`` line count, per module and
+in total, as ``wc -l`` counts them. Every child runs without the caller's
+``PYTHON*`` variables.
 
 The summary, ``summarize``, is pure: per workload and end-to-end metric, the
 median and quartiles (``statistics.quantiles``, n=4) of each side's runs,
@@ -144,6 +146,15 @@ def digest_check(digests: dict[str, tuple[dict, dict]]) -> dict[str, list[str]]:
             "parent_to_change": moved_groups(digests["parent"][1], digests["change"][1])}
 
 
+def src_lines(tree: Path) -> dict[str, int]:
+    """The lines of each Python module under ``tree``'s ``src/``, as ``wc -l``
+    counts them, keyed by its path there, and their ``total``."""
+    src = tree / "src"
+    lines = {path.relative_to(src).as_posix(): path.read_bytes().count(b"\n")
+             for path in sorted(src.rglob("*.py"))}
+    return {**lines, "total": sum(lines.values())}
+
+
 def paired_times(parent: list[float], change: list[float]) -> dict:
     """Wall times of alternating rounds: each side's runs, minimum and median,
     and the median of the change/parent ratios of the rounds."""
@@ -236,6 +247,7 @@ def main(argv: list[str] | None = None) -> int:
             subprocess.run([sys.executable, "-m", "compileall", "-q", "src", "perfbench", "tools"],
                            cwd=tree, env=_env(), check=True, stdout=subprocess.DEVNULL)
         bytecheck = digest_check({side: _digests(tree) for side, tree in trees.items()})
+        lines = {side: src_lines(tree) for side, tree in trees.items()}
 
         def pairs(seed_list):
             runs = {"parent": [], "change": []}
@@ -276,6 +288,7 @@ def main(argv: list[str] | None = None) -> int:
                        "PYTHONPATH=<tree>/src: wall ms of python [-S] " + " ".join(LAUNCH_ARGV),
             **{name: paired_times(sides["parent"], sides["change"])
                for name, sides in launch.items()}},
+        "src_lines": lines,
         "bytecheck": {"command": "python tools/bytecheck.py's group digests of each tree's "
                                  "outputs, against that tree's tools/bytecheck.sha256",
                       **bytecheck},
