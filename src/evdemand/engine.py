@@ -85,9 +85,16 @@ _tuple_new = tuple.__new__
 
 
 def _expect(q: Quantity, dim: Dimension, what: str) -> float:
-    if q.dimension is not dim:
-        raise DimensionMismatch(f"{what} must be {dim.value}, got {q.dimension.value}")
-    return q.canonical
+    """The canonical magnitude of ``q``, a ``dim`` quantity; else
+    :class:`DimensionMismatch` naming its dimension, or the value itself if it
+    is not a quantity, as a record built by hand may hold."""
+    try:
+        if q.dimension is dim:
+            return q.canonical
+        got = q.dimension.value
+    except AttributeError:
+        got = repr(q)
+    raise DimensionMismatch(f"{what} must be {dim.value}, got {got}")
 
 
 def _result(value: float, output: str, dim: Dimension | None = None) -> Quantity | float:

@@ -20,11 +20,12 @@ import operator
 from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 
 from . import engine
-from .errors import DimensionMismatch, InvalidRenderOption, UnknownTarget
+from .errors import DimensionMismatch, InvalidRenderOption, UnknownTarget, ValidationError
 from .quantities import CATALOG, Dimension, Quantity, check_sig_digits
 from .quantities import _format_sig as _sig  # shared deterministic digit renderer
 from .refdata import builtin_chemistry, builtin_ev_catalog, catalog_stats, source_group_energy
-from .scenario import Assessment, SweepPoint, assess, load_builtin_scenario, scenario_echo
+from .scenario import (Assessment, SweepPoint, _bad_field, assess, load_builtin_scenario,
+                       scenario_echo)
 
 __all__ = [
     "CellResult",
@@ -145,6 +146,8 @@ def _assessment_rows(a: Assessment, digits: int | None) -> list[_Row]:
 def render(a: Assessment, fmt: str = "text", digits: int | None = None) -> str:
     """Render one assessment as text, csv, or json; text values take
     ``digits`` significant digits, or their unit's default when it is None."""
+    if (problem := _bad_field(a.scenario)) is not None:
+        raise ValidationError([problem])
     rows = _assessment_rows(a, digits if digits is None else check_sig_digits(digits))
     if fmt == "text":
         s = a.scenario
@@ -213,11 +216,11 @@ def _sweep_cells(points: Iterable[SweepPoint],
 
 
 def _json_number(x: float) -> str:
-    """``x`` as ``json.dumps`` spells it: an int as an int, anything else as
-    the float it converts to."""
+    """``x`` as ``json.dumps`` spells it: a bool as ``true`` or ``false``, an
+    int as an int, anything else as the float it converts to."""
     if type(x) is not float:
         if isinstance(x, int):
-            return int.__repr__(x)
+            return int.__repr__(x) if type(x) is not bool else "true" if x else "false"
         x = float(x)
     if math.isfinite(x):
         return repr(x)
@@ -226,13 +229,14 @@ def _json_number(x: float) -> str:
 
 def _json_value(x, quote: Callable[[str], str], indent: str = "") -> str:
     """``x`` as ``json.dumps(x, indent=2, sort_keys=True)`` writes it, each line
-    after the first indented by ``indent``: a str, float, int, bool or None, or a
-    dict or list of them, nested to any depth; ``quote`` spells a string."""
+    after the first indented by ``indent``: a str, which ``quote`` spells, None,
+    a dict, list or tuple of values nested to any depth, or any other value,
+    which ``_json_number`` spells (a number or a bool)."""
     if isinstance(x, str):
         return quote(x)
-    if x is None or x is True or x is False:
-        return "null" if x is None else "true" if x else "false"
-    if isinstance(x, (int, float)):
+    if x is None:
+        return "null"
+    if not isinstance(x, (dict, list, tuple)):
         return _json_number(x)
     inner = indent + "  "
     if isinstance(x, dict):
@@ -499,34 +503,20 @@ def reproduce(target_ids: list[str] | None = None) -> list[ComparisonResult]:
 def render_comparisons(results: list[ComparisonResult], fmt: str = "text",
                        digits: int | None = None) -> str:
     """Render reproduction results; erratum cells stay visibly flagged. Text
-    figures take ``digits`` significant digits, 6 when it is None."""
+    figures take ``digits`` significant digits, 6 when it is None. json is one
+    ``_json_value`` call over a list of one dict per result, each holding one
+    dict per cell: the bytes ``json.dumps(..., indent=2, sort_keys=True)``
+    writes."""
     digits = _DIGITS["compare"] if digits is None else check_sig_digits(digits)
     if fmt == "json":
-        # the bytes json.dumps(..., indent=2, sort_keys=True) writes for a list of
-        # one object per result, each holding one object per cell; a status needs
-        # no escape
         from json.encoder import encode_basestring_ascii as quote
-
-        def cell(c: CellResult) -> str:
-            return (f'      {{\n        "anchor": {quote(c.anchor)},\n'
-                    f'        "computed": {_json_number(c.computed)},\n'
-                    f'        "expected": {_json_number(c.expected)},\n'
-                    f'        "label": {quote(c.label)},\n'
-                    + (f'        "note": {quote(c.note)},\n' if c.note else "")
-                    + f'        "rel_err": {_json_number(c.rel_err)},\n'
-                    f'        "status": "{c.status}",\n'
-                    f'        "unit": {quote(c.unit)}\n      }}')
-
-        def result(r: ComparisonResult) -> str:
-            cells = ",\n".join(map(cell, r.cells))
-            return ('  {\n    "cells": ' + (f"[\n{cells}\n    ]" if cells else "[]")
-                    + f',\n    "notes": {_json_value(list(r.notes), quote, "    ")},\n'
-                    f'    "passed": {"true" if r.passed else "false"},\n'
-                    f'    "target": {quote(r.target_id)},\n'
-                    f'    "title": {quote(r.title)}\n  }}')
-
-        body = ",\n".join(map(result, results))
-        return f"[\n{body}\n]\n" if body else "[]\n"
+        return _json_value([
+            {"cells": [{"anchor": c.anchor, "computed": c.computed, "expected": c.expected,
+                        "label": c.label, **({"note": c.note} if c.note else {}),
+                        "rel_err": c.rel_err, "status": c.status, "unit": c.unit}
+                       for c in r.cells],
+             "notes": r.notes, "passed": r.passed, "target": r.target_id, "title": r.title}
+            for r in results], quote) + "\n"
     if fmt == "csv":
         return "target,cell,computed,expected,unit,rel_err,status,anchor\n" + "".join(
             f"{_csv(r.target_id)},{_csv(c.label)},{c.computed!s},{c.expected!s},"

@@ -38,7 +38,7 @@ import functools
 import math
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from types import MappingProxyType
+from types import MappingProxyType, NoneType
 from typing import Callable, Iterator, NamedTuple
 
 from . import engine
@@ -937,12 +937,32 @@ def _evaluate(s: Scenario, runs: list | tuple, record: dict) -> Assessment:
     return tuple.__new__(Assessment, _FIELDS_OF(record))
 
 
-def _bad_choice(s: Scenario) -> str | None:
-    """What is wrong with ``s.method`` or ``s.convention`` if either is not a
-    member of its enum, as a record built by hand may hold; else None."""
-    for name, choice in (("method", Method), ("convention", Convention)):
-        if type(value := getattr(s, name)) is not choice:
-            return f"{name} must be one of {', '.join(map(str, choice))}, got {value!r}"
+# each field of a Scenario but its name and its quantities -> the types it may
+# hold (a number that is not a bool, for a count); ``engine._expect`` checks a
+# quantity where a stage reads it
+_FIELD_TYPES = {
+    "dataset": (ReferenceDataset,),
+    "fleet_basis": (SharesBasis, GallonsBasis),
+    "ev_reference": EvReference.__args__,
+    "batteries_per_ev": (int, float),
+    "chemistry": (BatteryChemistry,),
+    "method": (Method,),
+    "convention": (Convention,),
+    "water": (tuple,),
+    "sweep_spec": (SweepSpec, NoneType),
+}
+_FIELD_VALUES = attrgetter(*_FIELD_TYPES)
+
+
+def _bad_field(s: Scenario) -> str | None:
+    """What is wrong with the first field of ``s`` whose type ``_FIELD_TYPES``
+    does not allow, as a record built by hand may hold; else None."""
+    for (name, types), value in zip(_FIELD_TYPES.items(), _FIELD_VALUES(s)):
+        if type(value) not in types:
+            if issubclass(types[0], enum.Enum):
+                return f"{name} must be one of {', '.join(map(str, types[0]))}, got {value!r}"
+            what = " or ".join("None" if t is NoneType else t.__name__ for t in types)
+            return f"{name} must be {what}, got {value!r}"
     return None
 
 
@@ -951,7 +971,7 @@ def assess(s: Scenario) -> Assessment:
 
     Deterministic and referentially transparent; runs every stage in order.
     """
-    if (problem := _bad_choice(s)) is not None:
+    if (problem := _bad_field(s)) is not None:
         raise ValidationError([problem])
     return _evaluate(s, _STAGES, {})
 
@@ -1040,7 +1060,7 @@ def iter_sweep(s: Scenario, spec: SweepSpec) -> Iterator[SweepPoint]:
     so the point equals a full ``assess`` of the overridden scenario, error
     for error. If ``s`` fails, each point is assessed in full.
     """
-    if (problem := _bad_choice(s)) is not None:
+    if (problem := _bad_field(s)) is not None:
         raise ValidationError([problem])
     base: dict = {}
     override, runs = _overrider(s, spec.path), _RERUNS[spec.path, s.method]
@@ -1106,7 +1126,7 @@ def render_dataset(ds: ReferenceDataset, *, comments: list[str] | None = None) -
 def render_scenario(s: Scenario) -> str:
     """Scenario in file syntax, checked to load back to an equal Scenario;
     :class:`UnwritableScenario` where it would not."""
-    if (problem := _bad_choice(s)) is not None:
+    if (problem := _bad_field(s)) is not None:
         raise UnwritableScenario(problem)
     meta = [("name", quoted(s.name))]
     builtin = s.dataset.id in dataset_ids() and builtin_dataset(s.dataset.id) == s.dataset

@@ -202,7 +202,10 @@ def number(text: str) -> float:
 
 def quoted(text: str) -> str:
     """``text`` as a double-quoted string value. Strings have no escapes, so
-    text with a ``"`` or a line break raises :class:`UnquotableText`."""
+    text with a ``"`` or a line break raises :class:`UnquotableText`, as does
+    a value that is not a str."""
+    if not isinstance(text, str):
+        raise UnquotableText(f"cannot write {text!r} as a quoted string: it is not text")
     if '"' in text or _breaks_line(text):
         raise UnquotableText(f"cannot write {text!r} as a quoted string: "
                              "it holds a '\"' or a line break")
@@ -217,7 +220,7 @@ def _breaks_line(text: str) -> bool:
 def text_literal(text: str) -> str:
     """A string value in file syntax: bare when it reads back as an
     identifier, double-quoted otherwise."""
-    return text if is_ident(text) else quoted(text)
+    return text if isinstance(text, str) and is_ident(text) else quoted(text)
 
 
 def is_ident(text: str) -> bool:

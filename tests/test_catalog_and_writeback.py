@@ -209,14 +209,17 @@ def test_a_comment_of_more_than_one_line_is_refused(comment):
 
 
 # a value that is not an int or a float (a bool included, as FieldSpec.coerce and
-# Quantity refuse it) has no literal, in a bare field or a quantity field alike
+# Quantity refuse it) has no literal, in a bare field or a quantity field alike;
+# render_scenario refuses a scenario's count before it writes a literal
 @pytest.mark.parametrize("value", [None, "abc", "1", b"1", [1.0], 1 + 2j, True],
                          ids=["None", "str", "digit-str", "bytes", "list", "complex", "bool"])
-@pytest.mark.parametrize("write", [
-    literal,
-    lambda v: render_scenario(_PAPER_2005._replace(batteries_per_ev=v)),
-    lambda v: render_dataset(builtin_dataset("us2005")._replace(co2_total=v)),
+@pytest.mark.parametrize("write, message", [
+    (literal, "{!r} is not a number"),
+    (lambda v: render_scenario(_PAPER_2005._replace(batteries_per_ev=v)),
+     "batteries_per_ev must be int or float, got {!r}"),
+    (lambda v: render_dataset(builtin_dataset("us2005")._replace(co2_total=v)),
+     "{!r} is not a number"),
 ], ids=["literal", "render_scenario", "render_dataset"])
-def test_a_value_that_is_not_a_number_has_no_literal(write, value):
-    with pytest.raises(UnwritableScenario, match=f"^{re.escape(repr(value))} is not a number$"):
+def test_a_value_that_is_not_a_number_has_no_literal(write, message, value):
+    with pytest.raises(UnwritableScenario, match=f"^{re.escape(message.format(value))}$"):
         write(value)

@@ -92,6 +92,15 @@ def test_text_literal_quotes_only_what_is_not_an_identifier():
     _refuses(lambda: text_literal("us2005\n"), "us2005\n")
 
 
+@pytest.mark.parametrize("text", [None, 2005, b"us2005"], ids=["None", "int", "bytes"])
+def test_a_text_that_is_not_a_str_is_refused(text):
+    _refuses(lambda: quoted(text), text)
+    _refuses(lambda: text_literal(text), text)
+    s = load_builtin_scenario("paper-2005")
+    _refuses(lambda: render_scenario(s._replace(name=text)), text)
+    _refuses(lambda: render_dataset(s.dataset._replace(id=text)), text)
+
+
 def test_first_unknown_source_in_order_is_reported():
     mix = builtin_dataset("us2005").mix
     with pytest.raises(UnknownSource) as exc:

@@ -233,7 +233,7 @@ _SYNTHETIC = [
     ComparisonResult("odd", 'title "é"', tuple(
         CellResult(label, computed, 2.0, "TWh", rule, 0.1, anchor, note)
         for label, anchor, note in zip(_ODD, reversed(_ODD), _ODD[2:] + _ODD[:2])
-        for computed in (1.5, math.inf, -math.inf, math.nan)
+        for computed in (1.5, math.inf, -math.inf, math.nan, True)
         for rule in ("rel", "erratum")), ("a note", *_ODD)),
     ComparisonResult("no-notes", "T", (CellResult("x", 0.0, 0.0, "frac", "exact", 0.0, "y"),)),
     ComparisonResult("no-cells", "", (), ("n",)),
@@ -322,9 +322,10 @@ _A2005 = assess(load_builtin_scenario("paper-2005"))
 @pytest.mark.parametrize("a", [
     _A2005._replace(conversion_fraction=0),
     _A2005._replace(deficit=_A2005.deficit._replace(ratio_to_baseline=2)),
-], ids=["fraction", "ratio"])
+    _A2005._replace(conversion_fraction=True),
+], ids=["fraction", "ratio", "bool"])
 def test_int_figures_lay_out_as_the_library_writers_do(a):
-    # json.dumps writes an int as an int, 0 and not 0.0
+    # json.dumps writes an int as an int, 0 and not 0.0, and a bool as true
     assert render(a, "json") == _json_as_dumps(a)
     assert render(a, "csv") == _csv_as_writer(a)
 
@@ -335,3 +336,6 @@ def test_a_sweep_cell_of_another_number_type_is_the_float_it_converts_to():
     out = render_sweep("strategy.renewable_share", [SweepPoint(0.5, a)], "json")
     assert '"conversion_fraction": 0.25,' in out
     assert json.loads(out)["points"][0]["conversion_fraction"] == 0.25
+    cell = CellResult("x", Fraction(1, 4), 1.0, "frac", "rel", 0.1, "y")
+    out = render_comparisons([ComparisonResult("t", "T", (cell,))], "json")
+    assert '"computed": 0.25,' in out and '"rel_err": 0.75,' in out

@@ -13,6 +13,7 @@ from evdemand.engine import (
     SharesBasis,
 )
 from evdemand.errors import (
+    DimensionMismatch,
     InvalidSweep,
     ParseError,
     UnknownParameter,
@@ -317,24 +318,61 @@ class TestAssess:
             "full conversion: renewable supply covers the whole fleet"
 
     @pytest.mark.parametrize("change, message", [
+        ({"dataset": None}, "dataset must be ReferenceDataset, got None"),
+        ({"fleet_basis": None}, "fleet_basis must be SharesBasis or GallonsBasis, got None"),
+        ({"ev_reference": None},
+         "ev_reference must be ExplicitPerEv or PowerRangeSpeed or CatalogMedian, got None"),
+        ({"batteries_per_ev": "4"}, "batteries_per_ev must be int or float, got '4'"),
+        ({"batteries_per_ev": True}, "batteries_per_ev must be int or float, got True"),
+        ({"chemistry": None}, "chemistry must be BatteryChemistry, got None"),
         ({"method": "both"},
          "method must be one of Method.A, Method.B, Method.BOTH, got 'both'"),
         ({"method": None}, "method must be one of Method.A, Method.B, Method.BOTH, got None"),
         ({"convention": "published"}, "convention must be one of Convention.CONSISTENT, "
                                       "Convention.PUBLISHED, got 'published'"),
-    ])
-    def test_a_method_or_convention_that_is_no_member_is_a_typed_error(self, change, message):
-        """The loader builds only members; a record built by hand may hold any
-        value, and a string "published" must not pass for the consistent
-        convention."""
+        ({"water": None}, "water must be tuple, got None"),
+        ({"sweep_spec": "x"}, "sweep_spec must be SweepSpec or None, got 'x'"),
+    ], ids=["dataset", "fleet_basis", "ev_reference", "batteries_per_ev", "bool-count",
+            "chemistry", "method", "method-None", "convention", "water", "sweep_spec"])
+    def test_a_field_of_another_type_is_a_typed_error(self, change, message):
+        """The loader builds only members of each type; a record built by hand
+        may hold any value. It is refused before any stage runs, so a string
+        "published" does not pass for the consistent convention, nor an
+        ``ev_reference`` of None for the catalog median."""
         s = load_builtin_scenario("paper-2005")._replace(**change)
-        spec = SweepSpec("strategy.renewable_share", [0.1])
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             assess(s)
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-            next(iter_sweep(s, spec))
+            next(iter_sweep(s, SweepSpec("strategy.renewable_share", [0.1])))
         with pytest.raises(UnwritableScenario, match=f"^{re.escape(message)}$"):
             render_scenario(s)
+        a = assess(load_builtin_scenario("paper-2005"))._replace(scenario=s)
+        for fmt in ("text", "csv", "json"):
+            with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+                render(a, fmt)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"renewable_share": 0.5}, "renewable share must be fraction, got 0.5"),
+        ({"baseline_generation": 4055.0}, "baseline generation must be energy, got 4055.0"),
+        ({"fleet_basis": SharesBasis(4953.0, quantity(0.28, "frac"), quantity(0.61, "frac"))},
+         "total energy must be energy, got 4953.0"),
+        ({"fleet_basis": GallonsBasis(quantity(1e9, "gal"), None, None)},
+         "heat content must be heat_content, got None"),
+        ({"ev_reference": ExplicitPerEv(115.0)}, "per-EV energy must be energy, got 115.0"),
+        ({"ev_reference": PowerRangeSpeed(quantity(100, "kW"), "100 mi", None)},
+         "range must be distance, got '100 mi'"),
+        ({"water": (("coal", 0.5),)}, "water intensity must be water_intensity, got 0.5"),
+    ], ids=["renewable_share", "baseline_generation", "shares", "gallons", "per-ev",
+            "power-range-speed", "water"])
+    def test_a_bare_value_in_a_quantity_slot_is_a_typed_error(self, change, message):
+        """Each slot is checked where a stage reads it, so a sweep point that
+        does not replace it carries the error inline, as a full assess of it
+        raises it."""
+        s = load_builtin_scenario("paper-2005")._replace(**change)
+        with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+            assess(s)
+        [point] = iter_sweep(s, SweepSpec("battery.batteries_per_ev", [2.0]))
+        assert point == (2.0, None, message)
 
 
 class TestSweep:

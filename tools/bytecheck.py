@@ -113,7 +113,15 @@ The calls:
   wrapped to 80 columns: well-formed command lines with options before or
   after the positional and repeated, and the forms only argparse reads,
   ``--opt=value``, an abbreviation, ``--``, a value starting with ``-``,
-  targets split by an option and ``-h``, beside usage errors of each kind.
+  targets split by an option and ``-h``, beside usage errors of each kind;
+* hand-built ``paper-2005`` records whose fields have the wrong type (a bare
+  float for a quantity, None for a record, a str for the battery count or
+  for the method or convention, None for the name), and two that pass (an
+  int count, no water pairs), each through ``assess``, the first point of
+  ``iter_sweep``, ``render_scenario`` and ``render`` in every format of the
+  fixture's assessment holding it; and ``render_comparisons`` in every
+  format of cells whose computed figure is a bool or an int, and in csv and
+  json of one whose computed figure is a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -126,6 +134,7 @@ import os
 import random
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -327,6 +336,7 @@ def _outputs(evdemand, gen) -> dict[str, str]:
         apply_override,
         assess,
         builtin_scenario_text,
+        iter_sweep,
         load_builtin_scenario,
         parse_scenario,
         render_dataset,
@@ -609,6 +619,35 @@ def _outputs(evdemand, gen) -> dict[str, str]:
         probe(f"format_quantity {m!r}", lambda: "\n".join(
             evdemand.format_quantity(Quantity(m, Dimension.ENERGY), "Wh", digits)
             for digits in range(1, 18)))
+    hand_records = {
+        "renewable_share 0.5": {"renewable_share": 0.5},
+        "baseline_generation 4055.0": {"baseline_generation": 4055.0},
+        **{f"{field} None": {field: None} for field in (
+            "fleet_basis", "chemistry", "dataset", "water", "ev_reference", "name")},
+        "batteries_per_ev '4'": {"batteries_per_ev": "4"},
+        "batteries_per_ev 4": {"batteries_per_ev": 4},
+        "water ()": {"water": ()},
+        "method 'both'": {"method": "both"},
+        "convention 'published'": {"convention": "published"},
+    }
+    first_point = SweepSpec("battery.batteries_per_ev", [2.0])
+    for name, change in hand_records.items():
+        hand = fixture._replace(**change)
+        key = f"odd types record {name}"
+        probe(f"{key} assess", lambda: repr(assess(hand)._replace(scenario=None)))
+        probe(f"{key} iter_sweep", lambda: repr(next(iter_sweep(hand, first_point))._replace(
+            assessment=None)))
+        probe(f"{key} render_scenario", lambda: render_scenario(hand))
+        for fmt in FORMATS:
+            probe(f"{key} render {fmt}", lambda: evdemand.render(a._replace(scenario=hand), fmt))
+    # a Fraction's text is left out: Python 3.12 formats it, 3.10 and 3.11 raise
+    for kind, values, fmts in (("bool", (True, False), FORMATS), ("int", (0, 3), FORMATS),
+                               ("Fraction", (Fraction(1, 4),), ("csv", "json"))):
+        cells = [ComparisonResult(kind, "T", tuple(
+            CellResult("x", v, 1.0, "frac", "rel", 0.1, "y") for v in values))]
+        for fmt in fmts:
+            probe(f"odd types cell {kind} {fmt}",
+                  lambda: evdemand.render_comparisons(cells, fmt))
     return out | _cli_outputs()
 
 
