@@ -31,7 +31,6 @@ from .errors import (
     DimensionMismatch,
     NonFiniteMagnitude,
     ZeroBaseline,
-    ZeroFleetEnergy,
     ZeroGeneration,
     ZeroPerEvEnergy,
     ZeroSpeed,
@@ -54,9 +53,7 @@ __all__ = [
     "battery_demand_method_b",
     "printed_style",
     "carbon_intensity",
-    "additional_co2",
     "water_use",
-    "sustainable_conversion_fraction",
     "capacity_deficit",
 ]
 
@@ -152,8 +149,8 @@ class CapacityDeficit(NamedTuple):
 # check; ``scenario.assess`` reads every input once and calls the kernels.
 # ``fleet_energy`` and ``per_ev_energy`` take scenario inputs only, and
 # ``printed_style`` takes a result and checks none, so each is its own kernel.
-# ``_renewable_supply`` and ``_total_additional_energy`` have no public twin:
-# ``assess`` and one public function share each.
+# Kernels without a public twin: ``_total_additional_energy``, which
+# ``capacity_deficit`` shares, and the ones only ``assess`` calls.
 
 def fleet_energy(basis: SharesBasis | GallonsBasis) -> Quantity:
     """Fleet energy as total consumption x transport share x fuel share, or
@@ -245,14 +242,8 @@ def _carbon_intensity(emissions_t: float, generation_wh: float) -> Quantity:
                    "carbon intensity", Dimension.CARBON_INTENSITY)
 
 
-def additional_co2(additional_energy: Quantity, intensity: Quantity) -> Quantity:
-    """CO2 mass from generating ``additional_energy`` at ``intensity``."""
-    return _additional_co2(
-        _expect(additional_energy, Dimension.ENERGY, "additional energy"),
-        _expect(intensity, Dimension.CARBON_INTENSITY, "carbon intensity"))
-
-
 def _additional_co2(energy_wh: float, mt_per_twh: float) -> Quantity:
+    """CO2 mass from generating ``energy_wh`` at ``mt_per_twh``."""
     return _result(energy_wh / _WH_PER_TWH * mt_per_twh * _T_PER_MT, "additional CO2",
                    Dimension.MASS)
 
@@ -279,24 +270,11 @@ def _renewable_supply(baseline_wh: float, renewable_share: float) -> Quantity:
     return _result(baseline_wh * renewable_share, "renewable supply", Dimension.ENERGY)
 
 
-def sustainable_conversion_fraction(baseline_generation: Quantity,
-                                    renewable_share: Quantity,
-                                    fleet: Quantity) -> float:
-    """Fraction of the fleet convertible on renewable build-out alone.
-
-    Returns the raw ratio (baseline x share) / fleet energy; values above 1
-    mean full conversion and are clamped at display time, not here.
-    """
-    baseline_wh = _expect(baseline_generation, Dimension.ENERGY, "baseline generation")
-    share = _expect(renewable_share, Dimension.FRACTION, "renewable share")
-    fleet_wh = _expect(fleet, Dimension.ENERGY, "fleet energy")
-    return _sustainable_conversion_fraction(_renewable_supply(baseline_wh, share).canonical,
-                                            fleet_wh)
-
-
 def _sustainable_conversion_fraction(supply_wh: float, fleet_wh: float) -> float:
+    """Fraction of the fleet convertible on renewable supply alone, 0.0 for no
+    fleet energy; above 1 is full conversion, clamped at display time."""
     if fleet_wh == 0.0:
-        raise ZeroFleetEnergy("fleet energy must be positive")
+        return 0.0
     return _result(supply_wh / fleet_wh, "sustainable conversion fraction")
 
 

@@ -98,10 +98,6 @@ class ZeroGeneration(EvDemandError):
     """Emission intensity requires a positive generation total."""
 
 
-class ZeroFleetEnergy(EvDemandError):
-    """Conversion fraction requires a positive fleet energy."""
-
-
 class ZeroBaseline(EvDemandError):
     """Capacity comparison requires a positive baseline generation."""
 

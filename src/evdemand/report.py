@@ -532,8 +532,8 @@ def render_comparisons(results: list[ComparisonResult], fmt: str = "text",
             lines += [f"  note: {note}" for note in r.notes]
             label_w = max((len(c.label) for c in r.cells), default=0)
             for c in r.cells:
-                computed = _sig(c.computed, digits)
-                expected = _sig(c.expected, digits)
+                computed = _sig(float(c.computed), digits)
+                expected = _sig(float(c.expected), digits)
                 lines.append(f"  {c.label.ljust(label_w)}  "
                              f"computed {computed:>12}  expected {expected:>12}  "
                              f"rel err {c.rel_err:.3e}  {c.status}")

@@ -393,7 +393,11 @@ class FieldSpec(NamedTuple):
     def echo_value(self, value: float | Quantity) -> float:
         if self.dim is None:
             return value
-        return value.in_unit(self.echo_unit) if self.echo_unit else value.canonical
+        try:
+            return value.in_unit(self.echo_unit) if self.echo_unit else value.canonical
+        except AttributeError:  # not a quantity, as a hand-built record may hold
+            engine._expect(value, self.dim, self.path)
+            raise
 
 
 _D = Dimension
@@ -910,12 +914,8 @@ def _supply(s: Scenario, r: dict) -> None:
 
 @_stage("renewable_supply fleet_wh", "conversion_fraction full_conversion")
 def _conversion(s: Scenario, r: dict) -> None:
-    fleet_wh = r["fleet_wh"]
-    if fleet_wh == 0.0:
-        fraction = 0.0
-    else:
-        fraction = engine._sustainable_conversion_fraction(r["renewable_supply"].canonical,
-                                                           fleet_wh)
+    fraction = engine._sustainable_conversion_fraction(r["renewable_supply"].canonical,
+                                                       r["fleet_wh"])
     r["conversion_fraction"], r["full_conversion"] = fraction, fraction >= 1.0
 
 

@@ -9,11 +9,13 @@ does."""
 import contextlib
 import io
 import sys
+from fractions import Fraction
 from functools import partial
 from pathlib import Path
 from typing import Callable
 
 from evdemand.cli import main
+from evdemand.report import CellResult, ComparisonResult, render_comparisons
 from evdemand.scenario import load_builtin_scenario, load_scenario, render_scenario
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -54,6 +56,13 @@ def write_back(arg: str) -> bytes:
     return render_scenario(s).encode("utf-8")
 
 
+def fraction_cell() -> bytes:
+    """Comparison text of a hand-built cell whose computed figure is a
+    ``Fraction``: its float's digits, whatever the interpreter."""
+    cell = CellResult("x", Fraction(1, 4), 1.0, "frac", "rel", 0.1, "y")
+    return render_comparisons([ComparisonResult("t", "T", (cell,))], "text").encode("utf-8")
+
+
 def _cases() -> dict[str, Callable[[], bytes]]:
     runs = {**SCENARIOS, **{f"paper-2005-method-{m}": p for m, p in SINGLE_METHOD.items()}}
     cases = {}
@@ -71,6 +80,7 @@ def _cases() -> dict[str, Callable[[], bytes]]:
     for name, arg in SCENARIOS.items():
         cases[f"render_scenario_{name}.scn"] = partial(write_back, arg)
     cases["export_dataset_us2005.scn"] = partial(cli, "export-dataset", "us2005", "-")
+    cases["comparisons_fraction-cell.txt"] = fraction_cell
     return cases
 
 

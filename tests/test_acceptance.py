@@ -156,10 +156,11 @@ def test_c07_generation_shares():
 def test_c08_co2():
     intensity = engine.carbon_intensity(quantity(2480, "Mt"), quantity(4055, "TWh"))
     assert intensity.magnitude == pytest.approx(0.61159, abs=5e-6)
-    co2 = engine.additional_co2(quantity(6374.17, "TWh"), intensity)
+    co2 = assess(load_builtin_scenario("paper-2005")).additional_co2
     assert _rel(co2.in_unit("Mt"), 3900) <= 0.005
     # calibration closure, exact
-    assert engine.additional_co2(quantity(4055, "TWh"), intensity).in_unit("Mt") == 2480.0
+    assert engine._additional_co2(quantity(4055, "TWh").canonical,
+                                  intensity.canonical).in_unit("Mt") == 2480.0
     _ok("criterion 08, CO2 intensity, additional CO2, exact closure")
 
 
@@ -178,8 +179,7 @@ def test_c09_water():
 def test_c10_strategy():
     supply = 4055 * 0.30
     assert _rel(supply, 1216) <= 0.001
-    fraction = engine.sustainable_conversion_fraction(
-        quantity(4055, "TWh"), Quantity(0.30, F), quantity(4953, "TWh"))
+    fraction = assess(load_builtin_scenario("paper-2005")).conversion_fraction
     assert fraction == pytest.approx(0.2456, abs=5e-5)
     assert float(f"{fraction:.1e}") == 0.25
     _ok("criterion 10, renewable strategy fraction")
@@ -216,8 +216,9 @@ def test_c12_property_suites():
         assert engine.battery_demand_method_b(ek, nimh).battery_count.magnitude == \
             pytest.approx(k * engine.battery_demand_method_b(
                 e1, nimh).battery_count.magnitude, rel=1e-12, abs=1e-6)
-        assert engine.additional_co2(ek, intensity).magnitude == \
-            pytest.approx(k * engine.additional_co2(e1, intensity).magnitude,
+        assert engine._additional_co2(ek.canonical, intensity.canonical).magnitude == \
+            pytest.approx(k * engine._additional_co2(e1.canonical,
+                                                     intensity.canonical).magnitude,
                           rel=1e-12, abs=1e-6)
         assert engine.water_use(ek, Quantity(0.497, F),
                                 quantity(480, "gal/MWh")).magnitude == \

@@ -42,7 +42,9 @@ def _reference_per_ev(ref):
 
 def _reference_assess(s):
     """``assess`` as it was written on the public, Quantity-level engine
-    functions, each checking its arguments' dimensions."""
+    functions, each checking its arguments' dimensions; the CO2 and the
+    conversion fraction, which have no public function, come from their
+    kernels after the same checks."""
     fleet = engine.fleet_energy(s.fleet_basis)
     per_ev = _reference_per_ev(s.ev_reference)
 
@@ -62,7 +64,9 @@ def _reference_assess(s):
                            "total additional energy", Dimension.ENERGY)
     intensity = engine.carbon_intensity(s.dataset.co2_total,
                                         s.dataset.mix.total_generation)
-    co2 = engine.additional_co2(total, intensity)
+    co2 = engine._additional_co2(
+        engine._expect(total, Dimension.ENERGY, "additional energy"),
+        engine._expect(intensity, Dimension.CARBON_INTENSITY, "carbon intensity"))
 
     water = tuple(
         (fuel, engine.water_use(fleet, Quantity(s.dataset.mix.share(fuel),
@@ -73,11 +77,10 @@ def _reference_assess(s):
     renewable_supply = Quantity(
         s.baseline_generation.canonical * s.renewable_share.canonical,
         Dimension.ENERGY)
-    if fleet.canonical == 0.0:
-        conversion_fraction = 0.0
-    else:
-        conversion_fraction = engine.sustainable_conversion_fraction(
-            s.baseline_generation, s.renewable_share, fleet)
+    engine._expect(s.baseline_generation, Dimension.ENERGY, "baseline generation")
+    engine._expect(s.renewable_share, Dimension.FRACTION, "renewable share")
+    conversion_fraction = engine._sustainable_conversion_fraction(
+        renewable_supply.canonical, engine._expect(fleet, Dimension.ENERGY, "fleet energy"))
 
     return Assessment(
         scenario=s,

@@ -5,6 +5,7 @@ traceback, and running it twice gives the same output; a file that
 quick reader of a command line agrees with argparse on every argv it reads."""
 
 import io
+import itertools
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -38,6 +39,11 @@ LINES = [*SWEEPS,
 
 # Placeholders the test replaces with paths under tmp_path.
 FILE, DIR, OUT = "<file>", "<dir>", "<out>"
+
+# Each example writes files of fresh names: on some filesystems truncating a
+# file that holds data costs tens of milliseconds, creating one a few
+# microseconds.
+EXAMPLES = itertools.count()
 
 
 @st.composite
@@ -179,9 +185,10 @@ def _main(argv):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(text=scenario_texts(), argv=argvs())
 def test_cli_ends_in_an_exit_code_and_repeats(tmp_path, text, argv):
-    scenario = tmp_path / "fuzz.scn"
+    n = next(EXAMPLES)
+    scenario = tmp_path / f"fuzz-{n}.scn"
     scenario.write_text(text, encoding="utf-8")
-    places = {FILE: str(scenario), DIR: str(tmp_path), OUT: str(tmp_path / "out.scn")}
+    places = {FILE: str(scenario), DIR: str(tmp_path), OUT: str(tmp_path / f"out-{n}.scn")}
     argv = [places.get(a, a) for a in argv]
     first = _main(argv)
     code, _, err = first
@@ -197,7 +204,7 @@ def test_cli_ends_in_an_exit_code_and_repeats(tmp_path, text, argv):
 def test_a_valid_file_never_makes_sweep_a_usage_error(tmp_path, text, section):
     if "[sweep]" not in text.splitlines():
         text += section + "\n"
-    scenario = tmp_path / "fuzz.scn"
+    scenario = tmp_path / f"fuzz-{next(EXAMPLES)}.scn"
     scenario.write_text(text, encoding="utf-8")
     code = _main(["validate", str(scenario)])[0]
     event(f"validate exit {code}")

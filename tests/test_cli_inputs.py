@@ -199,9 +199,9 @@ def test_a_leading_byte_order_mark_is_ignored(capsys, tmp_path):
 
 @pytest.mark.parametrize("command", ["run", "validate", "sweep"])
 def test_validation_problems_print_one_line_each(capsys, tmp_path, command):
-    path = tmp_path / "problems.scn"
     flags = SWEEP_FLAGS if command == "sweep" else []
-    for text, problems in PROBLEM_LINES:
+    for k, (text, problems) in enumerate(PROBLEM_LINES):
+        path = tmp_path / f"problems-{k}.scn"  # a fresh file: truncating one can be slow
         path.write_text(text, encoding="utf-8")
         code, out, err = _run(capsys, command, str(path), *flags)
         assert code == 1

@@ -1,7 +1,8 @@
 """Byte-pinned outputs beyond ``reproduce --all``: the reports in every
 format with the JSON scenario echo, sweeps on both fleet bases, the scenario
-write-back, and the dataset export; and every golden file under each other
-supported interpreter that starts here."""
+write-back, the dataset export and the comparison text of a ``Fraction``
+cell; and every golden file under each other supported interpreter that
+starts here."""
 
 import os
 import shutil
@@ -47,6 +48,10 @@ def test_render_scenario(name):
 
 def test_export_dataset():
     _check("export_dataset_us2005.scn")
+
+
+def test_comparisons_of_a_fraction_cell():
+    _check("comparisons_fraction-cell.txt")
 
 
 def test_reproduce_all_csv_json_and_17_digits():

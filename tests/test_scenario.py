@@ -374,6 +374,25 @@ class TestAssess:
         [point] = iter_sweep(s, SweepSpec("battery.batteries_per_ev", [2.0]))
         assert point == (2.0, None, message)
 
+    @pytest.mark.parametrize("change, message", [
+        ({"renewable_share": 0.5}, "strategy.renewable_share must be fraction, got 0.5"),
+        ({"baseline_generation": 4055.0},
+         "strategy.baseline_generation must be energy, got 4055.0"),
+        ({"fleet_basis": SharesBasis(quantity(29000, "TWh"), 0.28, quantity(0.61, "frac"))},
+         "fleet.transport_share must be fraction, got 0.28"),
+    ], ids=["renewable_share", "baseline_generation", "fleet-basis"])
+    def test_the_json_echo_of_a_bare_value_in_a_quantity_slot_is_a_typed_error(self, change,
+                                                                               message):
+        """``render`` checks no quantity up front: the json echo names the
+        field it cannot write, and text and csv, which echo no input, write
+        the report."""
+        a = assess(load_builtin_scenario("paper-2005"))
+        hand = a._replace(scenario=a.scenario._replace(**change))
+        with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+            render(hand, "json")
+        for fmt in ("text", "csv"):
+            assert render(hand, fmt) == render(a, fmt)
+
 
 class TestSweep:
     def test_renewable_share_points(self):
