@@ -306,7 +306,7 @@ _RULES: dict[str, Callable[[float, float, float], bool]] = {
     "rel": lambda c, e, tol: _rel_err(c, e) <= tol,
     "abs": lambda c, e, tol: abs(c - e) <= tol,
     "exact": lambda c, e, tol: c == e,
-    "round2sig": lambda c, e, tol: float(f"{c:.1e}") == e,
+    "round2sig": lambda c, e, tol: float(f"{float(c):.1e}") == e,
     # documented expected mismatch: passes by carrying the flag
     "erratum": lambda c, e, tol: True,
 }
@@ -327,7 +327,7 @@ class CellResult(NamedTuple):
 
     @property
     def rel_err(self) -> float:
-        return _rel_err(self.computed, self.expected)
+        return float(_rel_err(self.computed, self.expected))
 
     @property
     def passed(self) -> bool:

@@ -36,10 +36,11 @@ Sections and keys (unknown ones are errors):
 import enum
 import functools
 import math
+from abc import ABCMeta
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from types import MappingProxyType, NoneType
-from typing import Callable, Iterator, NamedTuple
+from types import MappingProxyType, NoneType, UnionType
+from typing import Callable, Iterator, NamedTuple, get_args, get_origin
 
 from . import engine
 from .engine import (
@@ -243,7 +244,7 @@ class Scenario(NamedTuple):
     dataset: ReferenceDataset
     fleet_basis: SharesBasis | GallonsBasis
     ev_reference: EvReference
-    batteries_per_ev: float
+    batteries_per_ev: int | float
     chemistry: BatteryChemistry
     method: Method
     convention: Convention
@@ -393,11 +394,8 @@ class FieldSpec(NamedTuple):
     def echo_value(self, value: float | Quantity) -> float:
         if self.dim is None:
             return value
-        try:
-            return value.in_unit(self.echo_unit) if self.echo_unit else value.canonical
-        except AttributeError:  # not a quantity, as a hand-built record may hold
-            engine._expect(value, self.dim, self.path)
-            raise
+        canonical = engine._expect(value, self.dim, self.path)
+        return value.in_unit(self.echo_unit) if self.echo_unit else canonical
 
 
 _D = Dimension
@@ -937,28 +935,33 @@ def _evaluate(s: Scenario, runs: list | tuple, record: dict) -> Assessment:
     return tuple.__new__(Assessment, _FIELDS_OF(record))
 
 
-# each field of a Scenario but its name and its quantities -> the types it may
-# hold (a number that is not a bool, for a count); ``engine._expect`` checks a
-# quantity where a stage reads it
-_FIELD_TYPES = {
-    "dataset": (ReferenceDataset,),
-    "fleet_basis": (SharesBasis, GallonsBasis),
-    "ev_reference": EvReference.__args__,
-    "batteries_per_ev": (int, float),
-    "chemistry": (BatteryChemistry,),
-    "method": (Method,),
-    "convention": (Convention,),
-    "water": (tuple,),
-    "sweep_spec": (SweepSpec, NoneType),
-}
-_FIELD_VALUES = attrgetter(*_FIELD_TYPES)
+def _field_types(record: type, prefix: str = "") -> Iterator[tuple[str, tuple, Callable]]:
+    """For each field of ``record`` and, at any depth, of the records it holds,
+    but the text and quantity fields: its dotted path, the types its annotation
+    allows (a union's members, a generic's origin) and a getter of its value.
+    A record comes before its own fields."""
+    for name, hint in record.__annotations__.items():
+        types = get_args(hint) if type(hint) is UnionType else (get_origin(hint) or hint,)
+        if types[0] not in (str, Quantity):
+            path = prefix + name
+            yield path, types, attrgetter(path)
+            if len(types) == 1 and hasattr(types[0], "_fields"):  # a record
+                yield from _field_types(types[0], path + ".")
+
+
+# a count is a number that is not a bool, a ``Mapping`` any mapping;
+# ``engine._expect`` checks a quantity where a stage reads it
+_FIELD_TYPES = tuple(_field_types(Scenario))
 
 
 def _bad_field(s: Scenario) -> str | None:
     """What is wrong with the first field of ``s`` whose type ``_FIELD_TYPES``
-    does not allow, as a record built by hand may hold; else None."""
-    for (name, types), value in zip(_FIELD_TYPES.items(), _FIELD_VALUES(s)):
-        if type(value) not in types:
+    does not allow, as a record built by hand may hold; else None. A record is
+    checked before its fields, so each path it reads is there."""
+    for name, types, value_of in _FIELD_TYPES:
+        value = value_of(s)
+        if type(value) not in types and not (type(types[0]) is ABCMeta
+                                             and isinstance(value, types)):
             if issubclass(types[0], enum.Enum):
                 return f"{name} must be one of {', '.join(map(str, types[0]))}, got {value!r}"
             what = " or ".join("None" if t is NoneType else t.__name__ for t in types)

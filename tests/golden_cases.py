@@ -56,11 +56,10 @@ def write_back(arg: str) -> bytes:
     return render_scenario(s).encode("utf-8")
 
 
-def fraction_cell() -> bytes:
-    """Comparison text of a hand-built cell whose computed figure is a
-    ``Fraction``: its float's digits, whatever the interpreter."""
-    cell = CellResult("x", Fraction(1, 4), 1.0, "frac", "rel", 0.1, "y")
-    return render_comparisons([ComparisonResult("t", "T", (cell,))], "text").encode("utf-8")
+def fraction_cells(*cells: CellResult) -> bytes:
+    """Comparison text of hand-built cells whose figures are ``Fraction``s:
+    their floats' digits, whatever the interpreter."""
+    return render_comparisons([ComparisonResult("t", "T", cells)], "text").encode("utf-8")
 
 
 def _cases() -> dict[str, Callable[[], bytes]]:
@@ -80,7 +79,12 @@ def _cases() -> dict[str, Callable[[], bytes]]:
     for name, arg in SCENARIOS.items():
         cases[f"render_scenario_{name}.scn"] = partial(write_back, arg)
     cases["export_dataset_us2005.scn"] = partial(cli, "export-dataset", "us2005", "-")
-    cases["comparisons_fraction-cell.txt"] = fraction_cell
+    cases["comparisons_fraction-cell.txt"] = partial(
+        fraction_cells, CellResult("x", Fraction(1, 4), 1.0, "frac", "rel", 0.1, "y"))
+    # a Fraction under the round2sig rule, and one whose relative error is a Fraction
+    cases["comparisons_fraction-rules.txt"] = partial(
+        fraction_cells, CellResult("x", Fraction(1, 4), 0.25, "frac", "round2sig", 0.0, "y"),
+        CellResult("z", Fraction(1, 3), Fraction(1, 4), "frac", "rel", 0.1, "y"))
     return cases
 
 

@@ -1,7 +1,7 @@
 """Byte-pinned outputs beyond ``reproduce --all``: the reports in every
 format with the JSON scenario echo, sweeps on both fleet bases, the scenario
-write-back, the dataset export and the comparison text of a ``Fraction``
-cell; and every golden file under each other supported interpreter that
+write-back, the dataset export and the comparison text of ``Fraction``
+cells; and every golden file under each other supported interpreter that
 starts here."""
 
 import os
@@ -52,6 +52,10 @@ def test_export_dataset():
 
 def test_comparisons_of_a_fraction_cell():
     _check("comparisons_fraction-cell.txt")
+
+
+def test_comparisons_of_fraction_cells_under_round2sig_and_with_a_fraction_rel_err():
+    _check("comparisons_fraction-rules.txt")
 
 
 def test_reproduce_all_csv_json_and_17_digits():

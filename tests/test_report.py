@@ -339,3 +339,14 @@ def test_a_sweep_cell_of_another_number_type_is_the_float_it_converts_to():
     cell = CellResult("x", Fraction(1, 4), 1.0, "frac", "rel", 0.1, "y")
     out = render_comparisons([ComparisonResult("t", "T", (cell,))], "json")
     assert '"computed": 0.25,' in out and '"rel_err": 0.75,' in out
+
+
+@pytest.mark.parametrize("fmt, rel_err", [("text", "rel err 3.333e-01"), ("csv", ",3.333e-01,"),
+                                           ("json", '"rel_err": 0.3333333333333333,')])
+def test_fraction_cells_under_round2sig_and_with_a_fraction_rel_err_are_written(fmt, rel_err):
+    # a Fraction's own format spec takes no "e" before CPython 3.12
+    cells = (CellResult("x", Fraction(1, 4), 0.25, "frac", "round2sig", 0.0, "y"),
+             CellResult("z", Fraction(1, 3), Fraction(1, 4), "frac", "rel", 0.1, "y"))
+    assert [c.status for c in cells] == ["ok", "FAIL"]
+    assert type(cells[1].rel_err) is float
+    assert rel_err in render_comparisons([ComparisonResult("t", "T", cells)], fmt)

@@ -393,6 +393,41 @@ class TestAssess:
         for fmt in ("text", "csv"):
             assert render(hand, fmt) == render(a, fmt)
 
+    @pytest.mark.parametrize("change, message", [
+        ({"renewable_share": Quantity(1.0, Dimension.ENERGY)},
+         "strategy.renewable_share must be fraction, got energy"),
+        ({"fleet_basis": SharesBasis(quantity(29000, "TWh"), quantity(0.28, "frac"),
+                                     Quantity(0.61, Dimension.ENERGY))},
+         "fleet.fuel_share must be fraction, got energy"),
+    ], ids=["renewable_share", "fleet-basis"])
+    def test_the_json_echo_of_a_quantity_of_another_dimension_is_a_typed_error(self, change,
+                                                                               message):
+        """A field the json echo writes in its canonical unit is checked for
+        its dimension as one in an echo unit is, not written as its magnitude."""
+        a = assess(load_builtin_scenario("paper-2005"))
+        hand = a._replace(scenario=a.scenario._replace(**change))
+        with pytest.raises(DimensionMismatch, match=f"^{re.escape(message)}$"):
+            render(hand, "json")
+
+    @pytest.mark.parametrize("change, message", [
+        ({"mix": None}, "dataset.mix must be GridMix, got None"),
+        ({"water_intensity": None}, "dataset.water_intensity must be Mapping, got None"),
+        ({"water_intensity": True}, "dataset.water_intensity must be Mapping, got True"),
+        ({"mix": builtin_dataset("us2005").mix._replace(entries=None)},
+         "dataset.mix.entries must be tuple, got None"),
+    ], ids=["mix", "water_intensity", "water_intensity-bool", "entries"])
+    def test_a_nested_field_of_another_type_is_a_typed_error(self, change, message):
+        """The records a field holds are checked by their own annotations, at
+        any depth, through every entry point, and the error names the dotted path."""
+        dataset = load_builtin_scenario("paper-2005").dataset._replace(**change)
+        self.test_a_field_of_another_type_is_a_typed_error({"dataset": dataset}, message)
+
+    def test_a_dataset_may_hold_any_mapping_of_water_intensities(self):
+        s = load_builtin_scenario("paper-2005")
+        hand = s._replace(dataset=s.dataset._replace(water_intensity=dict(
+            s.dataset.water_intensity)))
+        assert assess(hand) == assess(s)._replace(scenario=hand)
+
 
 class TestSweep:
     def test_renewable_share_points(self):

@@ -115,12 +115,15 @@ The calls:
   ``--opt=value``, an abbreviation, ``--``, a value starting with ``-``,
   targets split by an option and ``-h``, beside usage errors of each kind;
 * hand-built ``paper-2005`` records whose fields have the wrong type (a bare
-  float for a quantity, None for a record, a str for the battery count or
-  for the method or convention, None for the name), and two that pass (an
-  int count, no water pairs), each through ``assess``, the first point of
+  float for a quantity, an energy for the renewable share, None for a record
+  or for a record its dataset holds, a str for the battery count or for the
+  method or convention, None for the name), and two that pass (an int count,
+  no water pairs), each through ``assess``, the first point of
   ``iter_sweep``, ``render_scenario`` and ``render`` in every format of the
   fixture's assessment holding it; and ``render_comparisons`` in every
-  format of cells whose computed figure is a bool, an int or a ``Fraction``.
+  format of cells whose computed figure is a bool, an int or a ``Fraction``,
+  and of two ``Fraction`` cells, one under the ``round2sig`` rule and one
+  whose expected figure is a ``Fraction`` too.
 """
 
 from __future__ import annotations
@@ -626,6 +629,11 @@ def _outputs(evdemand, gen) -> dict[str, str]:
         "batteries_per_ev '4'": {"batteries_per_ev": "4"},
         "batteries_per_ev 4": {"batteries_per_ev": 4},
         "water ()": {"water": ()},
+        "renewable_share in TWh": {"renewable_share": quantity(1, "TWh")},
+        **{f"dataset.{field} None": {"dataset": fixture.dataset._replace(**{field: None})}
+           for field in ("mix", "water_intensity")},
+        "dataset.mix.entries None": {"dataset": fixture.dataset._replace(
+            mix=fixture.dataset.mix._replace(entries=None))},
         "method 'both'": {"method": "both"},
         "convention 'published'": {"convention": "published"},
     }
@@ -646,6 +654,12 @@ def _outputs(evdemand, gen) -> dict[str, str]:
         for fmt in FORMATS:
             probe(f"odd types cell {kind} {fmt}",
                   lambda: evdemand.render_comparisons(cells, fmt))
+    cells = [ComparisonResult("Fraction rules", "T", (
+        CellResult("x", Fraction(1, 4), 0.25, "frac", "round2sig", 0.0, "y"),
+        CellResult("z", Fraction(1, 3), Fraction(1, 4), "frac", "rel", 0.1, "y")))]
+    for fmt in FORMATS:
+        probe(f"odd types cell Fraction rules {fmt}",
+              lambda: evdemand.render_comparisons(cells, fmt))
     return out | _cli_outputs()
 
 
